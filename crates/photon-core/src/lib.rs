@@ -59,6 +59,6 @@ pub use obs::{
 pub use perf::{MemoryTrace, SpeedTrace, SPEED_TRACE_CAP};
 pub use polar::{Polarization, PolarizedBounce};
 pub use sim::{SimConfig, SimStats, Simulator};
-pub use trace::{trace_photon, TallySink, TraceOutcome};
+pub use trace::{path_rays, trace_photon, TallySink, TraceOutcome};
 pub use view::{render, render_tile, squash_tile_runs, tiles, Camera, Tile};
 pub use wire::{SubscribeFrame, WireDelta, WireFrame, WireMode};

@@ -85,6 +85,55 @@ pub fn trace_emitted<R: PhotonRng, S: TallySink + ?Sized>(
     rng: &mut R,
     sink: &mut S,
 ) -> TraceOutcome {
+    trace_emitted_observed(scene, photon, rng, sink, |_| {})
+}
+
+/// The rays photons `0..n` of the stream seeded by `seed` send to
+/// [`Scene::intersect`]: every photon's first segment, and all later ones.
+///
+/// Emission rays leave a luminaire, bounce rays leave wherever light
+/// lands, and the octree costs differ, so benches and tests that need the
+/// traffic a solve really generates probe with these rather than with
+/// uniform random rays. They are recorded by the transport loop itself.
+pub fn path_rays(
+    scene: &Scene,
+    generator: &PhotonGenerator,
+    seed: u64,
+    n: u64,
+) -> (Vec<Ray>, Vec<Ray>) {
+    let (mut first, mut later) = (Vec::with_capacity(n as usize), Vec::new());
+    for j in 0..n {
+        let mut rng = crate::engine::photon_stream(seed, j);
+        let photon = generator.emit(scene, &mut rng);
+        let mut segment = 0;
+        trace_emitted_observed(
+            scene,
+            photon,
+            &mut rng,
+            &mut |_: u32, _: &BinPoint, _: Rgb| {},
+            |ray| {
+                if segment == 0 {
+                    first.push(*ray);
+                } else {
+                    later.push(*ray);
+                }
+                segment += 1;
+            },
+        );
+    }
+    (first, later)
+}
+
+/// [`trace_emitted`], showing `on_ray` each ray just before it is cast.
+/// The transport kernel passes a no-op, which compiles to nothing.
+#[inline]
+fn trace_emitted_observed<R: PhotonRng, S: TallySink + ?Sized>(
+    scene: &Scene,
+    photon: EmittedPhoton,
+    rng: &mut R,
+    sink: &mut S,
+    mut on_ray: impl FnMut(&Ray),
+) -> TraceOutcome {
     // Emission tally: the luminaire's own bin records the emitted photon
     // (GeneratePhoton + UpdateBinCount in Fig 4.1) so lights are visible.
     let emit_cyl = CylDir::from_local(photon.local_dir);
@@ -98,6 +147,7 @@ pub fn trace_emitted<R: PhotonRng, S: TallySink + ?Sized>(
     let mut energy = photon.energy;
     let mut bounces = 0u32;
     loop {
+        on_ray(&ray);
         let Some(hit) = scene.intersect(&ray, f64::INFINITY) else {
             return TraceOutcome {
                 bounces,
@@ -274,6 +324,27 @@ mod tests {
             reflections += trace_photon(&scene, &generator, &mut rng, &mut forest).bounces as u64;
         }
         assert_eq!(forest.total_tallies(), n + reflections);
+    }
+
+    #[test]
+    fn path_rays_are_one_per_tally() {
+        // A photon casts its emission ray and one more after every
+        // reflection it survives, so in a box where none hits the energy
+        // floor or the bounce cap there is a ray for every tally.
+        let scene = closed_box(0.5);
+        let generator = PhotonGenerator::new(&scene);
+        let (seed, n) = (5, 500u64);
+        let mut tallies = 0usize;
+        for j in 0..n {
+            let mut rng = crate::photon_stream(seed, j);
+            let mut sink = |_: u32, _: &BinPoint, _: Rgb| tallies += 1;
+            trace_photon(&scene, &generator, &mut rng, &mut sink);
+        }
+        let (first, later) = path_rays(&scene, &generator, seed, n);
+        assert_eq!(first.len(), n as usize);
+        assert_eq!(first.len() + later.len(), tallies);
+        // Emission rays leave the light panel (y = 1.99) heading down.
+        assert!(first.iter().all(|r| r.origin.y > 1.98 && r.dir.y < 0.0));
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! traveling through" (ch. 6). Traversal here visits child octants in ray
 //! order and prunes octants entered beyond the best hit, so the first
 //! accepted hit is provably the nearest.
+//!
+//! Intersection is the hot loop of every solve and every render, so both
+//! halves of it are laid out for the ray: each [`SurfacePatch`] caches the
+//! ray-independent constants of its plane + bilinear test, and the
+//! [`Octree`] is a flat array walked with an explicit stack, one set of
+//! nine shared-plane slab parameters per internal node (see [`octree`]).
+//! A built [`Scene`] is immutable and `clone()` shares it.
 
 #![deny(missing_docs)]
 

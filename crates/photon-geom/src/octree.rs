@@ -9,29 +9,89 @@
 //! Construction is top-down: a node holding more than [`LEAF_CAPACITY`]
 //! patches splits into eight octants (until [`MAX_DEPTH`]), each receiving
 //! the patches whose boxes overlap it.
+//!
+//! # Layout and traversal
+//!
+//! The tree is flat: the eight children of an internal node are contiguous
+//! in one node array, every leaf's patch ids are a run of one shared id
+//! array, and an internal node carries a mask of its non-empty children.
+//! Only internal nodes keep their box, as the three planes per axis
+//! (`min`, `center`, `max`) their eight octants share. A query computes the
+//! nine plane parameters `(plane - origin) * inv_dir` once per internal node
+//! and assembles each child's slab interval from them, on an explicit
+//! fixed-size stack.
+//!
+//! That is *exactly* the per-child [`Aabb::hit`] it replaces, not an
+//! approximation of it: a child's faces are bit for bit its parent's planes
+//! ([`Aabb::octants`] copies them), so each of the 48 products a per-child
+//! test would form is one of the nine, and the same maxima and minima are
+//! taken of them in the same order (NaN slabs, from a ray running inside a
+//! plane, are unconstraining in both). Children are ordered by entry
+//! parameter with a stable insertion sort, so octants entered at the same
+//! parameter keep octant-code order and coplanar patches resolve to the
+//! same `patch_id` every time.
+//!
+//! **Bit-identity rule.** Answers are pinned across commits
+//! (`tests/golden_answers.rs`), and which bin a photon lands in depends on
+//! the last bit of `s`, `v` and `t`. A change here may reorder memory and
+//! skip redundant work, but must leave every [`SceneHit`] field equal by
+//! `to_bits` — the tests below hold it to a recursive reference traversal.
 
 use crate::scene::{SceneHit, SurfacePatch};
-use photon_math::{Aabb, Ray};
+use photon_math::{Aabb, Ray, Vec3};
 
 /// Maximum tree depth; 2^8 cells per axis is plenty for the paper's scenes.
 pub const MAX_DEPTH: u32 = 8;
 /// A node holding more than this many patches splits (unless at max depth).
 pub const LEAF_CAPACITY: usize = 8;
 
-/// Arena-allocated octree over patch indices.
+/// Most entries the traversal stack can hold: all eight children of the
+/// deepest internal node, over seven waiting siblings at each level above.
+const STACK: usize = 7 * MAX_DEPTH as usize + 1;
+
+/// Flat octree over patch indices.
 #[derive(Clone, Debug)]
 pub struct Octree {
+    /// Node 0 is the root; an internal node's children are contiguous.
     nodes: Vec<Node>,
+    /// Split planes of the internal nodes, indexed by `Node::Internal::cell`.
+    cells: Vec<Cell>,
+    /// Patch ids of all leaves, each leaf a contiguous run.
+    items: Vec<u32>,
     bounds: Aabb,
 }
 
-#[derive(Clone, Debug)]
-struct Node {
-    bounds: Aabb,
-    /// Arena indices of the eight children, or `None` for a leaf.
-    children: Option<[u32; 8]>,
-    /// Patch indices stored in this node (leaves only).
-    items: Vec<u32>,
+#[derive(Clone, Copy, Debug)]
+enum Node {
+    Internal {
+        /// Index of child 0; child `c` (octant code `x | y<<1 | z<<2`) is
+        /// `first_child + c`.
+        first_child: u32,
+        /// Index into `Octree::cells`.
+        cell: u32,
+        /// Bit `c` is set when child `c` holds any patch.
+        occupied: u8,
+    },
+    Leaf {
+        /// Start of this leaf's run in `Octree::items`.
+        start: u32,
+        /// Length of the run.
+        len: u32,
+    },
+}
+
+impl Node {
+    /// A leaf holding nothing: what an empty octant is, and what a node is
+    /// until `build_node` fills it in.
+    const EMPTY: Node = Node::Leaf { start: 0, len: 0 };
+}
+
+/// The box of an internal node, as the planes its octants share.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    min: Vec3,
+    center: Vec3,
+    max: Vec3,
 }
 
 /// Structural statistics, reported by the Fig 4.6 demo and benches.
@@ -48,6 +108,62 @@ pub struct OctreeStats {
     pub item_refs: usize,
 }
 
+/// What a traversal reports about its own work. The production query runs
+/// with [`NoProbe`], whose empty methods monomorphise away; tests count.
+trait Probe {
+    /// An internal node is about to be expanded.
+    fn internal_node(&mut self) {}
+    /// A patch is about to be tested.
+    fn patch_test(&mut self) {}
+}
+
+struct NoProbe;
+impl Probe for NoProbe {}
+
+/// The parameter interval a ray spends between two parallel planes with
+/// parameters `a` and `b` — one axis of [`Aabb::hit`]. NaN (0 * inf: the
+/// origin sits on a plane the ray runs parallel to) does not constrain.
+#[inline(always)]
+fn slab(a: f64, b: f64) -> (f64, f64) {
+    let (near, far) = if a > b { (b, a) } else { (a, b) };
+    if near.is_nan() || far.is_nan() {
+        (f64::NEG_INFINITY, f64::INFINITY)
+    } else {
+        (near, far)
+    }
+}
+
+/// The larger of two parameters, neither NaN. Unlike `f64::max` this is a
+/// single instruction; the two differ only in which zero `later(0.0, -0.0)`
+/// is, which no comparison below can tell apart.
+#[inline(always)]
+fn later(a: f64, b: f64) -> f64 {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The smaller of two parameters, neither NaN (see [`later`]).
+#[inline(always)]
+fn sooner(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The slabs of the lower and the upper half of one axis of a cell.
+#[inline(always)]
+fn half_slabs(min: f64, center: f64, max: f64, origin: f64, inv: f64) -> [(f64, f64); 2] {
+    let lo = (min - origin) * inv;
+    let mid = (center - origin) * inv;
+    let hi = (max - origin) * inv;
+    [slab(lo, mid), slab(mid, hi)]
+}
+
 impl Octree {
     /// Builds the tree over `patches` within `bounds`.
     pub fn build(patches: &[SurfacePatch], bounds: Aabb) -> Self {
@@ -57,48 +173,66 @@ impl Octree {
             .collect();
         let all: Vec<u32> = (0..patches.len() as u32).collect();
         let mut tree = Octree {
-            nodes: Vec::new(),
+            nodes: vec![Node::EMPTY],
+            cells: Vec::new(),
+            items: Vec::new(),
             bounds,
         };
-        tree.build_node(bounds, all, &boxes, 0);
+        tree.build_node(0, bounds, all, &boxes, 0);
         tree
     }
 
-    /// Recursively constructs the node for `bounds` holding `items`;
-    /// returns its arena index.
-    fn build_node(&mut self, bounds: Aabb, items: Vec<u32>, boxes: &[Aabb], depth: u32) -> u32 {
-        let idx = self.nodes.len() as u32;
-        self.nodes.push(Node {
-            bounds,
-            children: None,
-            items: Vec::new(),
-        });
-        if items.len() <= LEAF_CAPACITY || depth >= MAX_DEPTH {
-            self.nodes[idx as usize].items = items;
-            return idx;
-        }
+    /// Recursively fills in node `idx`, the box `bounds` holding `items`.
+    fn build_node(
+        &mut self,
+        idx: usize,
+        bounds: Aabb,
+        items: Vec<u32>,
+        boxes: &[Aabb],
+        depth: u32,
+    ) {
         let octants = bounds.octants();
         let mut parts: [Vec<u32>; 8] = Default::default();
-        for &it in &items {
-            for (c, ob) in octants.iter().enumerate() {
-                if ob.overlaps(&boxes[it as usize]) {
-                    parts[c].push(it);
+        let mut split = items.len() > LEAF_CAPACITY && depth < MAX_DEPTH;
+        if split {
+            for &it in &items {
+                for (c, ob) in octants.iter().enumerate() {
+                    if ob.overlaps(&boxes[it as usize]) {
+                        parts[c].push(it);
+                    }
                 }
             }
+            // If splitting separates nothing (every item spans every
+            // octant), keep the leaf: descending would cost 8x memory for
+            // no pruning.
+            split = !parts.iter().all(|p| p.len() == items.len());
         }
-        // If splitting separates nothing (every item spans every octant),
-        // keep the leaf: descending would cost 8x memory for no pruning.
-        if parts.iter().all(|p| p.len() == items.len()) {
-            self.nodes[idx as usize].items = items;
-            return idx;
+        if !split {
+            self.nodes[idx] = Node::Leaf {
+                start: self.items.len() as u32,
+                len: items.len() as u32,
+            };
+            self.items.extend(items);
+            return;
         }
-        let mut children = [0u32; 8];
-        for (c, ob) in octants.iter().enumerate() {
-            let child_items = std::mem::take(&mut parts[c]);
-            children[c] = self.build_node(*ob, child_items, boxes, depth + 1);
+        let first_child = self.nodes.len();
+        self.nodes.extend([Node::EMPTY; 8]);
+        let cell = self.cells.len();
+        self.cells.push(Cell {
+            min: bounds.min,
+            center: bounds.center(),
+            max: bounds.max,
+        });
+        let mut occupied = 0u8;
+        for (c, (ob, child_items)) in octants.into_iter().zip(parts).enumerate() {
+            occupied |= u8::from(!child_items.is_empty()) << c;
+            self.build_node(first_child + c, ob, child_items, boxes, depth + 1);
         }
-        self.nodes[idx as usize].children = Some(children);
-        idx
+        self.nodes[idx] = Node::Internal {
+            first_child: first_child as u32,
+            cell: cell as u32,
+            occupied,
+        };
     }
 
     /// Nearest hit along `ray` within `(t_min, t_max)` — the paper's
@@ -110,63 +244,103 @@ impl Octree {
         t_min: f64,
         t_max: f64,
     ) -> Option<SceneHit> {
-        let mut best: Option<SceneHit> = None;
-        let mut limit = t_max;
-        // The root box must be entered at all for any hit to exist.
-        if self.nodes.is_empty() || self.bounds.hit(ray, t_min, limit).is_none() {
-            return None;
-        }
-        self.visit(0, patches, ray, t_min, &mut limit, &mut best);
-        best
+        self.traverse(patches, ray, t_min, t_max, &mut NoProbe)
     }
 
-    fn visit(
+    /// The one traversal body; `probe` sees each internal node expanded
+    /// and each patch tested.
+    #[inline]
+    fn traverse<P: Probe>(
         &self,
-        node: usize,
         patches: &[SurfacePatch],
         ray: &Ray,
         t_min: f64,
-        limit: &mut f64,
-        best: &mut Option<SceneHit>,
-    ) {
-        let n = &self.nodes[node];
-        let Some(children) = n.children else {
-            for &pi in &n.items {
-                let sp = &patches[pi as usize];
-                if let Some(h) = sp.patch.intersect(ray, t_min, *limit) {
-                    *limit = h.t;
-                    *best = Some(SceneHit {
-                        patch_id: pi,
-                        t: h.t,
-                        point: h.point,
-                        s: h.s,
-                        v: h.v,
-                        front: ray.dir.dot(sp.frame.w) < 0.0,
-                    });
+        t_max: f64,
+        probe: &mut P,
+    ) -> Option<SceneHit> {
+        let mut best: Option<SceneHit> = None;
+        let mut limit = t_max;
+        // The root box must be entered at all for any hit to exist.
+        self.bounds.hit(ray, t_min, limit)?;
+        // Nodes still to visit, nearest on top, each with the parameter at
+        // which the ray enters it.
+        let mut stack = [(0.0f64, 0u32); STACK];
+        let mut top = 0;
+        let mut node = 0u32;
+        loop {
+            match self.nodes[node as usize] {
+                Node::Leaf { start, len } => {
+                    for &pi in &self.items[start as usize..(start + len) as usize] {
+                        probe.patch_test();
+                        if let Some(h) = patches[pi as usize].scene_hit(pi, ray, t_min, limit) {
+                            limit = h.t;
+                            best = Some(h);
+                        }
+                    }
+                }
+                Node::Internal {
+                    first_child,
+                    cell,
+                    occupied,
+                } => {
+                    probe.internal_node();
+                    let cell = &self.cells[cell as usize];
+                    let (o, inv) = (ray.origin, ray.inv_dir);
+                    let xs = half_slabs(cell.min.x, cell.center.x, cell.max.x, o.x, inv.x);
+                    let ys = half_slabs(cell.min.y, cell.center.y, cell.max.y, o.y, inv.y);
+                    let zs = half_slabs(cell.min.z, cell.center.z, cell.max.z, o.z, inv.z);
+                    // Entry and exit parameters of all eight children,
+                    // occupied or not: computing them unconditionally keeps
+                    // this loop free of data-dependent branches.
+                    let mut hit = 0u8;
+                    let mut enter = [0.0f64; 8];
+                    for c in 0..8usize {
+                        let (nx, fx) = xs[c & 1];
+                        let (ny, fy) = ys[(c >> 1) & 1];
+                        let (nz, fz) = zs[c >> 2];
+                        let t0 = later(later(later(t_min, nx), ny), nz);
+                        let t1 = sooner(sooner(sooner(limit, fx), fy), fz);
+                        enter[c] = t0;
+                        hit |= u8::from(t0 <= t1) << c;
+                    }
+                    // Occupied children the ray crosses within
+                    // (t_min, limit), sorted by entry parameter; equal
+                    // parameters keep octant-code order.
+                    let mut order = [(0.0f64, 0u32); 8];
+                    let mut cnt = 0;
+                    let mut todo = hit & occupied;
+                    while todo != 0 {
+                        let c = todo.trailing_zeros();
+                        todo &= todo - 1;
+                        let t0 = enter[c as usize];
+                        let mut i = cnt;
+                        while i > 0 && order[i - 1].0 > t0 {
+                            order[i] = order[i - 1];
+                            i -= 1;
+                        }
+                        order[i] = (t0, first_child + c);
+                        cnt += 1;
+                    }
+                    for &entry in order[..cnt].iter().rev() {
+                        stack[top] = entry;
+                        top += 1;
+                    }
                 }
             }
-            return;
-        };
-        // Order children by ray entry parameter; prune those entered beyond
-        // the current best hit.
-        let mut order: [(f64, u32); 8] = [(f64::INFINITY, 0); 8];
-        let mut cnt = 0;
-        for &ci in &children {
-            let cn = &self.nodes[ci as usize];
-            if cn.children.is_none() && cn.items.is_empty() {
-                continue; // empty leaf
-            }
-            if let Some((t0, _)) = cn.bounds.hit(ray, t_min, *limit) {
-                order[cnt] = (t0, ci);
-                cnt += 1;
-            }
-        }
-        order[..cnt].sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        for &(t0, ci) in &order[..cnt] {
-            if t0 > *limit {
+            // Next node the ray enters before the best hit so far. A
+            // closer hit since the push prunes everything entered beyond it.
+            loop {
+                if top == 0 {
+                    return best;
+                }
+                top -= 1;
+                let (t0, next) = stack[top];
+                if t0 > limit {
+                    continue;
+                }
+                node = next;
                 break;
             }
-            self.visit(ci as usize, patches, ray, t_min, limit, best);
         }
     }
 
@@ -179,6 +353,7 @@ impl Octree {
     pub fn stats(&self) -> OctreeStats {
         let mut s = OctreeStats {
             nodes: self.nodes.len(),
+            item_refs: self.items.len(),
             ..Default::default()
         };
         self.stat_walk(0, 0, &mut s);
@@ -186,16 +361,14 @@ impl Octree {
     }
 
     fn stat_walk(&self, node: usize, depth: u32, s: &mut OctreeStats) {
-        let n = &self.nodes[node];
-        match n.children {
-            None => {
+        match self.nodes[node] {
+            Node::Leaf { .. } => {
                 s.leaves += 1;
-                s.item_refs += n.items.len();
                 s.max_depth = s.max_depth.max(depth);
             }
-            Some(children) => {
-                for ci in children {
-                    self.stat_walk(ci as usize, depth + 1, s);
+            Node::Internal { first_child, .. } => {
+                for c in 0..8 {
+                    self.stat_walk(first_child as usize + c, depth + 1, s);
                 }
             }
         }
@@ -206,8 +379,360 @@ impl Octree {
 mod tests {
     use super::*;
     use crate::material::Material;
+    use photon_core::{path_rays, Camera, PhotonGenerator};
     use photon_math::{Patch, Rgb, Vec3};
     use photon_rng::{Lcg48, PhotonRng};
+    use photon_scenes::{sun_room, TestScene, ViewSpec};
+
+    /// Work one query did, counted by either traversal.
+    #[derive(Clone, Copy, Debug, Default, PartialEq)]
+    struct Work {
+        internal_nodes: u64,
+        patch_tests: u64,
+    }
+
+    impl Probe for Work {
+        fn internal_node(&mut self) {
+            self.internal_nodes += 1;
+        }
+        fn patch_test(&mut self) {
+            self.patch_tests += 1;
+        }
+    }
+
+    /// The traversal this file had before the tree was flattened, kept as
+    /// the oracle: recursive, a whole `Aabb::hit` per child on boxes
+    /// re-derived with `Aabb::octants`, `sort_by`, and the patch test
+    /// computed from scratch. It reads only the topology of the flat tree,
+    /// not its cells or occupancy masks.
+    fn reference(
+        tree: &Octree,
+        patches: &[SurfacePatch],
+        ray: &Ray,
+        t_min: f64,
+        t_max: f64,
+        work: &mut Work,
+    ) -> Option<SceneHit> {
+        let mut best = None;
+        let mut limit = t_max;
+        tree.bounds.hit(ray, t_min, limit)?;
+        reference_visit(
+            tree,
+            (0, tree.bounds),
+            patches,
+            ray,
+            t_min,
+            &mut limit,
+            &mut best,
+            work,
+        );
+        best
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn reference_visit(
+        tree: &Octree,
+        (node, bounds): (usize, Aabb),
+        patches: &[SurfacePatch],
+        ray: &Ray,
+        t_min: f64,
+        limit: &mut f64,
+        best: &mut Option<SceneHit>,
+        work: &mut Work,
+    ) {
+        let first_child = match tree.nodes[node] {
+            Node::Leaf { start, len } => {
+                for &pi in &tree.items[start as usize..(start + len) as usize] {
+                    work.patch_tests += 1;
+                    let sp = &patches[pi as usize];
+                    if let Some(h) = sp.patch.intersect(ray, t_min, *limit) {
+                        *limit = h.t;
+                        *best = Some(SceneHit {
+                            patch_id: pi,
+                            t: h.t,
+                            point: h.point,
+                            s: h.s,
+                            v: h.v,
+                            front: ray.dir.dot(sp.frame.w) < 0.0,
+                        });
+                    }
+                }
+                return;
+            }
+            Node::Internal { first_child, .. } => first_child as usize,
+        };
+        work.internal_nodes += 1;
+        let mut order = Vec::new();
+        for (c, ob) in bounds.octants().into_iter().enumerate() {
+            if matches!(tree.nodes[first_child + c], Node::Leaf { len: 0, .. }) {
+                continue;
+            }
+            if let Some((t0, _)) = ob.hit(ray, t_min, *limit) {
+                order.push((t0, first_child + c, ob));
+            }
+        }
+        order.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+        for (t0, child, ob) in order {
+            if t0 > *limit {
+                break;
+            }
+            reference_visit(tree, (child, ob), patches, ray, t_min, limit, best, work);
+        }
+    }
+
+    fn bits(h: Option<SceneHit>) -> Option<(u32, [u64; 6], bool)> {
+        let h = h?;
+        let f = [h.t, h.s, h.v, h.point.x, h.point.y, h.point.z];
+        Some((h.patch_id, f.map(f64::to_bits), h.front))
+    }
+
+    /// Casts `rays` through both traversals, asserting equal hits (by bit
+    /// pattern) and equal work ray by ray; returns the work and hit count.
+    fn assert_identical(
+        tree: &Octree,
+        patches: &[SurfacePatch],
+        rays: &[Ray],
+        t_max: impl Fn(&SceneHit) -> f64,
+    ) -> (Work, usize) {
+        let (mut total, mut hits) = (Work::default(), 0);
+        for ray in rays {
+            // Once unbounded, then bounded by a function of the hit found.
+            let mut bound = f64::INFINITY;
+            for _ in 0..2 {
+                let (mut fast_work, mut slow_work) = (Work::default(), Work::default());
+                let fast = tree.traverse(patches, ray, 1e-7, bound, &mut fast_work);
+                let slow = reference(tree, patches, ray, 1e-7, bound, &mut slow_work);
+                assert_eq!(bits(fast), bits(slow), "{ray:?} t_max {bound}");
+                assert_eq!(fast_work, slow_work, "{ray:?} t_max {bound}");
+                if bound == f64::INFINITY {
+                    total.internal_nodes += fast_work.internal_nodes;
+                    total.patch_tests += fast_work.patch_tests;
+                    hits += usize::from(fast.is_some());
+                }
+                let Some(h) = fast else { break };
+                bound = t_max(&h);
+            }
+        }
+        (total, hits)
+    }
+
+    /// The geometry of a scene built elsewhere in the workspace, as this
+    /// build of the crate's own types (the scene's are the non-test
+    /// build's). Materials play no part in intersection.
+    fn rebuilt(patches: impl Iterator<Item = Patch>, bounds: Aabb) -> (Vec<SurfacePatch>, Octree) {
+        let patches: Vec<SurfacePatch> = patches
+            .map(|p| SurfacePatch::new(p, Material::matte(Rgb::gray(0.5))))
+            .collect();
+        let tree = Octree::build(&patches, bounds);
+        (patches, tree)
+    }
+
+    fn camera_rays(view: ViewSpec, width: usize, height: usize) -> Vec<Ray> {
+        let camera = Camera {
+            eye: view.eye,
+            target: view.target,
+            up: view.up,
+            vfov_deg: view.vfov_deg,
+            width,
+            height,
+        };
+        (0..height)
+            .flat_map(|y| (0..width).map(move |x| camera.ray(x, y)))
+            .collect()
+    }
+
+    /// Rays chosen to land on the comparisons the traversal must not get
+    /// differently wrong: slabs that are NaN or infinite, entry parameters
+    /// that tie, and hits that tie.
+    fn adversarial_rays(tree: &Octree, patches: &[SurfacePatch], eye: Vec3) -> Vec<Ray> {
+        let axes = [Vec3::X, -Vec3::X, Vec3::Y, -Vec3::Y, Vec3::Z, -Vec3::Z];
+        let diagonals = [
+            Vec3::new(1.0, 1.0, 1.0),
+            Vec3::new(-1.0, 1.0, -1.0),
+            Vec3::new(1.0, -1.0, 0.0),
+            Vec3::new(0.0, 1.0, -1.0),
+        ];
+        let mut rays = Vec::new();
+        // Origins exactly on split planes (and where three of them cross),
+        // along the axes so `inv_dir` is infinite and `0 * inf` turns up.
+        for cell in &tree.cells {
+            let c = cell.center;
+            for origin in [
+                c,
+                Vec3::new(c.x, cell.min.y, cell.max.z),
+                Vec3::new(cell.min.x, c.y, 0.5 * (c.z + cell.max.z)),
+                Vec3::new(0.5 * (cell.min.x + c.x), 0.5 * (c.y + cell.max.y), c.z),
+            ] {
+                rays.extend(axes.map(|d| Ray::new(origin, d)));
+                rays.extend(diagonals.map(|d| Ray::new(origin, d.normalized())));
+            }
+        }
+        for sp in patches {
+            let p = &sp.patch;
+            let corners = [p.p00, p.p10, p.p11, p.p01];
+            for i in 0..4 {
+                let (a, b) = (corners[i], corners[(i + 1) % 4]);
+                // At corners and edge midpoints, where neighbouring
+                // patches (often coplanar) are hit at the same `t`.
+                for target in [a, a.lerp(b, 0.5)] {
+                    rays.push(Ray::new(eye, (target - eye).normalized()));
+                }
+                // Along the edge itself, in the plane of the patch, and
+                // along the patch normal through a corner.
+                let along = (b - a).normalized();
+                rays.push(Ray::new(a - along, along));
+                rays.push(Ray::new(a + sp.frame.w, -sp.frame.w));
+            }
+        }
+        rays
+    }
+
+    /// Every kind of ray against one scene: returns the internal nodes and
+    /// patch tests per ray of the unbounded photon-path queries alone.
+    fn assert_scene_identical(
+        name: &str,
+        scene_patches: impl Iterator<Item = Patch>,
+        bounds: Aabb,
+        path: &[Ray],
+        view: ViewSpec,
+        expected: OctreeStats,
+    ) -> (f64, f64) {
+        let (patches, tree) = rebuilt(scene_patches, bounds);
+        assert_eq!(tree.stats(), expected, "{name}");
+        // The second query of each ray stops exactly at the first hit's
+        // `t`, or an ulp beyond it.
+        let (work, hits) = assert_identical(&tree, &patches, path, |h| h.t);
+        assert!(hits * 20 > path.len(), "{name}: only {hits} rays hit");
+        let camera = camera_rays(view, 48, 36);
+        assert_identical(&tree, &patches, &camera, |h| {
+            f64::from_bits(h.t.to_bits() + 1)
+        });
+        let adversarial = adversarial_rays(&tree, &patches, view.eye);
+        assert_identical(&tree, &patches, &adversarial, |h| h.t);
+        assert_identical(&tree, &patches, &adversarial, |h| {
+            f64::from_bits(h.t.to_bits() + 1)
+        });
+        (
+            work.internal_nodes as f64 / path.len() as f64,
+            work.patch_tests as f64 / path.len() as f64,
+        )
+    }
+
+    #[test]
+    fn traversal_is_bit_identical_to_the_recursive_reference() {
+        // Per scene: the tree's shape, and internal nodes expanded and
+        // patches tested per photon-path ray (seed 1, photons 0..4000),
+        // rounded up. All of it is what the recursive tree did on the
+        // commit before the flat one (whose 40 000-photon ledger probe read
+        // 2.20 / 13.70 on the Cornell Box and 7.20 / 28.52 on the lab); a
+        // later change may lower the work, never raise it.
+        let expected = [
+            (
+                OctreeStats {
+                    nodes: 49,
+                    leaves: 43,
+                    max_depth: 2,
+                    item_refs: 169,
+                },
+                (2.21, 13.72),
+            ),
+            (
+                OctreeStats {
+                    nodes: 129,
+                    leaves: 113,
+                    max_depth: 4,
+                    item_refs: 438,
+                },
+                (3.49, 15.78),
+            ),
+            (
+                OctreeStats {
+                    nodes: 2281,
+                    leaves: 1996,
+                    max_depth: 5,
+                    item_refs: 7802,
+                },
+                (7.28, 28.95),
+            ),
+        ];
+        for (kind, (stats, (max_nodes, max_tests))) in TestScene::ALL.into_iter().zip(expected) {
+            let scene = kind.build();
+            let generator = PhotonGenerator::new(&scene);
+            let (first, later) = path_rays(&scene, &generator, 1, 4000);
+            let path = [first, later].concat();
+            let (nodes, tests) = assert_scene_identical(
+                kind.name(),
+                scene.patches().iter().map(|sp| sp.patch),
+                scene.bounds(),
+                &path,
+                kind.view(),
+                stats,
+            );
+            assert!(
+                nodes <= max_nodes && tests <= max_tests,
+                "{}: {nodes:.3} internal nodes, {tests:.3} patch tests per ray",
+                kind.name()
+            );
+        }
+    }
+
+    #[test]
+    fn single_leaf_scene_is_bit_identical_too() {
+        // The fourth scene of the workspace never splits: the root is the
+        // only node and every query is a linear scan.
+        let scene = sun_room(1.0, 0.005);
+        let generator = PhotonGenerator::new(&scene);
+        let (first, later) = path_rays(&scene, &generator, 1, 1000);
+        let bounds = scene.bounds();
+        assert_scene_identical(
+            "sun room",
+            scene.patches().iter().map(|sp| sp.patch),
+            bounds,
+            &[first, later].concat(),
+            ViewSpec {
+                eye: bounds.max + Vec3::splat(1.0),
+                target: bounds.center(),
+                up: Vec3::Y,
+                vfov_deg: 50.0,
+            },
+            OctreeStats {
+                nodes: 1,
+                leaves: 1,
+                max_depth: 0,
+                item_refs: 4,
+            },
+        );
+    }
+
+    #[test]
+    fn jittered_tiles_are_bit_identical_too() {
+        // Tiles at random heights: no two coplanar, boxes straddling split
+        // planes everywhere, and rays that start outside the root box.
+        let patches = tile_scene(8, 42);
+        let bounds = bounds_of(&patches);
+        let mut rng = Lcg48::new(11);
+        let mut unit = || rng.next_f64() * 2.0 - 1.0;
+        let rays: Vec<Ray> = (0..2000)
+            .map(|_| {
+                let origin = Vec3::new(4.0 + 6.0 * unit(), 1.0 + 3.0 * unit(), 4.0 + 6.0 * unit());
+                Ray::new(origin, Vec3::new(unit(), unit(), unit()).normalized())
+            })
+            .collect();
+        let stats = Octree::build(&patches, bounds).stats();
+        assert_scene_identical(
+            "tiles",
+            patches.iter().map(|sp| sp.patch),
+            bounds,
+            &rays,
+            ViewSpec {
+                eye: Vec3::new(4.0, 9.0, -3.0),
+                target: Vec3::new(4.0, 1.0, 4.0),
+                up: Vec3::Y,
+                vfov_deg: 60.0,
+            },
+            stats,
+        );
+    }
 
     /// A jittered grid of small floor tiles, good octree fodder.
     fn tile_scene(n: usize, seed: u64) -> Vec<SurfacePatch> {

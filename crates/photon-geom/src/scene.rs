@@ -2,13 +2,19 @@
 
 use crate::material::Material;
 use crate::octree::Octree;
-use photon_math::{Aabb, Onb, Patch, Ray, Rgb, Vec3};
+use photon_math::{Aabb, Onb, Patch, PatchIsect, Ray, Rgb, Vec3};
+use std::sync::Arc;
 
 /// Distance offset applied when re-emitting reflected photons so they do not
 /// re-hit the surface they left.
 pub const RAY_EPS: f64 = 1e-7;
 
 /// A scene patch: geometry + material + cached derived quantities.
+///
+/// `frame`, `area` and the private intersection constants are computed from
+/// `patch` once, in [`SurfacePatch::new`]. Assigning to `patch` afterwards
+/// leaves all three stale (rays would be tested against the old plane);
+/// build a new `SurfacePatch` instead. `material` is free to change.
 #[derive(Clone, Debug)]
 pub struct SurfacePatch {
     /// The quadrilateral.
@@ -20,19 +26,48 @@ pub struct SurfacePatch {
     pub frame: Onb,
     /// Cached surface area.
     pub area: f64,
+    /// Cached ray-independent half of the plane + bilinear test.
+    isect: PatchIsect,
 }
 
 impl SurfacePatch {
-    /// Builds a surface patch, caching frame and area.
+    /// Builds a surface patch, caching frame, area and the intersection
+    /// constants.
     pub fn new(patch: Patch, material: Material) -> Self {
         let frame = patch.frame();
         let area = patch.area();
+        let isect = PatchIsect::new(&patch, &frame);
         SurfacePatch {
             patch,
             material,
             frame,
             area,
+            isect,
         }
+    }
+
+    /// The [`SceneHit`] of `ray` on this patch (number `patch_id` in its
+    /// scene) with `t` in `(t_min, t_max)`: `self.patch.intersect`, bit for
+    /// bit, without recomputing the normal, frame and projected corners.
+    #[inline]
+    pub(crate) fn scene_hit(
+        &self,
+        patch_id: u32,
+        ray: &Ray,
+        t_min: f64,
+        t_max: f64,
+    ) -> Option<SceneHit> {
+        let h = self
+            .isect
+            .intersect(self.patch.p00, &self.frame, ray, t_min, t_max)?;
+        Some(SceneHit {
+            patch_id,
+            t: h.t,
+            point: h.point,
+            s: h.s,
+            v: h.v,
+            front: ray.dir.dot(self.frame.w) < 0.0,
+        })
     }
 }
 
@@ -69,8 +104,17 @@ pub struct SceneHit {
 }
 
 /// A complete scene: patches, luminaires, octree acceleration.
+///
+/// A scene is immutable once built, so `Scene` is a handle on shared
+/// geometry: `clone()` bumps a reference count. Engines, solve requests and
+/// the answer store all take scenes by value and pay nothing for it.
 #[derive(Clone, Debug)]
 pub struct Scene {
+    geom: Arc<Geometry>,
+}
+
+#[derive(Debug)]
+struct Geometry {
     patches: Vec<SurfacePatch>,
     luminaires: Vec<Luminaire>,
     octree: Octree,
@@ -80,14 +124,22 @@ pub struct Scene {
 impl Scene {
     /// Builds a scene and its octree from patches and luminaires.
     ///
-    /// Every `Luminaire::patch_id` must reference a patch whose material has
-    /// nonzero emission.
+    /// # Panics
+    ///
+    /// When `patches` is empty, or a `Luminaire::patch_id` is out of range
+    /// or references a patch whose material has no emission.
     pub fn new(patches: Vec<SurfacePatch>, luminaires: Vec<Luminaire>) -> Self {
         assert!(!patches.is_empty(), "a scene needs at least one patch");
-        for l in &luminaires {
-            let m = &patches[l.patch_id as usize].material;
+        for (i, l) in luminaires.iter().enumerate() {
+            let Some(sp) = patches.get(l.patch_id as usize) else {
+                panic!(
+                    "luminaire {i} names patch {}, but the scene has only {} patches",
+                    l.patch_id,
+                    patches.len()
+                );
+            };
             assert!(
-                m.emission.max_channel() > 0.0,
+                sp.material.emission.max_channel() > 0.0,
                 "luminaire patch {} has no emissive material",
                 l.patch_id
             );
@@ -98,40 +150,43 @@ impl Scene {
             .padded(1e-6);
         let octree = Octree::build(&patches, bounds);
         Scene {
-            patches,
-            luminaires,
-            octree,
-            bounds,
+            geom: Arc::new(Geometry {
+                patches,
+                luminaires,
+                octree,
+                bounds,
+            }),
         }
     }
 
     /// All patches.
     #[inline]
     pub fn patches(&self) -> &[SurfacePatch] {
-        &self.patches
+        &self.geom.patches
     }
 
     /// Patch by id.
     #[inline]
     pub fn patch(&self, id: u32) -> &SurfacePatch {
-        &self.patches[id as usize]
+        &self.geom.patches[id as usize]
     }
 
     /// Number of defining polygons (Table 5.1, column 1).
     #[inline]
     pub fn polygon_count(&self) -> usize {
-        self.patches.len()
+        self.geom.patches.len()
     }
 
     /// All luminaires.
     #[inline]
     pub fn luminaires(&self) -> &[Luminaire] {
-        &self.luminaires
+        &self.geom.luminaires
     }
 
     /// Total emitted power over all luminaires.
     pub fn total_power(&self) -> Rgb {
-        self.luminaires
+        self.geom
+            .luminaires
             .iter()
             .fold(Rgb::BLACK, |acc, l| acc + l.power)
     }
@@ -139,19 +194,21 @@ impl Scene {
     /// Scene bounding box.
     #[inline]
     pub fn bounds(&self) -> Aabb {
-        self.bounds
+        self.geom.bounds
     }
 
     /// The octree (exposed for stats and benches).
     #[inline]
     pub fn octree(&self) -> &Octree {
-        &self.octree
+        &self.geom.octree
     }
 
     /// Nearest patch hit along `ray` with `t` in `(RAY_EPS, t_max)`, using
     /// the octree — the paper's `DetermineIntersection`.
     pub fn intersect(&self, ray: &Ray, t_max: f64) -> Option<SceneHit> {
-        self.octree.intersect(&self.patches, ray, RAY_EPS, t_max)
+        self.geom
+            .octree
+            .intersect(&self.geom.patches, ray, RAY_EPS, t_max)
     }
 
     /// Nearest hit by exhaustive scan — the correctness oracle for the
@@ -159,17 +216,10 @@ impl Scene {
     pub fn intersect_brute_force(&self, ray: &Ray, t_max: f64) -> Option<SceneHit> {
         let mut best: Option<SceneHit> = None;
         let mut limit = t_max;
-        for (i, sp) in self.patches.iter().enumerate() {
-            if let Some(h) = sp.patch.intersect(ray, RAY_EPS, limit) {
+        for (i, sp) in self.geom.patches.iter().enumerate() {
+            if let Some(h) = sp.scene_hit(i as u32, ray, RAY_EPS, limit) {
                 limit = h.t;
-                best = Some(SceneHit {
-                    patch_id: i as u32,
-                    t: h.t,
-                    point: h.point,
-                    s: h.s,
-                    v: h.v,
-                    front: ray.dir.dot(sp.frame.w) < 0.0,
-                });
+                best = Some(h);
             }
         }
         best
@@ -277,6 +327,28 @@ mod tests {
                 collimation: 1.0,
             }],
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "luminaire 0 names patch 7, but the scene has only 1 patches")]
+    fn luminaire_patch_id_must_be_in_range() {
+        let a = Patch::from_origin_edges(Vec3::ZERO, Vec3::X, Vec3::Y);
+        Scene::new(
+            vec![SurfacePatch::new(a, Material::emitter(Rgb::WHITE))],
+            vec![Luminaire {
+                patch_id: 7,
+                power: Rgb::WHITE,
+                collimation: 1.0,
+            }],
+        );
+    }
+
+    #[test]
+    fn clones_share_geometry() {
+        let scene = two_walls();
+        let copy = scene.clone();
+        assert!(std::ptr::eq(scene.patches(), copy.patches()));
+        assert!(std::ptr::eq(scene.octree(), copy.octree()));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub use aabb::Aabb;
 pub use angle::{CylDir, HemiDir};
 pub use color::Rgb;
 pub use onb::Onb;
-pub use patch::Patch;
+pub use patch::{Patch, PatchIsect};
 pub use ray::Ray;
 pub use vec3::Vec3;
 

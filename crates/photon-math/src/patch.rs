@@ -8,7 +8,9 @@
 //! planar quads we additionally provide a direct inversion
 //! ([`Patch::st_of_point`]) that agrees with the bisection and is used by the
 //! fast path (exact for parallelograms, Newton-refined for general planar
-//! quads).
+//! quads). Both it and [`Patch::intersect`] are thin wrappers over
+//! [`PatchIsect`], the ray-independent constants a scene computes once per
+//! patch, so there is a single copy of the arithmetic.
 
 use crate::{Aabb, Onb, Ray, Vec3};
 
@@ -114,19 +116,12 @@ impl Patch {
     ///
     /// Hits on either face are reported; callers decide what to do with
     /// back-face hits via the sign of `ray.dir · normal`.
+    ///
+    /// Recomputes the ray-independent constants on every call; code that
+    /// tests many rays against one patch keeps a [`PatchIsect`] instead.
     pub fn intersect(&self, ray: &Ray, t_min: f64, t_max: f64) -> Option<PatchHit> {
-        let n = self.normal();
-        let denom = ray.dir.dot(n);
-        if denom.abs() < 1e-14 {
-            return None; // Parallel to the plane.
-        }
-        let t = (self.p00 - ray.origin).dot(n) / denom;
-        if t <= t_min || t >= t_max {
-            return None;
-        }
-        let p = ray.at(t);
-        let (s, v) = self.st_of_point(p)?;
-        Some(PatchHit { t, s, v, point: p })
+        let frame = self.frame();
+        PatchIsect::new(self, &frame).intersect(self.p00, &frame, ray, t_min, t_max)
     }
 
     /// Inverts the bilinear map for a point on (or very near) the patch
@@ -136,32 +131,140 @@ impl Patch {
     /// Exact in one step for parallelograms; for general planar quads a few
     /// Newton iterations on the 2-D projected bilinear system are used.
     pub fn st_of_point(&self, p: Vec3) -> Option<(f64, f64)> {
-        // Project everything into the patch plane's 2-D coordinates.
         let frame = self.frame();
-        let to2d = |q: Vec3| {
-            let l = frame.to_local(q - self.p00);
-            (l.x, l.y)
-        };
-        let (a0, a1) = to2d(self.p00); // == (0, 0)
-        let (b0, b1) = to2d(self.p10);
-        let (c0, c1) = to2d(self.p11);
-        let (d0, d1) = to2d(self.p01);
-        let (px, py) = to2d(p);
+        PatchIsect::new(self, &frame).st_of_point(self.p00, &frame, p)
+    }
 
-        // Bilinear in 2-D: P(s,t) = A + s*B + t*D + s*t*E with
-        // A = p00, B = p10-p00, D = p01-p00, E = p11-p10-p01+p00.
+    /// Splits into the `(lo, hi)` halves of the `s` range — used by tests
+    /// validating bin-tree spatial splits against real geometry.
+    pub fn split_s(&self) -> (Patch, Patch) {
+        let m0 = self.p00.lerp(self.p10, 0.5);
+        let m1 = self.p01.lerp(self.p11, 0.5);
+        (
+            Patch::new(self.p00, m0, m1, self.p01),
+            Patch::new(m0, self.p10, self.p11, m1),
+        )
+    }
+
+    /// Splits into the `(lo, hi)` halves of the `t` range.
+    pub fn split_t(&self) -> (Patch, Patch) {
+        let m0 = self.p00.lerp(self.p01, 0.5);
+        let m1 = self.p10.lerp(self.p11, 0.5);
+        (
+            Patch::new(self.p00, self.p10, m1, m0),
+            Patch::new(m0, m1, self.p11, self.p01),
+        )
+    }
+}
+
+/// The ray-independent part of [`Patch::intersect`] and
+/// [`Patch::st_of_point`], computed once per patch: the plane normal and
+/// the patch's corners projected into its own frame's `(u, v)` plane.
+///
+/// It deliberately stores neither `p00` nor the frame — whoever keeps a
+/// `PatchIsect` (a scene patch) already holds both and passes them back in,
+/// so nothing is stored twice. The per-ray arithmetic is expression for
+/// expression what a from-scratch evaluation performs, so results are
+/// bit-identical whether or not the constants were hoisted; do not fold
+/// `p00 · n` into a plane offset or reassociate the projections, that
+/// changes rounding and with it which bin a photon lands in.
+#[derive(Clone, Copy, Debug)]
+pub struct PatchIsect {
+    /// `Patch::normal()`: the plane normal (not bit-equal to `frame.w`,
+    /// which is normalized a second time).
+    n: Vec3,
+    // 2-D bilinear map in frame coordinates: P(s,t) = A + s*B + t*D + s*t*E
+    // with A = p00, B = p10-p00, D = p01-p00, E = p11-p10-p01+p00.
+    a0: f64,
+    a1: f64,
+    bx: f64,
+    by: f64,
+    dx: f64,
+    dy: f64,
+    ex: f64,
+    ey: f64,
+    /// Determinant of the parallelogram part `(B, D)`.
+    det: f64,
+}
+
+impl PatchIsect {
+    /// Precomputes the constants of `patch`; `frame` must be
+    /// `patch.frame()` (passed in because callers cache it anyway).
+    pub fn new(patch: &Patch, frame: &Onb) -> Self {
+        let to2d = |q: Vec3| {
+            let l = q - patch.p00;
+            (l.dot(frame.u), l.dot(frame.v))
+        };
+        let (a0, a1) = to2d(patch.p00); // == (±0, ±0)
+        let (b0, b1) = to2d(patch.p10);
+        let (c0, c1) = to2d(patch.p11);
+        let (d0, d1) = to2d(patch.p01);
         let bx = b0 - a0;
         let by = b1 - a1;
         let dx = d0 - a0;
         let dy = d1 - a1;
-        let ex = c0 - b0 - d0 + a0;
-        let ey = c1 - b1 - d1 + a1;
+        PatchIsect {
+            n: patch.normal(),
+            a0,
+            a1,
+            bx,
+            by,
+            dx,
+            dy,
+            ex: c0 - b0 - d0 + a0,
+            ey: c1 - b1 - d1 + a1,
+            det: bx * dy - by * dx,
+        }
+    }
 
-        // Initial guess: solve the parallelogram part.
-        let det = bx * dy - by * dx;
+    /// [`Patch::intersect`] for the patch these constants were built from,
+    /// whose `p00` corner and frame are passed back in.
+    #[inline]
+    pub fn intersect(
+        &self,
+        p00: Vec3,
+        frame: &Onb,
+        ray: &Ray,
+        t_min: f64,
+        t_max: f64,
+    ) -> Option<PatchHit> {
+        let denom = ray.dir.dot(self.n);
+        if denom.abs() < 1e-14 {
+            return None; // Parallel to the plane.
+        }
+        let t = (p00 - ray.origin).dot(self.n) / denom;
+        if t <= t_min || t >= t_max {
+            return None;
+        }
+        let p = ray.at(t);
+        let (s, v) = self.st_of_point(p00, frame, p)?;
+        Some(PatchHit { t, s, v, point: p })
+    }
+
+    /// [`Patch::st_of_point`] for the patch these constants were built
+    /// from, whose `p00` corner and frame are passed back in.
+    #[inline]
+    pub fn st_of_point(&self, p00: Vec3, frame: &Onb, p: Vec3) -> Option<(f64, f64)> {
+        let &PatchIsect {
+            a0,
+            a1,
+            bx,
+            by,
+            dx,
+            dy,
+            ex,
+            ey,
+            det,
+            ..
+        } = self;
         if det.abs() < 1e-18 {
             return None; // Degenerate quad.
         }
+        // Project the point into the patch plane's 2-D coordinates.
+        let l = p - p00;
+        let (px, py) = (l.dot(frame.u), l.dot(frame.v));
+
+        // Initial guess: solve the parallelogram part.
         let mut s = ((px - a0) * dy - (py - a1) * dx) / det;
         let mut t = (bx * (py - a1) - by * (px - a0)) / det;
 
@@ -190,27 +293,6 @@ impl Patch {
             return None;
         }
         Some((s.clamp(0.0, 1.0), t.clamp(0.0, 1.0)))
-    }
-
-    /// Splits into the `(lo, hi)` halves of the `s` range — used by tests
-    /// validating bin-tree spatial splits against real geometry.
-    pub fn split_s(&self) -> (Patch, Patch) {
-        let m0 = self.p00.lerp(self.p10, 0.5);
-        let m1 = self.p01.lerp(self.p11, 0.5);
-        (
-            Patch::new(self.p00, m0, m1, self.p01),
-            Patch::new(m0, self.p10, self.p11, m1),
-        )
-    }
-
-    /// Splits into the `(lo, hi)` halves of the `t` range.
-    pub fn split_t(&self) -> (Patch, Patch) {
-        let m0 = self.p00.lerp(self.p01, 0.5);
-        let m1 = self.p10.lerp(self.p11, 0.5);
-        (
-            Patch::new(self.p00, self.p10, m1, m0),
-            Patch::new(m0, m1, self.p11, self.p01),
-        )
     }
 }
 

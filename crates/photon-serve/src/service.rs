@@ -498,7 +498,12 @@ struct Dispatcher {
     ///
     /// [`note_epoch`]: Dispatcher::note_epoch
     seen_epoch: HashMap<SceneId, u64>,
-    subscribers: HashMap<u64, Subscriber>,
+    /// Ordered by subscription id, so every pass serves a scene's
+    /// subscribers oldest first: the time from a publish to the last
+    /// subscriber holding it moves by a fifth with where the slowest
+    /// consumer falls in the order, and a hash order would draw that
+    /// afresh per process.
+    subscribers: BTreeMap<u64, Subscriber>,
     next_subscriber: u64,
 }
 
@@ -513,7 +518,7 @@ impl Dispatcher {
             obs,
             cache,
             seen_epoch: HashMap::new(),
-            subscribers: HashMap::new(),
+            subscribers: BTreeMap::new(),
             next_subscriber: 0,
         }
     }

@@ -66,16 +66,25 @@ fn flight_recorder_captures_the_lifecycle_in_order() {
             camera,
         })
         .expect("subscribe");
-    stream
-        .recv_timeout(Duration::from_secs(60))
-        .expect("bootstrap delta");
+    // The solver runs on its own clock: a 2000-photon batch can publish
+    // epoch 1 before the subscription is registered, and then the
+    // bootstrap delta is already the epoch-1 frame. Wait for epochs, not
+    // for a count of deltas.
+    let mut streamed_epoch = None;
+    let mut recv_until_epoch = |epoch: u64| {
+        while streamed_epoch < Some(epoch) {
+            let delta = stream
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|e| panic!("no delta reached epoch {epoch}: {e:?}"));
+            streamed_epoch = Some(delta.epoch);
+        }
+    };
+    recv_until_epoch(0); // bootstrap
 
     // Epoch 1 lands, then the quota parks the job.
     job.wait_epoch(1, Duration::from_secs(120))
         .expect("first publish");
-    stream
-        .recv_timeout(Duration::from_secs(60))
-        .expect("epoch-1 delta");
+    recv_until_epoch(1);
     let deadline = Instant::now() + Duration::from_secs(60);
     while pool.metrics().quota_blocked == 0 {
         assert!(Instant::now() < deadline, "job never quota-parked");
@@ -89,9 +98,7 @@ fn flight_recorder_captures_the_lifecycle_in_order() {
     pool.add_tenant_budget("obs", 2_000);
     let done = job.wait_done(Duration::from_secs(120)).expect("converged");
     assert!(done.emitted >= 4_000);
-    stream
-        .recv_timeout(Duration::from_secs(60))
-        .expect("epoch-2 delta");
+    recv_until_epoch(2);
     service
         .render_blocking(RenderRequest {
             scene_id: job.scene_id(),
