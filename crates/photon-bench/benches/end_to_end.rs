@@ -40,8 +40,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                     seed: 1,
                     threads: 2,
                     batch_size: photons,
-                    // Measure real two-thread behavior on any host.
-                    oversubscribe: true,
                     ..Default::default()
                 };
                 b.iter(|| black_box(run(&scene, &config, photons).stats.reflections))

@@ -1,20 +1,31 @@
-//! **Ablation — tally pipeline in the shared-memory simulator.**
+//! **Ablation — tally pipeline in the shared-memory simulator (Fig 5.6).**
 //!
 //! The paper's shared-memory design serializes tally application per bin
-//! tree (Fig 5.2's multiple-reader/single-writer protocol). Our batched
-//! pipeline goes further: workers trace lock-free into record buffers, a
-//! counting-sort partitions records by patch, and each patch's run is
-//! applied under one lock acquisition in serial order. This ablation
-//! quantifies each ingredient on real threads:
+//! tree (Fig 5.2's multiple-reader/single-writer protocol): every tally
+//! takes its tree's write lock while the photon is still being traced. The
+//! engine (`photon_par::ParEngine`) instead traces lock-free into record
+//! buffers, counting-sorts the records by patch, and applies each patch's
+//! run under one lock acquisition in serial order. This ablation runs both
+//! on real threads:
 //!
-//! - `inline`   — the old path: every tally takes the patch lock (oracle).
-//! - `batched`  — trace → partition → apply, plain leaf descent.
-//! - `+cache`   — batched apply with the per-run leaf-descent cursor.
+//! - `inline`  — the paper's loop, kept here and nowhere else: the same
+//!   photon loop (`photon_core::trace_span`) with a sink that locks per
+//!   tally ([`LockedSink`]). Bin boundaries depend on how the threads
+//!   interleave, so its answers are not reproducible across thread counts.
+//! - `batched` — the engine: trace → partition → apply, bit-identical to
+//!   serial.
 //!
-//! Expected shape: batching wins by replacing per-tally locking with one
-//! lock per patch run; the leaf cursor adds on top because a run's records
-//! hit the same tree and mostly the same leaves. All three produce the same
-//! photon statistics; `batched` and `+cache` are bit-identical to serial.
+//! What to read off it: a lock per tally against a lock per patch run plus
+//! the partition pass. The inline loop has no serial phase but pays
+//! contention that grows with threads per hot tree (the paper's small
+//! scenes stop scaling past two processors); the engine never contends but
+//! pushes ≈2 records per photon through a counting sort on one thread.
+//! Which is faster depends on cores against hot trees — on a 2-core host,
+//! with intersection at 80–88 % of a photon's time, neither is reliably
+//! ahead. The engine is what ships because only its answers are
+//! reproducible.
+//! (What the leaf-descent cursor adds inside a run is the ledger's
+//! `bintree.tally_ns` vs `bintree.tally_cursor_ns` rows.)
 //!
 //! A second section ablates the **node layout**: descending the same
 //! logical tree stored as the old array-of-structs enum arena (one
@@ -23,13 +34,67 @@
 //! probe stream, answers asserted equal — only the memory layout differs.
 
 use photon_bench::{fmt, heading, json_mode, md_table, JsonReport};
+use photon_core::{trace_span, PhotonGenerator, Span, SpeedTrace, TallySink};
+use photon_geom::Scene;
 use photon_hist::{BinPoint, BinRange, BinTree, ExportNode, SplitConfig};
 use photon_math::Rgb;
-use photon_par::{run, ParConfig, PipelineMode};
+use photon_par::{run, ParConfig};
 use photon_rng::{Lcg48, PhotonRng};
 use photon_scenes::TestScene;
 use std::f64::consts::TAU;
+use std::sync::RwLock;
 use std::time::Instant;
+
+const SEED: u64 = 1997;
+const PHOTONS: u64 = 40_000;
+const BATCH: u64 = 4_000;
+
+/// Fig 5.2's sink: one write-lock acquisition per tally.
+struct LockedSink<'a>(&'a [RwLock<BinTree>]);
+
+impl TallySink for LockedSink<'_> {
+    #[inline]
+    fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb) {
+        self.0[patch_id as usize]
+            .write()
+            .expect("no tally panics")
+            .tally(point, energy);
+    }
+}
+
+/// Steady photons/s of the inline-locking loop on `threads` threads,
+/// batched and sampled the way the engine's own speed trace is.
+fn inline_rate(scene: &Scene, threads: u64) -> f64 {
+    let generator = PhotonGenerator::new(scene);
+    let trees: Vec<RwLock<BinTree>> = (0..scene.polygon_count())
+        .map(|_| RwLock::new(BinTree::new(SplitConfig::default())))
+        .collect();
+    let mut speed = SpeedTrace::new();
+    let t0 = Instant::now();
+    for start in (0..PHOTONS).step_by(BATCH as usize) {
+        let batch_start = Instant::now();
+        std::thread::scope(|s| {
+            for offset in 0..threads {
+                let (generator, trees) = (&generator, &trees);
+                s.spawn(move || {
+                    let span = Span {
+                        start,
+                        count: BATCH,
+                        offset,
+                        stride: threads,
+                    };
+                    trace_span(scene, generator, SEED, span, &mut LockedSink(trees))
+                });
+            }
+        });
+        speed.push_batch(
+            t0.elapsed().as_secs_f64(),
+            BATCH,
+            batch_start.elapsed().as_secs_f64(),
+        );
+    }
+    speed.steady_rate()
+}
 
 /// Reference descend over the AoS enum arena — the pre-SoA hot loop: each
 /// hop loads a full [`ExportNode`] (leaf stats and all), not 8 bytes.
@@ -120,51 +185,40 @@ fn layout_rates() -> (f64, f64, u32) {
 }
 
 fn main() {
-    heading("Ablation — inline-tally vs batched-apply vs batched-apply + leaf cache");
-    let photons = 40_000u64;
+    heading("Ablation — inline-tally (lock per tally) vs batched apply (lock per patch run)");
     let mut rows = Vec::new();
     let mut report = JsonReport::new("ablation_pipeline");
     for scene_kind in [TestScene::CornellBox, TestScene::ComputerLab] {
         let scene = scene_kind.build();
         for &threads in &[1usize, 2, 4] {
-            let rate_with = |pipeline: PipelineMode| {
-                let config = ParConfig {
-                    seed: 1997,
-                    threads,
-                    batch_size: 4_000,
-                    pipeline,
-                    // The ablation sweeps real thread counts.
-                    oversubscribe: true,
-                    ..Default::default()
-                };
-                run(&scene, &config, photons).speed.steady_rate()
+            let inline = inline_rate(&scene, threads as u64);
+            let config = ParConfig {
+                seed: SEED,
+                threads,
+                batch_size: BATCH,
+                ..Default::default()
             };
-            let inline = rate_with(PipelineMode::InlineTally);
-            let batched = rate_with(PipelineMode::BatchedNoCache);
-            let cached = rate_with(PipelineMode::Batched);
+            let batched = run(&scene, &config, PHOTONS).speed.steady_rate();
             report.raw(
                 &format!(
                     "{}_t{threads}",
                     scene_kind.name().replace(' ', "_").to_lowercase()
                 ),
-                format!(
-                    "{{\"inline\":{inline:.1},\"batched\":{batched:.1},\"batched_cache\":{cached:.1}}}"
-                ),
+                format!("{{\"inline\":{inline:.1},\"batched\":{batched:.1}}}"),
             );
             rows.push(vec![
                 scene_kind.name().to_string(),
                 threads.to_string(),
                 fmt(inline),
                 fmt(batched),
-                fmt(cached),
-                fmt(cached / inline.max(1e-9)),
+                fmt(batched / inline.max(1e-9)),
             ]);
         }
     }
     let (aos_rate, soa_rate, leaf_bins) = layout_rates();
     let aos_node = std::mem::size_of::<ExportNode>();
     if json_mode() {
-        report.int("photons", photons);
+        report.int("photons", PHOTONS);
         report.raw(
             "layout",
             format!(
@@ -187,14 +241,15 @@ fn main() {
                 "threads",
                 "inline rate (photons/s)",
                 "batched rate",
-                "batched+cache rate",
-                "cache/inline ratio"
+                "batched/inline"
             ],
             &rows
         )
     );
-    println!("batching replaces a lock per tally with a lock per patch run;");
-    println!("the leaf cursor then skips re-descending the tree for clustered hits.");
+    println!("inline: a lock per tally, answers vary with thread interleaving;");
+    println!(
+        "batched: a lock per patch run after a counting sort, answers bit-identical to serial."
+    );
     println!();
     heading("Ablation — node layout: AoS enum arena vs hot/cold SoA");
     println!("round-robin probes across a {leaf_bins}-bin forest of 64 trees");

@@ -29,9 +29,6 @@ fn main() {
                 seed: 56,
                 threads,
                 batch_size: 6_000,
-                // The experiment measures real thread scaling — spawn the
-                // full count even past this host's cores.
-                oversubscribe: true,
                 ..Default::default()
             };
             let r = run(&scene, &config, photons);

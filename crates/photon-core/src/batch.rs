@@ -1,16 +1,16 @@
 //! Batched photon transport: the **trace → partition → apply** kernel.
 //!
-//! The tally-at-a-time inner loop (one [`TallySink::tally`] per interaction,
-//! straight into a locked forest) spends its parallel budget on coordination:
-//! either every tally takes a per-tree lock, or tallies are buffered and
-//! replayed in photon order through one thread. This module restructures the
-//! loop into three phases that make coordination *per batch* instead of *per
-//! interaction*:
+//! Tallying each interaction straight into a shared forest spends the
+//! parallel budget on coordination: every tally takes a per-tree lock, and
+//! bin boundaries come to depend on how the threads interleaved. This module
+//! makes coordination *per batch* instead of *per interaction*, in three
+//! phases:
 //!
-//! 1. **Trace** ([`trace_strided`]) — each worker traces a leapfrogged stride
-//!    of the batch completely lock-free, appending [`TallyRecord`]s
-//!    (`patch_id`, `photon`, `bounce`, bin point, energy) to a reusable
-//!    scratch buffer instead of tallying inline.
+//! 1. **Trace** — each worker runs the one photon loop
+//!    ([`crate::trace::trace_span`]) over its leapfrogged share of the batch
+//!    with a [`RecordSink`], completely lock-free, appending
+//!    [`TallyRecord`]s (`patch_id`, `photon`, `bounce`, bin point, energy)
+//!    to a reusable scratch buffer instead of tallying.
 //! 2. **Partition** ([`PartitionScratch::partition`]) — records are grouped
 //!    by `patch_id` with a counting sort that scatters in global
 //!    `(photon, bounce)` order, so each patch's run is *exactly* the
@@ -26,7 +26,7 @@
 
 use crate::generate::PhotonGenerator;
 use crate::sim::SimStats;
-use crate::trace::{trace_photon, TallySink};
+use crate::trace::{trace_span, Span, TallySink};
 use photon_geom::Scene;
 use photon_hist::BinPoint;
 use photon_math::Rgb;
@@ -57,8 +57,8 @@ pub struct RecordSink<'a> {
 }
 
 impl<'a> RecordSink<'a> {
-    /// A sink appending to `out`; call [`RecordSink::start_photon`] before
-    /// tracing each photon.
+    /// A sink appending to `out` (which is *not* cleared; callers clear it
+    /// once per batch to reuse its capacity).
     pub fn new(out: &'a mut Vec<TallyRecord>) -> Self {
         RecordSink {
             out,
@@ -66,16 +66,15 @@ impl<'a> RecordSink<'a> {
             bounce: 0,
         }
     }
-
-    /// Begins recording interactions of global photon `index`.
-    #[inline]
-    pub fn start_photon(&mut self, index: u64) {
-        self.photon = index;
-        self.bounce = 0;
-    }
 }
 
 impl TallySink for RecordSink<'_> {
+    #[inline]
+    fn begin_photon(&mut self, index: u64) {
+        self.photon = index;
+        self.bounce = 0;
+    }
+
     #[inline]
     fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb) {
         self.out.push(TallyRecord {
@@ -89,16 +88,9 @@ impl TallySink for RecordSink<'_> {
     }
 }
 
-/// Traces worker `offset`'s leapfrogged share of the batch
-/// `[start, start + count)` — photons `start + offset`,
-/// `start + offset + stride`, … — appending records to `out` (which is *not*
-/// cleared; callers clear it once per batch to reuse its capacity) and
-/// folding terminations into `stats`.
-///
-/// Lock-free by construction: the only shared state touched is the immutable
-/// scene. Because photon `j` draws from block substream `j`
-/// ([`crate::photon_stream`]), the traced photon set is identical to serial
-/// regardless of `stride`, and `out` ends up sorted by `(photon, bounce)`.
+/// [`trace_span`] into a [`RecordSink`] over `out`, folding the counters
+/// into `stats`: worker `offset`'s share of the batch
+/// `[start, start + count)`, with `out` left sorted by `(photon, bounce)`.
 #[allow(clippy::too_many_arguments)] // a worker's complete trace contract
 pub fn trace_strided(
     scene: &Scene,
@@ -111,16 +103,19 @@ pub fn trace_strided(
     out: &mut Vec<TallyRecord>,
     stats: &mut SimStats,
 ) {
-    let mut sink = RecordSink::new(out);
-    let mut j = start + offset;
-    let end = start + count;
-    while j < end {
-        sink.start_photon(j);
-        let mut rng = crate::engine::photon_stream(seed, j);
-        let outcome = trace_photon(scene, generator, &mut rng, &mut sink);
-        stats.record(&outcome);
-        j += stride;
-    }
+    let span = Span {
+        start,
+        count,
+        offset,
+        stride,
+    };
+    stats.merge(&trace_span(
+        scene,
+        generator,
+        seed,
+        span,
+        &mut RecordSink::new(out),
+    ));
 }
 
 /// A contiguous span of one patch's records inside
@@ -169,7 +164,7 @@ impl PartitionScratch {
     /// `lists[t]` must hold the records of photons `start + t`,
     /// `start + t + T`, … (with `T = lists.len()`) of the batch
     /// `[start, start + count)`, sorted by `(photon, bounce)` — exactly what
-    /// [`trace_strided`] produces for worker `t`.
+    /// a [`RecordSink`] collects for worker `t`.
     ///
     /// The scatter walks photons in global order, so within each patch run
     /// records sit in ascending `(photon, bounce)` order: the serial tally

@@ -12,8 +12,8 @@
 //! out of any backend.
 //!
 //! **The resume invariant.** For the order-preserving backends — the serial
-//! [`Simulator`](crate::Simulator) and `photon_par::ParEngine` in
-//! deterministic-tally mode — checkpoint at photon `N`, restore into either
+//! [`Simulator`](crate::Simulator) and `photon_par::ParEngine` —
+//! checkpoint at photon `N`, restore into either
 //! backend (same or different), and step to `M`: the resulting
 //! [`Answer`] is **bit-identical** to an uninterrupted `N + M` solve.
 //! `photon_dist::DistEngine` resumes bit-identically into a freshly booted

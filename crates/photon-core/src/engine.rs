@@ -15,13 +15,17 @@
 //! therefore a property of `(seed, j)` alone — not of the backend, the
 //! worker count, or how batches were sized — which is what makes a serial
 //! run and a threaded run of the same seed produce *bit-identical* answers
-//! (see `photon-par`'s deterministic tally replay).
+//! (`photon-par` partitions each batch's tallies back into serial order).
+//! All engines also run the same photon loop, [`crate::trace::trace_span`];
+//! the two wall-clock engines share their step bookkeeping, [`StepBook`].
 
 use crate::answer::Answer;
 use crate::checkpoint::{EngineCheckpoint, RestoreError};
 use crate::forest::ForestFootprint;
+use crate::perf::SpeedTrace;
 use crate::sim::SimStats;
 use photon_rng::Lcg48;
+use std::time::Instant;
 
 /// Draws reserved per photon in the block-split stream.
 ///
@@ -71,6 +75,110 @@ pub struct BatchReport {
     pub footprint: ForestFootprint,
 }
 
+/// Step bookkeeping of the two wall-clock engines, [`crate::Simulator`] and
+/// `photon_par::ParEngine`, which differ only in what they do between
+/// [`StepBook::begin`] and [`StepBook::finish`]. (The distributed engine's
+/// clock is virtual and its counters arrive per rank, so it assembles its
+/// own reports.)
+#[derive(Clone, Debug)]
+pub struct StepBook {
+    /// Next global photon index to trace. Tracks `stats.emitted` for a
+    /// fresh run; they diverge only after restoring a checkpoint whose
+    /// counters include photons outside the main stream (the distributed
+    /// backend's pilot phase).
+    pub cursor: u64,
+    /// Counters so far.
+    pub stats: SimStats,
+    /// Speed-vs-time trace, one sample per finished step.
+    pub speed: SpeedTrace,
+    started: Option<Instant>,
+    /// Forest node count at the last arena compaction. Steps re-compact
+    /// once the arenas have grown ~50% past it, so splits stay cheap
+    /// appends while steady-state traversal converges to the canonical
+    /// cache-resident order. Layout only — never affects answers.
+    compact_watermark: u64,
+}
+
+impl StepBook {
+    /// Bookkeeping for a fresh run over a forest of `nodes` arena nodes.
+    pub fn new(nodes: u64) -> Self {
+        StepBook {
+            cursor: 0,
+            stats: SimStats::default(),
+            speed: SpeedTrace::new(),
+            started: None,
+            compact_watermark: nodes,
+        }
+    }
+
+    /// Accounts `count` traced photons of the stream and their counters.
+    pub fn advance(&mut self, count: u64, stats: &SimStats) {
+        self.cursor += count;
+        self.stats.merge(stats);
+    }
+
+    /// Starts a step's clock — and the run's, on the first step since
+    /// new/restore.
+    pub fn begin(&mut self) -> Instant {
+        self.started.get_or_insert_with(Instant::now);
+        Instant::now()
+    }
+
+    /// True when a forest now holding `nodes` arena nodes has outgrown the
+    /// last compaction by half, in which case the caller compacts it. Ask
+    /// only at a batch boundary, where no leaf cursor or tree guard is
+    /// outstanding; gating on growth amortizes the rebuild.
+    pub fn wants_compaction(&mut self, nodes: u64) -> bool {
+        let due = nodes > self.compact_watermark + self.compact_watermark / 2;
+        if due {
+            self.compact_watermark = nodes;
+        }
+        due
+    }
+
+    /// Ends the step of `batch` photons that began at `batch_start`: pushes
+    /// the speed sample and assembles the report around the forest's
+    /// `footprint`. `trace_seconds` is the trace phase's share of the step,
+    /// the rest being apply time; an engine that tallies while it traces
+    /// passes `None` and reports the whole step as trace time.
+    pub fn finish(
+        &mut self,
+        batch_start: Instant,
+        batch: u64,
+        trace_seconds: Option<f64>,
+        footprint: ForestFootprint,
+    ) -> BatchReport {
+        let batch_seconds = batch_start.elapsed().as_secs_f64();
+        let trace_seconds = trace_seconds.unwrap_or(batch_seconds);
+        let run_start = self.started.expect("finish follows begin");
+        let elapsed_seconds = run_start.elapsed().as_secs_f64();
+        self.speed.push_batch(elapsed_seconds, batch, batch_seconds);
+        BatchReport {
+            batch_photons: batch,
+            emitted_total: self.stats.emitted,
+            leaf_bins: footprint.leaf_bins,
+            batch_seconds,
+            trace_seconds,
+            apply_seconds: batch_seconds - trace_seconds,
+            elapsed_seconds,
+            stats: self.stats,
+            footprint,
+        }
+    }
+
+    /// Adopts a checkpoint's cursor and counters over a restored forest of
+    /// `nodes` arena nodes. The discarded run's speed trace and clock go
+    /// with it — rates reported after a resume describe the resumed solve
+    /// only.
+    pub fn restore(&mut self, checkpoint: &EngineCheckpoint, nodes: u64) {
+        *self = StepBook {
+            cursor: checkpoint.cursor(),
+            stats: checkpoint.stats(),
+            ..StepBook::new(nodes)
+        };
+    }
+}
+
 /// An incremental global-illumination solver.
 ///
 /// `step` advances the simulation by roughly `batch` photons and reports
@@ -78,7 +186,7 @@ pub struct BatchReport {
 /// without stopping the run. Implementations:
 ///
 /// * [`crate::Simulator`] — the serial reference,
-/// * `photon_par::ParEngine` — shared-memory threads over a locked forest,
+/// * `photon_par::ParEngine` — shared-memory threads, trace → partition → apply,
 /// * `photon_dist::DistEngine` — message-passing ranks on virtual time.
 pub trait SolverEngine: Send {
     /// Advances the solve by about `batch` photons (backends may round to
@@ -103,7 +211,7 @@ pub trait SolverEngine: Send {
     /// ([`photon_stream`]), this is the *complete* solve state: restore the
     /// checkpoint into any engine over the same scene, seed, and split
     /// policy and the solve continues the exact photon stream. For the
-    /// order-preserving backends (serial, deterministic-tally threaded) the
+    /// order-preserving backends (serial, threaded) the
     /// resumed [`Answer`] is bit-identical to an uninterrupted run.
     fn checkpoint(&self) -> EngineCheckpoint;
 

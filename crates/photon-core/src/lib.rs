@@ -13,7 +13,7 @@
 //! | paper routine | module |
 //! |---------------|--------|
 //! | `GeneratePhoton` | [`generate`] (rejection kernel + Shirley baseline) |
-//! | `DetermineIntersection` | `photon_geom::Octree`, driven from [`trace`] |
+//! | `DetermineIntersection` | `photon_geom::Octree`, driven from [`trace`] (the one photon loop) |
 //! | `Reflect` | [`reflect`] |
 //! | `DetermineBin` / `UpdateBinCount` / `Split` | [`forest`] (over `photon_hist`) |
 //! | batched trace→partition→apply kernel | [`batch`] |
@@ -48,7 +48,7 @@ pub mod wire;
 pub use answer::Answer;
 pub use batch::{trace_strided, PartitionScratch, PatchRun, RecordSink, TallyRecord};
 pub use checkpoint::{EngineCheckpoint, RestoreError};
-pub use engine::{photon_stream, BatchReport, SolverEngine, PHOTON_DRAW_STRIDE};
+pub use engine::{photon_stream, BatchReport, SolverEngine, StepBook, PHOTON_DRAW_STRIDE};
 pub use forest::{BinForest, ForestFootprint};
 pub use generate::{EmittedPhoton, PhotonGenerator};
 pub use img::Image;
@@ -59,6 +59,6 @@ pub use obs::{
 pub use perf::{MemoryTrace, SpeedTrace, SPEED_TRACE_CAP};
 pub use polar::{Polarization, PolarizedBounce};
 pub use sim::{SimConfig, SimStats, Simulator};
-pub use trace::{path_rays, trace_photon, TallySink, TraceOutcome};
+pub use trace::{path_rays, trace_photon, trace_span, Span, TallySink, TraceOutcome};
 pub use view::{render, render_tile, squash_tile_runs, tiles, Camera, Tile};
 pub use wire::{SubscribeFrame, WireDelta, WireFrame, WireMode};

@@ -3,14 +3,13 @@
 
 use crate::answer::Answer;
 use crate::checkpoint::{EngineCheckpoint, RestoreError};
-use crate::engine::{photon_stream, BatchReport, SolverEngine};
+use crate::engine::{BatchReport, SolverEngine, StepBook};
 use crate::forest::BinForest;
 use crate::generate::PhotonGenerator;
 use crate::perf::{MemoryTrace, SpeedTrace};
-use crate::trace::{trace_photon, Termination};
+use crate::trace::{trace_span, Span, Termination};
 use photon_geom::Scene;
 use photon_hist::SplitConfig;
-use std::time::Instant;
 
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -75,8 +74,10 @@ impl SimStats {
 
 /// Serial Monte Carlo light-transport simulator.
 ///
-/// Photon `j` of a run draws from block substream `j` of the seeded base
-/// stream ([`photon_stream`]), so the photon set depends only on
+/// The transport loop ([`trace_span`]) over the whole of each batch, with
+/// the simulator's own [`BinForest`] as the sink. Photon `j` of a run draws
+/// from block substream `j` of the seeded base stream
+/// ([`crate::photon_stream`]), so the photon set depends only on
 /// `(seed, count)` — the property the parallel backends rely on to
 /// reproduce a serial run exactly.
 #[derive(Clone, Debug)]
@@ -86,20 +87,8 @@ pub struct Simulator {
     forest: BinForest,
     seed: u64,
     split: photon_hist::SplitConfig,
-    /// Next global photon index to trace. Tracks `stats.emitted` for a
-    /// fresh run; they diverge only after restoring a checkpoint whose
-    /// counters include photons outside the main stream (the distributed
-    /// backend's pilot phase).
-    cursor: u64,
-    stats: SimStats,
-    speed: SpeedTrace,
+    steps: StepBook,
     memory: MemoryTrace,
-    started: Option<Instant>,
-    /// Forest node count at the last arena compaction. `step` re-compacts
-    /// once the arenas have grown ~50% past it, so splits stay cheap
-    /// appends while steady-state traversal converges to the canonical
-    /// cache-resident order. Layout only — never affects answers.
-    compact_watermark: u64,
 }
 
 impl Simulator {
@@ -107,19 +96,14 @@ impl Simulator {
     pub fn new(scene: Scene, config: SimConfig) -> Self {
         let generator = PhotonGenerator::new(&scene);
         let forest = BinForest::new(scene.polygon_count(), config.split);
-        let compact_watermark = forest.total_nodes();
         Simulator {
             generator,
+            steps: StepBook::new(forest.total_nodes()),
             forest,
             seed: config.seed,
             split: config.split,
-            cursor: 0,
             scene,
-            stats: SimStats::default(),
-            speed: SpeedTrace::new(),
             memory: MemoryTrace::new(),
-            started: None,
-            compact_watermark,
         }
     }
 
@@ -135,12 +119,12 @@ impl Simulator {
 
     /// Counters so far.
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        &self.steps.stats
     }
 
     /// Speed-vs-time trace (one sample per `run_batch` call).
     pub fn speed_trace(&self) -> &SpeedTrace {
-        &self.speed
+        &self.steps.speed
     }
 
     /// Memory-vs-photons trace (one sample per `run_batch` call).
@@ -150,12 +134,20 @@ impl Simulator {
 
     /// Simulates `n` photons (no batch bookkeeping).
     pub fn run_photons(&mut self, n: u64) {
-        for _ in 0..n {
-            let mut rng = photon_stream(self.seed, self.cursor);
-            let out = trace_photon(&self.scene, &self.generator, &mut rng, &mut self.forest);
-            self.stats.record(&out);
-            self.cursor += 1;
-        }
+        let span = Span {
+            start: self.steps.cursor,
+            count: n,
+            offset: 0,
+            stride: 1,
+        };
+        let stats = trace_span(
+            &self.scene,
+            &self.generator,
+            self.seed,
+            span,
+            &mut self.forest,
+        );
+        self.steps.advance(n, &stats);
     }
 
     /// Simulates a batch of `n` photons, recording speed and memory samples
@@ -166,43 +158,28 @@ impl Simulator {
 
     /// Finishes the run, producing the answer database.
     pub fn into_answer(self) -> Answer {
-        Answer::from_forest(&self.forest, self.stats.emitted)
+        self.answer_snapshot()
     }
 
     /// Borrow-based snapshot of the answer (keeps simulating afterwards).
     pub fn answer_snapshot(&self) -> Answer {
-        Answer::from_forest(&self.forest, self.stats.emitted)
+        Answer::from_forest(&self.forest, self.stats().emitted)
     }
 }
 
 impl SolverEngine for Simulator {
     fn step(&mut self, batch: u64) -> BatchReport {
-        let t0 = *self.started.get_or_insert_with(Instant::now);
-        let batch_start = Instant::now();
+        let batch_start = self.steps.begin();
         self.run_photons(batch);
-        // Batch boundary: no cursors outstanding, so the arenas may be
-        // re-clustered. Gate on ~50% growth to amortize the rebuild.
-        let nodes = self.forest.total_nodes();
-        if nodes > self.compact_watermark + self.compact_watermark / 2 {
+        if self.steps.wants_compaction(self.forest.total_nodes()) {
             self.forest.compact();
-            self.compact_watermark = nodes;
         }
-        let batch_seconds = batch_start.elapsed().as_secs_f64();
-        let elapsed_seconds = t0.elapsed().as_secs_f64();
-        self.speed.push_batch(elapsed_seconds, batch, batch_seconds);
+        let report = self
+            .steps
+            .finish(batch_start, batch, None, self.forest.footprint());
         self.memory
-            .push(self.stats.emitted, self.forest.memory_bytes());
-        BatchReport {
-            batch_photons: batch,
-            emitted_total: self.stats.emitted,
-            leaf_bins: self.forest.total_leaf_bins(),
-            batch_seconds,
-            trace_seconds: batch_seconds,
-            apply_seconds: 0.0,
-            elapsed_seconds,
-            stats: self.stats,
-            footprint: self.forest.footprint(),
-        }
+            .push(report.emitted_total, self.forest.memory_bytes());
+        report
     }
 
     fn snapshot(&self) -> Answer {
@@ -210,14 +187,14 @@ impl SolverEngine for Simulator {
     }
 
     fn stats(&self) -> SimStats {
-        self.stats
+        self.steps.stats
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
         EngineCheckpoint::new(
             self.seed,
-            self.cursor,
-            self.stats,
+            self.steps.cursor,
+            self.steps.stats,
             self.split,
             self.forest.clone().into_trees(),
         )
@@ -226,14 +203,8 @@ impl SolverEngine for Simulator {
     fn restore(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), RestoreError> {
         checkpoint.compatible_with(self.scene.polygon_count(), self.seed, self.split)?;
         self.forest = checkpoint.forest();
-        self.stats = checkpoint.stats();
-        self.cursor = checkpoint.cursor();
-        self.compact_watermark = self.forest.total_nodes();
-        // The discarded run's perf traces and clock go with it — rates
-        // reported after a resume describe the resumed solve only.
-        self.speed = SpeedTrace::new();
+        self.steps.restore(checkpoint, self.forest.total_nodes());
         self.memory = MemoryTrace::new();
-        self.started = None;
         Ok(())
     }
 

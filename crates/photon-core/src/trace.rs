@@ -1,19 +1,27 @@
-//! The transport kernel shared by the serial, shared-memory and
-//! distributed simulators (Fig 4.1 / 5.2 / 5.3 inner loop).
+//! The transport kernel: one photon loop, three sinks (Fig 4.1 / 5.2 / 5.3).
 //!
-//! `trace_photon` emits one photon and follows it to termination. Every
-//! interaction (the initial emission, then each reflection) is reported to a
-//! [`TallySink`] as `(patch id, 4-D bin point, outgoing energy)`. The three
-//! parallelizations differ *only* in their sink:
+//! [`trace_span`] is the only loop in the workspace that draws photons from
+//! the stream: it walks a [`Span`] of global photon indices, gives photon
+//! `j` the generator [`photon_stream`]`(seed, j)`, and lets [`trace_photon`]
+//! follow it to termination. Every interaction (the initial emission, then
+//! each reflection) is reported to a [`TallySink`] as `(patch id, 4-D bin
+//! point, outgoing energy)`. The three backends run this same loop and
+//! differ *only* in span and sink:
 //!
-//! * serial — tallies straight into a [`crate::BinForest`];
-//! * shared memory — tallies through per-tree reader/writer locks;
-//! * distributed — tallies locally when the rank owns the patch, otherwise
-//!   enqueues the record for the all-to-all exchange (Fig 5.3).
+//! * serial — stride 1, tallying straight into a [`crate::BinForest`];
+//! * shared memory — worker `t` of `T` takes offset `t`, stride `T`, and
+//!   appends [`crate::batch::TallyRecord`]s to its own buffer, lock-free;
+//!   the records reach the trees later, partitioned by patch in serial
+//!   order ([`crate::batch`]);
+//! * distributed — rank `r` of `R` takes offset `r`, stride `R`, tallying
+//!   locally when it owns the patch and otherwise queueing the record for
+//!   the all-to-all exchange (Fig 5.3).
 
+use crate::engine::photon_stream;
 use crate::forest::BinForest;
 use crate::generate::{EmittedPhoton, PhotonGenerator};
 use crate::reflect::{reflect, Bounce};
+use crate::sim::SimStats;
 use photon_geom::Scene;
 use photon_hist::BinPoint;
 use photon_math::{CylDir, Onb, Ray, Rgb};
@@ -21,6 +29,11 @@ use photon_rng::PhotonRng;
 
 /// Receives photon interaction tallies.
 pub trait TallySink {
+    /// Told the global index of each photon before [`trace_span`] traces
+    /// it. Sinks that tag their tallies with it override this.
+    #[inline]
+    fn begin_photon(&mut self, _index: u64) {}
+
     /// Records one interaction of energy `energy` at `point` on `patch_id`.
     fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb);
 }
@@ -32,7 +45,7 @@ impl TallySink for BinForest {
     }
 }
 
-/// Any closure of the right shape is a sink (used by the distributed queue).
+/// Any closure of the right shape is a sink (used by tests and [`path_rays`]).
 impl<F: FnMut(u32, &BinPoint, Rgb)> TallySink for F {
     #[inline]
     fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb) {
@@ -66,6 +79,48 @@ pub const MAX_BOUNCES: u32 = 256;
 
 /// Energy floor below which a photon is treated as absorbed.
 const MIN_ENERGY: f64 = 1e-12;
+
+/// Which photons of the stream one call to [`trace_span`] traces: of the
+/// window `[start, start + count)`, the indices `start + offset`,
+/// `start + offset + stride`, … — one worker's leapfrogged share when
+/// `stride` workers split the window; all of it at offset 0, stride 1.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Span {
+    /// First photon index of the window.
+    pub start: u64,
+    /// Photons in the window, over all workers.
+    pub count: u64,
+    /// This worker's position among the `stride` workers.
+    pub offset: u64,
+    /// Number of workers sharing the window (≥ 1).
+    pub stride: u64,
+}
+
+/// Traces the photons of `span`, in ascending index order, into `sink`, and
+/// returns their counters.
+///
+/// Photon `j` draws from block substream `j` ([`photon_stream`]) whatever
+/// the span, so the union over the `stride` workers of a window is exactly
+/// the serial photon set — the only shared state touched is the immutable
+/// scene.
+pub fn trace_span<S: TallySink>(
+    scene: &Scene,
+    generator: &PhotonGenerator,
+    seed: u64,
+    span: Span,
+    sink: &mut S,
+) -> SimStats {
+    let mut stats = SimStats::default();
+    let end = span.start + span.count;
+    let mut j = span.start + span.offset;
+    while j < end {
+        sink.begin_photon(j);
+        let mut rng = photon_stream(seed, j);
+        stats.record(&trace_photon(scene, generator, &mut rng, sink));
+        j += span.stride;
+    }
+    stats
+}
 
 /// Emits and traces one photon, reporting every interaction to `sink`.
 pub fn trace_photon<R: PhotonRng, S: TallySink + ?Sized>(
@@ -103,7 +158,7 @@ pub fn path_rays(
 ) -> (Vec<Ray>, Vec<Ray>) {
     let (mut first, mut later) = (Vec::with_capacity(n as usize), Vec::new());
     for j in 0..n {
-        let mut rng = crate::engine::photon_stream(seed, j);
+        let mut rng = photon_stream(seed, j);
         let photon = generator.emit(scene, &mut rng);
         let mut segment = 0;
         trace_emitted_observed(

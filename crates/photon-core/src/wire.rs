@@ -139,17 +139,34 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
+/// Most a reader sets aside for a frame on the word of its length prefix
+/// alone; beyond this the buffer grows only as payload bytes arrive.
+const FRAME_RESERVE_BYTES: usize = 64 * 1024;
+
 /// Reads one length-prefixed frame, rejecting lengths over
 /// [`MAX_FRAME_BYTES`]. An EOF before the length prefix surfaces as
-/// `UnexpectedEof` — a cleanly closed peer.
+/// `UnexpectedEof` — a cleanly closed peer — and so does one inside the
+/// payload.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let len = read_u32(r)?;
     if len > MAX_FRAME_BYTES {
         return Err(bad_data("frame length over MAX_FRAME_BYTES"));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    read_payload(r, len as usize, &mut payload)?;
     Ok(payload)
+}
+
+/// Appends exactly `len` bytes of `r` to `payload`. The prefix that named
+/// `len` is unauthenticated (it arrives before the handshake), so memory is
+/// committed in step with delivered bytes, never up front.
+fn read_payload<R: Read>(r: &mut R, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
+    payload.reserve(len.min(FRAME_RESERVE_BYTES));
+    let got = r.take(len as u64).read_to_end(payload)?;
+    if got < len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
+    Ok(())
 }
 
 fn write_header(out: &mut Vec<u8>, kind: u8) {
@@ -792,5 +809,25 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
         assert!(read_frame(&mut Cursor::new(huge.as_slice())).is_err());
+    }
+
+    #[test]
+    fn a_lying_length_prefix_cannot_make_the_reader_allocate() {
+        // The largest length the framing accepts, then ten bytes and EOF.
+        let mut lie = MAX_FRAME_BYTES.to_le_bytes().to_vec();
+        lie.extend_from_slice(&[7u8; 10]);
+        let err = read_frame(&mut Cursor::new(lie.as_slice())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        // Same read, buffer in hand: it never grew past the reservation cap.
+        let mut payload = Vec::new();
+        let err = read_payload(
+            &mut Cursor::new(&lie[4..]),
+            MAX_FRAME_BYTES as usize,
+            &mut payload,
+        )
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(payload, [7u8; 10]);
+        assert!(payload.capacity() <= FRAME_RESERVE_BYTES);
     }
 }

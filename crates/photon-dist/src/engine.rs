@@ -11,10 +11,12 @@
 //! the world keeps running. All reported times are **virtual** seconds from
 //! the platform model, exactly as in the one-shot runs.
 //!
-//! Photon assignment leapfrogs ranks over global photon indices (rank `r`
-//! of `R` takes every `R`-th index of each batch window), and each photon
-//! draws from its own block substream ([`photon_core::photon_stream`]) — so
-//! a 1-rank world traces exactly the serial simulator's photons.
+//! Each rank runs the workspace's one photon loop
+//! ([`photon_core::trace_span`]) with a sink that tallies the patches it
+//! owns and queues the rest: rank `r` of `R` takes every `R`-th index of
+//! each batch window, and each photon draws from its own block substream
+//! ([`photon_core::photon_stream`]) — so a 1-rank world traces exactly the
+//! serial simulator's photons, and builds its bytes.
 
 use crate::balance::{self, Ownership};
 use crate::batch::{BatchController, BatchMode};
@@ -24,8 +26,8 @@ use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
 use photon_core::trace::trace_photon;
 use photon_core::{
-    photon_stream, Answer, BatchReport, BinForest, EngineCheckpoint, ForestFootprint, RestoreError,
-    SolverEngine, SpeedTrace,
+    trace_span, Answer, BatchReport, BinForest, EngineCheckpoint, ForestFootprint, RestoreError,
+    SolverEngine, Span, SpeedTrace,
 };
 use photon_geom::Scene;
 use photon_hist::BinTree;
@@ -52,8 +54,6 @@ enum RankCmd {
         /// Next main-loop photon index to trace.
         main_start: u64,
     },
-    /// Leave the command loop and return the rank's final state.
-    Finish,
 }
 
 /// Replies flowing back on the shared engine channel, tagged by rank.
@@ -78,8 +78,6 @@ enum RankReply {
         batch_seconds: f64,
         /// Bytes this rank queued through the all-to-all this batch.
         bytes: u64,
-        /// Leaf bins across this rank's owned trees, absolute.
-        leaf_bins_owned: u64,
         /// Arena footprint of this rank's owned trees (each patch counted
         /// on exactly one rank, so the engine's sum covers the answer).
         footprint_owned: ForestFootprint,
@@ -93,7 +91,6 @@ enum RankReply {
 /// What a rank returns when the world winds down.
 pub(crate) struct RankFinal {
     pub(crate) processed: u64,
-    pub(crate) owned_trees: Vec<(u32, BinTree)>,
     pub(crate) batch_history: Vec<u64>,
     pub(crate) final_clock: f64,
 }
@@ -243,7 +240,6 @@ impl DistEngine {
         self.broadcast(|| RankCmd::Step { per_rank_hint });
         let mut batch_photons = 0;
         let mut batch_seconds = 0.0f64;
-        let mut leaf_bins = 0;
         let mut footprint = ForestFootprint::default();
         for _ in 0..self.nranks {
             match self.reply_rx.recv().expect("world alive") {
@@ -254,7 +250,6 @@ impl DistEngine {
                         clock,
                         batch_seconds: secs,
                         bytes,
-                        leaf_bins_owned,
                         footprint_owned,
                     },
                 ) => {
@@ -262,7 +257,6 @@ impl DistEngine {
                     batch_photons += stats.emitted;
                     self.clock = self.clock.max(clock);
                     self.bytes_forwarded += bytes;
-                    leaf_bins += leaf_bins_owned;
                     footprint.merge(&footprint_owned);
                     if rank == 0 {
                         batch_seconds = secs;
@@ -277,7 +271,7 @@ impl DistEngine {
         BatchReport {
             batch_photons,
             emitted_total: self.stats.emitted,
-            leaf_bins,
+            leaf_bins: footprint.leaf_bins,
             batch_seconds,
             // Ranks tally inline while tracing (locally or via the
             // exchange), so the whole round counts as trace time.
@@ -290,26 +284,11 @@ impl DistEngine {
     }
 
     /// Winds the world down and returns every rank's final state.
-    pub(crate) fn finish(mut self) -> (DistEngineSummary, Vec<RankFinal>) {
-        self.broadcast(|| RankCmd::Finish);
+    pub(crate) fn finish(mut self) -> Vec<RankFinal> {
+        self.cmd_txs.clear(); // hang up; ranks leave their command loops
         let world = self.world.take().expect("world not yet joined");
-        let finals = world.join().expect("world panicked");
-        let summary = DistEngineSummary {
-            stats: self.stats,
-            speed: std::mem::take(&mut self.speed),
-            bytes_forwarded: self.bytes_forwarded,
-            ownership: self.ownership.clone(),
-        };
-        (summary, finals)
+        world.join().expect("world panicked")
     }
-}
-
-/// Aggregates the engine hands to [`crate::run_distributed`] at shutdown.
-pub(crate) struct DistEngineSummary {
-    pub(crate) stats: SimStats,
-    pub(crate) speed: SpeedTrace,
-    pub(crate) bytes_forwarded: u64,
-    pub(crate) ownership: Ownership,
 }
 
 impl Drop for DistEngine {
@@ -418,12 +397,6 @@ fn rank_loop(
     };
     comm.barrier(); // end of the balancing phase; clocks sync
     let owned_patches = ownership.patches_of(my_rank);
-    let owned_leaf_bins = |forest: &BinForest| -> u64 {
-        owned_patches
-            .iter()
-            .map(|&p| forest.tree(p).leaf_count() as u64)
-            .sum()
-    };
     let owned_footprint = |forest: &BinForest| -> ForestFootprint {
         let mut fp = ForestFootprint::default();
         for &p in &owned_patches {
@@ -448,37 +421,34 @@ fn rank_loop(
     };
     let mut main_start = 0u64;
     let mut t_batch_start = crate::sync_clock(comm);
-    loop {
-        match cmd_rx.recv() {
-            Ok(RankCmd::Step { per_rank_hint }) => {
+    // Until the engine hangs up: finished, or dropped.
+    while let Ok(cmd) = cmd_rx.recv() {
+        match cmd {
+            RankCmd::Step { per_rank_hint } => {
                 let per_rank = match &controller {
                     Some(c) => c.size(),
                     None => per_rank_hint.max(1),
                 };
+                let global_batch = per_rank * nranks as u64;
                 let mut queues: Vec<Vec<u8>> = (0..nranks).map(|_| Vec::new()).collect();
-                let mut segments = 0u64;
-                let mut stats = SimStats::default();
-                {
-                    let mut sink = DistSink {
-                        ownership: &ownership,
-                        my_rank,
-                        forest: &mut forest,
-                        queues: &mut queues,
-                        processed: &mut processed,
-                    };
-                    // Rank r leapfrogs over the batch window's photon
-                    // indices; each photon's deviates come from its own
-                    // block substream, so the union over ranks is exactly
-                    // the serial photon set.
-                    for i in 0..per_rank {
-                        let j = main_start + my_rank as u64 + i * nranks as u64;
-                        let mut rng = photon_stream(config.seed, j);
-                        let out = trace_photon(scene, &generator, &mut rng, &mut sink);
-                        stats.record(&out);
-                        segments += 1 + out.bounces as u64;
-                    }
-                }
-                comm.charge_compute(segments, npolys);
+                // Rank r leapfrogs over the batch window: `per_rank`
+                // photons, the union over ranks exactly the serial set.
+                let span = Span {
+                    start: main_start,
+                    count: global_batch,
+                    offset: my_rank as u64,
+                    stride: nranks as u64,
+                };
+                let mut sink = DistSink {
+                    ownership: &ownership,
+                    my_rank,
+                    forest: &mut forest,
+                    queues: &mut queues,
+                    processed: &mut processed,
+                };
+                let stats = trace_span(scene, &generator, config.seed, span, &mut sink);
+                // One ray segment per tally: the emission and each bounce.
+                comm.charge_compute(stats.emitted + stats.reflections, npolys);
                 // Fixed per-batch bookkeeping (queue setup, flush, rate
                 // sampling): the cost the adaptive controller amortizes.
                 comm.advance(comm.platform().batch_overhead_s);
@@ -503,7 +473,6 @@ fn rank_loop(
                 // Batch accounting on the synchronized clock: identical on
                 // every rank, so the adaptive controllers stay in lockstep.
                 let t_batch_end = crate::sync_clock(comm);
-                let global_batch = per_rank * nranks as u64;
                 main_start += global_batch;
                 let batch_seconds = (t_batch_end - t_batch_start).max(1e-12);
                 let rate = global_batch as f64 / batch_seconds;
@@ -518,12 +487,11 @@ fn rank_loop(
                         clock: t_batch_end,
                         batch_seconds,
                         bytes,
-                        leaf_bins_owned: owned_leaf_bins(&forest),
                         footprint_owned: owned_footprint(&forest),
                     },
                 ));
             }
-            Ok(RankCmd::Snapshot) => {
+            RankCmd::Snapshot => {
                 // A snapshot is a batch boundary for this rank, so compact
                 // the owned arenas first: both the continuing solve and the
                 // shipped clones come out subtree-clustered, and the
@@ -537,10 +505,10 @@ fn rank_loop(
                     .collect();
                 let _ = reply_tx.send((my_rank, RankReply::Trees(trees)));
             }
-            Ok(RankCmd::Restore {
+            RankCmd::Restore {
                 trees,
                 main_start: at,
-            }) => {
+            } => {
                 // Adopt the checkpoint's state for the trees this rank
                 // owns; unowned trees keep the pilot-phase state every
                 // rank regenerated identically at boot, exactly as in an
@@ -551,23 +519,12 @@ fn rank_loop(
                 main_start = at;
                 let _ = reply_tx.send((my_rank, RankReply::Restored));
             }
-            // Finish — or the engine dropped its command channels.
-            Ok(RankCmd::Finish) | Err(_) => break,
         }
     }
 
-    let final_clock = comm.clock();
-    let all_trees = forest.into_trees();
-    let mut owned_trees = Vec::new();
-    for (pid, tree) in all_trees.into_iter().enumerate() {
-        if ownership.owner_of(pid as u32) == my_rank {
-            owned_trees.push((pid as u32, tree));
-        }
-    }
     RankFinal {
         processed,
-        owned_trees,
         batch_history: controller.map(|c| c.history().to_vec()).unwrap_or_default(),
-        final_clock,
+        final_clock: comm.clock(),
     }
 }

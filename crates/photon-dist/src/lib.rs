@@ -2,11 +2,12 @@
 //!
 //! The geometry is replicated on every rank; the *bin forest* — the large,
 //! growing data structure — is distributed by patch. Each rank generates and
-//! traces its leapfrogged share of every batch. Tallies for bins the rank
-//! owns update locally; the rest are encoded as 32-byte
-//! [`record::PhotonRecord`]s and queued per owner. A blocking all-to-all
-//! exchange follows every batch; receivers run `DetermineBin` /
-//! `UpdateBinCount` / `Split` on their own trees.
+//! traces its leapfrogged share of every batch with the same photon loop as
+//! the serial simulator ([`photon_core::trace_span`]); only the sink
+//! differs. Tallies for bins the rank owns update locally; the rest are
+//! encoded as 32-byte [`record::PhotonRecord`]s and queued per owner. A
+//! blocking all-to-all exchange follows every batch; receivers run
+//! `DetermineBin` / `UpdateBinCount` / `Split` on their own trees.
 //!
 //! On top of that loop sit the paper's two control mechanisms:
 //! [`balance`] — Best-Fit bin packing of tree ownership from a pilot trace
@@ -17,8 +18,8 @@
 //! The rank world itself lives behind [`DistEngine`] (see [`engine`]): a
 //! resumable [`photon_core::SolverEngine`] whose ranks persist across
 //! batches and answer snapshot requests mid-solve. [`run_distributed`]
-//! drives that engine to a [`StopRule`] and merges the final forest —
-//! the original one-shot shape, now a thin wrapper.
+//! drives that engine to a [`StopRule`] and takes its last snapshot — the
+//! original one-shot shape, now a thin wrapper.
 
 #![deny(missing_docs)]
 
@@ -34,9 +35,9 @@ pub use record::PhotonRecord;
 
 use photon_core::sim::SimStats;
 use photon_core::trace::TallySink;
-use photon_core::{Answer, BinForest, SpeedTrace};
+use photon_core::{Answer, BinForest, SolverEngine, SpeedTrace};
 use photon_geom::Scene;
-use photon_hist::{BinPoint, BinTree, SplitConfig};
+use photon_hist::{BinPoint, SplitConfig};
 use photon_math::Rgb;
 use simmpi::{Comm, Platform};
 
@@ -171,40 +172,33 @@ pub fn run_distributed(scene: &Scene, config: &DistConfig) -> DistRunResult {
         engine.step_round(per_rank_hint);
     }
 
-    // Wind the world down; merge every patch's tree from its unique owner.
-    let npolys = scene.polygon_count();
-    let (summary, finals) = engine.finish();
-    let mut trees: Vec<Option<BinTree>> = (0..npolys).map(|_| None).collect();
+    // The answer is the engine's last snapshot (every patch's tree from its
+    // unique owner); then wind the world down for the per-rank tables.
+    let answer = engine.snapshot();
+    let stats = engine.stats();
+    let speed = engine.speed_trace().clone();
+    let ownership = engine.ownership().clone();
+    let bytes_forwarded = engine.bytes_forwarded();
+    let finals = engine.finish();
     let mut per_rank_tallies = Vec::with_capacity(config.nranks);
     let mut batch_history = Vec::new();
     let mut virtual_elapsed = 0.0f64;
     for (rank, r) in finals.into_iter().enumerate() {
         per_rank_tallies.push(r.processed);
         virtual_elapsed = virtual_elapsed.max(r.final_clock);
-        for (pid, tree) in r.owned_trees {
-            debug_assert!(trees[pid as usize].is_none(), "patch {pid} owned twice");
-            trees[pid as usize] = Some(tree);
-        }
         if rank == 0 {
             batch_history = r.batch_history;
         }
     }
-    let forest = BinForest::from_trees(
-        trees
-            .into_iter()
-            .map(|t| t.expect("all patches owned"))
-            .collect(),
-    );
-    let answer = Answer::from_forest(&forest, summary.stats.emitted);
     DistRunResult {
-        stats: summary.stats,
-        speed: summary.speed,
+        stats,
+        speed,
         per_rank_tallies,
         batch_history,
         answer,
         virtual_elapsed,
-        ownership: summary.ownership,
-        bytes_forwarded: summary.bytes_forwarded,
+        ownership,
+        bytes_forwarded,
     }
 }
 
@@ -279,17 +273,13 @@ mod tests {
             },
         );
         serial.run_photons(5000);
-        assert_eq!(dist.stats.emitted, serial.stats().emitted);
-        assert_eq!(dist.stats.reflections, serial.stats().reflections);
-        assert_eq!(dist.stats.absorbed, serial.stats().absorbed);
-        let dist_tallies: u64 = (0..dist.answer.patch_count() as u32)
-            .map(|p| dist.answer.tree(p).tallies())
-            .sum();
-        assert_eq!(dist_tallies, serial.forest().total_tallies());
-        assert_eq!(
-            dist.answer.total_leaf_bins(),
-            serial.forest().total_leaf_bins()
-        );
+        assert_eq!(dist.stats, *serial.stats());
+        let bytes = |a: &Answer| {
+            let mut buf = Vec::new();
+            a.write_to(&mut buf).expect("encode answer");
+            buf
+        };
+        assert_eq!(bytes(&dist.answer), bytes(&serial.answer_snapshot()));
     }
 
     #[test]
@@ -381,7 +371,6 @@ mod tests {
 
     #[test]
     fn engine_snapshots_refine_mid_solve() {
-        use photon_core::SolverEngine;
         let mut e = DistEngine::new(cornell_box(), base_config());
         let r1 = e.step(2000);
         let early = e.snapshot();

@@ -4,7 +4,7 @@
 //! [`photon_core::SolverEngine`]: it owns its [`SharedForest`] and a
 //! persistent worker pool, so the solve advances batch by batch across
 //! [`step`](photon_core::SolverEngine::step) calls instead of running once
-//! and exiting. `photon_par::run` is now a thin driver over this engine.
+//! and exiting. `photon_par::run` is a thin driver over this engine.
 //!
 //! **Photon assignment.** Step `k` covers global photon indices
 //! `[cursor, cursor + batch)`; worker `t` of `T` leapfrogs through them,
@@ -12,12 +12,13 @@
 //! substream ([`photon_core::photon_stream`]), so the photon *set* is
 //! independent of the worker count.
 //!
-//! **The step pipeline** (the trace→partition→apply kernel of
-//! [`photon_core::batch`]):
+//! **The step** is one function body, [`ParEngine::step`], reading
+//! generate → trace → partition → apply → compact → report:
 //!
-//! 1. *Trace* — every worker traces its stride lock-free, appending
-//!    [`TallyRecord`]s to its own scratch buffer (reused across steps) and
-//!    replying with its photon counters only.
+//! 1. *Trace* — every worker runs the workspace's one photon loop
+//!    ([`photon_core::trace_span`]) over its stride, lock-free, its sink a
+//!    [`RecordSink`] over its own scratch buffer (reused across steps), and
+//!    replies with its photon counters only.
 //! 2. *Partition* — the engine thread counting-sorts all records by patch,
 //!    scattering in global `(photon, bounce)` order into one reused buffer:
 //!    each patch's run is exactly the serial tally subsequence for that
@@ -25,37 +26,31 @@
 //! 3. *Apply* — workers claim whole patch runs from an atomic cursor and
 //!    fold each into its tree under a single write-lock acquisition, with
 //!    the leaf-descent cache skipping root re-descents inside a run.
+//! 4. *Compact, report* — the bookkeeping [`StepBook`] shared with the
+//!    serial simulator.
 //!
 //! Because every tree sees exactly the serial tally order and each run is
 //! applied by exactly one worker, the resulting [`Answer`] is
 //! **bit-identical** to `Simulator`'s for the same seed and photon count,
-//! at any thread count — while runs on distinct trees apply concurrently.
-//! Steady-state steps allocate nothing: trace buffers, the sorted buffer,
-//! the run list, and the per-patch counters are all reused.
-//!
-//! **Single-worker fusion.** With one worker (a one-core host under the
-//! default clamp, or `threads: 1`), trace order already *is* serial order,
-//! so the worker applies each tally inline through persistent per-tree
-//! leaf cursors and the partition/apply phases vanish — same bytes, none
-//! of the record traffic.
+//! at any thread count — one worker included, which runs the same three
+//! phases — while runs on distinct trees apply concurrently. Steady-state
+//! steps allocate nothing: trace buffers, the sorted buffer, the run list,
+//! and the per-patch counters are all reused.
 
-use crate::{ParConfig, PipelineMode, SharedForest, SharedSink};
+use crate::{ParConfig, SharedForest};
 use parking_lot::{Mutex, RwLock};
-use photon_core::batch::{trace_strided, PartitionScratch, TallyRecord};
+use photon_core::batch::{PartitionScratch, RecordSink, TallyRecord};
 use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
-use photon_core::trace::{trace_photon, TallySink};
 use photon_core::{
-    photon_stream, Answer, BatchReport, EngineCheckpoint, RestoreError, SolverEngine, SpeedTrace,
+    trace_span, Answer, BatchReport, EngineCheckpoint, RestoreError, SolverEngine, Span,
+    SpeedTrace, StepBook,
 };
 use photon_geom::Scene;
-use photon_hist::{BinPoint, LeafCursor};
-use photon_math::Rgb;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 /// Buffers shared between the engine thread and the workers, reused across
 /// steps. The phases alternate strict ownership: workers write `traces`
@@ -72,122 +67,55 @@ struct StepShared {
     next_run: AtomicUsize,
 }
 
+#[derive(Clone, Copy)]
 enum Cmd {
     /// Trace this worker's leapfrogged share of photons
     /// `[start, start + count)` into its scratch buffer.
     Trace { start: u64, count: u64 },
-    /// Trace the same share, tallying inline through the forest locks
-    /// (the [`PipelineMode::InlineTally`] oracle).
-    TraceInline { start: u64, count: u64 },
     /// Claim patch runs from the shared partition and apply them.
     Apply,
-}
-
-enum Reply {
-    Traced(SimStats),
-    Applied,
 }
 
 struct WorkerCtx {
     tid: usize,
     threads: usize,
     seed: u64,
-    pipeline: PipelineMode,
     scene: Arc<Scene>,
     generator: Arc<PhotonGenerator>,
     forest: Arc<SharedForest>,
     shared: Arc<StepShared>,
 }
 
-/// Sink of the fused single-worker path: tallies land in the forest as
-/// they are traced (serial order for free), each through its tree's leaf
-/// cursor. The worker holds every tree's write guard for the whole batch
-/// and counts tallies locally, so the per-tally cost is an index and a
-/// cursor-cached leaf update — no lock, no atomic.
-struct FusedSink<'a, 'f> {
-    trees: &'a mut [parking_lot::RwLockWriteGuard<'f, photon_hist::BinTree>],
-    cursors: &'a mut [LeafCursor],
-    tallies: u64,
-}
-
-impl TallySink for FusedSink<'_, '_> {
-    #[inline]
-    fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb) {
-        self.tallies += 1;
-        self.trees[patch_id as usize].tally_with(
-            point,
-            energy,
-            &mut self.cursors[patch_id as usize],
-        );
-    }
-}
-
-fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<Reply>) {
-    // Fused-path leaf cursors, one per tree, allocated once per worker.
-    let mut cursors: Vec<LeafCursor> = (0..ctx.forest.patch_count())
-        .map(|_| LeafCursor::new())
-        .collect();
+/// Runs commands until the engine hangs up, acknowledging each with the
+/// counters of the photons it traced (none, for an apply).
+fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<SimStats>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Trace { start, count } => {
-                let mut stats = SimStats::default();
-                if ctx.threads == 1 && ctx.pipeline == PipelineMode::Batched {
-                    // A lone worker's trace order is serial order, so the
-                    // partition buys nothing: apply inline with the leaf
-                    // cursors, holding the whole forest for the batch.
-                    // Reset the cursors first — a checkpoint restore
-                    // between steps replaces the trees wholesale, and a
-                    // stale cursor must never descend into a new tree.
-                    for cursor in &mut cursors {
-                        *cursor = LeafCursor::new();
-                    }
-                    let mut guards = ctx.forest.write_all();
-                    let mut sink = FusedSink {
-                        trees: &mut guards,
-                        cursors: &mut cursors,
-                        tallies: 0,
-                    };
-                    for j in start..start + count {
-                        let mut rng = photon_stream(ctx.seed, j);
-                        let out = trace_photon(&ctx.scene, &ctx.generator, &mut rng, &mut sink);
-                        stats.record(&out);
-                    }
-                    let tallies = sink.tallies;
-                    drop(guards);
-                    ctx.forest.add_tallies(tallies);
-                } else {
-                    let mut out = ctx.shared.traces[ctx.tid].lock();
-                    out.clear(); // keep capacity: steady state reallocates nothing
-                    trace_strided(
-                        &ctx.scene,
-                        &ctx.generator,
-                        ctx.seed,
-                        start,
-                        count,
-                        ctx.tid as u64,
-                        ctx.threads as u64,
-                        &mut out,
-                        &mut stats,
-                    );
-                }
-                let _ = tx.send(Reply::Traced(stats));
-            }
-            Cmd::TraceInline { start, count } => {
-                let mut stats = SimStats::default();
-                let mut sink = SharedSink {
-                    forest: &ctx.forest,
+                // Trace into the buffer from this worker's own stack, not in
+                // its slot: a `Vec`'s length is stored at every push, the
+                // slots are 32 bytes apart, and whether two of them share a
+                // cache line is the allocator's whim — so pushing in place
+                // cost 0–15 % of the trace phase, differently every run.
+                let mut out = std::mem::take(&mut *ctx.shared.traces[ctx.tid].lock());
+                out.clear(); // keep capacity: steady state reallocates nothing
+                let span = Span {
+                    start,
+                    count,
+                    offset: ctx.tid as u64,
+                    stride: ctx.threads as u64,
                 };
-                let mut j = start + ctx.tid as u64;
-                while j < start + count {
-                    let mut rng = photon_stream(ctx.seed, j);
-                    let out = trace_photon(&ctx.scene, &ctx.generator, &mut rng, &mut sink);
-                    stats.record(&out);
-                    j += ctx.threads as u64;
-                }
-                let _ = tx.send(Reply::Traced(stats));
+                let stats = trace_span(
+                    &ctx.scene,
+                    &ctx.generator,
+                    ctx.seed,
+                    span,
+                    &mut RecordSink::new(&mut out),
+                );
+                *ctx.shared.traces[ctx.tid].lock() = out;
+                let _ = tx.send(stats);
             }
             Cmd::Apply => {
-                let leaf_cache = ctx.pipeline == PipelineMode::Batched;
                 let partition = ctx.shared.partition.read();
                 loop {
                     let i = ctx.shared.next_run.fetch_add(1, Ordering::Relaxed);
@@ -195,10 +123,10 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<Reply>) {
                         break;
                     };
                     ctx.forest
-                        .tally_run(run.patch_id, partition.run_records(run), leaf_cache);
+                        .tally_run(run.patch_id, partition.run_records(run));
                 }
                 drop(partition);
-                let _ = tx.send(Reply::Applied);
+                let _ = tx.send(SimStats::default());
             }
         }
     }
@@ -209,33 +137,20 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<Reply>) {
 /// trace→partition→apply pipeline.
 pub struct ParEngine {
     config: ParConfig,
-    /// Spawned workers (`config.worker_count()`): `threads` clamped to the
-    /// host unless oversubscription was requested. The answer does not
-    /// depend on it — only the wall clock does.
-    workers: usize,
     forest: Arc<SharedForest>,
     shared: Arc<StepShared>,
+    /// One command channel per worker (`config.threads` of them).
     cmd_txs: Vec<Sender<Cmd>>,
-    reply_rx: Receiver<Reply>,
+    reply_rx: Receiver<SimStats>,
     handles: Vec<JoinHandle<()>>,
-    stats: SimStats,
-    /// Next global photon index to trace; tracks `stats.emitted` for a
-    /// fresh run and diverges only after restoring a checkpoint whose
-    /// counters include out-of-stream photons (a distributed pilot phase).
-    cursor: u64,
-    /// Forest node count at the last arena compaction; once the forest
-    /// outgrows it by half, the step recompacts at the batch boundary.
-    compact_watermark: u64,
-    speed: SpeedTrace,
-    started: Option<Instant>,
+    steps: StepBook,
 }
 
 impl ParEngine {
-    /// Spawns the engine's workers (see [`ParConfig::worker_count`]) over
-    /// `scene` and an empty forest.
+    /// Spawns `config.threads` workers over `scene` and an empty forest.
     pub fn new(scene: Scene, config: ParConfig) -> Self {
         assert!(config.threads >= 1);
-        let workers = config.worker_count();
+        let workers = config.threads;
         let forest = Arc::new(SharedForest::new(scene.polygon_count(), config.split));
         let shared = Arc::new(StepShared {
             traces: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
@@ -254,7 +169,6 @@ impl ParEngine {
                 tid,
                 threads: workers,
                 seed: config.seed,
-                pipeline: config.pipeline,
                 scene: Arc::clone(&scene),
                 generator: Arc::clone(&generator),
                 forest: Arc::clone(&forest),
@@ -270,25 +184,13 @@ impl ParEngine {
         }
         ParEngine {
             config,
-            workers,
+            steps: StepBook::new(forest.total_nodes()),
             forest,
             shared,
             cmd_txs,
             reply_rx,
             handles,
-            stats: SimStats::default(),
-            cursor: 0,
-            compact_watermark: scene.polygon_count() as u64,
-            speed: SpeedTrace::new(),
-            started: None,
         }
-    }
-
-    /// Arena nodes across the forest, derived from the leaf count: the
-    /// packed arenas carry no orphan slots, so every tree holds exactly
-    /// `2·leaves − 1` nodes.
-    fn total_nodes(&self) -> u64 {
-        2 * self.forest.total_leaf_bins() - self.forest.patch_count() as u64
     }
 
     /// The shared forest being refined.
@@ -298,7 +200,7 @@ impl ParEngine {
 
     /// Speed-vs-time trace, one sample per step.
     pub fn speed_trace(&self) -> &SpeedTrace {
-        &self.speed
+        &self.steps.speed
     }
 
     /// The configuration the engine was built with.
@@ -306,19 +208,17 @@ impl ParEngine {
         &self.config
     }
 
-    fn broadcast(&self, make: impl Fn() -> Cmd) {
+    /// Sends every worker a command, waits for all of them to finish it,
+    /// and returns the counters they report.
+    fn round(&self, cmd: Cmd) -> SimStats {
         for tx in &self.cmd_txs {
-            tx.send(make()).expect("worker alive");
+            tx.send(cmd).expect("worker alive");
         }
-    }
-
-    fn collect_traced(&mut self) {
-        for _ in 0..self.workers {
-            match self.reply_rx.recv().expect("worker alive") {
-                Reply::Traced(stats) => self.stats.merge(&stats),
-                Reply::Applied => unreachable!("no apply outstanding"),
-            }
+        let mut stats = SimStats::default();
+        for _ in &self.cmd_txs {
+            stats.merge(&self.reply_rx.recv().expect("worker alive"));
         }
+        stats
     }
 
     fn shutdown(&mut self) {
@@ -332,7 +232,7 @@ impl ParEngine {
     /// clones, unlike a mid-solve [`SolverEngine::snapshot`]).
     pub fn into_answer(mut self) -> Answer {
         self.shutdown(); // joins workers, dropping their forest handles
-        let emitted = self.stats.emitted;
+        let emitted = self.steps.stats.emitted;
         let dummy = Arc::new(SharedForest::new(0, self.config.split));
         let forest = std::mem::replace(&mut self.forest, dummy);
         let forest = match Arc::try_unwrap(forest) {
@@ -352,84 +252,52 @@ impl Drop for ParEngine {
 
 impl SolverEngine for ParEngine {
     fn step(&mut self, batch: u64) -> BatchReport {
-        let t0 = *self.started.get_or_insert_with(Instant::now);
-        let batch_start = Instant::now();
-        let start = self.cursor;
-        self.cursor += batch;
-        let inline = self.config.pipeline == PipelineMode::InlineTally;
+        let batch_start = self.steps.begin();
+        let start = self.steps.cursor;
 
-        // Phase 1: trace (lock-free into per-worker scratch, or inline
-        // through the locks for the oracle mode).
-        if inline {
-            self.broadcast(|| Cmd::TraceInline {
-                start,
-                count: batch,
-            });
-        } else {
-            self.broadcast(|| Cmd::Trace {
-                start,
-                count: batch,
-            });
-        }
-        self.collect_traced();
+        // Generate + trace: lock-free, each worker into its own buffer.
+        let traced = self.round(Cmd::Trace {
+            start,
+            count: batch,
+        });
+        self.steps.advance(batch, &traced);
         let trace_seconds = batch_start.elapsed().as_secs_f64();
 
-        // Phases 2+3: partition on the engine thread, then parallel apply.
-        // A lone Batched worker already applied inline while tracing (the
-        // fused path), so like the inline backends it reports the whole
-        // step as trace time.
-        let fused = self.workers == 1 && self.config.pipeline == PipelineMode::Batched;
-        if !inline && !fused {
-            {
-                let guards: Vec<_> = self.shared.traces.iter().map(|m| m.lock()).collect();
-                let lists: Vec<&[TallyRecord]> = guards.iter().map(|g| g.as_slice()).collect();
-                self.shared
-                    .partition
-                    .write()
-                    .partition(&lists, start, batch);
-            }
-            self.shared.next_run.store(0, Ordering::Release);
-            self.broadcast(|| Cmd::Apply);
-            for _ in 0..self.workers {
-                match self.reply_rx.recv().expect("worker alive") {
-                    Reply::Applied => {}
-                    Reply::Traced(_) => unreachable!("no trace outstanding"),
-                }
-            }
+        // Partition, on the engine thread.
+        {
+            let guards: Vec<_> = self.shared.traces.iter().map(|m| m.lock()).collect();
+            let lists: Vec<&[TallyRecord]> = guards.iter().map(|g| g.as_slice()).collect();
+            self.shared
+                .partition
+                .write()
+                .partition(&lists, start, batch);
         }
 
-        // Batch boundary: no worker holds a cursor or guard between steps,
-        // so this is the one safe place to recompact. Growth-gated like the
-        // serial engine, and invisible in the answer (canonical export).
-        let nodes = self.total_nodes();
-        if nodes > self.compact_watermark + self.compact_watermark / 2 {
+        // Apply: workers claim whole patch runs.
+        self.shared.next_run.store(0, Ordering::Release);
+        self.round(Cmd::Apply);
+
+        // Compact: no worker holds a guard between rounds, so this batch
+        // boundary is the one safe place. Invisible in the answer
+        // (canonical export).
+        if self.steps.wants_compaction(self.forest.total_nodes()) {
             self.forest.compact_all();
-            self.compact_watermark = nodes;
         }
 
-        let batch_seconds = batch_start.elapsed().as_secs_f64();
-        let apply_seconds = batch_seconds - trace_seconds;
-        let elapsed_seconds = t0.elapsed().as_secs_f64();
-        self.speed.push_batch(elapsed_seconds, batch, batch_seconds);
-        BatchReport {
-            batch_photons: batch,
-            emitted_total: self.stats.emitted,
-            leaf_bins: self.forest.total_leaf_bins(),
-            batch_seconds,
-            trace_seconds,
-            apply_seconds,
-            elapsed_seconds,
-            stats: self.stats,
-            footprint: self.forest.footprint(),
-        }
+        self.steps.finish(
+            batch_start,
+            batch,
+            Some(trace_seconds),
+            self.forest.footprint(),
+        )
     }
 
     fn snapshot(&self) -> Answer {
-        Answer::from_forest(&self.forest.snapshot_forest(), self.stats.emitted)
+        Answer::from_forest(&self.forest.snapshot_forest(), self.steps.stats.emitted)
     }
 
     fn stats(&self) -> SimStats {
-        self.stats
+        self.steps.stats
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
@@ -438,8 +306,8 @@ impl SolverEngine for ParEngine {
         self.forest.compact_all();
         EngineCheckpoint::new(
             self.config.seed,
-            self.cursor,
-            self.stats,
+            self.steps.cursor,
+            self.steps.stats,
             self.config.split,
             self.forest.snapshot_forest().into_trees(),
         )
@@ -454,12 +322,7 @@ impl SolverEngine for ParEngine {
         // The workers only hold the shared forest and per-photon stream
         // parameters, so swapping the trees in place restores them too.
         self.forest.replace(checkpoint.forest());
-        self.stats = checkpoint.stats();
-        self.cursor = checkpoint.cursor();
-        self.compact_watermark = self.total_nodes();
-        // Rates after a resume describe the resumed solve only.
-        self.speed = SpeedTrace::new();
-        self.started = None;
+        self.steps.restore(checkpoint, self.forest.total_nodes());
         Ok(())
     }
 
@@ -474,16 +337,12 @@ mod tests {
     use photon_core::{SimConfig, Simulator};
     use photon_scenes::cornell_box;
 
-    fn engine(threads: usize, pipeline: PipelineMode) -> ParEngine {
+    fn engine(threads: usize) -> ParEngine {
         ParEngine::new(
             cornell_box(),
             ParConfig {
                 seed: 2024,
                 threads,
-                pipeline,
-                // Real worker counts even on small CI hosts — these tests
-                // exercise the multi-worker pipeline, not its speed.
-                oversubscribe: true,
                 ..Default::default()
             },
         )
@@ -497,7 +356,7 @@ mod tests {
 
     #[test]
     fn engine_is_resumable_across_steps() {
-        let mut e = engine(3, PipelineMode::Batched);
+        let mut e = engine(3);
         let r1 = e.step(1000);
         let r2 = e.step(1000);
         assert_eq!(r1.emitted_total, 1000);
@@ -524,7 +383,7 @@ mod tests {
         serial.run_photons(4000);
         let want = answer_bytes(&serial.answer_snapshot());
         for threads in [1, 2, 4, 5] {
-            let mut e = engine(threads, PipelineMode::Batched);
+            let mut e = engine(threads);
             e.step(1500);
             e.step(2500);
             assert_eq!(
@@ -537,9 +396,9 @@ mod tests {
 
     #[test]
     fn batching_does_not_change_the_answer() {
-        let mut a = engine(4, PipelineMode::Batched);
+        let mut a = engine(4);
         a.step(3000);
-        let mut b = engine(4, PipelineMode::Batched);
+        let mut b = engine(4);
         for _ in 0..6 {
             b.step(500);
         }
@@ -547,43 +406,16 @@ mod tests {
     }
 
     #[test]
-    fn inline_oracle_traces_the_same_photons() {
-        // Tally interleaving may move bin boundaries in the inline mode,
-        // but the photon set — and hence every counter — is identical to
-        // the serial stream.
-        let mut serial = Simulator::new(
-            cornell_box(),
-            SimConfig {
-                seed: 11,
-                ..Default::default()
-            },
-        );
-        serial.run_photons(3000);
-        let mut e = ParEngine::new(
-            cornell_box(),
-            ParConfig {
-                seed: 11,
-                threads: 4,
-                pipeline: PipelineMode::InlineTally,
-                ..Default::default()
-            },
-        );
-        e.step(3000);
-        assert_eq!(e.stats(), *serial.stats());
-        assert_eq!(e.forest().total_tallies(), serial.forest().total_tallies());
-    }
-
-    #[test]
     fn checkpoint_resume_matches_an_uninterrupted_run() {
-        let mut straight = engine(3, PipelineMode::Batched);
+        let mut straight = engine(3);
         straight.step(4000);
         let want = answer_bytes(&straight.snapshot());
-        let mut first = engine(2, PipelineMode::Batched);
+        let mut first = engine(2);
         first.step(1700);
         let ck = first.checkpoint();
         assert_eq!(ck.cursor(), 1700);
         drop(first); // the original engine (and its workers) are gone
-        let mut resumed = engine(5, PipelineMode::Batched);
+        let mut resumed = engine(5);
         resumed.restore(&ck).expect("compatible checkpoint");
         resumed.step(2300);
         assert_eq!(resumed.stats(), straight.stats());
@@ -592,7 +424,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_mismatched_seed() {
-        let mut a = engine(2, PipelineMode::Batched);
+        let mut a = engine(2);
         a.step(500);
         let ck = a.checkpoint();
         let mut other = ParEngine::new(
@@ -609,7 +441,7 @@ mod tests {
 
     #[test]
     fn snapshot_does_not_stop_the_engine() {
-        let mut e = engine(2, PipelineMode::Batched);
+        let mut e = engine(2);
         e.step(800);
         let early = e.snapshot();
         e.step(800);

@@ -8,23 +8,19 @@
 //! The crate is built around [`ParEngine`] (see [`engine`]): a *resumable*
 //! solver implementing [`photon_core::SolverEngine`], holding its
 //! [`SharedForest`] — one `parking_lot::RwLock` per patch tree — and a
-//! persistent worker pool across batches. Worker `t` of `T` leapfrogs
-//! through each batch's photon indices (every `T`-th photon), and each
-//! photon draws from its own block substream of the seeded base stream, so
-//! the photon set is exactly the serial simulator's regardless of thread
-//! count.
+//! persistent worker pool across batches. Every worker runs the one photon
+//! loop, [`photon_core::trace_span`], over its leapfrogged share of each
+//! batch (worker `t` of `T` takes every `T`-th photon), and each photon
+//! draws from its own block substream of the seeded base stream, so the
+//! photon set is exactly the serial simulator's regardless of thread count.
 //!
-//! **The batched pipeline.** Each step runs the trace→partition→apply
-//! kernel of [`photon_core::batch`]: workers trace their strides lock-free
-//! into reusable record buffers; the records are counting-sorted by patch
-//! into per-patch runs that preserve global `(photon, bounce)` order; then
-//! workers claim whole runs and fold each into its tree under one write-lock
-//! acquisition. Per-tree tally order equals serial order *by construction*,
-//! so the default mode is simultaneously concurrent **and** bit-identical
-//! to the serial simulator at any thread count — the old
-//! `Concurrent`/`Deterministic` split collapsed into one mode that is both.
-//! [`PipelineMode::InlineTally`] keeps the historical tally-through-locks
-//! path as a test oracle and ablation baseline.
+//! **The pipeline.** Each step is trace → partition → apply (the kernel of
+//! [`photon_core::batch`]; [`engine`] walks through it): per-tree tally
+//! order equals serial order *by construction*, so the engine is
+//! simultaneously concurrent **and** bit-identical to the serial simulator
+//! at any thread count. (The paper's original loop — a write lock per
+//! tally, answers that depend on thread interleaving — survives only as
+//! the Fig 5.6 contention experiment in `photon-bench`'s `ablation_locks`.)
 //!
 //! [`run`] drives the engine for a fixed photon budget, recording a speed
 //! sample per batch — the traces of Figs 5.6–5.8.
@@ -40,31 +36,9 @@ pub use pool::parallel_map;
 use parking_lot::RwLock;
 use photon_core::batch::TallyRecord;
 use photon_core::sim::SimStats;
-use photon_core::trace::TallySink;
 use photon_core::{Answer, ForestFootprint, SolverEngine, SpeedTrace};
 use photon_geom::Scene;
-use photon_hist::{BinPoint, BinTree, SplitConfig};
-use photon_math::Rgb;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// How a step moves tallies from the trace into the shared forest.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PipelineMode {
-    /// Trace → partition → apply with the leaf-descent cache (the
-    /// production mode): lock-free tracing into record buffers, counting-
-    /// sort by patch, one write-lock per patch run. Bit-identical to the
-    /// serial simulator at any thread count.
-    Batched,
-    /// The batched pipeline with the [`photon_hist::LeafCursor`] fast path
-    /// disabled (every record re-descends from the root). Same answers as
-    /// [`PipelineMode::Batched`]; exists for the `ablation_pipeline` bench.
-    BatchedNoCache,
-    /// Tally through the per-tree write locks while tracing (the paper's
-    /// original Fig 5.2 loop). Bin boundaries depend on tally interleaving,
-    /// so answers are *not* reproducible across thread counts — kept as the
-    /// test oracle for photon-set invariants and as the ablation baseline.
-    InlineTally,
-}
+use photon_hist::{BinTree, SplitConfig};
 
 /// Configuration of a shared-memory run.
 #[derive(Clone, Copy, Debug)]
@@ -73,21 +47,11 @@ pub struct ParConfig {
     pub seed: u64,
     /// Bin splitting policy.
     pub split: SplitConfig,
-    /// Worker thread count (the paper's "processors").
+    /// Worker thread count (the paper's "processors"). The engine spawns
+    /// exactly this many; the answer does not depend on it.
     pub threads: usize,
     /// Photons per batch (across all threads).
     pub batch_size: u64,
-    /// How tallies reach the forest.
-    pub pipeline: PipelineMode,
-    /// Spawn exactly [`threads`](Self::threads) workers even beyond the
-    /// host's available parallelism. Off by default: oversubscribing cores
-    /// is pure scheduling overhead for this compute-bound pipeline, so the
-    /// engine clamps its worker count to the host — which the batched
-    /// pipeline makes safe, because its answer is bit-identical at *any*
-    /// worker count. The thread-scaling experiments (`fig5_6_shared`,
-    /// `ablation_locks`, the equivalence suite) turn this on to measure
-    /// real contention.
-    pub oversubscribe: bool,
 }
 
 impl Default for ParConfig {
@@ -97,23 +61,6 @@ impl Default for ParConfig {
             split: SplitConfig::default(),
             threads: 2,
             batch_size: 2000,
-            pipeline: PipelineMode::Batched,
-            oversubscribe: false,
-        }
-    }
-}
-
-impl ParConfig {
-    /// Workers the engine actually spawns: `threads`, clamped to the
-    /// host's available parallelism unless
-    /// [`oversubscribe`](Self::oversubscribe) is set. Never zero.
-    pub fn worker_count(&self) -> usize {
-        let requested = self.threads.max(1);
-        if self.oversubscribe {
-            requested
-        } else {
-            let host = std::thread::available_parallelism().map_or(requested, |n| n.get());
-            requested.min(host)
         }
     }
 }
@@ -121,7 +68,6 @@ impl ParConfig {
 /// The shared bin forest: one reader/writer lock per patch tree.
 pub struct SharedForest {
     trees: Vec<RwLock<BinTree>>,
-    tallies: AtomicU64,
 }
 
 impl SharedForest {
@@ -131,58 +77,21 @@ impl SharedForest {
             trees: (0..patch_count)
                 .map(|_| RwLock::new(BinTree::new(split)))
                 .collect(),
-            tallies: AtomicU64::new(0),
         }
-    }
-
-    /// Records one interaction (thread-safe): one write-lock acquisition
-    /// per tally. The batched pipeline amortizes this via
-    /// [`SharedForest::tally_run`]; this per-tally path serves
-    /// [`PipelineMode::InlineTally`].
-    #[inline]
-    pub fn tally(&self, patch_id: u32, point: &BinPoint, energy: Rgb) {
-        self.tallies.fetch_add(1, Ordering::Relaxed);
-        self.trees[patch_id as usize].write().tally(point, energy);
-    }
-
-    /// Write-locks every tree for the fused single-worker batch: with one
-    /// writer, per-tally locking is pure overhead, so the worker holds the
-    /// whole forest for the batch and concurrent readers (snapshots) wait
-    /// out at most one batch. Guards are returned in patch order.
-    pub(crate) fn write_all(&self) -> Vec<parking_lot::RwLockWriteGuard<'_, BinTree>> {
-        self.trees.iter().map(|t| t.write()).collect()
-    }
-
-    /// Folds a batch-local tally count into the shared total (the fused
-    /// path counts locally instead of one atomic add per tally).
-    pub(crate) fn add_tallies(&self, n: u64) {
-        self.tallies.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Applies one patch's run of records under a single write-lock
-    /// acquisition, in record order. With `leaf_cache` the tree reuses the
-    /// previous record's leaf descent when the next record lands in the
-    /// same leaf ([`photon_hist::LeafCursor`]); either way the result is
-    /// bit-identical to tallying the records one at a time in order.
-    pub fn tally_run(&self, patch_id: u32, records: &[TallyRecord], leaf_cache: bool) {
+    /// acquisition, in record order, reusing the previous record's leaf
+    /// descent when the next lands in the same leaf
+    /// ([`photon_hist::LeafCursor`]) — bit-identical to tallying the records
+    /// one at a time in order.
+    pub fn tally_run(&self, patch_id: u32, records: &[TallyRecord]) {
         if records.is_empty() {
             return;
         }
-        self.tallies
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-        let mut tree = self.trees[patch_id as usize].write();
-        if leaf_cache {
-            tree.tally_run(records.iter().map(|r| (&r.point, r.energy)));
-        } else {
-            for r in records {
-                tree.tally(&r.point, r.energy);
-            }
-        }
-    }
-
-    /// Total tallies recorded (exact).
-    pub fn total_tallies(&self) -> u64 {
-        self.tallies.load(Ordering::Relaxed)
+        self.trees[patch_id as usize]
+            .write()
+            .tally_run(records.iter().map(|r| (&r.point, r.energy)));
     }
 
     /// Number of patches (trees).
@@ -191,19 +100,16 @@ impl SharedForest {
     }
 
     /// Replaces every tree with `forest`'s — the restore path of an engine
-    /// checkpoint. The tally counter resets to the incoming trees' total.
+    /// checkpoint.
     ///
     /// # Panics
     /// Panics if the patch counts differ (callers validate via
     /// [`photon_core::EngineCheckpoint::compatible_with`] first).
     pub fn replace(&self, forest: photon_core::BinForest) {
         assert_eq!(forest.len(), self.trees.len(), "patch count mismatch");
-        let mut total = 0u64;
         for (slot, tree) in self.trees.iter().zip(forest.into_trees()) {
-            total += tree.tallies();
             *slot.write() = tree;
         }
-        self.tallies.store(total, Ordering::Relaxed);
     }
 
     /// Total leaf bins across trees.
@@ -212,6 +118,13 @@ impl SharedForest {
             .iter()
             .map(|t| t.read().leaf_count() as u64)
             .sum()
+    }
+
+    /// Arena nodes across the forest, derived from the leaf count: the
+    /// packed arenas carry no orphan slots, so every tree holds exactly
+    /// `2·leaves − 1` nodes.
+    pub(crate) fn total_nodes(&self) -> u64 {
+        2 * self.total_leaf_bins() - self.trees.len() as u64
     }
 
     /// Per-arena footprint gauges summed over the trees, each under a brief
@@ -228,8 +141,8 @@ impl SharedForest {
     /// order (see [`BinTree::compact`]). Layout-only: exports, lookups, and
     /// future splits are unchanged, so any snapshot or checkpoint taken
     /// around the compaction is byte-identical. Callers must only compact
-    /// at batch boundaries — workers re-derive their leaf cursors each
-    /// batch, and a compaction invalidates outstanding cursors.
+    /// at batch boundaries — a compaction invalidates the leaf cursor of a
+    /// run being applied.
     pub fn compact_all(&self) {
         for t in &self.trees {
             t.write().compact();
@@ -245,18 +158,6 @@ impl SharedForest {
     /// Collapses into a serial forest.
     pub fn into_forest(self) -> photon_core::BinForest {
         photon_core::BinForest::from_trees(self.trees.into_iter().map(|t| t.into_inner()).collect())
-    }
-}
-
-/// Per-thread sink borrowing the shared forest (the inline-tally oracle).
-pub(crate) struct SharedSink<'a> {
-    pub(crate) forest: &'a SharedForest,
-}
-
-impl TallySink for SharedSink<'_> {
-    #[inline]
-    fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb) {
-        self.forest.tally(patch_id, point, energy);
     }
 }
 
@@ -300,16 +201,12 @@ mod tests {
     use super::*;
     use photon_scenes::cornell_box;
 
-    fn small_run(threads: usize, pipeline: PipelineMode) -> ParRunResult {
+    fn small_run(threads: usize) -> ParRunResult {
         let scene = cornell_box();
         let config = ParConfig {
             seed: 99,
             threads,
             batch_size: 2000,
-            pipeline,
-            // Real worker counts even on small CI hosts — these tests
-            // exercise the multi-worker pipeline, not its speed.
-            oversubscribe: true,
             ..Default::default()
         };
         run(&scene, &config, 10_000)
@@ -318,7 +215,7 @@ mod tests {
     #[test]
     fn photons_are_conserved_across_threads() {
         for threads in [1, 2, 4] {
-            let r = small_run(threads, PipelineMode::Batched);
+            let r = small_run(threads);
             assert_eq!(r.stats.emitted, 10_000, "threads={threads}");
             assert!(r.stats.is_conserved(), "threads={threads}: {:?}", r.stats);
         }
@@ -345,55 +242,14 @@ mod tests {
     fn parallel_run_matches_serial_exactly() {
         // Block-split photon streams: 1 thread and 4 threads trace the
         // *same* photons, so every counter agrees exactly.
-        let serial = small_run(1, PipelineMode::Batched);
-        let par = small_run(4, PipelineMode::Batched);
+        let serial = small_run(1);
+        let par = small_run(4);
         assert_eq!(serial.stats, par.stats);
     }
 
     #[test]
-    fn pipeline_modes_agree_on_totals() {
-        let batched = small_run(4, PipelineMode::Batched);
-        let nocache = small_run(4, PipelineMode::BatchedNoCache);
-        let inline = small_run(4, PipelineMode::InlineTally);
-        assert_eq!(batched.stats, inline.stats);
-        assert_eq!(batched.stats, nocache.stats);
-        // The leaf cache is a pure traversal shortcut: the two batched
-        // modes build byte-identical answers.
-        let bytes = |r: &ParRunResult| {
-            let mut buf = Vec::new();
-            r.answer.write_to(&mut buf).expect("encode");
-            buf
-        };
-        assert_eq!(bytes(&batched), bytes(&nocache));
-    }
-
-    #[test]
-    fn worker_clamping_is_invisible_in_the_answer() {
-        // The default config clamps workers to the host; determinism makes
-        // that safe — the clamped and fully-oversubscribed runs agree to
-        // the byte.
-        let scene = cornell_box();
-        let with = |oversubscribe| {
-            let config = ParConfig {
-                seed: 99,
-                threads: 4,
-                batch_size: 2000,
-                oversubscribe,
-                ..Default::default()
-            };
-            assert!(config.worker_count() >= 1);
-            assert!(config.worker_count() <= 4);
-            let r = run(&scene, &config, 10_000);
-            let mut buf = Vec::new();
-            r.answer.write_to(&mut buf).expect("encode");
-            (r.stats, buf)
-        };
-        assert_eq!(with(false), with(true));
-    }
-
-    #[test]
     fn speed_trace_has_one_sample_per_batch() {
-        let r = small_run(2, PipelineMode::Batched);
+        let r = small_run(2);
         assert_eq!(r.speed.samples().len(), 5);
         assert_eq!(r.speed.total_photons(), 10_000);
         assert!(r.speed.total_elapsed() > 0.0);
@@ -401,7 +257,7 @@ mod tests {
 
     #[test]
     fn forest_refines_in_parallel() {
-        let r = small_run(4, PipelineMode::Batched);
+        let r = small_run(4);
         assert!(r.leaf_bins > 30, "leaf bins {}", r.leaf_bins);
     }
 }

@@ -40,9 +40,6 @@ fn every_batch_size_and_thread_count_matches_serial_byte_for_byte() {
                     seed: SEED,
                     threads,
                     batch_size: batch,
-                    // Spawn all 8 workers even on a small CI host: the
-                    // point is the multi-worker partition, not speed.
-                    oversubscribe: true,
                     ..Default::default()
                 },
             );

@@ -65,9 +65,6 @@ fn steady_state_step_reuses_all_scratch() {
             seed: 7,
             threads: 2,
             batch_size: batch,
-            // Both workers must really exist: the bound covers their
-            // per-round channel messages too.
-            oversubscribe: true,
             // Shallow trees so splitting (which legitimately allocates
             // nodes) finishes during warm-up and the measured window
             // isolates the pipeline's own behavior.
@@ -75,7 +72,6 @@ fn steady_state_step_reuses_all_scratch() {
                 max_depth: 3,
                 ..Default::default()
             },
-            ..Default::default()
         },
     );
     let delta = measured_steps(engine, batch);
@@ -86,9 +82,9 @@ fn steady_state_step_reuses_all_scratch() {
 }
 
 #[test]
-fn fused_single_worker_step_reuses_all_scratch() {
-    // threads: 1 takes the fused trace+apply path (no partition); its only
-    // steady-state allocation is the per-batch vector of tree write guards.
+fn single_worker_step_reuses_all_scratch() {
+    // threads: 1 runs the same trace→partition→apply phases as any other
+    // count, over one record buffer: same budget.
     let batch = 4096u64;
     let engine = ParEngine::new(
         TestScene::CornellBox.build(),
@@ -100,12 +96,11 @@ fn fused_single_worker_step_reuses_all_scratch() {
                 max_depth: 3,
                 ..Default::default()
             },
-            ..Default::default()
         },
     );
     let delta = measured_steps(engine, batch);
     assert!(
         delta < BUDGET_BYTES,
-        "two fused steady-state steps allocated {delta} bytes (budget {BUDGET_BYTES})"
+        "two one-worker steady-state steps allocated {delta} bytes (budget {BUDGET_BYTES})"
     );
 }

@@ -47,7 +47,7 @@
 //! | [`BackendChoice`] | engine | notes |
 //! |-------------------|--------|-------|
 //! | `Serial` | `photon_core::Simulator` | the reference |
-//! | `Threaded` | `photon_par::ParEngine` | deterministic tally replay: bit-identical to `Serial` |
+//! | `Threaded` | `photon_par::ParEngine` | same photon loop, tallies partitioned back into serial order: bit-identical to `Serial` |
 //! | `Distributed` | `photon_dist::DistEngine` | virtual-time ranks; progress reports model seconds |
 
 use crate::metrics::{SolveJobMetrics, SolverMetricsSnapshot, SolverStatsSource, TenantMetrics};
@@ -71,10 +71,11 @@ pub const DEFAULT_TENANT: &str = "default";
 pub enum BackendChoice {
     /// The serial reference simulator.
     Serial,
-    /// Shared-memory threads with deterministic tally replay — the answer
-    /// is bit-identical to `Serial` for the same seed and photon count.
+    /// Shared-memory threads — the answer is bit-identical to `Serial` for
+    /// the same seed and photon count, at any thread count.
     Threaded {
-        /// Worker thread count.
+        /// Worker thread count asked for; the pool spawns at least one
+        /// worker and at most one per host core.
         threads: usize,
     },
     /// The message-passing world on virtual time (naive ownership, fixed
@@ -996,6 +997,15 @@ impl Drop for SolverPool {
     }
 }
 
+/// Workers a `Threaded` job gets when its request asks for `requested` on a
+/// host of `host` cores: at least one, at most one per core. The request
+/// comes from outside the program, threads beyond the cores are pure
+/// scheduling overhead for this compute-bound pipeline, and the answer is
+/// bit-identical at any worker count, so clamping is invisible in it.
+fn clamp_workers(requested: usize, host: usize) -> usize {
+    requested.clamp(1, host.max(1))
+}
+
 /// Builds the backend engine for one job, restoring the request's starting
 /// checkpoint when one is attached. A resumed engine adopts the
 /// checkpoint's split policy so the restored trees keep refining exactly
@@ -1014,17 +1024,18 @@ fn build_engine(request: &SolveRequest, obs: &ObsHub, id: SolveJobId) -> Box<dyn
                 split,
             },
         )),
-        BackendChoice::Threaded { threads } => Box::new(ParEngine::new(
-            request.scene.clone(),
-            // The default batched pipeline is deterministic: bit-identical
-            // to serial at any thread count.
-            ParConfig {
-                seed: request.seed,
-                threads: threads.max(1),
-                split,
-                ..Default::default()
-            },
-        )),
+        BackendChoice::Threaded { threads } => {
+            let host = std::thread::available_parallelism().map_or(threads, |n| n.get());
+            Box::new(ParEngine::new(
+                request.scene.clone(),
+                ParConfig {
+                    seed: request.seed,
+                    threads: clamp_workers(threads, host),
+                    split,
+                    ..Default::default()
+                },
+            ))
+        }
         BackendChoice::Distributed { nranks } => {
             let nranks = nranks.max(1);
             Box::new(DistEngine::new(
@@ -1502,6 +1513,21 @@ fn retire(
 mod tests {
     use super::*;
     use photon_scenes::cornell_box;
+
+    #[test]
+    fn worker_clamp_stays_between_one_and_the_host() {
+        assert_eq!(clamp_workers(0, 8), 1);
+        assert_eq!(clamp_workers(0, 0), 1);
+        for host in 1..=8 {
+            for requested in 0..=16 {
+                let workers = clamp_workers(requested, host);
+                assert!((1..=host).contains(&workers), "{requested} on {host}");
+                if (1..=host).contains(&requested) {
+                    assert_eq!(workers, requested);
+                }
+            }
+        }
+    }
 
     fn quick_request(backend: BackendChoice) -> SolveRequest {
         let mut r = SolveRequest::new("cornell", cornell_box());

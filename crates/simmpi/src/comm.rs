@@ -1,8 +1,8 @@
 //! The rank runtime: threads, channel mesh, collectives, virtual clocks.
 
 use crate::platform::Platform;
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -236,7 +236,7 @@ where
     let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(nranks);
     let mut inboxes: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(nranks);
     for _ in 0..nranks {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         inboxes.push(Some(rx));
     }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: exact and statistical equivalence between the
 //! serial simulator and its parallelizations.
 
-use photon_gi::core::{SimConfig, Simulator};
+use photon_gi::core::{Answer, SimConfig, Simulator};
 use photon_gi::dist::{run_distributed, BalanceMode, BatchMode, DistConfig, StopRule};
 use photon_gi::mpi::Platform;
 use photon_gi::scenes::TestScene;
@@ -10,7 +10,7 @@ use photon_gi::scenes::TestScene;
 fn one_rank_distributed_is_bit_identical_to_serial() {
     // nranks = 1 with naive balance must trace the exact same photon stream
     // as the serial simulator (leapfrog of 1 = identity) — identical
-    // forests, bins, everything.
+    // counters and answer bytes.
     let scene = TestScene::HarpsichordRoom.build();
     let config = DistConfig {
         seed: 31337,
@@ -32,26 +32,13 @@ fn one_rank_distributed_is_bit_identical_to_serial() {
     );
     serial.run_photons(6000);
 
-    assert_eq!(dist.stats.emitted, serial.stats().emitted);
-    assert_eq!(dist.stats.reflections, serial.stats().reflections);
-    assert_eq!(dist.stats.absorbed, serial.stats().absorbed);
-    assert_eq!(dist.stats.escaped, serial.stats().escaped);
-    assert_eq!(
-        dist.answer.total_leaf_bins(),
-        serial.forest().total_leaf_bins()
-    );
-    for pid in 0..scene.polygon_count() as u32 {
-        assert_eq!(
-            dist.answer.tree(pid).tallies(),
-            serial.forest().tree(pid).tallies(),
-            "patch {pid}"
-        );
-        assert_eq!(
-            dist.answer.tree(pid).leaf_count(),
-            serial.forest().tree(pid).leaf_count(),
-            "patch {pid}"
-        );
-    }
+    assert_eq!(dist.stats, *serial.stats());
+    let bytes = |a: &Answer| {
+        let mut buf = Vec::new();
+        a.write_to(&mut buf).expect("encode answer");
+        buf
+    };
+    assert_eq!(bytes(&dist.answer), bytes(&serial.answer_snapshot()));
 }
 
 #[test]
