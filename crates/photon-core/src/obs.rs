@@ -341,7 +341,12 @@ pub enum ObsKind {
     SliceParked,
     /// One `engine.step` finished. Payload: photons emitted this batch.
     BatchStepped,
-    /// A job retired (converged or canceled). Payload: final photon count.
+    /// A leased slice panicked (an engine's `step`, most likely); the job
+    /// fails and the worker survives. Payload: photons of the slice's
+    /// budget reservation, refunded.
+    SlicePanic,
+    /// A job retired (converged, canceled or failed). Payload: final
+    /// photon count.
     JobDone,
     /// The store published a fresher answer. Payload: new epoch.
     EpochPublished,
@@ -369,11 +374,12 @@ pub enum ObsKind {
 }
 
 /// Every event kind, in lifecycle order.
-pub const OBS_KINDS: [ObsKind; 15] = [
+pub const OBS_KINDS: [ObsKind; 16] = [
     ObsKind::JobSubmitted,
     ObsKind::SliceGranted,
     ObsKind::SliceParked,
     ObsKind::BatchStepped,
+    ObsKind::SlicePanic,
     ObsKind::JobDone,
     ObsKind::EpochPublished,
     ObsKind::CachePurged,
@@ -395,6 +401,7 @@ impl ObsKind {
             ObsKind::SliceGranted => "slice-granted",
             ObsKind::SliceParked => "slice-parked",
             ObsKind::BatchStepped => "batch-stepped",
+            ObsKind::SlicePanic => "slice-panic",
             ObsKind::JobDone => "job-done",
             ObsKind::EpochPublished => "epoch-published",
             ObsKind::CachePurged => "cache-purged",
@@ -416,6 +423,7 @@ impl ObsKind {
             | ObsKind::SliceGranted
             | ObsKind::SliceParked
             | ObsKind::BatchStepped
+            | ObsKind::SlicePanic
             | ObsKind::JobDone => ObsTier::Solve,
             ObsKind::EpochPublished => ObsTier::Store,
             ObsKind::CachePurged | ObsKind::RequestServed | ObsKind::DispatchPanic => {

@@ -75,6 +75,7 @@
 
 pub mod cache;
 pub mod metrics;
+mod net;
 pub mod netstream;
 pub mod obs;
 pub mod render;

@@ -106,7 +106,8 @@ pub struct SolveJobMetrics {
     /// Weighted-round-robin weight (slices granted per scheduling round).
     pub priority: u32,
     /// Scheduler state: `"queued"`, `"running"`, `"paused"`,
-    /// `"quota-blocked"`, `"canceled"`, or `"done"`.
+    /// `"quota-blocked"`, `"canceled"`, `"failed"` (its engine panicked),
+    /// or `"done"`.
     pub state: &'static str,
     /// Photons emitted so far (including photons inherited from a resume
     /// checkpoint).
@@ -160,7 +161,7 @@ pub struct SolverMetricsSnapshot {
     pub paused: u64,
     /// Jobs parked on an exhausted tenant photon budget.
     pub quota_blocked: u64,
-    /// Jobs finished (converged or canceled).
+    /// Jobs finished (converged, canceled or failed).
     pub done: u64,
     /// Engine checkpoints the pool has taken (on pause, cancel, shutdown,
     /// or on demand via `SolveHandle::checkpoint`).

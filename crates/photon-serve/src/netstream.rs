@@ -25,16 +25,16 @@
 //! for the stalled client stays bounded while other connections stream
 //! on unaffected.
 
+use crate::net::{Listener, REQUEST_TIMEOUT};
 use crate::service::{RenderService, ServeError};
 use crate::store::SceneId;
 use crate::stream::{FrameDelta, StreamRequest};
 use photon_core::wire::{self, SubscribeFrame, WireFrame, WireMode};
 use photon_core::Camera;
 use std::io::{self, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How long a connection writer waits on its subscription channel before
@@ -42,102 +42,44 @@ use std::time::Duration;
 /// delivery latency (deltas are handed over the moment they arrive).
 const STOP_POLL: Duration = Duration::from_millis(100);
 
-/// A connection's writer thread paired with a raw-fd clone of its
-/// socket, kept so [`StreamServer`]'s `Drop` can `shutdown()` the socket
-/// out from under a writer blocked on a stalled client before joining.
-type ConnRegistry = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
-
 /// A TCP fan-out endpoint for [`FrameDelta`] subscriptions.
 ///
 /// Binds loopback on an OS-assigned port (read it back from
 /// [`local_addr`](Self::local_addr)); each accepted connection reads one
-/// subscribe frame and then receives that subscription's delta stream
-/// until either side disconnects. Dropping the server shuts every
-/// connection down — including writers mid-`write_all` to stalled
-/// clients — and joins all threads.
+/// subscribe frame — within five seconds, or it is closed — and then
+/// receives that subscription's delta stream until either side
+/// disconnects. Dropping the server shuts every connection down —
+/// including writers mid-`write_all` to stalled clients — and joins all
+/// threads.
 pub struct StreamServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    conns: ConnRegistry,
+    listener: Listener,
 }
 
 impl StreamServer {
     /// Binds `127.0.0.1:0` and starts accepting subscribers for
     /// `service`'s store.
     pub fn serve(service: Arc<RenderService>) -> io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: ConnRegistry = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            std::thread::Builder::new()
-                .name("photon-stream-accept".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let Ok(sock) = conn else { continue };
-                        // The raw-fd clone lets Drop shutdown() the socket
-                        // out from under a writer blocked on a stalled
-                        // client; without it, joining could hang forever.
-                        let Ok(peer) = sock.try_clone() else { continue };
-                        let service = Arc::clone(&service);
-                        let conn_stop = Arc::clone(&stop);
-                        let spawned = std::thread::Builder::new()
-                            .name("photon-stream-conn".into())
-                            .spawn(move || {
-                                let _ = serve_connection(sock, &service, &conn_stop);
-                            });
-                        if let Ok(handle) = spawned {
-                            conns.lock().unwrap().push((handle, peer));
-                        }
-                    }
-                })?
-        };
-        Ok(StreamServer {
-            addr,
-            stop,
-            accept: Some(accept),
-            conns,
-        })
+        let listener = Listener::spawn("photon-stream", REQUEST_TIMEOUT, move |sock, stop| {
+            let _ = serve_connection(sock, &service, stop);
+        })?;
+        Ok(StreamServer { listener })
     }
 
     /// The bound address clients connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for StreamServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let conns = std::mem::take(&mut *self.conns.lock().unwrap());
-        for (thread, sock) in conns {
-            let _ = sock.shutdown(Shutdown::Both);
-            let _ = thread.join();
-        }
+        self.listener.local_addr()
     }
 }
 
 /// Serves one connection: subscribe handshake, then the delta pump.
 fn serve_connection(
-    sock: TcpStream,
+    mut sock: &TcpStream,
     service: &Arc<RenderService>,
     stop: &AtomicBool,
 ) -> io::Result<()> {
     sock.set_nodelay(true)?;
-    let mut reader = sock.try_clone()?;
     let mut writer = BufWriter::new(sock);
-    let frame = wire::read_frame(&mut reader)?;
+    let frame = wire::read_frame(&mut sock)?;
     let WireFrame::Subscribe(sub) = wire::decode_frame(&frame)? else {
         let refusal = wire::encode_error("expected a subscribe frame");
         wire::write_frame(&mut writer, &refusal)?;

@@ -16,16 +16,14 @@
 //! dispatcher or the scheduler.
 
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
+use crate::net::{Listener, REQUEST_TIMEOUT};
 use crate::RenderService;
 use photon_core::obs::{json_escape, HistogramSnapshot, ObsEvent};
 use photon_core::ObsHub;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// How many flight-recorder events the JSON dump carries.
 pub const JSON_EVENT_TAIL: usize = 256;
@@ -497,65 +495,34 @@ fn event_json(e: &ObsEvent) -> String {
 
 /// A minimal blocking HTTP endpoint serving an [`ObsExporter`]:
 /// `GET /metrics` answers the Prometheus text exposition,
-/// `GET /metrics.json` the JSON dump, anything else 404. One
-/// connection at a time — it is a probe, not a web server. Dropping the
-/// server stops the listener thread.
+/// `GET /metrics.json` the JSON dump, anything else 404. It is a probe,
+/// not a web server: one request per connection, and a connection that
+/// sends nothing for five seconds is closed. Dropping the server stops the
+/// listener and joins its threads.
 pub struct ObsServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
+    listener: Listener,
 }
 
 impl ObsServer {
     /// Binds `127.0.0.1:0` (an OS-assigned port — read it back from
     /// [`local_addr`](Self::local_addr)) and starts answering scrapes.
     pub fn serve(exporter: ObsExporter) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("photon-obs-server".into())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        let _ = answer_scrape(stream, &exporter);
-                    }
-                })?
-        };
-        Ok(ObsServer {
-            addr,
-            stop,
-            thread: Some(thread),
-        })
+        let listener = Listener::spawn("photon-obs", REQUEST_TIMEOUT, move |sock, _| {
+            let _ = answer_scrape(sock, &exporter);
+        })?;
+        Ok(ObsServer { listener })
     }
 
     /// The bound address, e.g. to format a scrape URL:
     /// `http://{local_addr}/metrics`.
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for ObsServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the accept loop with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
+        self.listener.local_addr()
     }
 }
 
 /// Answers one scrape connection.
-fn answer_scrape(stream: TcpStream, exporter: &ObsExporter) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(5)))?;
+fn answer_scrape(mut stream: &TcpStream, exporter: &ObsExporter) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(REQUEST_TIMEOUT))?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -576,7 +543,6 @@ fn answer_scrape(stream: TcpStream, exporter: &ObsExporter) -> std::io::Result<(
         "/metrics.json" => ("200 OK", "application/json", exporter.json()),
         _ => ("404 Not Found", "text/plain", "not found\n".to_string()),
     };
-    let mut stream = reader.into_inner();
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",

@@ -370,11 +370,17 @@ fn live_pool_exporter_serves_text_and_json() {
     service.attach_solver(pool.stats_source());
     let camera = distant_cornell_camera();
 
+    // The job waits on an empty budget until the bootstrap delta is in:
+    // left to its own clock, a 2000-photon batch can publish epoch 1
+    // before the subscription registers, and then the bootstrap is the
+    // only delta there will ever be.
+    pool.set_tenant_budget("export", 0);
     let mut request = SolveRequest::new("cornell-export", cornell_box());
     request.backend = BackendChoice::Serial;
     request.seed = 91;
     request.batch_size = 2_000;
     request.target_photons = 2_000;
+    request.tenant = "export".into();
     let job = pool.submit(request);
     let stream = service
         .subscribe(StreamRequest {
@@ -385,6 +391,7 @@ fn live_pool_exporter_serves_text_and_json() {
     stream
         .recv_timeout(Duration::from_secs(60))
         .expect("bootstrap delta");
+    pool.add_tenant_budget("export", 2_000);
     job.wait_done(Duration::from_secs(120)).expect("solved");
     stream
         .recv_timeout(Duration::from_secs(60))

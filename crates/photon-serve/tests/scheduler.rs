@@ -5,7 +5,7 @@
 use photon_core::{Camera, SimConfig, Simulator};
 use photon_scenes::{cornell_box, TestScene};
 use photon_serve::{
-    AnswerStore, RenderRequest, RenderService, ServeConfig, SolveRequest, SolverPool,
+    AnswerStore, BackendChoice, RenderRequest, RenderService, ServeConfig, SolveRequest, SolverPool,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -194,6 +194,35 @@ fn cancel_publishes_final_snapshot_and_frees_the_slot() {
     let next = pool.submit(next);
     let done = next.wait_done(Duration::from_secs(60)).expect("ran");
     assert_eq!(done.emitted, 3_000);
+}
+
+/// Regression (canceled dist job mislabels its clock): a stepped report of
+/// the distributed backend is on the model clock, but a cancel's terminal
+/// report carries the pool's wall seconds — before the fix it still
+/// claimed `virtual_time`, passing wall seconds off as model seconds.
+#[test]
+fn canceled_distributed_job_reports_wall_seconds() {
+    let store = Arc::new(AnswerStore::new());
+    let pool = SolverPool::start(Arc::clone(&store), 1);
+    let mut req = SolveRequest::new("dist-doomed", cornell_box());
+    req.backend = BackendChoice::Distributed { nranks: 2 };
+    req.seed = 14;
+    req.batch_size = 1_000;
+    req.target_photons = 100_000_000; // would run ~forever
+    let job = pool.submit(req);
+    let first = job.next_progress(Duration::from_secs(60)).expect("started");
+    assert!(
+        first.virtual_time,
+        "a stepped dist report is in model seconds"
+    );
+
+    job.cancel();
+    let done = job.wait_done(Duration::from_secs(60)).expect("canceled");
+    assert!(done.done && done.canceled);
+    assert!(
+        !done.virtual_time,
+        "a cancel reports the pool's wall seconds: {done:?}"
+    );
 }
 
 /// Canceling a *paused* job still finalizes it — parked jobs are not

@@ -219,6 +219,23 @@ fn unknown_scene_is_refused_over_the_wire() {
     );
 }
 
+/// A connection that never sends its subscribe frame is closed after the
+/// listener's five-second request timeout — the same one the metrics
+/// endpoint has — instead of pinning a server thread for as long as the
+/// peer likes.
+#[test]
+fn idle_handshake_is_closed_by_the_server() {
+    use std::io::Read;
+    let store = Arc::new(AnswerStore::new());
+    let service = Arc::new(RenderService::start(store, ServeConfig::default()));
+    let server = StreamServer::serve(service).expect("bind loopback");
+    let mut idle = std::net::TcpStream::connect(server.local_addr()).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let read = idle.read(&mut [0]).expect("closed, not left open");
+    assert_eq!(read, 0, "the server sends nothing before a subscribe");
+}
+
 /// The slow-consumer acceptance, end to end over TCP: a client that stops
 /// reading backs the socket up, the per-connection writer blocks, the
 /// subscription's window fills, and the dispatcher coalesces — the squash
