@@ -175,6 +175,13 @@ fn write_header(out: &mut Vec<u8>, kind: u8) {
     out.push(kind);
 }
 
+/// Bytes of the frame body not yet consumed — the most a length field
+/// inside it can honestly claim. Checked before allocating on such a
+/// claim: the first frame of every connection is decoded pre-handshake.
+fn remaining(cur: &Cursor<&[u8]>) -> usize {
+    cur.get_ref().len() - cur.position() as usize
+}
+
 fn read_header(cur: &mut Cursor<&[u8]>) -> io::Result<u8> {
     let mut magic = [0u8; 8];
     cur.read_exact(&mut magic)
@@ -333,6 +340,9 @@ fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
             if raw_len != expect {
                 return Err(bad_data("quantized plane length mismatch"));
             }
+            if coded_len > remaining(cur) {
+                return Err(bad_data("coded planes longer than their frame"));
+            }
             let mut coded = vec![0u8; coded_len];
             cur.read_exact(&mut coded)?;
             let planes = entropy_decode(&coded, raw_len)?;
@@ -398,6 +408,13 @@ fn decode_subscribe_body(cur: &mut Cursor<&[u8]>) -> io::Result<SubscribeFrame> 
     if width == 0 || height == 0 {
         return Err(bad_data("zero-sized camera"));
     }
+    // The bootstrap delta of a lit view carries every pixel; a frame that
+    // could never be written is refused here, before a peer's eight bytes
+    // make the server's one dispatcher build the tile list and render it.
+    let max_pixels = MAX_FRAME_BYTES as u64 / std::mem::size_of::<Rgb>() as u64;
+    if width as u64 * height as u64 > max_pixels {
+        return Err(bad_data("camera frame over MAX_FRAME_BYTES"));
+    }
     Ok(SubscribeFrame {
         scene,
         mode,
@@ -423,7 +440,10 @@ pub fn encode_error(msg: &str) -> Vec<u8> {
 
 fn decode_error_body(cur: &mut Cursor<&[u8]>) -> io::Result<String> {
     let len = read_u32(cur)? as usize;
-    let mut bytes = vec![0u8; len.min(MAX_FRAME_BYTES as usize)];
+    if len > remaining(cur) {
+        return Err(bad_data("error message longer than its frame"));
+    }
+    let mut bytes = vec![0u8; len];
     cur.read_exact(&mut bytes)?;
     String::from_utf8(bytes).map_err(|_| bad_data("error message is not UTF-8"))
 }
@@ -809,6 +829,53 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
         assert!(read_frame(&mut Cursor::new(huge.as_slice())).is_err());
+    }
+
+    #[test]
+    fn a_lying_inner_length_is_refused_before_allocating() {
+        // An 18-byte ERROR frame claiming a 256 MiB message: refused as
+        // bad data on the claim, not `UnexpectedEof` after allocating it.
+        let mut lie = Vec::new();
+        write_header(&mut lie, KIND_ERROR);
+        lie.extend_from_slice(&MAX_FRAME_BYTES.to_le_bytes());
+        lie.extend_from_slice(b"oops");
+        assert_eq!(lie.len(), 18);
+        let err = decode_frame(&lie).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Same for the coded-plane length of an (empty) quantized delta.
+        let mut lie = encode_delta(1, 8, 8, &[], WireMode::Quantized);
+        let at = lie.len() - 8; // the length field, then four coded bytes
+        lie[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode_frame(&lie).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_camera_no_frame_could_carry_is_refused_at_decode() {
+        let mut req = SubscribeFrame {
+            scene: 0,
+            mode: WireMode::Lossless,
+            camera: Camera {
+                eye: Vec3::new(0.0, 0.0, -1.0),
+                target: Vec3::ZERO,
+                up: Vec3::Y,
+                vfov_deg: 40.0,
+                width: 4096,
+                height: MAX_FRAME_BYTES as usize / std::mem::size_of::<Rgb>() / 4096,
+            },
+        };
+        assert!(
+            decode_frame(&encode_subscribe(&req)).is_ok(),
+            "at the bound"
+        );
+        req.camera.height += 1;
+        assert!(
+            decode_frame(&encode_subscribe(&req)).is_err(),
+            "one row over"
+        );
+        // The product of the two largest `u32`s overflows nothing.
+        (req.camera.width, req.camera.height) = (u32::MAX as usize, u32::MAX as usize);
+        assert!(decode_frame(&encode_subscribe(&req)).is_err());
     }
 
     #[test]

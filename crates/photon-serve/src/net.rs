@@ -15,6 +15,12 @@ use std::time::Duration;
 /// it an idle connect pins a thread for as long as the peer likes.
 pub(crate) const REQUEST_TIMEOUT: Duration = Duration::from_secs(5);
 
+/// Most live connections either server holds. Each one is a thread (and,
+/// on the stream server, a subscription with a retained frame), so a peer
+/// that only connects must not be able to grow them without limit; one
+/// over the cap is closed at accept.
+pub(crate) const MAX_CONNECTIONS: usize = 256;
+
 /// A connection's thread paired with a clone of its socket, kept so
 /// `Drop` can `shutdown()` the socket out from under a handler blocked on
 /// a stalled peer before joining it.
@@ -32,14 +38,17 @@ pub(crate) struct Listener {
 }
 
 impl Listener {
-    /// Binds and starts accepting. Each connection gets `read_timeout` on
-    /// its socket (writes are left blocking: the delta pump's slow-consumer
-    /// coalescing depends on them) and runs `serve(socket, stop)` on a
-    /// thread named after `name`; a handler that loops should leave when
-    /// `stop` is set. The connection closes when the handler returns.
+    /// Binds and starts accepting, at most `max_connections` at a time (a
+    /// connection beyond that is closed unserved). Each connection gets
+    /// `read_timeout` on its socket (writes are left blocking: the delta
+    /// pump's slow-consumer coalescing depends on them) and runs
+    /// `serve(socket, stop)` on a thread named after `name`; a handler that
+    /// loops should leave when `stop` is set. The connection closes when
+    /// the handler returns.
     pub(crate) fn spawn(
         name: &str,
         read_timeout: Duration,
+        max_connections: usize,
         serve: impl Fn(&TcpStream, &AtomicBool) + Send + Sync + 'static,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -57,6 +66,13 @@ impl Listener {
                         return;
                     }
                     let Ok(sock) = conn else { continue };
+                    let mut registry = registry.lock().expect("connection registry");
+                    // Reap as we go, so the registry holds live connections
+                    // rather than every connection ever made.
+                    registry.retain(|(thread, _)| !thread.is_finished());
+                    if registry.len() >= max_connections {
+                        continue;
+                    }
                     let Ok(peer) = sock.try_clone() else { continue };
                     if sock.set_read_timeout(Some(read_timeout)).is_err() {
                         continue;
@@ -71,10 +87,6 @@ impl Listener {
                                 // open; end the connection itself.
                                 let _ = sock.shutdown(Shutdown::Both);
                             });
-                    let mut registry = registry.lock().expect("connection registry");
-                    // Reap as we go, so the registry holds live connections
-                    // rather than every connection ever made.
-                    registry.retain(|(thread, _)| !thread.is_finished());
                     if let Ok(thread) = spawned {
                         registry.push((thread, peer));
                     }
@@ -116,7 +128,7 @@ impl Drop for Listener {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Read;
+    use std::io::{Read, Write};
 
     /// A handler that waits for one byte, the way both servers wait for
     /// their first request.
@@ -127,7 +139,7 @@ mod tests {
     #[test]
     fn a_silent_connection_is_closed_after_the_read_timeout() {
         let listener =
-            Listener::spawn("net-test", Duration::from_millis(50), wait_for_a_byte).unwrap();
+            Listener::spawn("net-test", Duration::from_millis(50), 8, wait_for_a_byte).unwrap();
         let mut silent = TcpStream::connect(listener.local_addr()).unwrap();
         silent
             .set_read_timeout(Some(Duration::from_secs(30)))
@@ -140,7 +152,7 @@ mod tests {
     #[test]
     fn finished_connections_are_reaped_on_accept() {
         const CYCLES: usize = 16;
-        let listener = Listener::spawn("net-test", REQUEST_TIMEOUT, wait_for_a_byte).unwrap();
+        let listener = Listener::spawn("net-test", REQUEST_TIMEOUT, 8, wait_for_a_byte).unwrap();
         for _ in 0..CYCLES {
             let mut conn = TcpStream::connect(listener.local_addr()).unwrap();
             conn.shutdown(Shutdown::Write).unwrap();
@@ -149,5 +161,33 @@ mod tests {
         }
         let held = listener.connections.lock().unwrap().len();
         assert!(held < CYCLES, "{held} of {CYCLES} connections still held");
+    }
+
+    #[test]
+    fn connections_over_the_cap_are_closed_and_freed_slots_reused() {
+        // A served connection is greeted with a byte; a refused one reads
+        // end-of-stream at once.
+        let listener = Listener::spawn("net-test", REQUEST_TIMEOUT, 2, |mut sock, _| {
+            let _ = sock.write_all(&[1]);
+            let _ = sock.read(&mut [0]);
+        })
+        .unwrap();
+        let connect = || {
+            let mut conn = TcpStream::connect(listener.local_addr()).unwrap();
+            let served = conn.read(&mut [0]).unwrap() == 1;
+            (conn, served)
+        };
+        let (first, second) = (connect(), connect());
+        assert!(first.1 && second.1, "both slots serve");
+        assert!(!connect().1, "a third connection is over the cap");
+        // Hang up the first; once its handler has returned the slot is
+        // free (the thread ends a moment after its socket closes, so ask
+        // again until it has — each refusal returns immediately).
+        drop(first);
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while !connect().1 {
+            assert!(std::time::Instant::now() < deadline, "slot never freed");
+        }
+        drop(second); // held its slot throughout
     }
 }

@@ -1,9 +1,9 @@
 //! Off-box streaming: the `PHOTSTRM1` TCP transport.
 //!
-//! [`crate::stream`] delivers [`FrameDelta`]s in-process over channels;
-//! this module puts the same subscription on a socket. A
-//! [`StreamServer`] listens beside the render service, reads one
-//! subscribe frame per connection, registers the subscription through
+//! [`crate::stream`] delivers [`FrameDelta`]s in-process through a
+//! per-subscriber window; this module puts the same subscription on a
+//! socket. A [`StreamServer`] listens beside the render service, reads
+//! one subscribe frame per connection, registers the subscription through
 //! [`RenderService::subscribe`] — the exact path in-process clients use,
 //! slow-consumer coalescing included — and writes each delta back as a
 //! length-prefixed [`photon_core::wire`] frame. A [`StreamClient`]
@@ -19,13 +19,19 @@
 //!
 //! The slow-consumer story composes across the boundary: a client that
 //! stops reading backs TCP up, the per-connection writer blocks in
-//! `write_all`, the subscription's channel fills to its
-//! [`crate::ServeConfig::stream_window`], and the dispatcher folds
-//! further epochs into one pending squashed delta — server-side memory
-//! for the stalled client stays bounded while other connections stream
-//! on unaffected.
+//! `write_all` and stops taking from its [`crate::StreamHandle`], the
+//! subscription's window fills to its
+//! [`crate::ServeConfig::stream_window`], and further epochs fold into
+//! the one squashed delta behind it — server-side memory for the stalled
+//! client stays bounded while other connections stream on unaffected.
+//! When the writer unblocks it takes the fold like any other delta.
+//!
+//! What arrives before the handshake is hostile until shown otherwise: a
+//! subscribe frame must arrive within five seconds, name a camera whose
+//! frame a `PHOTSTRM1` frame could carry (checked at decode, before the
+//! dispatcher hears of it), and fit under the listener's connection cap.
 
-use crate::net::{Listener, REQUEST_TIMEOUT};
+use crate::net::{Listener, MAX_CONNECTIONS, REQUEST_TIMEOUT};
 use crate::service::{RenderService, ServeError};
 use crate::store::SceneId;
 use crate::stream::{FrameDelta, StreamRequest};
@@ -37,7 +43,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long a connection writer waits on its subscription channel before
+/// How long a connection writer waits on its subscription before
 /// re-checking the server's stop flag — bounds shutdown latency, not
 /// delivery latency (deltas are handed over the moment they arrive).
 const STOP_POLL: Duration = Duration::from_millis(100);
@@ -59,9 +65,14 @@ impl StreamServer {
     /// Binds `127.0.0.1:0` and starts accepting subscribers for
     /// `service`'s store.
     pub fn serve(service: Arc<RenderService>) -> io::Result<Self> {
-        let listener = Listener::spawn("photon-stream", REQUEST_TIMEOUT, move |sock, stop| {
-            let _ = serve_connection(sock, &service, stop);
-        })?;
+        let listener = Listener::spawn(
+            "photon-stream",
+            REQUEST_TIMEOUT,
+            MAX_CONNECTIONS,
+            move |sock, stop| {
+                let _ = serve_connection(sock, &service, stop);
+            },
+        )?;
         Ok(StreamServer { listener })
     }
 

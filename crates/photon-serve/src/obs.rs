@@ -16,7 +16,7 @@
 //! dispatcher or the scheduler.
 
 use crate::metrics::{MetricsSnapshot, ServiceMetrics};
-use crate::net::{Listener, REQUEST_TIMEOUT};
+use crate::net::{Listener, MAX_CONNECTIONS, REQUEST_TIMEOUT};
 use crate::RenderService;
 use photon_core::obs::{json_escape, HistogramSnapshot, ObsEvent};
 use photon_core::ObsHub;
@@ -507,9 +507,14 @@ impl ObsServer {
     /// Binds `127.0.0.1:0` (an OS-assigned port — read it back from
     /// [`local_addr`](Self::local_addr)) and starts answering scrapes.
     pub fn serve(exporter: ObsExporter) -> std::io::Result<Self> {
-        let listener = Listener::spawn("photon-obs", REQUEST_TIMEOUT, move |sock, _| {
-            let _ = answer_scrape(sock, &exporter);
-        })?;
+        let listener = Listener::spawn(
+            "photon-obs",
+            REQUEST_TIMEOUT,
+            MAX_CONNECTIONS,
+            move |sock, _| {
+                let _ = answer_scrape(sock, &exporter);
+            },
+        )?;
         Ok(ObsServer { listener })
     }
 

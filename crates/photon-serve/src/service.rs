@@ -17,12 +17,21 @@
 //! One dispatcher owns the cache (no lock contention on the hot map); the
 //! heavy lifting inside a render is already parallel at tile granularity,
 //! so the service saturates cores without concurrent dispatchers.
+//!
+//! Subscriptions ([`RenderService::subscribe`]) ride the same thread: a
+//! publish — or a new subscriber, which is simply one with no frame yet —
+//! marks a scene, and one function renders (through the same cache), diffs
+//! and offers the changed tiles to each due subscriber's mailbox. What a
+//! slow consumer costs is decided there, in [`crate::stream`]'s window,
+//! which the subscriber and its [`StreamHandle`] share; the dispatcher
+//! keeps no per-subscriber delivery state and never wakes on a consumer's
+//! behalf — its idle tick only sweeps subscribers whose handles are gone.
 
 use crate::cache::{LruCache, ViewKey};
 use crate::metrics::{MetricsSnapshot, RequestOutcome, ServiceMetrics, SolverStatsSource};
 use crate::render::render_parallel;
 use crate::store::{AnswerStore, SceneId, StoredAnswer, WatcherId};
-use crate::stream::{FrameDelta, StreamHandle, StreamRequest};
+use crate::stream::{FrameDelta, Mailbox, StreamHandle, StreamRequest};
 use photon_core::obs::{ObsCtx, ObsKind, Stage};
 use photon_core::view::{diff_tiles, Tile};
 use photon_core::{Camera, Image, ObsHub};
@@ -30,7 +39,6 @@ use photon_math::Rgb;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -162,25 +170,18 @@ pub struct ServeConfig {
     /// Camera quantization: lattice cells per world unit (larger = finer =
     /// fewer cache collisions).
     pub quant_grid: f64,
-    /// Slow-consumer bound: most undelivered deltas a subscriber's channel
-    /// may hold before the dispatcher stops enqueueing and starts folding
-    /// newer deltas into one pending squashed delta (see
-    /// [`FrameDelta::squash`]). Retained memory per stalled subscriber is
-    /// thereby bounded by `stream_window + 1` deltas, however many epochs
-    /// it sleeps through. Clamped to at least 1.
+    /// Slow-consumer bound: most undelivered deltas a subscriber's window
+    /// queues as rendered; behind them one more slot folds every newer
+    /// delta into a single squashed one (see [`FrameDelta::squash`]).
+    /// Retained memory per stalled subscriber is thereby bounded by
+    /// `stream_window + 1` deltas, however many epochs it sleeps through.
+    /// Clamped to at least 1.
     pub stream_window: usize,
     /// When `true`, an epoch republishing bit-identical pixels still sends
     /// an empty [`FrameDelta`] (zero tiles) announcing the epoch advance —
     /// a keepalive. Default `false`: empty republish deltas are
     /// suppressed (the bootstrap delta is always delivered regardless).
     pub stream_keepalive: bool,
-    /// Dispatcher housekeeping period in milliseconds: how long the
-    /// dispatcher sleeps on an idle queue before waking to sweep dropped
-    /// stream handles and flush pending squashed deltas to subscribers
-    /// that have drained below their window. Bounds how long an abandoned
-    /// handle on a fully idle service can pin its retained frame.
-    /// Clamped to `1..=60_000`.
-    pub housekeep_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -195,7 +196,6 @@ impl Default for ServeConfig {
             quant_grid: 256.0,
             stream_window: 8,
             stream_keepalive: false,
-            housekeep_ms: 200,
         }
     }
 }
@@ -215,7 +215,6 @@ impl ServeConfig {
             self.quant_grid = 256.0;
         }
         self.stream_window = self.stream_window.max(1);
-        self.housekeep_ms = self.housekeep_ms.clamp(1, 60_000);
         self
     }
 }
@@ -229,28 +228,17 @@ struct Job {
 /// Everything that reaches the dispatcher thread: render work, new
 /// subscriptions, and store-publish announcements (sent by the watcher the
 /// service registers on its `AnswerStore`, so epoch advances arrive on the
-/// same queue as work — no polling anywhere).
+/// same queue as work — nobody polls the store).
 enum Msg {
     Job(Job),
-    Subscribe(NewSubscription),
+    Subscribe(Subscriber),
     EpochAdvanced(SceneId),
 }
 
-/// A subscription in flight to the dispatcher.
-struct NewSubscription {
-    request: StreamRequest,
-    tx: Sender<FrameDelta>,
-    /// Cleared by [`StreamHandle`]'s `Drop`; the dispatcher sweeps dead
-    /// subscriptions on every drain *and* on every housekeeping tick, so
-    /// an abandoned handle never pins its retained last frame longer than
-    /// [`ServeConfig::housekeep_ms`], even on a fully idle service.
-    alive: Arc<AtomicBool>,
-    /// Undelivered deltas sitting in the channel; incremented on send,
-    /// decremented by the handle on receipt. At
-    /// [`ServeConfig::stream_window`] the dispatcher coalesces instead of
-    /// enqueueing.
-    inflight: Arc<AtomicU64>,
-}
+/// How long the dispatcher sleeps on an idle queue before waking to sweep
+/// subscribers whose handles were dropped — bounds how long an abandoned
+/// handle on a fully idle service can pin its retained frame.
+const HOUSEKEEP: Duration = Duration::from_millis(200);
 
 /// Degenerate cameras can never produce an image (`Image` rejects
 /// zero-area frames); refuse them up front instead of panicking a render.
@@ -272,6 +260,7 @@ pub struct RenderService {
     metrics: Arc<ServiceMetrics>,
     store: Arc<AnswerStore>,
     watcher: Option<WatcherId>,
+    stream_window: usize,
 }
 
 impl RenderService {
@@ -309,6 +298,7 @@ impl RenderService {
             metrics,
             store,
             watcher: Some(watcher),
+            stream_window: config.stream_window,
         }
     }
 
@@ -350,25 +340,17 @@ impl RenderService {
         if self.store.get(request.scene_id).is_none() {
             return Err(ServeError::UnknownScene(request.scene_id));
         }
-        let (tx, rx) = mpsc::channel();
-        let alive = Arc::new(AtomicBool::new(true));
-        let inflight = Arc::new(AtomicU64::new(0));
+        let (metrics, obs) = (Arc::clone(&self.metrics), self.store.obs());
+        let (mailbox, handle) = StreamHandle::open(request, self.stream_window, metrics, obs);
+        let subscriber = Subscriber {
+            last: None,
+            mailbox,
+        };
         let sender = self.tx.as_ref().ok_or(ServeError::ServiceStopped)?;
         sender
-            .send(Msg::Subscribe(NewSubscription {
-                request,
-                tx,
-                alive: Arc::clone(&alive),
-                inflight: Arc::clone(&inflight),
-            }))
+            .send(Msg::Subscribe(subscriber))
             .map_err(|_| ServeError::ServiceStopped)?;
-        Ok(StreamHandle::new(
-            request,
-            rx,
-            alive,
-            inflight,
-            Some(self.store.obs()),
-        ))
+        Ok(handle)
     }
 
     /// Submits and blocks for the response.
@@ -432,52 +414,25 @@ impl Drop for RenderService {
     }
 }
 
-/// One drained burst of messages, split by kind: render jobs batch (and
-/// cap the drain), subscriptions and epoch announcements ride along.
-#[derive(Default)]
-struct Inbox {
-    jobs: Vec<Job>,
-    advanced: BTreeSet<SceneId>,
-    pending_subs: Vec<NewSubscription>,
-}
-
-impl Inbox {
-    fn triage(&mut self, msg: Msg) {
-        match msg {
-            Msg::Job(job) => self.jobs.push(job),
-            Msg::EpochAdvanced(scene_id) => {
-                self.advanced.insert(scene_id);
-            }
-            Msg::Subscribe(sub) => self.pending_subs.push(sub),
-        }
-    }
-}
-
-/// One live subscription, dispatcher-side.
+/// One subscription, dispatcher-side. Dropping it closes the mailbox, so
+/// the handle drains what was queued and then reads `ServiceStopped`.
 struct Subscriber {
-    scene_id: SceneId,
-    camera: Camera,
-    /// Epoch of the last delta sent — fresher publishes trigger the next.
-    last_epoch: u64,
-    /// The frame that delta brought the subscriber to; `None` only before
-    /// the initial delta, whose diff base is a black canvas (what a
-    /// fresh client's [`FrameDelta::canvas`] starts from).
-    last_frame: Option<Arc<Image>>,
-    tx: Sender<FrameDelta>,
-    /// Cleared when the client drops its handle; swept every drain and
-    /// every housekeeping tick.
-    alive: Arc<AtomicBool>,
-    /// Undelivered deltas in the channel, shared with the handle.
-    inflight: Arc<AtomicU64>,
-    /// Deltas coalesced while the consumer was at its window; flushed the
-    /// moment it drains below [`ServeConfig::stream_window`]. At most one
-    /// squashed delta, whatever the backlog — the slow-consumer bound.
-    pending: Option<FrameDelta>,
+    /// The epoch of the last delta offered — fresher publishes trigger the
+    /// next — and the frame it brought the subscriber to. `None` only
+    /// before the bootstrap delta, whose diff base is a black canvas (what
+    /// a fresh client's [`FrameDelta::canvas`] starts from).
+    last: Option<(u64, Arc<Image>)>,
+    /// The window the handle reads from, slow-consumer policy included.
+    mailbox: Mailbox,
 }
 
 /// The pixels of one frame delta, pre-extraction: what `diff_tiles`
 /// returns and a [`FrameDelta`] carries.
 type TileDelta = Vec<(Tile, Vec<Rgb>)>;
+
+/// One pass's diffs, keyed by the `(prev, next)` frame identities —
+/// co-located subscribers share both `Arc`s, so they share the diff.
+type DiffMemo = HashMap<(Option<*const Image>, *const Image), TileDelta>;
 
 /// The dispatcher thread's state: the view cache, the per-scene epoch
 /// tracking that drives purges, and the streaming subscribers.
@@ -524,79 +479,48 @@ impl Dispatcher {
     }
 
     fn run(&mut self, rx: Receiver<Msg>) {
-        let housekeep = Duration::from_millis(self.config.housekeep_ms);
         loop {
             // Wait for the first message — but only up to the housekeeping
             // period, so a fully idle service still sweeps dropped handles
-            // and flushes pending squashed deltas within a bounded
-            // interval (an abandoned handle used to pin its retained frame
-            // until the *next* unrelated activity woke this loop). On a
-            // message, opportunistically drain the queue: render jobs
-            // batch (up to max_batch), control and epoch messages ride
-            // along for free.
-            match rx.recv_timeout(housekeep) {
-                Ok(first) => {
-                    let mut inbox = Inbox::default();
-                    inbox.triage(first);
-                    while inbox.jobs.len() < self.config.max_batch {
-                        match rx.try_recv() {
-                            Ok(msg) => inbox.triage(msg),
-                            Err(_) => break,
-                        }
+            // within a bounded interval (an abandoned handle used to pin
+            // its retained frame until the *next* unrelated activity woke
+            // this loop). On a message, opportunistically drain the queue:
+            // render jobs batch (and cap the drain at max_batch),
+            // subscriptions and epoch announcements ride along for free.
+            let first = rx.recv_timeout(HOUSEKEEP);
+            if matches!(first, Err(mpsc::RecvTimeoutError::Disconnected)) {
+                return;
+            }
+            let mut inbox = first.into_iter().chain(rx.try_iter());
+            let (mut jobs, mut advanced) = (Vec::new(), BTreeSet::new());
+            while jobs.len() < self.config.max_batch {
+                let Some(msg) = inbox.next() else { break };
+                match msg {
+                    Msg::Job(job) => jobs.push(job),
+                    Msg::EpochAdvanced(scene_id) => {
+                        advanced.insert(scene_id);
                     }
-                    let Inbox {
-                        jobs,
-                        advanced,
-                        pending_subs,
-                    } = inbox;
-
-                    if !jobs.is_empty() {
-                        self.dispatch_jobs(jobs);
-                    }
-                    for sub in pending_subs {
-                        self.add_subscriber(sub);
-                    }
-                    for scene_id in advanced {
-                        self.push_deltas(scene_id);
+                    // A subscriber with no last frame is due: registering
+                    // one is marking its scene for a delta pass.
+                    Msg::Subscribe(subscriber) => {
+                        advanced.insert(subscriber.mailbox.request().scene_id);
+                        self.subscribers.insert(self.next_subscriber, subscriber);
+                        self.next_subscriber += 1;
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
             }
-            self.housekeep();
-        }
-    }
-
-    /// The per-iteration sweep, run after every drain *and* on idle
-    /// ticks: flush pending squashed deltas to subscribers that drained
-    /// below their window, drop subscriptions whose handles are gone, and
-    /// refresh the gauges.
-    fn housekeep(&mut self) {
-        self.flush_pending();
-        self.subscribers
-            .retain(|_, s| s.alive.load(Ordering::Acquire));
-        self.metrics.record_epoch_map(self.seen_epoch.len() as u64);
-        self.metrics
-            .record_subscribers(self.subscribers.len() as u64);
-    }
-
-    /// Delivers each subscriber's pending squashed delta once its channel
-    /// has drained below the window — the second half of the
-    /// slow-consumer policy (the first half, folding, happens in
-    /// [`send_delta`][Self::send_delta]).
-    fn flush_pending(&mut self) {
-        let window = self.config.stream_window as u64;
-        for subscriber in self.subscribers.values_mut() {
-            if subscriber.pending.is_none()
-                || !subscriber.alive.load(Ordering::Acquire)
-                || subscriber.inflight.load(Ordering::Acquire) >= window
-            {
-                continue;
+            if !jobs.is_empty() {
+                self.dispatch_jobs(jobs);
             }
-            let delta = subscriber.pending.take().expect("checked above");
-            if !deliver(subscriber, delta, &self.metrics, &self.obs) {
-                subscriber.alive.store(false, Ordering::Release);
+            for scene_id in advanced {
+                self.push_deltas(scene_id);
             }
+            // After every drain *and* on idle ticks: drop subscriptions
+            // whose handles are gone and refresh the gauges.
+            self.subscribers.retain(|_, s| !s.mailbox.is_closed());
+            self.metrics.record_epoch_map(self.seen_epoch.len() as u64);
+            let subscribers = self.subscribers.len() as u64;
+            self.metrics.record_subscribers(subscribers);
         }
     }
 
@@ -790,220 +714,82 @@ impl Dispatcher {
         }
     }
 
-    /// Registers a subscription and pushes its bootstrap delta — the
-    /// current epoch's frame diffed against a black canvas, so background
-    /// tiles never ship. A panicking render drops the subscription (the
-    /// handle sees `ServiceStopped`) instead of the dispatcher.
-    fn add_subscriber(&mut self, sub: NewSubscription) {
-        let NewSubscription {
-            request,
-            tx,
-            alive,
-            inflight,
-        } = sub;
-        let Some(entry) = self.store.get(request.scene_id) else {
-            // Subscribe validated existence; the store never forgets ids.
-            return;
-        };
-        let id = self.next_subscriber;
-        self.next_subscriber += 1;
-        let mut subscriber = Subscriber {
-            scene_id: request.scene_id,
-            camera: request.camera,
-            last_epoch: entry.epoch,
-            last_frame: None,
-            tx,
-            alive,
-            inflight,
-            pending: None,
-        };
-        let rendered = catch_unwind(AssertUnwindSafe(|| {
-            self.resolve_view(&entry, request.scene_id, &request.camera)
-        }));
-        let Ok((image, _)) = rendered else { return };
-        let tiles = self.diff_frames(None, &image);
-        if self.send_delta(&mut subscriber, entry.epoch, image, tiles) {
-            self.subscribers.insert(id, subscriber);
-            self.obs.emit(
-                ObsKind::SubscriberConnected,
-                ObsCtx {
-                    scene: Some(request.scene_id.0),
-                    payload: self.subscribers.len() as u64,
-                    ..Default::default()
-                },
-            );
-        }
-        self.note_epoch(request.scene_id, entry.epoch);
-    }
-
-    /// Pushes a delta to every subscriber of `scene_id` that has not yet
-    /// seen its current epoch. Renders go through the view cache, so N
-    /// subscribers sharing a viewpoint cost one render — and their diffs
-    /// coalesce the same way (identical `(prev, next)` frame pairs are
-    /// diffed once per pass). Dead handles (dropped receivers) are
-    /// unsubscribed here; a panicking render drops the affected
-    /// subscription and spares the rest.
+    /// Brings every subscriber of `scene_id` that is due — not yet
+    /// bootstrapped, or behind the scene's current epoch — up to date.
+    /// Renders go through the view cache, so N subscribers sharing a
+    /// viewpoint cost one render — and their diffs coalesce the same way
+    /// (identical `(prev, next)` frame pairs are diffed once per pass).
     fn push_deltas(&mut self, scene_id: SceneId) {
+        // Subscribe validated existence, and the store never forgets ids.
         let Some(entry) = self.store.get(scene_id) else {
             return;
         };
         let due: Vec<u64> = self
             .subscribers
             .iter()
-            .filter(|(_, s)| s.scene_id == scene_id && s.last_epoch < entry.epoch)
+            .filter(|(_, s)| s.mailbox.request().scene_id == scene_id)
+            .filter(|(_, s)| !matches!(s.last, Some((epoch, _)) if epoch >= entry.epoch))
             .map(|(&id, _)| id)
             .collect();
-        // Diff memo for this pass, keyed by the (prev, next) frame
-        // identities — co-located subscribers share both Arcs.
-        let mut diffed: Vec<(Option<*const Image>, *const Image, TileDelta)> = Vec::new();
+        let mut diffed = DiffMemo::new();
         for id in due {
-            let camera = self.subscribers[&id].camera;
-            let rendered = catch_unwind(AssertUnwindSafe(|| {
-                self.resolve_view(&entry, scene_id, &camera)
-            }));
-            let Ok((image, _)) = rendered else {
+            let pushed = AssertUnwindSafe(|| self.push_delta(id, &entry, &mut diffed));
+            if catch_unwind(pushed).is_err() {
                 self.subscribers.remove(&id);
-                continue;
-            };
-            let mut subscriber = self.subscribers.remove(&id).expect("still registered");
-            let prev_key = subscriber.last_frame.as_ref().map(Arc::as_ptr);
-            let next_key = Arc::as_ptr(&image);
-            let tiles = match diffed
-                .iter()
-                .find(|(p, n, _)| *p == prev_key && *n == next_key)
-            {
-                Some((_, _, tiles)) => tiles.clone(),
-                None => {
-                    let tiles = self.diff_frames(subscriber.last_frame.as_deref(), &image);
-                    diffed.push((prev_key, next_key, tiles.clone()));
-                    tiles
-                }
-            };
-            if self.send_delta(&mut subscriber, entry.epoch, image, tiles) {
-                self.subscribers.insert(id, subscriber);
             }
         }
         self.note_epoch(scene_id, entry.epoch);
     }
 
+    /// The one path a delta takes to a subscriber, bootstrap or epoch
+    /// advance: render `entry` from its camera, diff against the last
+    /// frame it was offered — a black canvas before the bootstrap, so
+    /// background tiles never ship — and offer the changed tiles to its
+    /// mailbox. Runs under [`push_deltas`](Self::push_deltas)' panic
+    /// guard: a panicking render drops this subscription (its handle reads
+    /// `ServiceStopped`) and spares the dispatcher and the rest.
+    ///
+    /// An empty diff on a republish is not offered unless
+    /// [`ServeConfig::stream_keepalive`] asks for it; the bootstrap always
+    /// is — the client needs the frame's dimensions and epoch.
+    fn push_delta(&mut self, id: u64, entry: &Arc<StoredAnswer>, diffed: &mut DiffMemo) {
+        let subscriber = &self.subscribers[&id];
+        let StreamRequest { scene_id, camera } = subscriber.mailbox.request();
+        let prev = subscriber.last.as_ref().map(|(_, frame)| Arc::clone(frame));
+        let (next, _) = self.resolve_view(entry, scene_id, &camera);
+        let key = (prev.as_ref().map(Arc::as_ptr), Arc::as_ptr(&next));
+        let tiles = diffed
+            .entry(key)
+            .or_insert_with(|| self.diff_frames(prev.as_deref(), &next));
+        let delta = FrameDelta {
+            epoch: entry.epoch,
+            width: next.width(),
+            height: next.height(),
+            tiles: tiles.clone(),
+        };
+        let bootstrap = prev.is_none();
+        let skippable = delta.is_empty() && !bootstrap && !self.config.stream_keepalive;
+        let subscriber = self.subscribers.get_mut(&id).expect("still registered");
+        subscriber.last = Some((entry.epoch, next));
+        subscriber.mailbox.offer(delta, skippable);
+        if bootstrap {
+            let of_scene = |s: &&Subscriber| s.mailbox.request().scene_id == scene_id;
+            let attached = self.subscribers.values().filter(of_scene).count() as u64;
+            self.subscribers[&id]
+                .mailbox
+                .emit(ObsKind::SubscriberConnected, attached);
+        }
+    }
+
     /// Tile-diffs `next` against `prev` — or against the black canvas a
     /// brand-new subscriber implicitly holds.
     fn diff_frames(&self, prev: Option<&Image>, next: &Image) -> TileDelta {
+        let tile_size = self.config.tile_size;
         self.obs.time(Stage::Diff, || match prev {
-            Some(prev) => diff_tiles(prev, next, self.config.tile_size),
-            None => diff_tiles(
-                &Image::new(next.width(), next.height()),
-                next,
-                self.config.tile_size,
-            ),
+            Some(prev) => diff_tiles(prev, next, tile_size),
+            None => diff_tiles(&Image::new(next.width(), next.height()), next, tile_size),
         })
     }
-
-    /// Moves the subscriber's cursor to `next` and routes the diff
-    /// according to the streaming policy:
-    ///
-    /// - an empty diff on a republish is suppressed (unless
-    ///   [`ServeConfig::stream_keepalive`] asks for it, or a pending
-    ///   squashed delta is waiting to carry the epoch forward anyway);
-    ///   the bootstrap delta always goes out — the client needs the
-    ///   frame's dimensions and epoch;
-    /// - a consumer at its [`ServeConfig::stream_window`] gets the delta
-    ///   folded into its single pending squashed delta instead of another
-    ///   channel entry, so a stalled subscriber's retained memory stays
-    ///   bounded;
-    /// - otherwise the delta (merged with any pending one) is delivered.
-    ///
-    /// Returns false when the handle is gone and the subscription should
-    /// be dropped.
-    fn send_delta(
-        &self,
-        subscriber: &mut Subscriber,
-        epoch: u64,
-        next: Arc<Image>,
-        tiles: TileDelta,
-    ) -> bool {
-        let bootstrap = subscriber.last_frame.is_none();
-        let delta = FrameDelta {
-            epoch,
-            width: next.width(),
-            height: next.height(),
-            tiles,
-        };
-        subscriber.last_epoch = epoch;
-        subscriber.last_frame = Some(next);
-        if delta.is_empty()
-            && !bootstrap
-            && !self.config.stream_keepalive
-            && subscriber.pending.is_none()
-        {
-            // A republish with bit-identical pixels: nothing to ship, and
-            // no epoch-bearing pending delta to refresh. Silently advance.
-            return true;
-        }
-        if !bootstrap
-            && subscriber.inflight.load(Ordering::Acquire) >= self.config.stream_window as u64
-        {
-            // Consumer at its window: fold rather than enqueue. Squash
-            // keeps the newest pixels per rectangle, so reassembly on the
-            // eventual flush is still bit-identical to the final epoch.
-            let lag_transition = subscriber.pending.is_none();
-            subscriber.pending = Some(match subscriber.pending.take() {
-                Some(pending) => FrameDelta::squash(&[pending, delta]),
-                None => delta,
-            });
-            self.metrics.record_squash(lag_transition);
-            if lag_transition {
-                self.obs.emit(
-                    ObsKind::SubscriberLagged,
-                    ObsCtx {
-                        scene: Some(subscriber.scene_id.0),
-                        payload: subscriber.inflight.load(Ordering::Acquire),
-                        ..Default::default()
-                    },
-                );
-            }
-            return true;
-        }
-        let to_send = match subscriber.pending.take() {
-            Some(pending) => FrameDelta::squash(&[pending, delta]),
-            None => delta,
-        };
-        deliver(subscriber, to_send, &self.metrics, &self.obs)
-    }
-}
-
-/// Actually enqueues `delta` on the subscriber's channel, bumping the
-/// inflight count and the stream counters. A free function (not a
-/// `Dispatcher` method) so [`flush_pending`][Dispatcher::flush_pending]
-/// can call it while iterating `self.subscribers` mutably.
-fn deliver(
-    subscriber: &mut Subscriber,
-    delta: FrameDelta,
-    metrics: &ServiceMetrics,
-    obs: &ObsHub,
-) -> bool {
-    let (ntiles, tile_bytes, full_bytes) = (
-        delta.tiles.len() as u64,
-        delta.tile_bytes() as u64,
-        delta.full_frame_bytes() as u64,
-    );
-    // Count before the send, like `respond` does for requests: the moment
-    // the delta hits the channel the receiver can observe it (and read
-    // metrics, or decrement `inflight`), so recording afterwards races
-    // every exact-count reader. The cost is one phantom count when the
-    // send loses to a concurrently dropped handle — and that subscriber
-    // is removed on return anyway.
-    subscriber.inflight.fetch_add(1, Ordering::AcqRel);
-    metrics.record_delta(ntiles, tile_bytes, full_bytes);
-    obs.emit(
-        ObsKind::DeltaPushed,
-        ObsCtx {
-            scene: Some(subscriber.scene_id.0),
-            payload: tile_bytes,
-            ..Default::default()
-        },
-    );
-    subscriber.tx.send(delta).is_ok()
 }
 
 fn respond(

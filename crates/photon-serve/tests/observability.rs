@@ -214,6 +214,50 @@ fn flight_recorder_captures_the_lifecycle_in_order() {
     pool.shutdown();
 }
 
+/// `subscriber-connected` carries the subscribers now attached to *that
+/// scene*, not the service-wide total.
+#[test]
+fn subscriber_connected_counts_the_scene_not_the_service() {
+    let store = Arc::new(AnswerStore::new());
+    let service = RenderService::start(Arc::clone(&store), serve_config());
+    let camera = distant_cornell_camera();
+    let a = store.register("a", cornell_box());
+    let b = store.register("b", cornell_box());
+    let streams: Vec<_> = [a, b, a]
+        .into_iter()
+        .map(|scene_id| {
+            let stream = service
+                .subscribe(StreamRequest { scene_id, camera })
+                .expect("subscribe");
+            stream
+                .recv_timeout(Duration::from_secs(30))
+                .expect("bootstrap");
+            stream
+        })
+        .collect();
+    // The event follows the bootstrap delta; a request queued behind the
+    // subscriptions has been answered only once all three were emitted.
+    service
+        .render_blocking(RenderRequest {
+            scene_id: a,
+            camera,
+        })
+        .expect("served");
+    let connected: Vec<_> = store
+        .obs()
+        .recorder()
+        .filtered(|e| e.kind == ObsKind::SubscriberConnected)
+        .iter()
+        .map(|e| (e.ctx.scene, e.ctx.payload))
+        .collect();
+    assert_eq!(
+        connected,
+        [(Some(a.0), 1), (Some(b.0), 1), (Some(a.0), 2)],
+        "payload is the scene's own subscriber count"
+    );
+    drop(streams);
+}
+
 /// The memory-bound acceptance: a million recorded requests (and a
 /// hundred thousand batch samples) leave every collection at its fixed
 /// cap — 65 histogram buckets, ≤ `SPEED_TRACE_CAP` speed samples — while

@@ -359,6 +359,63 @@ fn panicking_job_answers_error_and_dispatcher_survives() {
     assert!(ok.image.mean_luminance() > 0.0);
 }
 
+/// The streaming half of the same guarantee: a subscription whose render
+/// panics (the same huge-camera injection) ends — its handle reads
+/// `ServiceStopped` instead of hanging — while a sibling subscriber of
+/// the same scene keeps receiving epochs.
+#[test]
+fn panicking_subscription_ends_only_itself() {
+    let store = Arc::new(AnswerStore::new());
+    let mut sim = Simulator::new(
+        cornell_box(),
+        SimConfig {
+            seed: 17,
+            ..Default::default()
+        },
+    );
+    sim.run_photons(2_000);
+    let id = store.insert("cornell", sim.scene().clone(), sim.answer_snapshot());
+    let service = RenderService::start(
+        Arc::clone(&store),
+        ServeConfig {
+            tile_size: 1 << 40,
+            ..ServeConfig::default()
+        },
+    );
+    let sibling = service
+        .subscribe(StreamRequest {
+            scene_id: id,
+            camera: distant_cornell_camera(),
+        })
+        .expect("subscribe");
+    let d0 = sibling
+        .recv_timeout(Duration::from_secs(30))
+        .expect("sibling bootstrap");
+
+    let mut huge = distant_cornell_camera();
+    huge.width = 1 << 31;
+    huge.height = 1 << 31;
+    let doomed = service
+        .subscribe(StreamRequest {
+            scene_id: id,
+            camera: huge,
+        })
+        .expect("a huge camera is not degenerate; the render is what fails");
+    assert_eq!(
+        doomed.recv_timeout(Duration::from_secs(30)).unwrap_err(),
+        ServeError::ServiceStopped,
+        "the panicked subscription must end, not hang"
+    );
+    assert!(doomed.drain().is_empty());
+
+    sim.run_photons(2_000);
+    let epoch = store.publish(id, sim.answer_snapshot());
+    let d1 = sibling
+        .recv_timeout(Duration::from_secs(60))
+        .expect("sibling survives its neighbor's panic");
+    assert_eq!((d0.epoch + 1, d1.epoch), (epoch, epoch));
+}
+
 /// Regression (consumed tickets mislead): after a response is collected,
 /// waiting again returns `TicketConsumed` immediately instead of blocking
 /// out the whole timeout and claiming `TimedOut`.
@@ -446,7 +503,7 @@ fn dropped_handle_on_quiet_scene_is_swept() {
 /// service (no publishes, no requests, nothing) the dispatcher blocked in
 /// `recv()` forever and the abandoned subscription pinned its retained
 /// frame for the service's life. The housekeeping tick now bounds the
-/// wait to roughly `housekeep_ms`.
+/// wait to a fraction of a second.
 #[test]
 fn dropped_handle_on_idle_service_is_swept_by_housekeeping() {
     let store = Arc::new(AnswerStore::new());
@@ -459,13 +516,7 @@ fn dropped_handle_on_idle_service_is_swept_by_housekeeping() {
     );
     sim.run_photons(2_000);
     let id = store.insert("idle", sim.scene().clone(), sim.answer_snapshot());
-    let service = RenderService::start(
-        Arc::clone(&store),
-        ServeConfig {
-            housekeep_ms: 50,
-            ..serve_config()
-        },
-    );
+    let service = RenderService::start(Arc::clone(&store), serve_config());
     let stream = service
         .subscribe(StreamRequest {
             scene_id: id,
@@ -500,16 +551,16 @@ fn dropped_handle_on_idle_service_is_swept_by_housekeeping() {
 
 /// Regression (unbounded subscriber queue): a consumer that stops
 /// receiving used to accumulate one queued delta per publish, unbounded.
-/// Now at most `stream_window` deltas sit in the channel; everything
-/// beyond folds into a single pending squashed delta (counted by
+/// Now at most `stream_window` deltas queue as rendered; everything
+/// beyond folds into a single squashed delta behind them (counted by
 /// `deltas_squashed`, entered via one `lag_events`), and draining later
-/// still reassembles the final epoch bit-identically.
+/// — one call, no dispatcher wake-up in between — still reassembles the
+/// final epoch bit-identically.
 #[test]
 fn stalled_consumer_is_coalesced_and_reassembles_exactly() {
     let store = Arc::new(AnswerStore::new());
     let config = ServeConfig {
         stream_window: 2,
-        housekeep_ms: 50,
         ..serve_config()
     };
     let service = RenderService::start(Arc::clone(&store), config);
@@ -535,7 +586,7 @@ fn stalled_consumer_is_coalesced_and_reassembles_exactly() {
     d0.apply(&mut canvas);
 
     // Five refining publishes, never receiving: the first two fill the
-    // window, the remaining three fold into one pending delta. Each
+    // window, the remaining three fold into one squashed delta. Each
     // publish is gated on the dispatcher's accounting so the sequence is
     // deterministic.
     let rounds = 5u64;
@@ -562,22 +613,23 @@ fn stalled_consumer_is_coalesced_and_reassembles_exactly() {
         "bootstrap + window of 2 delivered; 3 folded behind 1 lag transition"
     );
 
-    // Drain the window: epochs 1 and 2 arrive verbatim.
+    // Drain the window: epochs 1 and 2 arrive verbatim, and behind them
+    // the fold — one delta carrying the final epoch, skipping 3 and 4
+    // entirely — is the consumer's to take in the same call.
     let drained = stream.drain();
     assert_eq!(
         drained.iter().map(|d| d.epoch).collect::<Vec<_>>(),
-        vec![1, 2]
+        vec![1, 2, rounds]
     );
     for delta in &drained {
         delta.apply(&mut canvas);
     }
-    // Housekeeping flushes the pending squash — one delta carrying the
-    // final epoch, skipping 3 and 4 entirely.
-    let squashed = stream
-        .recv_timeout(Duration::from_secs(30))
-        .expect("pending squash flushed after drain");
-    assert_eq!(squashed.epoch, rounds);
-    squashed.apply(&mut canvas);
+    let m = service.metrics().stream;
+    assert_eq!(
+        (m.deltas, m.deltas_squashed, m.lag_events),
+        (4, 3, 1),
+        "the fold counts as one delivered delta, at the take"
+    );
 
     let entry = store.get(id).expect("stored");
     let reference = render_parallel(

@@ -219,6 +219,60 @@ fn unknown_scene_is_refused_over_the_wire() {
     );
 }
 
+/// A subscribe frame naming a camera whose raw frame no `PHOTSTRM1` frame
+/// could carry is refused while decoding: the connection closes, the one
+/// dispatcher thread never hears of it (it used to render the view — for
+/// hours, or to an allocation abort, at a peer's choice of eight bytes),
+/// and the server goes on serving.
+#[test]
+fn oversized_subscribe_is_refused_before_the_dispatcher() {
+    let store = Arc::new(AnswerStore::new());
+    let mut sim = Simulator::new(
+        cornell_box(),
+        SimConfig {
+            seed: 33,
+            ..Default::default()
+        },
+    );
+    sim.run_photons(2_000);
+    let id = store.insert("cornell", sim.scene().clone(), sim.answer_snapshot());
+    let service = Arc::new(RenderService::start(
+        Arc::clone(&store),
+        ServeConfig::default(),
+    ));
+    let server = StreamServer::serve(Arc::clone(&service)).expect("bind loopback");
+
+    // 4096 × 4096 × 24 B = 384 MiB, over the 256 MiB frame cap.
+    let oversized = cornell_camera(0.0, 4096, 4096);
+    let mut hostile = StreamClient::connect(server.local_addr(), id, oversized, WireMode::Lossless)
+        .expect("connect");
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    hostile
+        .recv_delta()
+        .expect_err("refused or closed, never served");
+    assert_eq!(
+        service.metrics().stream.deltas,
+        0,
+        "the dispatcher must never see the oversized camera"
+    );
+
+    let mut normal = StreamClient::connect(
+        server.local_addr(),
+        id,
+        cornell_camera(0.0, 48, 36),
+        WireMode::Lossless,
+    )
+    .expect("connect");
+    normal
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    let d = normal.recv_delta().expect("the server still bootstraps");
+    assert_eq!(d.epoch, 1);
+    assert!(!d.is_empty());
+}
+
 /// A connection that never sends its subscribe frame is closed after the
 /// listener's five-second request timeout — the same one the metrics
 /// endpoint has — instead of pinning a server thread for as long as the
@@ -249,7 +303,6 @@ fn stalled_tcp_consumer_is_coalesced_fast_one_unaffected() {
         render_threads: 2,
         tile_size: 16,
         stream_window: 1,
-        housekeep_ms: 50,
         ..ServeConfig::default()
     };
     let service = Arc::new(RenderService::start(Arc::clone(&store), config));
