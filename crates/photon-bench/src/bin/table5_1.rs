@@ -7,10 +7,39 @@
 //! is disproportionately high for its defining-polygon count because of the
 //! large mirror (angular refinement) and a longer run — at a laptop photon
 //! budget, and report bins-per-defining-polygon ratios.
+//!
+//! A second table reports what those defining polygons cost a ray: the
+//! octree's size, and internal nodes expanded, patches tested and bilinear
+//! inversions per photon-path ray. These are counts the traversal makes of
+//! itself and repeat exactly, on any host.
 
 use photon_bench::{fmt, heading, md_table, write_csv};
-use photon_core::{SimConfig, Simulator};
+use photon_core::{path_rays, PhotonGenerator, SimConfig, Simulator};
+use photon_geom::{OctreeWork, Scene};
 use photon_scenes::TestScene;
+
+/// Photons whose path rays the octree-work table casts (stream seed 1):
+/// the rays the `octree.rs` tests pin their per-ray work on.
+const WORK_PHOTONS: u64 = 4000;
+
+/// One row of the octree-work table.
+fn octree_work_row(name: &str, scene: &Scene) -> Vec<String> {
+    let (first, later) = path_rays(scene, &PhotonGenerator::new(scene), 1, WORK_PHOTONS);
+    let mut work = OctreeWork::default();
+    for ray in first.iter().chain(&later) {
+        work += scene.intersect_counted(ray, f64::INFINITY).1;
+    }
+    let rays = (first.len() + later.len()) as f64;
+    let stats = scene.octree().stats();
+    vec![
+        name.to_string(),
+        stats.nodes.to_string(),
+        stats.item_refs.to_string(),
+        format!("{:.2}", work.internal_nodes as f64 / rays),
+        format!("{:.2}", work.patch_tests as f64 / rays),
+        format!("{:.2}", work.inversions as f64 / rays),
+    ]
+}
 
 fn main() {
     heading("Table 5.1 — Test Geometry Sizes (defining vs view-dependent polygons)");
@@ -22,9 +51,11 @@ fn main() {
         (TestScene::ComputerLab, 300_000),
     ];
     let mut rows = Vec::new();
+    let mut work_rows = Vec::new();
     let mut csv = Vec::new();
     for (scene_kind, photons) in budgets {
         let scene = scene_kind.build();
+        work_rows.push(octree_work_row(scene_kind.name(), &scene));
         let defining = scene.polygon_count();
         let mut sim = Simulator::new(
             scene,
@@ -64,4 +95,19 @@ fn main() {
     );
     println!("paper: 30 -> 397k, 100 -> 150k, 2000 -> 350k (billions of photons)");
     println!("csv: {}", path.display());
+    println!("\nOctree work per photon-path ray (seed 1, photons 0..{WORK_PHOTONS}):");
+    println!(
+        "{}",
+        md_table(
+            &[
+                "Geometry",
+                "Octree Nodes",
+                "Patch Refs",
+                "Internal Nodes / Ray",
+                "Patch Tests / Ray",
+                "Inversions / Ray",
+            ],
+            &work_rows
+        )
+    );
 }

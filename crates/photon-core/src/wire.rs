@@ -130,12 +130,19 @@ pub enum WireFrame {
 // ---------------------------------------------------------------------------
 
 /// Writes one length-prefixed frame: `u32` payload length, then the payload.
+/// A payload over [`MAX_FRAME_BYTES`] is `InvalidInput`, and nothing of it
+/// is written: no reader would take the frame.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    assert!(
-        payload.len() <= MAX_FRAME_BYTES as usize,
-        "frame exceeds MAX_FRAME_BYTES"
-    );
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame payload over MAX_FRAME_BYTES",
+            )
+        })?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)
 }
 
@@ -829,6 +836,16 @@ mod tests {
         let mut huge = Vec::new();
         huge.extend_from_slice(&(MAX_FRAME_BYTES + 1).to_le_bytes());
         assert!(read_frame(&mut Cursor::new(huge.as_slice())).is_err());
+    }
+
+    #[test]
+    fn an_oversized_payload_is_an_error_and_writes_nothing() {
+        // Never touched, so the zeroed 256 MiB cost no memory.
+        let payload = vec![0u8; MAX_FRAME_BYTES as usize + 1];
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -15,9 +15,12 @@
 //!
 //! Intersection is the hot loop of every solve and every render, so both
 //! halves of it are laid out for the ray: each [`SurfacePatch`] caches the
-//! ray-independent constants of its plane + bilinear test, and the
-//! [`Octree`] is a flat array walked with an explicit stack, one set of
-//! nine shared-plane slab parameters per internal node (see [`octree`]).
+//! ray-independent constants of its plane + bilinear test and a guard box
+//! outside which a plane point is not worth inverting, and the [`Octree`]
+//! is a flat array walked with an explicit stack, one set of nine
+//! shared-plane slab parameters per internal node, testing each patch once
+//! per ray (see [`octree`]). [`Scene::intersect_counted`] reports a query's
+//! own work.
 //! A built [`Scene`] is immutable and `clone()` shares it.
 
 #![deny(missing_docs)]
@@ -27,5 +30,5 @@ pub mod octree;
 pub mod scene;
 
 pub use material::{Material, SurfaceKind};
-pub use octree::{Octree, OctreeStats};
+pub use octree::{Octree, OctreeStats, OctreeWork};
 pub use scene::{Luminaire, Scene, SceneHit, SurfacePatch};

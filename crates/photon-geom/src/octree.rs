@@ -3,8 +3,9 @@
 //! Patches are inserted into every leaf octant their bounding box overlaps.
 //! Queries traverse children in the order the ray enters them and prune any
 //! octant whose entry parameter lies beyond the best hit found so far, which
-//! makes the first surviving hit the global nearest (duplicated patch
-//! references across octants cost redundant tests but never correctness).
+//! makes the first surviving hit the global nearest. A patch referenced from
+//! several octants along one ray is tested in the first and skipped in the
+//! rest (see *Mailbox* below).
 //!
 //! Construction is top-down: a node holding more than [`LEAF_CAPACITY`]
 //! patches splits into eight octants (until [`MAX_DEPTH`]), each receiving
@@ -31,11 +32,26 @@
 //! parameter keep octant-code order and coplanar patches resolve to the
 //! same `patch_id` every time.
 //!
+//! # Mailbox
+//!
+//! The build stores a patch in every octant its box overlaps (7802
+//! references to the lab's 1931 patches), so a ray that crosses several of
+//! them meets the same patch again and again. The traversal keeps the ids
+//! it has tested for this ray in a direct-mapped table of 64 slots on its
+//! stack (`MAILBOX`) and skips an entry it finds there. Skipping is exact
+//! because `limit` only ever shrinks: a test that returned `None` — ray
+//! parallel to the plane, `t <= t_min`, point outside the quad, or
+//! `t >= limit` — returns `None` again under a smaller limit, and a test
+//! that hit set `limit = t` and now fails `t >= limit`. Two ids that share
+//! a slot evict each other, which costs a repeated test, never a missed one.
+//!
 //! **Bit-identity rule.** Answers are pinned across commits
 //! (`tests/golden_answers.rs`), and which bin a photon lands in depends on
 //! the last bit of `s`, `v` and `t`. A change here may reorder memory and
 //! skip redundant work, but must leave every [`SceneHit`] field equal by
 //! `to_bits` — the tests below hold it to a recursive reference traversal.
+//! A filter may only drop a test whose result is already known to be
+//! `None`.
 
 use crate::scene::{SceneHit, SurfacePatch};
 use photon_math::{Aabb, Ray, Vec3};
@@ -48,6 +64,10 @@ pub const LEAF_CAPACITY: usize = 8;
 /// Most entries the traversal stack can hold: all eight children of the
 /// deepest internal node, over seven waiting siblings at each level above.
 const STACK: usize = 7 * MAX_DEPTH as usize + 1;
+
+/// Slots of the per-ray table of patches already tested; patch `pi` lives
+/// in slot `pi % MAILBOX`. A lab path ray meets 17.5 distinct patches.
+const MAILBOX: usize = 64;
 
 /// Flat octree over patch indices.
 #[derive(Clone, Debug)]
@@ -109,16 +129,51 @@ pub struct OctreeStats {
 }
 
 /// What a traversal reports about its own work. The production query runs
-/// with [`NoProbe`], whose empty methods monomorphise away; tests count.
-trait Probe {
+/// with [`NoProbe`], whose empty methods monomorphise away;
+/// [`Octree::intersect_counted`] runs with an [`OctreeWork`].
+pub(crate) trait Probe {
     /// An internal node is about to be expanded.
     fn internal_node(&mut self) {}
-    /// A patch is about to be tested.
-    fn patch_test(&mut self) {}
+    /// Patch `patch_id` is about to be tested.
+    fn patch_test(&mut self, _patch_id: u32) {}
+    /// A plane point passed the guard box and is about to be inverted.
+    fn inversion(&mut self) {}
 }
 
 struct NoProbe;
 impl Probe for NoProbe {}
+
+/// The work one query did, counted by the traversal itself.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OctreeWork {
+    /// Internal nodes expanded (nine slab parameters, eight children each).
+    pub internal_nodes: u64,
+    /// Patches put to the plane test (mailbox skips are not tests).
+    pub patch_tests: u64,
+    /// Of those, the ones whose plane point lay inside the patch's guard
+    /// box and paid for the bilinear inversion.
+    pub inversions: u64,
+}
+
+impl Probe for OctreeWork {
+    fn internal_node(&mut self) {
+        self.internal_nodes += 1;
+    }
+    fn patch_test(&mut self, _patch_id: u32) {
+        self.patch_tests += 1;
+    }
+    fn inversion(&mut self) {
+        self.inversions += 1;
+    }
+}
+
+impl std::ops::AddAssign for OctreeWork {
+    fn add_assign(&mut self, o: OctreeWork) {
+        self.internal_nodes += o.internal_nodes;
+        self.patch_tests += o.patch_tests;
+        self.inversions += o.inversions;
+    }
+}
 
 /// The parameter interval a ray spends between two parallel planes with
 /// parameters `a` and `b` — one axis of [`Aabb::hit`]. NaN (0 * inf: the
@@ -247,8 +302,21 @@ impl Octree {
         self.traverse(patches, ray, t_min, t_max, &mut NoProbe)
     }
 
-    /// The one traversal body; `probe` sees each internal node expanded
-    /// and each patch tested.
+    /// [`Octree::intersect`], also returning what the query cost.
+    pub fn intersect_counted(
+        &self,
+        patches: &[SurfacePatch],
+        ray: &Ray,
+        t_min: f64,
+        t_max: f64,
+    ) -> (Option<SceneHit>, OctreeWork) {
+        let mut work = OctreeWork::default();
+        let hit = self.traverse(patches, ray, t_min, t_max, &mut work);
+        (hit, work)
+    }
+
+    /// The one traversal body; `probe` sees each internal node expanded,
+    /// each patch tested and each plane point inverted.
     #[inline]
     fn traverse<P: Probe>(
         &self,
@@ -267,12 +335,20 @@ impl Octree {
         let mut stack = [(0.0f64, 0u32); STACK];
         let mut top = 0;
         let mut node = 0u32;
+        // Patches already tested for this ray; no patch has id `u32::MAX`.
+        let mut tested = [u32::MAX; MAILBOX];
         loop {
             match self.nodes[node as usize] {
                 Node::Leaf { start, len } => {
                     for &pi in &self.items[start as usize..(start + len) as usize] {
-                        probe.patch_test();
-                        if let Some(h) = patches[pi as usize].scene_hit(pi, ray, t_min, limit) {
+                        let slot = &mut tested[pi as usize % MAILBOX];
+                        if *slot == pi {
+                            continue;
+                        }
+                        *slot = pi;
+                        probe.patch_test(pi);
+                        let hit = patches[pi as usize].scene_hit(pi, ray, t_min, limit, probe);
+                        if let Some(h) = hit {
                             limit = h.t;
                             best = Some(h);
                         }
@@ -384,21 +460,9 @@ mod tests {
     use photon_rng::{Lcg48, PhotonRng};
     use photon_scenes::{sun_room, TestScene, ViewSpec};
 
-    /// Work one query did, counted by either traversal.
-    #[derive(Clone, Copy, Debug, Default, PartialEq)]
-    struct Work {
-        internal_nodes: u64,
-        patch_tests: u64,
-    }
-
-    impl Probe for Work {
-        fn internal_node(&mut self) {
-            self.internal_nodes += 1;
-        }
-        fn patch_test(&mut self) {
-            self.patch_tests += 1;
-        }
-    }
+    /// Work one query did, counted by either traversal (the reference
+    /// inverts every plane point and does not count it).
+    type Work = OctreeWork;
 
     /// The traversal this file had before the tree was flattened, kept as
     /// the oracle: recursive, a whole `Aabb::hit` per child on boxes
@@ -486,8 +550,10 @@ mod tests {
         Some((h.patch_id, f.map(f64::to_bits), h.front))
     }
 
-    /// Casts `rays` through both traversals, asserting equal hits (by bit
-    /// pattern) and equal work ray by ray; returns the work and hit count.
+    /// Casts `rays` through both traversals, asserting ray by ray equal
+    /// hits (by bit pattern), equal internal nodes and no more patch tests
+    /// than the reference, which has no mailbox; returns the work and hit
+    /// count.
     fn assert_identical(
         tree: &Octree,
         patches: &[SurfacePatch],
@@ -503,10 +569,17 @@ mod tests {
                 let fast = tree.traverse(patches, ray, 1e-7, bound, &mut fast_work);
                 let slow = reference(tree, patches, ray, 1e-7, bound, &mut slow_work);
                 assert_eq!(bits(fast), bits(slow), "{ray:?} t_max {bound}");
-                assert_eq!(fast_work, slow_work, "{ray:?} t_max {bound}");
+                assert_eq!(
+                    fast_work.internal_nodes, slow_work.internal_nodes,
+                    "{ray:?} t_max {bound}"
+                );
+                assert!(
+                    fast_work.inversions <= fast_work.patch_tests
+                        && fast_work.patch_tests <= slow_work.patch_tests,
+                    "{ray:?} t_max {bound}: {fast_work:?} vs {slow_work:?}"
+                );
                 if bound == f64::INFINITY {
-                    total.internal_nodes += fast_work.internal_nodes;
-                    total.patch_tests += fast_work.patch_tests;
+                    total += fast_work;
                     hits += usize::from(fast.is_some());
                 }
                 let Some(h) = fast else { break };
@@ -622,10 +695,10 @@ mod tests {
     fn traversal_is_bit_identical_to_the_recursive_reference() {
         // Per scene: the tree's shape, and internal nodes expanded and
         // patches tested per photon-path ray (seed 1, photons 0..4000),
-        // rounded up. All of it is what the recursive tree did on the
-        // commit before the flat one (whose 40 000-photon ledger probe read
-        // 2.20 / 13.70 on the Cornell Box and 7.20 / 28.52 on the lab); a
-        // later change may lower the work, never raise it.
+        // rounded up. Shape and nodes are what the recursive tree did on
+        // the commit before the flat one; the patch tests are what the
+        // mailbox leaves of its 13.72 / 15.78 / 28.95. A later change may
+        // lower the work, never raise it.
         let expected = [
             (
                 OctreeStats {
@@ -634,7 +707,7 @@ mod tests {
                     max_depth: 2,
                     item_refs: 169,
                 },
-                (2.21, 13.72),
+                (2.21, 9.27),
             ),
             (
                 OctreeStats {
@@ -643,7 +716,7 @@ mod tests {
                     max_depth: 4,
                     item_refs: 438,
                 },
-                (3.49, 15.78),
+                (3.49, 12.36),
             ),
             (
                 OctreeStats {
@@ -652,7 +725,7 @@ mod tests {
                     max_depth: 5,
                     item_refs: 7802,
                 },
-                (7.28, 28.95),
+                (7.28, 17.48),
             ),
         ];
         for (kind, (stats, (max_nodes, max_tests))) in TestScene::ALL.into_iter().zip(expected) {
@@ -707,31 +780,54 @@ mod tests {
     #[test]
     fn jittered_tiles_are_bit_identical_too() {
         // Tiles at random heights: no two coplanar, boxes straddling split
-        // planes everywhere, and rays that start outside the root box.
-        let patches = tile_scene(8, 42);
+        // planes everywhere, rays that start outside the root box, and more
+        // patches than the mailbox has slots.
+        let patches = tile_scene(12, 42);
         let bounds = bounds_of(&patches);
         let mut rng = Lcg48::new(11);
         let mut unit = || rng.next_f64() * 2.0 - 1.0;
         let rays: Vec<Ray> = (0..2000)
             .map(|_| {
-                let origin = Vec3::new(4.0 + 6.0 * unit(), 1.0 + 3.0 * unit(), 4.0 + 6.0 * unit());
+                let origin = Vec3::new(6.0 + 8.0 * unit(), 1.0 + 3.0 * unit(), 6.0 + 8.0 * unit());
                 Ray::new(origin, Vec3::new(unit(), unit(), unit()).normalized())
             })
             .collect();
-        let stats = Octree::build(&patches, bounds).stats();
+        let tree = Octree::build(&patches, bounds);
+        // Some of those rays must meet two patches that share a slot.
+        let sharing = rays.iter().filter(|ray| {
+            let mut ids = Ids(Vec::new());
+            tree.traverse(&patches, ray, 1e-7, f64::INFINITY, &mut ids);
+            let ids = ids.0;
+            (0..ids.len()).any(|i| {
+                ids[..i]
+                    .iter()
+                    .any(|&id| id != ids[i] && id as usize % MAILBOX == ids[i] as usize % MAILBOX)
+            })
+        });
+        assert!(sharing.count() >= 10);
+        let stats = tree.stats();
         assert_scene_identical(
             "tiles",
             patches.iter().map(|sp| sp.patch),
             bounds,
             &rays,
             ViewSpec {
-                eye: Vec3::new(4.0, 9.0, -3.0),
-                target: Vec3::new(4.0, 1.0, 4.0),
+                eye: Vec3::new(6.0, 11.0, -4.0),
+                target: Vec3::new(6.0, 1.0, 6.0),
                 up: Vec3::Y,
                 vfov_deg: 60.0,
             },
             stats,
         );
+    }
+
+    /// Records the id of every patch a traversal tests.
+    struct Ids(Vec<u32>);
+
+    impl Probe for Ids {
+        fn patch_test(&mut self, patch_id: u32) {
+            self.0.push(patch_id);
+        }
     }
 
     /// A jittered grid of small floor tiles, good octree fodder.

@@ -1,7 +1,7 @@
 //! Scenes: patches, luminaires, and nearest-hit queries.
 
 use crate::material::Material;
-use crate::octree::Octree;
+use crate::octree::{Octree, OctreeWork, Probe};
 use photon_math::{Aabb, Onb, Patch, PatchIsect, Ray, Rgb, Vec3};
 use std::sync::Arc;
 
@@ -11,10 +11,11 @@ pub const RAY_EPS: f64 = 1e-7;
 
 /// A scene patch: geometry + material + cached derived quantities.
 ///
-/// `frame`, `area` and the private intersection constants are computed from
-/// `patch` once, in [`SurfacePatch::new`]. Assigning to `patch` afterwards
-/// leaves all three stale (rays would be tested against the old plane);
-/// build a new `SurfacePatch` instead. `material` is free to change.
+/// `frame`, `area`, the private intersection constants and the private
+/// guard box are computed from `patch` once, in [`SurfacePatch::new`].
+/// Assigning to `patch` afterwards leaves all four stale (rays would be
+/// tested against the old plane, and dropped outside the old box); build a
+/// new `SurfacePatch` instead. `material` is free to change.
 #[derive(Clone, Debug)]
 pub struct SurfacePatch {
     /// The quadrilateral.
@@ -28,46 +29,63 @@ pub struct SurfacePatch {
     pub area: f64,
     /// Cached ray-independent half of the plane + bilinear test.
     isect: PatchIsect,
+    /// Cached [`Patch::guard_box`]: a plane point outside it is a miss.
+    guard: Aabb,
 }
 
 impl SurfacePatch {
-    /// Builds a surface patch, caching frame, area and the intersection
-    /// constants.
+    /// Builds a surface patch, caching frame, area, the intersection
+    /// constants and the guard box.
     pub fn new(patch: Patch, material: Material) -> Self {
         let frame = patch.frame();
         let area = patch.area();
         let isect = PatchIsect::new(&patch, &frame);
+        let guard = patch.guard_box(&frame);
         SurfacePatch {
             patch,
             material,
             frame,
             area,
             isect,
+            guard,
         }
     }
 
     /// The [`SceneHit`] of `ray` on this patch (number `patch_id` in its
     /// scene) with `t` in `(t_min, t_max)`: `self.patch.intersect`, bit for
-    /// bit, without recomputing the normal, frame and projected corners.
+    /// bit, without recomputing the normal, frame and projected corners —
+    /// and without inverting a plane point outside the guard box, which the
+    /// inversion could only reject. `probe` sees each inversion.
     #[inline]
-    pub(crate) fn scene_hit(
+    pub(crate) fn scene_hit<P: Probe>(
         &self,
         patch_id: u32,
         ray: &Ray,
         t_min: f64,
         t_max: f64,
+        probe: &mut P,
     ) -> Option<SceneHit> {
-        let h = self
-            .isect
-            .intersect(self.patch.p00, &self.frame, ray, t_min, t_max)?;
+        let p00 = self.patch.p00;
+        let (t, point) = self.isect.plane_point(p00, ray, t_min, t_max)?;
+        if !self.guard.contains(point) {
+            return None;
+        }
+        probe.inversion();
+        let (s, v) = self.isect.st_of_point(p00, &self.frame, point)?;
         Some(SceneHit {
             patch_id,
-            t: h.t,
-            point: h.point,
-            s: h.s,
-            v: h.v,
-            front: ray.dir.dot(self.frame.w) < 0.0,
+            t,
+            point,
+            s,
+            v,
+            front: self.faces(ray),
         })
+    }
+
+    /// True when `ray` travels against the front normal.
+    #[inline]
+    fn faces(&self, ray: &Ray) -> bool {
+        ray.dir.dot(self.frame.w) < 0.0
     }
 }
 
@@ -211,15 +229,34 @@ impl Scene {
             .intersect(&self.geom.patches, ray, RAY_EPS, t_max)
     }
 
+    /// [`Scene::intersect`], also reporting the work the traversal did for
+    /// this ray. The counters repeat exactly for a given scene and ray.
+    pub fn intersect_counted(&self, ray: &Ray, t_max: f64) -> (Option<SceneHit>, OctreeWork) {
+        self.geom
+            .octree
+            .intersect_counted(&self.geom.patches, ray, RAY_EPS, t_max)
+    }
+
     /// Nearest hit by exhaustive scan — the correctness oracle for the
-    /// octree, and the baseline of the `intersect` bench.
+    /// octree, and the baseline of the `intersect` bench. Every patch gets
+    /// the whole unfiltered test: no mailbox, no guard box.
     pub fn intersect_brute_force(&self, ray: &Ray, t_max: f64) -> Option<SceneHit> {
         let mut best: Option<SceneHit> = None;
         let mut limit = t_max;
         for (i, sp) in self.geom.patches.iter().enumerate() {
-            if let Some(h) = sp.scene_hit(i as u32, ray, RAY_EPS, limit) {
+            let hit = sp
+                .isect
+                .intersect(sp.patch.p00, &sp.frame, ray, RAY_EPS, limit);
+            if let Some(h) = hit {
                 limit = h.t;
-                best = Some(h);
+                best = Some(SceneHit {
+                    patch_id: i as u32,
+                    t: h.t,
+                    point: h.point,
+                    s: h.s,
+                    v: h.v,
+                    front: sp.faces(ray),
+                });
             }
         }
         best

@@ -10,7 +10,10 @@
 //! fast path (exact for parallelograms, Newton-refined for general planar
 //! quads). Both it and [`Patch::intersect`] are thin wrappers over
 //! [`PatchIsect`], the ray-independent constants a scene computes once per
-//! patch, so there is a single copy of the arithmetic.
+//! patch, so there is a single copy of the arithmetic. The test is two
+//! stages — where the ray meets the plane ([`PatchIsect::plane_point`]),
+//! then the inversion of that point — and [`Patch::guard_box`] is the box a
+//! caller may use to skip the second stage for a point it cannot accept.
 
 use crate::{Aabb, Onb, Ray, Vec3};
 
@@ -109,6 +112,33 @@ impl Patch {
     /// histogram axes are stable across runs.
     pub fn frame(&self) -> Onb {
         Onb::from_wu(self.normal(), self.p10 - self.p00)
+    }
+
+    /// A box no point that [`Patch::st_of_point`] accepts on the patch
+    /// plane lies outside of, so a plane point outside it needs no
+    /// inversion to be known a miss.
+    ///
+    /// The inversion sees a point only through its projection into `frame`
+    /// (which must be `self.frame()`), and accepts it when the bilinear
+    /// coordinates of that projection are within `1e-9` of the unit square:
+    /// the point is then a convex combination of the four *projected*
+    /// corners, give or take `1e-9` of an edge and the Newton residual. The
+    /// box of those corners (for a planar quad, the corners themselves) is
+    /// padded by `1e-6 * (1 + diagonal)`, three orders above that slack and
+    /// far above the rounding of `ray.at(t)` at any distance a scene spans.
+    ///
+    /// That is exact wherever the inversion itself is: in closed form on a
+    /// parallelogram (every quad of the shipped scenes), and on a trapezoid
+    /// (`tests/prop.rs`). On a quad with no two edges parallel its four
+    /// Newton steps can stop short with `(s, t)` in range for a point far
+    /// outside the quad — a false hit; such a point is outside this box.
+    pub fn guard_box(&self, frame: &Onb) -> Aabb {
+        let on_plane = |q: Vec3| {
+            let l = frame.to_local(q - self.p00);
+            self.p00 + frame.to_world(Vec3::new(l.x, l.y, 0.0))
+        };
+        let b = Aabb::from_points([self.p00, self.p10, self.p11, self.p01].map(on_plane));
+        b.padded(1e-6 * (1.0 + b.extent().length()))
     }
 
     /// Ray intersection against the patch plane followed by bilinear
@@ -218,7 +248,8 @@ impl PatchIsect {
     }
 
     /// [`Patch::intersect`] for the patch these constants were built from,
-    /// whose `p00` corner and frame are passed back in.
+    /// whose `p00` corner and frame are passed back in: the plane stage,
+    /// then the inversion of whatever point it yields, unfiltered.
     #[inline]
     pub fn intersect(
         &self,
@@ -228,6 +259,16 @@ impl PatchIsect {
         t_min: f64,
         t_max: f64,
     ) -> Option<PatchHit> {
+        let (t, p) = self.plane_point(p00, ray, t_min, t_max)?;
+        let (s, v) = self.st_of_point(p00, frame, p)?;
+        Some(PatchHit { t, s, v, point: p })
+    }
+
+    /// The plane stage of [`PatchIsect::intersect`]: the parameter in
+    /// `(t_min, t_max)` at which `ray` meets the patch plane, and the point
+    /// there — which may lie anywhere on the plane.
+    #[inline]
+    pub fn plane_point(&self, p00: Vec3, ray: &Ray, t_min: f64, t_max: f64) -> Option<(f64, Vec3)> {
         let denom = ray.dir.dot(self.n);
         if denom.abs() < 1e-14 {
             return None; // Parallel to the plane.
@@ -236,9 +277,7 @@ impl PatchIsect {
         if t <= t_min || t >= t_max {
             return None;
         }
-        let p = ray.at(t);
-        let (s, v) = self.st_of_point(p00, frame, p)?;
-        Some(PatchHit { t, s, v, point: p })
+        Some((t, ray.at(t)))
     }
 
     /// [`Patch::st_of_point`] for the patch these constants were built

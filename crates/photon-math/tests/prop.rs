@@ -1,6 +1,6 @@
 //! Property tests on the geometric primitives.
 
-use photon_math::{Aabb, CylDir, Onb, Patch, Ray, Vec3};
+use photon_math::{Aabb, CylDir, Onb, Patch, PatchIsect, Ray, Vec3};
 use proptest::prelude::*;
 
 fn arb_vec3(r: f64) -> impl Strategy<Value = Vec3> {
@@ -11,6 +11,104 @@ fn arb_unit() -> impl Strategy<Value = Vec3> {
     arb_vec3(1.0)
         .prop_filter("nonzero", |v| v.length_sq() > 1e-4)
         .prop_map(|v| v.normalized())
+}
+
+/// Trapezoids of every proportion in a random plane: edges of 1e-3 to 1e3,
+/// sheared, the far edge 0.4 to 1.6 times the near one and parallel to it —
+/// and one corner lifted off the plane by up to 2 % of the shorter edge,
+/// the "small deviation" [`Patch::new`] tolerates.
+///
+/// Not wilder than that on purpose: on a quad with *no* two edges parallel
+/// the inversion's four Newton steps can stop short with `(s, t)` inside
+/// the unit square for a point well outside the quad (about one ray in
+/// 50 000 aimed up to two quad-widths wide), a false hit the guard box
+/// turns into a miss.
+fn arb_quad() -> impl Strategy<Value = Patch> {
+    let shape = (
+        -3.0f64..3.0,
+        -3.0f64..3.0,
+        -1.0f64..1.0,
+        0.4f64..1.6,
+        -0.02f64..0.02,
+    );
+    (arb_vec3(10.0), arb_unit(), shape).prop_map(|(origin, n, (e1, e2, shear, taper, warp))| {
+        let (l1, l2) = (10f64.powf(e1), 10f64.powf(e2));
+        let frame = Onb::from_w(n);
+        let at = |x: f64, y: f64| origin + frame.u * x + frame.v * y;
+        Patch::new(
+            at(0.0, 0.0),
+            at(l1, 0.0),
+            at(shear * l2 + taper * l1, l2) + n * (warp * l1.min(l2)),
+            at(shear * l2, l2),
+        )
+    })
+}
+
+/// A bilinear coordinate in `[-0.05, 1.05]`, half the time within a few
+/// `1e-9` of an edge of the unit interval, where the inversion's tolerance
+/// decides.
+fn arb_coord() -> impl Strategy<Value = f64> {
+    (0u32..4, -0.05f64..1.05, -3e-9f64..3e-9).prop_map(|(kind, wide, near)| match kind {
+        0 => near,
+        1 => 1.0 + near,
+        _ => wide,
+    })
+}
+
+fn bits(v: Vec3) -> [u64; 3] {
+    [v.x, v.y, v.z].map(f64::to_bits)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// The guard box holds every point of the quad's plane (give or take
+    /// rounding) that the inversion accepts: inside, on and just outside
+    /// the quad.
+    #[test]
+    fn guard_box_holds_every_accepted_point(
+        quad in arb_quad(),
+        s in arb_coord(),
+        t in arb_coord(),
+        lift in -1e-9f64..1e-9,
+    ) {
+        let frame = quad.frame();
+        let l = frame.to_local(quad.point_at(s, t) - quad.p00);
+        let scale = quad.aabb().extent().length();
+        let p = quad.p00 + frame.to_world(Vec3::new(l.x, l.y, lift * scale));
+        if quad.st_of_point(p).is_some() {
+            let guard = quad.guard_box(&frame);
+            prop_assert!(guard.contains(p), "({s}, {t}) accepted outside {guard:?}: {quad:?}");
+        }
+    }
+
+    /// Dropping plane points outside the guard box before inverting them is
+    /// `Patch::intersect`, bit for bit, on rays aimed at and around the quad.
+    #[test]
+    fn guarded_intersection_is_the_unguarded_one(
+        quad in arb_quad(),
+        s in -2.0f64..3.0,
+        t in -2.0f64..3.0,
+        from in arb_vec3(30.0),
+    ) {
+        let target = quad.point_at(s, t);
+        prop_assume!((target - from).length_sq() > 1e-12);
+        let ray = Ray::new(from, (target - from).normalized());
+        let frame = quad.frame();
+        let (isect, guard) = (PatchIsect::new(&quad, &frame), quad.guard_box(&frame));
+        let guarded = isect
+            .plane_point(quad.p00, &ray, 1e-7, f64::INFINITY)
+            .filter(|&(_, p)| guard.contains(p))
+            .and_then(|(t, p)| Some((t, p, isect.st_of_point(quad.p00, &frame, p)?)));
+        let plain = quad.intersect(&ray, 1e-7, f64::INFINITY);
+        prop_assert_eq!(guarded.is_some(), plain.is_some(), "({}, {}) on {:?}", s, t, quad);
+        if let (Some((t, p, (s, v))), Some(h)) = (guarded, plain) {
+            prop_assert_eq!(
+                (t.to_bits(), bits(p), s.to_bits(), v.to_bits()),
+                (h.t.to_bits(), bits(h.point), h.s.to_bits(), h.v.to_bits())
+            );
+        }
+    }
 }
 
 proptest! {
