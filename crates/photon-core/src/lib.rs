@@ -60,5 +60,7 @@ pub use perf::{MemoryTrace, SpeedTrace, SPEED_TRACE_CAP};
 pub use polar::{Polarization, PolarizedBounce};
 pub use sim::{SimConfig, SimStats, Simulator};
 pub use trace::{path_rays, trace_photon, trace_span, Span, TallySink, TraceOutcome};
-pub use view::{render, render_tile, squash_tile_runs, tiles, Camera, Tile};
+pub use view::{
+    render, render_tile, render_tile_memo, squash_tile_runs, tiles, Camera, ItemBuffer, Tile,
+};
 pub use wire::{SubscribeFrame, WireDelta, WireFrame, WireMode};

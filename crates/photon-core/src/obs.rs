@@ -11,7 +11,7 @@
 //! |-------|------------|
 //! | [`FlightRecorder`] | lock-cheap bounded ring buffer of [`ObsEvent`]s — a post-mortem timeline of every lifecycle edge, filterable by scene/job/tenant/kind |
 //! | [`Histogram`] | fixed-size log-bucketed latency histogram: constant memory forever, p50/p90/p99 within one bucket of exact, exact count/sum/max, mergeable |
-//! | [`StageTimings`] | one histogram per pipeline [`Stage`] (cache probe, render, diff, reply, solve slice, checkpoint freeze/encode/restore) |
+//! | [`StageTimings`] | one histogram per pipeline [`Stage`] (cache probe, render, reshade, diff, reply, solve slice, checkpoint freeze/encode/restore) |
 //! | [`ObsHub`] | the `Arc`-shared bundle of all three that instrumented code records into |
 //!
 //! Everything here is bounded by construction: the recorder drops its
@@ -201,8 +201,13 @@ impl HistogramSnapshot {
 pub enum Stage {
     /// View-cache lookup on the request path.
     CacheProbe,
-    /// Tile-parallel render of one view.
+    /// Tile-parallel render of one view that cast its camera rays (no item
+    /// buffer yet, or none kept).
     Render,
+    /// Tile-parallel render of one view that reused its item buffer: one
+    /// patch re-tested per pixel, no octree. `render` + `reshade` counts
+    /// are every render; their ratio is the buffer reuse.
+    Reshade,
     /// Tile diff of two frames on the streaming path.
     Diff,
     /// Answering a waiter (metrics accounting + channel send).
@@ -225,9 +230,10 @@ pub enum Stage {
 }
 
 /// Every stage, in display order.
-pub const STAGES: [Stage; 10] = [
+pub const STAGES: [Stage; 11] = [
     Stage::CacheProbe,
     Stage::Render,
+    Stage::Reshade,
     Stage::Diff,
     Stage::Reply,
     Stage::SolveSlice,
@@ -244,6 +250,7 @@ impl Stage {
         match self {
             Stage::CacheProbe => "cache-probe",
             Stage::Render => "render",
+            Stage::Reshade => "reshade",
             Stage::Diff => "diff",
             Stage::Reply => "reply",
             Stage::SolveSlice => "solve-slice",
@@ -263,7 +270,7 @@ impl Stage {
 /// One duration [`Histogram`] per [`Stage`].
 #[derive(Debug, Default)]
 pub struct StageTimings {
-    stages: [Histogram; 10],
+    stages: [Histogram; STAGES.len()],
 }
 
 impl StageTimings {
@@ -284,7 +291,7 @@ impl StageTimings {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimingsSnapshot {
     /// One snapshot per [`STAGES`] entry, same order.
-    pub stages: [HistogramSnapshot; 10],
+    pub stages: [HistogramSnapshot; STAGES.len()],
 }
 
 impl StageTimingsSnapshot {

@@ -6,11 +6,18 @@
 //! *leaving* the surface toward the eye would have been tallied into. No
 //! recursion, no shading model — the global illumination already lives in
 //! the bin forest, so any number of viewpoints render from one answer file.
+//!
+//! *Which* patch a pixel sees depends on scene and camera alone; only the
+//! radiance stored there changes as a solve refines. An [`ItemBuffer`]
+//! remembers the first, so every later render of the view re-tests one
+//! patch per pixel instead of searching the octree.
 
 use crate::answer::Answer;
 use crate::img::Image;
-use photon_geom::Scene;
+use crate::wire::MAX_FRAME_BYTES;
+use photon_geom::{Scene, SceneHit};
 use photon_math::{Ray, Rgb, Vec3};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A pinhole camera.
 #[derive(Clone, Copy, Debug)]
@@ -32,16 +39,121 @@ pub struct Camera {
 impl Camera {
     /// The primary ray through the center of pixel `(x, y)`.
     pub fn ray(&self, x: usize, y: usize) -> Ray {
+        self.basis().ray(x, y)
+    }
+
+    /// Everything [`Camera::ray`] needs that no pixel changes.
+    fn basis(&self) -> Basis {
         let w = (self.eye - self.target).normalized(); // backward
         let u = self.up.cross(w).normalized();
         let v = w.cross(u);
         let aspect = self.width as f64 / self.height as f64;
         let half_h = (self.vfov_deg.to_radians() * 0.5).tan();
-        let half_w = half_h * aspect;
-        let px = (x as f64 + 0.5) / self.width as f64 * 2.0 - 1.0;
-        let py = 1.0 - (y as f64 + 0.5) / self.height as f64 * 2.0;
-        let dir = (u * (px * half_w) + v * (py * half_h) - w).normalized();
+        Basis {
+            eye: self.eye,
+            u,
+            v,
+            w,
+            half_w: half_h * aspect,
+            half_h,
+            width: self.width as f64,
+            height: self.height as f64,
+        }
+    }
+
+    /// Refuses a frame that could never be rendered or shipped, with the
+    /// reason: no pixels, or more than one [`crate::wire`] frame carries
+    /// (`MAX_FRAME_BYTES` of `Rgb`s; the bootstrap delta of a lit view holds
+    /// every pixel). Every door a camera comes in by — the subscribe
+    /// decoder, the render service — checks it before anything is sized by
+    /// `width * height`.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.width == 0 || self.height == 0 {
+            return Err("camera has zero pixel area");
+        }
+        let max_pixels = MAX_FRAME_BYTES as usize / std::mem::size_of::<Rgb>();
+        match self.width.checked_mul(self.height) {
+            Some(pixels) if pixels <= max_pixels => Ok(()),
+            _ => Err("camera frame over MAX_FRAME_BYTES"),
+        }
+    }
+}
+
+/// The per-camera half of [`Camera::ray`], so a tile computes it once.
+#[derive(Clone, Copy)]
+struct Basis {
+    eye: Vec3,
+    u: Vec3,
+    v: Vec3,
+    w: Vec3,
+    half_w: f64,
+    half_h: f64,
+    width: f64,
+    height: f64,
+}
+
+impl Basis {
+    fn ray(&self, x: usize, y: usize) -> Ray {
+        let px = (x as f64 + 0.5) / self.width * 2.0 - 1.0;
+        let py = 1.0 - (y as f64 + 0.5) / self.height * 2.0;
+        let dir = (self.u * (px * self.half_w) + self.v * (py * self.half_h) - self.w).normalized();
         Ray::new(self.eye, dir)
+    }
+}
+
+/// The item buffer of one view (Weghorst, Hooper & Greenberg 1984): per
+/// pixel, the id of the patch its camera ray meets first.
+///
+/// That id is a function of scene and camera alone, so a buffer filled by
+/// one render serves every later render of the *same camera over the same
+/// scene*, whatever answer is looked up: a known pixel re-runs the patch
+/// test on the remembered patch ([`Scene::intersect_patch`]) and gets the
+/// traversal's hit back bit for bit; an unknown one searches the octree and
+/// records the winner. Keeping a buffer with its scene and camera is the
+/// holder's job; the frame size is checked.
+///
+/// Pixels are independent and each slot is a relaxed atomic, so the tiles
+/// of one frame fill one shared buffer from several threads, and a render
+/// that stops half way leaves a valid, partly filled buffer.
+#[derive(Debug)]
+pub struct ItemBuffer {
+    width: usize,
+    height: usize,
+    ids: Vec<AtomicU32>,
+}
+
+/// The ray left the scene: nothing to shade, ever.
+const LEFT_SCENE: u32 = u32::MAX;
+/// Not traced yet. Any id the scene does not have reads the same way.
+const UNTRACED: u32 = u32::MAX - 1;
+
+impl ItemBuffer {
+    /// An empty buffer for `camera`'s frame: 4 bytes a pixel.
+    pub fn new(camera: &Camera) -> Self {
+        let pixels = camera.width * camera.height;
+        ItemBuffer {
+            width: camera.width,
+            height: camera.height,
+            ids: (0..pixels).map(|_| AtomicU32::new(UNTRACED)).collect(),
+        }
+    }
+
+    /// First hit of `ray`, the camera ray through pixel `index`. A
+    /// remembered id that misses (it was never traced, or belongs to
+    /// another view) falls back to the search.
+    #[inline]
+    fn first_hit(&self, scene: &Scene, index: usize, ray: &Ray) -> Option<SceneHit> {
+        let slot = &self.ids[index];
+        let id = slot.load(Ordering::Relaxed);
+        if id == LEFT_SCENE {
+            return None;
+        }
+        if let Some(hit) = scene.intersect_patch(id, ray) {
+            return Some(hit);
+        }
+        let hit = scene.intersect(ray, f64::INFINITY);
+        slot.store(hit.map_or(LEFT_SCENE, |h| h.patch_id), Ordering::Relaxed);
+        hit
     }
 }
 
@@ -111,11 +223,40 @@ pub fn render_tile(
     tile: Tile,
     exposure: f64,
 ) -> Vec<Rgb> {
+    render_tile_memo(scene, answer, camera, None, tile, exposure)
+}
+
+/// [`render_tile`] through the view's [`ItemBuffer`], when there is one:
+/// the same pixels bit for bit, without the octree wherever the buffer
+/// already knows what the pixel sees. This is the only per-pixel loop.
+///
+/// # Panics
+/// Panics if `items` was built for another frame size.
+pub fn render_tile_memo(
+    scene: &Scene,
+    answer: &Answer,
+    camera: &Camera,
+    items: Option<&ItemBuffer>,
+    tile: Tile,
+    exposure: f64,
+) -> Vec<Rgb> {
+    if let Some(items) = items {
+        assert_eq!(
+            (items.width, items.height),
+            (camera.width, camera.height),
+            "item buffer of another frame size"
+        );
+    }
+    let basis = camera.basis();
     let mut buf = Vec::with_capacity(tile.pixel_count());
     for y in tile.y0..tile.y1 {
         for x in tile.x0..tile.x1 {
-            let ray = camera.ray(x, y);
-            buf.push(shade(scene, answer, &ray) * exposure);
+            let ray = basis.ray(x, y);
+            let hit = match items {
+                Some(items) => items.first_hit(scene, y * camera.width + x, &ray),
+                None => scene.intersect(&ray, f64::INFINITY),
+            };
+            buf.push(seen(scene, answer, &ray, hit) * exposure);
         }
     }
     buf
@@ -248,7 +389,13 @@ pub fn render(scene: &Scene, answer: &Answer, camera: &Camera, exposure: f64) ->
 
 /// The color seen along one ray (before exposure).
 pub fn shade(scene: &Scene, answer: &Answer, ray: &Ray) -> Rgb {
-    let Some(hit) = scene.intersect(ray, f64::INFINITY) else {
+    seen(scene, answer, ray, scene.intersect(ray, f64::INFINITY))
+}
+
+/// The color `ray` shows given its first hit, however that was found.
+#[inline]
+fn seen(scene: &Scene, answer: &Answer, ray: &Ray, hit: Option<SceneHit>) -> Rgb {
+    let Some(hit) = hit else {
         return Rgb::BLACK;
     };
     // Radiance leaving the hit point toward the eye.
@@ -319,6 +466,136 @@ mod tests {
             width: 32,
             height: 24,
         }
+    }
+
+    /// [`render`] through an item buffer: the same serial tile loop.
+    fn render_memo(
+        scene: &Scene,
+        answer: &Answer,
+        camera: &Camera,
+        items: &ItemBuffer,
+        exposure: f64,
+    ) -> Image {
+        let mut img = Image::new(camera.width, camera.height);
+        for tile in tiles(camera.width, camera.height, DEFAULT_TILE_SIZE) {
+            let buf = render_tile_memo(scene, answer, camera, Some(items), tile, exposure);
+            blit_tile(&mut img, tile, &buf);
+        }
+        img
+    }
+
+    /// Every channel of every pixel, as bits: `-0.0`, `0.0` and NaNs apart.
+    fn bits(img: &Image) -> Vec<u64> {
+        let channels = img.pixels().iter().flat_map(|p| [p.r, p.g, p.b]);
+        channels.map(f64::to_bits).collect()
+    }
+
+    fn untraced(items: &ItemBuffer) -> usize {
+        let ids = items.ids.iter().map(|id| id.load(Ordering::Relaxed));
+        ids.filter(|&id| id == UNTRACED).count()
+    }
+
+    #[test]
+    fn memoised_render_is_bit_identical_cold_and_warm() {
+        use photon_scenes::TestScene;
+        for kind in TestScene::ALL {
+            let mut sim = Simulator::new(
+                kind.build(),
+                SimConfig {
+                    seed: 3,
+                    ..Default::default()
+                },
+            );
+            // Three answers of one solve: the bin trees refine between
+            // them while the buffer, which knows nothing of them, is kept.
+            let answers = [600, 2_400, 6_000].map(|photons| {
+                sim.run_photons(photons);
+                sim.answer_snapshot()
+            });
+            let scene = sim.scene();
+            for phase in [0.0, 0.25, 0.5] {
+                for (width, height) in [(97, 53), (240, 180)] {
+                    let view = kind.view().orbited(phase, 1.0);
+                    let camera = Camera {
+                        eye: view.eye,
+                        target: view.target,
+                        up: view.up,
+                        vfov_deg: view.vfov_deg,
+                        width,
+                        height,
+                    };
+                    let what = format!("{} phase {phase} {width}x{height}", kind.name());
+                    let items = ItemBuffer::new(&camera);
+                    assert_eq!(untraced(&items), width * height);
+                    for (i, answer) in answers.iter().enumerate() {
+                        let plain = bits(&render(scene, answer, &camera, 0.02));
+                        // Cold on the first answer, warm ever after.
+                        let memo = bits(&render_memo(scene, answer, &camera, &items, 0.02));
+                        assert!(memo == plain, "{what}: answer {i} diverged");
+                        assert_eq!(untraced(&items), 0, "{what}");
+                    }
+                    let again = bits(&render_memo(scene, &answers[0], &camera, &items, 0.02));
+                    let plain = bits(&render(scene, &answers[0], &camera, 0.02));
+                    assert!(again == plain, "{what}: back to the first answer");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_wrong_item_buffer_still_renders() {
+        let scene = lit_floor_scene();
+        let mut sim = Simulator::new(scene, SimConfig::default());
+        sim.run_photons(2_000);
+        let (scene, answer, cam) = (sim.scene(), sim.answer_snapshot(), camera());
+        let plain = bits(&render(scene, &answer, &cam, 1.0));
+        // Ids no scene has; the light, which no camera ray meets; the
+        // floor, which the sky pixels do not: every miss falls back to the
+        // search, and the floor is nearest wherever it is hit at all.
+        for wrong in [UNTRACED - 1, scene.polygon_count() as u32, 1, 0] {
+            let items = ItemBuffer::new(&cam);
+            for id in &items.ids {
+                id.store(wrong, Ordering::Relaxed);
+            }
+            let memo = bits(&render_memo(scene, &answer, &cam, &items, 1.0));
+            assert!(memo == plain, "buffer full of {wrong}");
+        }
+        // Pixels wrongly remembered as empty come out black: a wrong
+        // image from a buffer nothing in the program builds, and no panic.
+        let items = ItemBuffer::new(&cam);
+        for id in &items.ids {
+            id.store(LEFT_SCENE, Ordering::Relaxed);
+        }
+        let black = render_memo(scene, &answer, &cam, &items, 1.0);
+        assert_eq!(black.mean_luminance(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "item buffer of another frame size")]
+    fn an_item_buffer_of_another_frame_size_is_refused() {
+        let scene = lit_floor_scene();
+        let answer = Simulator::new(scene.clone(), SimConfig::default()).answer_snapshot();
+        let mut wide = camera();
+        wide.width += 1;
+        let items = ItemBuffer::new(&wide);
+        render_memo(&scene, &answer, &camera(), &items, 1.0);
+    }
+
+    #[test]
+    fn camera_bound_is_one_wire_frame_of_pixels() {
+        let max_pixels = MAX_FRAME_BYTES as usize / std::mem::size_of::<Rgb>();
+        let mut cam = camera();
+        (cam.width, cam.height) = (4096, max_pixels / 4096);
+        assert_eq!(cam.validate(), Ok(()), "at the bound");
+        cam.height += 1;
+        assert!(cam.validate().is_err(), "one row over");
+        // A product that overflows `usize` is over the bound, not under it.
+        (cam.width, cam.height) = (usize::MAX, 2);
+        assert!(cam.validate().is_err());
+        (cam.width, cam.height) = (usize::MAX, usize::MAX);
+        assert!(cam.validate().is_err());
+        (cam.width, cam.height) = (0, 5);
+        assert_eq!(cam.validate(), Err("camera has zero pixel area"));
     }
 
     #[test]

@@ -409,30 +409,22 @@ fn decode_subscribe_body(cur: &mut Cursor<&[u8]>) -> io::Result<SubscribeFrame> 
     for v in &mut vecs {
         *v = Vec3::new(read_f64(cur)?, read_f64(cur)?, read_f64(cur)?);
     }
-    let vfov_deg = read_f64(cur)?;
-    let width = read_u32(cur)? as usize;
-    let height = read_u32(cur)? as usize;
-    if width == 0 || height == 0 {
-        return Err(bad_data("zero-sized camera"));
-    }
-    // The bootstrap delta of a lit view carries every pixel; a frame that
-    // could never be written is refused here, before a peer's eight bytes
-    // make the server's one dispatcher build the tile list and render it.
-    let max_pixels = MAX_FRAME_BYTES as u64 / std::mem::size_of::<Rgb>() as u64;
-    if width as u64 * height as u64 > max_pixels {
-        return Err(bad_data("camera frame over MAX_FRAME_BYTES"));
-    }
+    let camera = Camera {
+        eye: vecs[0],
+        target: vecs[1],
+        up: vecs[2],
+        vfov_deg: read_f64(cur)?,
+        width: read_u32(cur)? as usize,
+        height: read_u32(cur)? as usize,
+    };
+    // A frame that could never be written is refused here, before a peer's
+    // eight bytes make the server's one dispatcher build the tile list and
+    // render it.
+    camera.validate().map_err(bad_data)?;
     Ok(SubscribeFrame {
         scene,
         mode,
-        camera: Camera {
-            eye: vecs[0],
-            target: vecs[1],
-            up: vecs[2],
-            vfov_deg,
-            width,
-            height,
-        },
+        camera,
     })
 }
 

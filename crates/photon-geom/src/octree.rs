@@ -140,7 +140,7 @@ pub(crate) trait Probe {
     fn inversion(&mut self) {}
 }
 
-struct NoProbe;
+pub(crate) struct NoProbe;
 impl Probe for NoProbe {}
 
 /// The work one query did, counted by the traversal itself.
@@ -452,7 +452,7 @@ impl Octree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::material::Material;
     use photon_core::{path_rays, Camera, PhotonGenerator};
@@ -544,7 +544,7 @@ mod tests {
         }
     }
 
-    fn bits(h: Option<SceneHit>) -> Option<(u32, [u64; 6], bool)> {
+    pub(crate) fn bits(h: Option<SceneHit>) -> Option<(u32, [u64; 6], bool)> {
         let h = h?;
         let f = [h.t, h.s, h.v, h.point.x, h.point.y, h.point.z];
         Some((h.patch_id, f.map(f64::to_bits), h.front))
@@ -600,7 +600,7 @@ mod tests {
         (patches, tree)
     }
 
-    fn camera_rays(view: ViewSpec, width: usize, height: usize) -> Vec<Ray> {
+    pub(crate) fn camera_rays(view: ViewSpec, width: usize, height: usize) -> Vec<Ray> {
         let camera = Camera {
             eye: view.eye,
             target: view.target,
@@ -617,7 +617,7 @@ mod tests {
     /// Rays chosen to land on the comparisons the traversal must not get
     /// differently wrong: slabs that are NaN or infinite, entry parameters
     /// that tie, and hits that tie.
-    fn adversarial_rays(tree: &Octree, patches: &[SurfacePatch], eye: Vec3) -> Vec<Ray> {
+    pub(crate) fn adversarial_rays(tree: &Octree, patches: &[SurfacePatch], eye: Vec3) -> Vec<Ray> {
         let axes = [Vec3::X, -Vec3::X, Vec3::Y, -Vec3::Y, Vec3::Z, -Vec3::Z];
         let diagonals = [
             Vec3::new(1.0, 1.0, 1.0),

@@ -1,7 +1,7 @@
 //! Scenes: patches, luminaires, and nearest-hit queries.
 
 use crate::material::Material;
-use crate::octree::{Octree, OctreeWork, Probe};
+use crate::octree::{NoProbe, Octree, OctreeWork, Probe};
 use photon_math::{Aabb, Onb, Patch, PatchIsect, Ray, Rgb, Vec3};
 use std::sync::Arc;
 
@@ -237,6 +237,17 @@ impl Scene {
             .intersect_counted(&self.geom.patches, ray, RAY_EPS, t_max)
     }
 
+    /// The hit of `ray` on patch `patch_id` alone, `t` in `(RAY_EPS, ∞)`:
+    /// what a caller that remembers which patch [`Scene::intersect`] found
+    /// for this very ray runs instead of searching again. It is the same
+    /// test the traversal ran on its winner, under a limit that only ever
+    /// gates a reject, so every field of the hit repeats bit for bit. An id
+    /// the scene does not have is a miss, not a panic.
+    pub fn intersect_patch(&self, patch_id: u32, ray: &Ray) -> Option<SceneHit> {
+        let sp = self.geom.patches.get(patch_id as usize)?;
+        sp.scene_hit(patch_id, ray, RAY_EPS, f64::INFINITY, &mut NoProbe)
+    }
+
     /// Nearest hit by exhaustive scan — the correctness oracle for the
     /// octree, and the baseline of the `intersect` bench. Every patch gets
     /// the whole unfiltered test: no mailbox, no guard box.
@@ -319,6 +330,45 @@ mod tests {
         let b = scene.intersect_brute_force(&ray, f64::INFINITY).unwrap();
         assert_eq!(a.patch_id, b.patch_id);
         assert!((a.t - b.t).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_winner_retested_alone_is_the_traversals_hit() {
+        use crate::octree::tests::{adversarial_rays, bits, camera_rays};
+        use photon_core::{path_rays, PhotonGenerator};
+        use photon_scenes::TestScene;
+        for kind in TestScene::ALL {
+            // The scene's geometry as this build's types (see the octree
+            // tests' `rebuilt`); the photon paths come from the original.
+            let built = kind.build();
+            let matte = Material::matte(Rgb::gray(0.5));
+            let rebuilt = built.patches().iter().map(|sp| sp.patch);
+            let scene = Scene::new(
+                rebuilt.map(|p| SurfacePatch::new(p, matte)).collect(),
+                Vec::new(),
+            );
+            let (first, later) = path_rays(&built, &PhotonGenerator::new(&built), 1, 4000);
+            let rays = [
+                first,
+                later,
+                camera_rays(kind.view(), 48, 36),
+                adversarial_rays(scene.octree(), scene.patches(), kind.view().eye),
+            ]
+            .concat();
+            let mut hits = 0;
+            for ray in &rays {
+                let Some(hit) = scene.intersect(ray, f64::INFINITY) else {
+                    continue;
+                };
+                hits += 1;
+                let alone = scene.intersect_patch(hit.patch_id, ray);
+                assert_eq!(bits(alone), bits(Some(hit)), "{}: {ray:?}", kind.name());
+            }
+            assert!(hits * 2 > rays.len(), "{}: {hits} hits", kind.name());
+            for no_such_patch in [scene.polygon_count() as u32, u32::MAX - 1, u32::MAX] {
+                assert!(scene.intersect_patch(no_such_patch, &rays[0]).is_none());
+            }
+        }
     }
 
     #[test]

@@ -16,9 +16,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// index order.
 ///
 /// Scheduling is dynamic: each worker repeatedly claims the next unclaimed
-/// index. With `threads == 1` (or one job) everything runs on the calling
-/// thread with no synchronization, so a single-threaded pool is exactly the
-/// serial loop.
+/// index. The calling thread is one of the `threads` workers — a caller
+/// parked behind `threads` spawned ones would be one runnable thread too
+/// many when the pool is sized to the host, and a spawn more than a short
+/// map needs. With `threads == 1` (or one job) everything runs on the
+/// calling thread with no synchronization, so a single-threaded pool is
+/// exactly the serial loop.
 ///
 /// # Panics
 /// Panics if `threads == 0`, and propagates a panic from any job.
@@ -33,16 +36,18 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(jobs) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs {
-                    break;
-                }
-                *slots[i].lock() = Some(job(i));
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= jobs {
+            break;
         }
+        *slots[i].lock() = Some(job(i));
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(jobs) {
+            scope.spawn(work);
+        }
+        work();
     });
     slots
         .into_iter()
@@ -76,6 +81,29 @@ mod tests {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 100);
         assert_eq!(out.len(), 100);
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Both jobs wait for each other, so they run on two threads at
+        // once; a pool of two has no second thread but the caller's.
+        let both = std::sync::Barrier::new(2);
+        let ran_on = parallel_map(2, 2, |_| {
+            both.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(ran_on[0], ran_on[1]);
+        assert!(ran_on.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_map() {
+        for bad in [0, 5] {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map(2, 6, |i| assert_ne!(i, bad));
+            });
+            assert!(caught.is_err(), "job {bad}");
+        }
     }
 
     #[test]

@@ -1,15 +1,26 @@
-//! The view cache: an LRU of rendered images keyed by (scene, quantized
-//! camera).
+//! The dispatcher's two caches, one LRU type behind both.
 //!
-//! Serving many clients against a handful of stored answers is dominated by
-//! repeated and near-identical views (walkthrough clients orbit the same
-//! landmarks; dashboards poll fixed viewpoints). A rendered view is a pure
-//! function of `(scene, answer epoch, camera)` — so caching is exact, and
-//! quantizing the camera before keying folds views that differ by
-//! sub-voxel jitter into one entry. The epoch in the key is what keeps a
-//! *progressive* solve honest: every publish of a refined answer moves the
-//! entry to a new epoch, all old cache keys stop matching, and refreshed
-//! views re-render instead of serving stale images.
+//! **The view cache** holds rendered images keyed by [`ViewKey`]: (scene,
+//! answer epoch, quantized camera). Serving many clients against a handful
+//! of stored answers is dominated by repeated and near-identical views
+//! (walkthrough clients orbit the same landmarks; dashboards poll fixed
+//! viewpoints). A rendered view is a pure function of `(scene, answer
+//! epoch, camera)` — so caching is exact, and quantizing the camera before
+//! keying folds views that differ by sub-voxel jitter into one entry. The
+//! epoch in the key is what keeps a *progressive* solve honest: every
+//! publish of a refined answer moves the entry to a new epoch, all old
+//! cache keys stop matching — the dispatcher purges them on the spot — and
+//! refreshed views re-render instead of serving stale images.
+//!
+//! **The item-buffer cache** holds, keyed by `ItemKey` — (scene, the
+//! camera's exact bits) — which patch each pixel of a view sees
+//! ([`photon_core::ItemBuffer`]). That is what a re-render after a publish
+//! does *not* have to find again: visibility is a function of scene and
+//! camera alone and a stored scene never changes, so this cache has no
+//! epoch in its key, is never purged, and only ages out by LRU. Its key is
+//! exact because its use is: one flipped bit of the eye moves every ray,
+//! and a buffer recorded for the neighbouring camera would be re-tested
+//! against the wrong rays.
 
 use crate::store::SceneId;
 use photon_core::Camera;
@@ -60,6 +71,31 @@ impl ViewKey {
             target: qv(camera.target),
             up: qv(camera.up),
             vfov_cdeg: (camera.vfov_deg * 100.0).round() as i64,
+            width: camera.width,
+            height: camera.height,
+        }
+    }
+}
+
+/// An item-buffer key: the scene and the camera, bit for bit (`-0.0` and
+/// `0.0` are different eyes here — they already give different
+/// `Ray::inv_dir`s).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct ItemKey {
+    scene: SceneId,
+    camera: [u64; 10],
+    width: usize,
+    height: usize,
+}
+
+impl ItemKey {
+    /// The key of exactly this camera over `scene`.
+    pub(crate) fn exact(scene: SceneId, camera: &Camera) -> Self {
+        let (e, t, u) = (camera.eye, camera.target, camera.up);
+        let fields = [e.x, e.y, e.z, t.x, t.y, t.z, u.x, u.y, u.z, camera.vfov_deg];
+        ItemKey {
+            scene,
+            camera: fields.map(f64::to_bits),
             width: camera.width,
             height: camera.height,
         }
@@ -215,6 +251,26 @@ mod tests {
         let mut resized = cam(1.0);
         resized.width = 128;
         assert_ne!(a, ViewKey::quantize(SceneId(0), 1, &resized, 256.0));
+    }
+
+    #[test]
+    fn item_keys_tell_apart_what_quantization_folds() {
+        let grid = 256.0;
+        let (a, mut b) = (cam(1.0), cam(1.0));
+        b.eye.x = f64::from_bits(b.eye.x.to_bits() + 1);
+        let (mut zero, mut minus_zero) = (cam(1.0), cam(1.0));
+        (zero.target.x, minus_zero.target.x) = (0.0, -0.0);
+        let exact = |c: &Camera| ItemKey::exact(SceneId(0), c);
+        for (p, q) in [(a, b), (zero, minus_zero)] {
+            let quantized = |c| ViewKey::quantize(SceneId(0), 1, c, grid);
+            assert_eq!(quantized(&p), quantized(&q), "one quantized cell");
+            assert_ne!(exact(&p), exact(&q));
+        }
+        assert_eq!(exact(&a), exact(&a));
+        assert_ne!(exact(&a), ItemKey::exact(SceneId(1), &a));
+        let mut resized = a;
+        resized.height += 1;
+        assert_ne!(exact(&a), exact(&resized));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | [`solver`] | multi-job solver pool: weighted-round-robin batch scheduler, per-tenant photon quotas, pause/resume/cancel, checkpoint/resume job migration |
 //! | [`store`] | registry of `(Scene, Answer)` pairs with publication epochs, persisted via the `PHOTANS1` codec |
 //! | [`render`] | tile-parallel rendering over `photon-par`'s worker pool, bit-identical to the serial viewer |
-//! | [`cache`] | LRU of rendered views keyed by (scene, epoch, quantized camera) — a publish invalidates *and purges* stale images |
+//! | [`cache`] | LRU of rendered views keyed by (scene, epoch, quantized camera) — a publish invalidates *and purges* stale images — and LRU of item buffers keyed by (scene, exact camera), which no publish touches |
 //! | [`service`] | submission queue → batching dispatcher → cache/coalesce/render |
 //! | [`stream`] | epoch subscriptions: publishes push [`FrameDelta`]s (changed tiles only) to subscribers, reassembling bit-identical frames |
 //! | [`netstream`] | off-box transport: a TCP server fanning each scene's epochs out as `PHOTSTRM1` frames (lossless or quantized), with slow consumers coalesced server-side |

@@ -2,13 +2,14 @@
 //! the worker pool.
 //!
 //! `photon_core::view::render` and this module share one code path —
-//! [`photon_core::view::render_tile`] — so an N-worker render is
+//! [`photon_core::view::render_tile_memo`] — so an N-worker render is
 //! bit-identical to the serial image: same rays, same shading, same f64
 //! arithmetic, only the tile *schedule* differs, and tiles write disjoint
-//! pixels.
+//! pixels. The same holds with the view's [`ItemBuffer`] in hand: it
+//! changes how a pixel's first hit is found, never the hit.
 
-use photon_core::view::{blit_tile, render_tile, tiles};
-use photon_core::{Answer, Camera, Image};
+use photon_core::view::{blit_tile, render_tile_memo, tiles};
+use photon_core::{Answer, Camera, Image, ItemBuffer};
 use photon_geom::Scene;
 use photon_par::parallel_map;
 
@@ -24,9 +25,24 @@ pub fn render_parallel(
     threads: usize,
     tile_size: usize,
 ) -> Image {
+    render_parallel_memo(scene, answer, camera, None, exposure, threads, tile_size)
+}
+
+/// [`render_parallel`] through the view's item buffer, when the caller
+/// keeps one for this `(scene, camera)`: pixels it knows skip the octree,
+/// the rest are traced and recorded, the image is the same bit for bit.
+pub(crate) fn render_parallel_memo(
+    scene: &Scene,
+    answer: &Answer,
+    camera: &Camera,
+    items: Option<&ItemBuffer>,
+    exposure: f64,
+    threads: usize,
+    tile_size: usize,
+) -> Image {
     let tile_list = tiles(camera.width, camera.height, tile_size);
     let buffers = parallel_map(threads, tile_list.len(), |i| {
-        render_tile(scene, answer, camera, tile_list[i], exposure)
+        render_tile_memo(scene, answer, camera, items, tile_list[i], exposure)
     });
     let mut img = Image::new(camera.width, camera.height);
     for (tile, buf) in tile_list.iter().zip(&buffers) {

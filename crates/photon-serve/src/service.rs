@@ -11,8 +11,12 @@
 //!    on — coalesces requests whose quantized [`ViewKey`]s collide, so one
 //!    tile-parallel render answers all of them.
 //! 3. Misses render across the worker pool
-//!    ([`render_parallel`]), land in the
+//!    ([`render_parallel`](crate::render::render_parallel)), land in the
 //!    LRU view cache, and every waiter gets an `Arc` of the same image.
+//!    The first render of a camera also fills its item buffer — which
+//!    patch each pixel sees — in a second LRU; every later miss on that
+//!    camera (each publish makes one) re-shades from the buffer instead of
+//!    casting its rays again. Same pixels, bit for bit.
 //!
 //! One dispatcher owns the cache (no lock contention on the hot map); the
 //! heavy lifting inside a render is already parallel at tile granularity,
@@ -27,14 +31,14 @@
 //! keeps no per-subscriber delivery state and never wakes on a consumer's
 //! behalf — its idle tick only sweeps subscribers whose handles are gone.
 
-use crate::cache::{LruCache, ViewKey};
+use crate::cache::{ItemKey, LruCache, ViewKey};
 use crate::metrics::{MetricsSnapshot, RequestOutcome, ServiceMetrics, SolverStatsSource};
-use crate::render::render_parallel;
+use crate::render::render_parallel_memo;
 use crate::store::{AnswerStore, SceneId, StoredAnswer, WatcherId};
 use crate::stream::{FrameDelta, Mailbox, StreamHandle, StreamRequest};
 use photon_core::obs::{ObsCtx, ObsKind, Stage};
 use photon_core::view::{diff_tiles, Tile};
-use photon_core::{Camera, Image, ObsHub};
+use photon_core::{Camera, Image, ItemBuffer, ObsHub};
 use photon_math::Rgb;
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -163,9 +167,10 @@ pub struct ServeConfig {
     pub tile_size: usize,
     /// Most requests drained into one dispatch batch.
     pub max_batch: usize,
-    /// View-cache entries; `0` disables caching *and* same-batch
-    /// coalescing, so every request pays a full render (the bench's
-    /// baseline mode).
+    /// View-cache entries, and as many item buffers (one per exact camera,
+    /// 4 bytes a pixel, kept across epochs); `0` disables caching, item
+    /// buffers *and* same-batch coalescing, so every request pays a full
+    /// render (the bench's baseline mode).
     pub cache_capacity: usize,
     /// Camera quantization: lattice cells per world unit (larger = finer =
     /// fewer cache collisions).
@@ -240,13 +245,12 @@ enum Msg {
 /// handle on a fully idle service can pin its retained frame.
 const HOUSEKEEP: Duration = Duration::from_millis(200);
 
-/// Degenerate cameras can never produce an image (`Image` rejects
-/// zero-area frames); refuse them up front instead of panicking a render.
+/// A camera that can never produce an image, or whose image no frame could
+/// carry, is refused up front — by the bound the subscribe decoder applies
+/// to a remote one — instead of panicking a render or sizing an image and
+/// an item buffer by whatever `width * height` a caller claims.
 fn validate_camera(camera: &Camera) -> Result<(), ServeError> {
-    if camera.width == 0 || camera.height == 0 {
-        return Err(ServeError::InvalidRequest("camera has zero pixel area"));
-    }
-    Ok(())
+    camera.validate().map_err(ServeError::InvalidRequest)
 }
 
 /// The concurrent answer-serving engine.
@@ -311,11 +315,19 @@ impl RenderService {
     /// Invalid requests (degenerate camera) resolve immediately with
     /// [`ServeError::InvalidRequest`] without reaching the dispatcher.
     pub fn submit(&self, request: RenderRequest) -> Ticket {
-        let (reply, rx) = mpsc::channel();
         if let Err(e) = validate_camera(&request.camera) {
+            let (reply, rx) = mpsc::channel();
             let _ = reply.send(Err(e));
             return Ticket::new(rx);
         }
+        self.enqueue(request)
+    }
+
+    /// [`submit`](Self::submit) behind the door: the request goes to the
+    /// dispatcher unchecked. The in-module tests use it to hand over a job
+    /// whose render panics, which no camera the door lets in does.
+    fn enqueue(&self, request: RenderRequest) -> Ticket {
+        let (reply, rx) = mpsc::channel();
         let job = Job {
             request,
             submitted: Instant::now(),
@@ -340,6 +352,12 @@ impl RenderService {
         if self.store.get(request.scene_id).is_none() {
             return Err(ServeError::UnknownScene(request.scene_id));
         }
+        self.attach(request)
+    }
+
+    /// [`subscribe`](Self::subscribe) behind the door (see
+    /// [`enqueue`](Self::enqueue)).
+    fn attach(&self, request: StreamRequest) -> Result<StreamHandle, ServeError> {
         let (metrics, obs) = (Arc::clone(&self.metrics), self.store.obs());
         let (mailbox, handle) = StreamHandle::open(request, self.stream_window, metrics, obs);
         let subscriber = Subscriber {
@@ -444,6 +462,9 @@ struct Dispatcher {
     /// render, diff, reply) and serve/stream lifecycle events.
     obs: Arc<ObsHub>,
     cache: Option<LruCache<ViewKey, Arc<Image>>>,
+    /// What each pixel of a camera sees, kept across epochs: there when
+    /// `cache` is, same capacity, never purged (see [`crate::cache`]).
+    items: Option<LruCache<ItemKey, Arc<ItemBuffer>>>,
     /// Freshest epoch seen per scene — when a publish advances it, the
     /// scene's older-epoch cache keys are orphaned (they can never match a
     /// future request) and are purged eagerly instead of squatting in the
@@ -464,14 +485,15 @@ struct Dispatcher {
 
 impl Dispatcher {
     fn new(store: Arc<AnswerStore>, config: ServeConfig, metrics: Arc<ServiceMetrics>) -> Self {
-        let cache = (config.cache_capacity > 0).then(|| LruCache::new(config.cache_capacity));
+        let caching = config.cache_capacity > 0;
         let obs = store.obs();
         Dispatcher {
             store,
             config,
             metrics,
             obs,
-            cache,
+            cache: caching.then(|| LruCache::new(config.cache_capacity)),
+            items: caching.then(|| LruCache::new(config.cache_capacity)),
             seen_epoch: HashMap::new(),
             subscribers: BTreeMap::new(),
             next_subscriber: 0,
@@ -641,6 +663,12 @@ impl Dispatcher {
     /// the request path and the streaming path, so subscribers coalesce
     /// with interactive traffic (two subscribers on one viewpoint render
     /// once per epoch).
+    ///
+    /// A miss renders through the camera's item buffer. The first one
+    /// casts the rays and fills it ([`Stage::Render`]); while the buffer
+    /// stays in its LRU every later one — the same camera after a publish
+    /// — only re-shades ([`Stage::Reshade`]). Either way the outcome is
+    /// `Rendered` and the pixels are those of an un-memoised render.
     fn resolve_view(
         &mut self,
         entry: &Arc<StoredAnswer>,
@@ -660,11 +688,26 @@ impl Dispatcher {
                 return (image, RequestOutcome::CacheHit);
             }
         }
-        let image = self.obs.time(Stage::Render, || {
-            Arc::new(render_parallel(
+        let (buffer, stage) = match self.items.as_mut() {
+            None => (None, Stage::Render),
+            Some(items) => {
+                let key = ItemKey::exact(scene_id, camera);
+                match items.get(&key) {
+                    Some(buffer) => (Some(Arc::clone(buffer)), Stage::Reshade),
+                    None => {
+                        let buffer = Arc::new(ItemBuffer::new(camera));
+                        items.insert(key, Arc::clone(&buffer));
+                        (Some(buffer), Stage::Render)
+                    }
+                }
+            }
+        };
+        let image = self.obs.time(stage, || {
+            Arc::new(render_parallel_memo(
                 &entry.scene,
                 &entry.answer,
                 camera,
+                buffer.as_deref(),
                 entry.exposure,
                 self.config.render_threads,
                 self.config.tile_size,
@@ -898,6 +941,207 @@ mod tests {
             (m.completed, m.rendered, m.cache_hits, m.coalesced),
             (3, 3, 0, 0)
         );
+        // "Full render" means the rays too: no cache, no item buffers.
+        assert_eq!(casts_and_reshades(&service), (3, 0));
+        let metrics = Arc::new(ServiceMetrics::new());
+        let dispatcher = Dispatcher::new(Arc::clone(service.store()), config, metrics);
+        assert!(dispatcher.cache.is_none() && dispatcher.items.is_none());
+    }
+
+    /// Renders that cast their camera rays, and renders that reused an
+    /// item buffer, so far.
+    fn casts_and_reshades(service: &RenderService) -> (u64, u64) {
+        let stages = service.store().obs().stage_snapshot();
+        let count = |stage| stages.get(stage).count();
+        (count(Stage::Render), count(Stage::Reshade))
+    }
+
+    /// Every channel of every pixel, as bits.
+    fn bits(image: &Image) -> Vec<u64> {
+        let channels = image.pixels().iter().flat_map(|p| [p.r, p.g, p.b]);
+        channels.map(f64::to_bits).collect()
+    }
+
+    /// Asks `service` for `camera`'s view of the scene's current epoch —
+    /// which must be a render, not a cache hit — and holds it to an
+    /// un-memoised render of the same entry, bit for bit.
+    fn assert_renders_exactly(service: &RenderService, id: SceneId, camera: Camera) {
+        let request = RenderRequest {
+            scene_id: id,
+            camera,
+        };
+        let served = service.render_blocking(request).unwrap();
+        assert_eq!(served.outcome, RequestOutcome::Rendered);
+        let entry = service.store().get(id).unwrap();
+        assert_eq!(served.epoch, entry.epoch);
+        let (scene, answer) = (&entry.scene, &entry.answer);
+        let reference = crate::render_parallel(scene, answer, &camera, entry.exposure, 1, 32);
+        assert!(bits(&served.image) == bits(&reference), "{camera:?}");
+    }
+
+    fn republish(service: &RenderService, id: SceneId) {
+        let answer = (*service.store().get(id).unwrap().answer).clone();
+        service.store().publish(id, answer);
+    }
+
+    #[test]
+    fn cameras_one_bit_apart_never_share_an_item_buffer() {
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let a = cornell_cam(0.3);
+        let mut b = a;
+        b.eye.x = f64::from_bits(a.eye.x.to_bits() + 1);
+        let grid = ServeConfig::default().quant_grid;
+        assert_eq!(
+            ViewKey::quantize(id, 0, &a, grid),
+            ViewKey::quantize(id, 0, &b, grid),
+            "one quantized cell: one cached image per epoch"
+        );
+        // Each camera leads one epoch and casts its own rays; after that
+        // whichever leads re-shades from its own buffer, and every image
+        // is that camera's, not a hybrid of the two.
+        let rounds = [
+            (a, (1, 0)),
+            (b, (2, 0)),
+            (b, (2, 1)),
+            (a, (2, 2)),
+            (a, (2, 3)),
+        ];
+        for (camera, so_far) in rounds {
+            republish(&service, id);
+            assert_renders_exactly(&service, id, camera);
+            assert_eq!(casts_and_reshades(&service), so_far);
+        }
+    }
+
+    #[test]
+    fn an_evicted_item_buffer_costs_a_trace_not_a_pixel() {
+        let (store, id) = store_with_cornell();
+        let config = ServeConfig {
+            cache_capacity: 1,
+            ..Default::default()
+        };
+        let service = RenderService::start(store, config);
+        // Two views take turns in caches of one entry each: every request
+        // finds the other's image and buffer, and casts its rays again.
+        for round in 1..=3 {
+            for camera in [cornell_cam(0.0), cornell_cam(2.0)] {
+                assert_renders_exactly(&service, id, camera);
+            }
+            assert_eq!(casts_and_reshades(&service), (2 * round, 0));
+        }
+        // One view alone keeps its buffer through any number of epochs.
+        for round in 1..=3 {
+            republish(&service, id);
+            assert_renders_exactly(&service, id, cornell_cam(2.0));
+            assert_eq!(casts_and_reshades(&service), (6, round));
+        }
+    }
+
+    /// A frame of 2^62 pixels: its item buffer trips `Vec`'s
+    /// capacity-overflow panic before anything is allocated — a
+    /// deterministic stand-in for "a render panicked". Both doors refuse
+    /// it (see `both_doors_refuse_the_same_camera`), so these tests go in
+    /// behind them.
+    fn camera_that_panics_its_render() -> Camera {
+        Camera {
+            width: 1 << 31,
+            height: 1 << 31,
+            ..cornell_cam(0.0)
+        }
+    }
+
+    /// One bad job must not kill the service: a render that panics mid-job
+    /// answers its waiter with `RenderFailed` while the dispatcher survives
+    /// to serve the next request.
+    #[test]
+    fn panicking_job_answers_error_and_dispatcher_survives() {
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let ticket = service.enqueue(RenderRequest {
+            scene_id: id,
+            camera: camera_that_panics_its_render(),
+        });
+        let err = ticket.wait().unwrap_err();
+        assert_eq!(err, ServeError::RenderFailed, "waiter answered, not hung");
+        assert_renders_exactly(&service, id, cornell_cam(0.0));
+    }
+
+    /// The streaming half of the same guarantee: a subscription whose
+    /// render panics ends — its handle reads `ServiceStopped` instead of
+    /// hanging — while a sibling subscriber of the same scene keeps
+    /// receiving epochs.
+    #[test]
+    fn panicking_subscription_ends_only_itself() {
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let sibling = service
+            .subscribe(StreamRequest {
+                scene_id: id,
+                camera: cornell_cam(0.0),
+            })
+            .expect("subscribe");
+        let wait = Duration::from_secs(30);
+        let d0 = sibling.recv_timeout(wait).expect("sibling bootstrap");
+
+        let doomed = service
+            .attach(StreamRequest {
+                scene_id: id,
+                camera: camera_that_panics_its_render(),
+            })
+            .expect("attached; the render is what fails");
+        assert_eq!(
+            doomed.recv_timeout(wait).unwrap_err(),
+            ServeError::ServiceStopped,
+            "the panicked subscription must end, not hang"
+        );
+        assert!(doomed.drain().is_empty());
+
+        // A republish of the same answer changes no pixel; more photons do.
+        let entry = service.store().get(id).unwrap();
+        let mut sim = Simulator::new(
+            (*entry.scene).clone(),
+            SimConfig {
+                seed: 10,
+                ..Default::default()
+            },
+        );
+        sim.run_photons(4_000);
+        let epoch = service.store().publish(id, sim.answer_snapshot());
+        let d1 = sibling
+            .recv_timeout(wait)
+            .expect("sibling survives its neighbor's panic");
+        assert_eq!((d0.epoch + 1, d1.epoch), (epoch, epoch));
+    }
+
+    #[test]
+    fn both_doors_refuse_the_same_camera() {
+        use photon_core::wire::{decode_frame, encode_subscribe, SubscribeFrame, WireMode};
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let refused = |camera: Camera| {
+            let (scene_id, over) = (id, "camera frame over MAX_FRAME_BYTES");
+            let submitted = service.render_blocking(RenderRequest { scene_id, camera });
+            assert_eq!(submitted.unwrap_err(), ServeError::InvalidRequest(over));
+            let subscribed = service.subscribe(StreamRequest { scene_id, camera });
+            assert_eq!(subscribed.err(), Some(ServeError::InvalidRequest(over)));
+        };
+        // 2^32 pixels: what a remote peer can claim in its eight bytes.
+        let mut camera = cornell_cam(0.0);
+        (camera.width, camera.height) = (1 << 16, 1 << 16);
+        let frame = SubscribeFrame {
+            scene: id.0,
+            mode: WireMode::Lossless,
+            camera,
+        };
+        let decoded = decode_frame(&encode_subscribe(&frame));
+        assert!(decoded.unwrap_err().to_string().contains("MAX_FRAME_BYTES"));
+        refused(camera);
+        // What only an in-process caller can: a product past `usize`.
+        (camera.width, camera.height) = (usize::MAX, 3);
+        refused(camera);
+        // Nothing was sized by either claim; the dispatcher serves on.
+        assert_renders_exactly(&service, id, cornell_cam(0.0));
     }
 
     #[test]
