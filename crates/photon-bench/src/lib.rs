@@ -8,6 +8,7 @@
 #![deny(missing_docs)]
 
 use photon_core::img::Image;
+use photon_core::json::JsonObject;
 use photon_core::SpeedTrace;
 use std::fs;
 use std::io::Write as _;
@@ -94,65 +95,46 @@ pub fn json_mode() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 
-/// Hand-rolled JSON object builder for `--json` bench reports — the
-/// workspace has no serializer dependency, and bench output is flat
-/// enough not to need one.
-pub struct JsonReport {
-    bench: String,
-    fields: Vec<(String, String)>,
-}
+/// A `--json` bench report: the workspace's one JSON writer
+/// ([`JsonObject`]) with the bench binary's name as its first field.
+pub struct JsonReport(JsonObject);
 
 impl JsonReport {
     /// A report named after the bench binary.
     pub fn new(bench: impl Into<String>) -> Self {
-        JsonReport {
-            bench: bench.into(),
-            fields: Vec::new(),
-        }
+        let mut object = JsonObject::new();
+        object.text("bench", &bench.into());
+        JsonReport(object)
     }
 
     /// Adds an integer field.
     pub fn int(&mut self, key: &str, v: u64) -> &mut Self {
-        self.raw(key, v.to_string())
+        self.0.int(key, v);
+        self
     }
 
     /// Adds a float field (non-finite values become `null`).
     pub fn num(&mut self, key: &str, v: f64) -> &mut Self {
-        let rendered = if v.is_finite() {
-            format!("{v:.6}")
-        } else {
-            "null".to_string()
-        };
-        self.raw(key, rendered)
+        self.0.num(key, v);
+        self
     }
 
     /// Adds a string field (escaped).
     pub fn text(&mut self, key: &str, v: &str) -> &mut Self {
-        self.raw(key, format!("\"{}\"", photon_core::obs::json_escape(v)))
+        self.0.text(key, v);
+        self
     }
 
     /// Adds a pre-rendered JSON value — nested objects and arrays are the
     /// caller's responsibility.
     pub fn raw(&mut self, key: &str, rendered_json: impl Into<String>) -> &mut Self {
-        self.fields.push((key.to_string(), rendered_json.into()));
+        self.0.raw(key, &rendered_json.into());
         self
     }
 
     /// The report as one JSON object.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "{{\"bench\":\"{}\"",
-            photon_core::obs::json_escape(&self.bench)
-        );
-        for (key, value) in &self.fields {
-            out.push_str(&format!(
-                ",\"{}\":{}",
-                photon_core::obs::json_escape(key),
-                value
-            ));
-        }
-        out.push('}');
-        out
+        self.0.render()
     }
 
     /// Prints the report — the only stdout a `--json` run produces.

@@ -25,6 +25,7 @@
 //! | streaming wire format (`PHOTSTRM1`) | [`wire`] |
 //! | performance traces | [`perf`] |
 //! | observability (flight recorder, histograms) | [`obs`] |
+//! | the one JSON writer (exporter dump, bench `--json` reports) | [`json`] |
 //! | polarization (the paper's in-progress extension) | [`polar`] |
 
 #![deny(missing_docs)]
@@ -36,6 +37,7 @@ pub mod engine;
 pub mod forest;
 pub mod generate;
 pub mod img;
+pub mod json;
 pub mod obs;
 pub mod perf;
 pub mod polar;

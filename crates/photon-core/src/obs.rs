@@ -23,6 +23,7 @@
 //! relaxed atomic operations (no lock at all), and a flight-recorder event
 //! takes one short mutex hold to push into the ring.
 
+pub use crate::json::json_escape;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -191,80 +192,90 @@ impl HistogramSnapshot {
     }
 }
 
-/// Pipeline stages with dedicated duration histograms.
-///
-/// These split apart the time the dispatcher used to lump into one
-/// request latency — render vs diff vs cache probe vs reply — plus the
-/// solve tier's slice duration and the checkpoint tier's freeze, encode,
-/// and restore costs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Stage {
+/// Declares one observability vocabulary — [`Stage`] or [`ObsKind`] — from
+/// a single table of `doc comment, Variant = "kebab-name", tier` rows. The
+/// enum, the array of every variant in declaration order (its length
+/// counted, not written), `name()`, `tier()` and the discriminant `index()`
+/// are all derived from the rows, so a variant cannot exist unnamed or
+/// unlisted.
+macro_rules! vocabulary {
+    (
+        $(#[$enum_doc:meta])* enum $Enum:ident;
+        $(#[$all_doc:meta])* const $ALL:ident;
+        $($(#[$doc:meta])* $Variant:ident = $name:literal, $tier:ident;)+
+    ) => {
+        $(#[$enum_doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $Enum {
+            $($(#[$doc])* $Variant,)+
+        }
+
+        $(#[$all_doc])*
+        pub const $ALL: [$Enum; [$($name),+].len()] = [$($Enum::$Variant),+];
+
+        impl $Enum {
+            /// Stable kebab-case name (what exports, dumps and metric
+            /// labels print).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $($Enum::$Variant => $name,)+
+                }
+            }
+
+            /// The tier this comes from.
+            pub fn tier(&self) -> ObsTier {
+                match self {
+                    $($Enum::$Variant => ObsTier::$tier,)+
+                }
+            }
+
+            /// Position in the declaration-order array (the discriminant).
+            pub fn index(&self) -> usize {
+                *self as usize
+            }
+        }
+    };
+}
+
+vocabulary! {
+    /// Pipeline stages with dedicated duration histograms.
+    ///
+    /// These split apart the time the dispatcher used to lump into one
+    /// request latency — render vs diff vs cache probe vs reply — plus the
+    /// solve tier's slice duration and the checkpoint tier's freeze, encode,
+    /// and restore costs.
+    enum Stage;
+    /// Every stage, in display order.
+    const STAGES;
+
     /// View-cache lookup on the request path.
-    CacheProbe,
+    CacheProbe = "cache-probe", Serve;
     /// Tile-parallel render of one view that cast its camera rays (no item
     /// buffer yet, or none kept).
-    Render,
+    Render = "render", Serve;
     /// Tile-parallel render of one view that reused its item buffer: one
     /// patch re-tested per pixel, no octree. `render` + `reshade` counts
     /// are every render; their ratio is the buffer reuse.
-    Reshade,
+    Reshade = "reshade", Serve;
     /// Tile diff of two frames on the streaming path.
-    Diff,
+    Diff = "diff", Stream;
     /// Answering a waiter (metrics accounting + channel send).
-    Reply,
+    Reply = "reply", Serve;
     /// One scheduler slice: a single `engine.step` call.
-    SolveSlice,
+    SolveSlice = "solve-slice", Solve;
     /// The trace phase of a solve slice: photons traced into tally records
     /// (the whole slice for backends that tally inline while tracing).
-    SolveTrace,
+    SolveTrace = "trace", Solve;
     /// The tally-apply phase of a solve slice: partitioning buffered records
     /// by patch and folding them into the bin forest (zero for inline-tally
     /// backends).
-    TallyApply,
+    TallyApply = "tally-apply", Solve;
     /// Freezing an engine into an `EngineCheckpoint`.
-    CheckpointFreeze,
+    CheckpointFreeze = "checkpoint-freeze", Checkpoint;
     /// Encoding a checkpoint to `PHOTCK1` bytes.
-    CheckpointEncode,
+    CheckpointEncode = "checkpoint-encode", Checkpoint;
     /// Restoring an engine from a checkpoint.
-    CheckpointRestore,
-}
-
-/// Every stage, in display order.
-pub const STAGES: [Stage; 11] = [
-    Stage::CacheProbe,
-    Stage::Render,
-    Stage::Reshade,
-    Stage::Diff,
-    Stage::Reply,
-    Stage::SolveSlice,
-    Stage::SolveTrace,
-    Stage::TallyApply,
-    Stage::CheckpointFreeze,
-    Stage::CheckpointEncode,
-    Stage::CheckpointRestore,
-];
-
-impl Stage {
-    /// Stable kebab-case name (metric label value).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Stage::CacheProbe => "cache-probe",
-            Stage::Render => "render",
-            Stage::Reshade => "reshade",
-            Stage::Diff => "diff",
-            Stage::Reply => "reply",
-            Stage::SolveSlice => "solve-slice",
-            Stage::SolveTrace => "trace",
-            Stage::TallyApply => "tally-apply",
-            Stage::CheckpointFreeze => "checkpoint-freeze",
-            Stage::CheckpointEncode => "checkpoint-encode",
-            Stage::CheckpointRestore => "checkpoint-restore",
-        }
-    }
-
-    fn index(&self) -> usize {
-        STAGES.iter().position(|s| s == self).expect("stage listed")
-    }
+    CheckpointRestore = "checkpoint-restore", Checkpoint;
 }
 
 /// One duration [`Histogram`] per [`Stage`].
@@ -334,115 +345,53 @@ impl ObsTier {
     }
 }
 
-/// Structured event kinds — one per lifecycle edge the system already has.
-///
-/// `payload` meaning per kind is listed on each variant; it is always a
-/// plain `u64` so events stay cheap to record and bounded in size.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ObsKind {
+vocabulary! {
+    /// Structured event kinds — one per lifecycle edge the system already has.
+    ///
+    /// `payload` meaning per kind is listed on each variant; it is always a
+    /// plain `u64` so events stay cheap to record and bounded in size.
+    enum ObsKind;
+    /// Every event kind, in lifecycle order.
+    const OBS_KINDS;
+
     /// A solve job entered the scheduler. Payload: target photons.
-    JobSubmitted,
+    JobSubmitted = "job-submitted", Solve;
     /// The scheduler granted a worker slice. Payload: slice photon cap.
-    SliceGranted,
+    SliceGranted = "slice-granted", Solve;
     /// A job parked. Payload: 0 = paused by owner, 1 = quota exhausted.
-    SliceParked,
+    SliceParked = "slice-parked", Solve;
     /// One `engine.step` finished. Payload: photons emitted this batch.
-    BatchStepped,
+    BatchStepped = "batch-stepped", Solve;
     /// A leased slice panicked (an engine's `step`, most likely); the job
     /// fails and the worker survives. Payload: photons of the slice's
     /// budget reservation, refunded.
-    SlicePanic,
+    SlicePanic = "slice-panic", Solve;
     /// A job retired (converged, canceled or failed). Payload: final
     /// photon count.
-    JobDone,
+    JobDone = "job-done", Solve;
     /// The store published a fresher answer. Payload: new epoch.
-    EpochPublished,
+    EpochPublished = "epoch-published", Store;
     /// Stale-epoch view-cache keys purged. Payload: keys purged.
-    CachePurged,
+    CachePurged = "cache-purged", Serve;
     /// One render request answered. Payload: latency in microseconds.
-    RequestServed,
+    RequestServed = "request-served", Serve;
     /// A scene's dispatch panicked; the dispatcher survived. Payload:
     /// requests answered with `RenderFailed`.
-    DispatchPanic,
+    DispatchPanic = "dispatch-panic", Serve;
     /// A frame delta reached a subscriber. Payload: tile payload bytes.
-    DeltaPushed,
+    DeltaPushed = "delta-pushed", Stream;
     /// A new subscription started receiving deltas. Payload: subscribers
     /// now attached to the scene.
-    SubscriberConnected,
+    SubscriberConnected = "subscriber-connected", Stream;
     /// A subscriber fell behind its send window; subsequent deltas coalesce
     /// until it catches up. Payload: undelivered deltas in flight.
-    SubscriberLagged,
+    SubscriberLagged = "subscriber-lagged", Stream;
     /// A subscription ended (client dropped its handle). Payload: 0.
-    SubscriberDropped,
+    SubscriberDropped = "subscriber-dropped", Stream;
     /// An engine froze into a checkpoint. Payload: encoded `PHOTCK1` bytes.
-    CheckpointFrozen,
+    CheckpointFrozen = "checkpoint-frozen", Checkpoint;
     /// An engine restored from a checkpoint. Payload: photons inherited.
-    CheckpointRestored,
-}
-
-/// Every event kind, in lifecycle order.
-pub const OBS_KINDS: [ObsKind; 16] = [
-    ObsKind::JobSubmitted,
-    ObsKind::SliceGranted,
-    ObsKind::SliceParked,
-    ObsKind::BatchStepped,
-    ObsKind::SlicePanic,
-    ObsKind::JobDone,
-    ObsKind::EpochPublished,
-    ObsKind::CachePurged,
-    ObsKind::RequestServed,
-    ObsKind::DispatchPanic,
-    ObsKind::DeltaPushed,
-    ObsKind::SubscriberConnected,
-    ObsKind::SubscriberLagged,
-    ObsKind::SubscriberDropped,
-    ObsKind::CheckpointFrozen,
-    ObsKind::CheckpointRestored,
-];
-
-impl ObsKind {
-    /// Stable kebab-case name (what exports and dumps print).
-    pub fn name(&self) -> &'static str {
-        match self {
-            ObsKind::JobSubmitted => "job-submitted",
-            ObsKind::SliceGranted => "slice-granted",
-            ObsKind::SliceParked => "slice-parked",
-            ObsKind::BatchStepped => "batch-stepped",
-            ObsKind::SlicePanic => "slice-panic",
-            ObsKind::JobDone => "job-done",
-            ObsKind::EpochPublished => "epoch-published",
-            ObsKind::CachePurged => "cache-purged",
-            ObsKind::RequestServed => "request-served",
-            ObsKind::DispatchPanic => "dispatch-panic",
-            ObsKind::DeltaPushed => "delta-pushed",
-            ObsKind::SubscriberConnected => "subscriber-connected",
-            ObsKind::SubscriberLagged => "subscriber-lagged",
-            ObsKind::SubscriberDropped => "subscriber-dropped",
-            ObsKind::CheckpointFrozen => "checkpoint-frozen",
-            ObsKind::CheckpointRestored => "checkpoint-restored",
-        }
-    }
-
-    /// The tier this kind of event comes from.
-    pub fn tier(&self) -> ObsTier {
-        match self {
-            ObsKind::JobSubmitted
-            | ObsKind::SliceGranted
-            | ObsKind::SliceParked
-            | ObsKind::BatchStepped
-            | ObsKind::SlicePanic
-            | ObsKind::JobDone => ObsTier::Solve,
-            ObsKind::EpochPublished => ObsTier::Store,
-            ObsKind::CachePurged | ObsKind::RequestServed | ObsKind::DispatchPanic => {
-                ObsTier::Serve
-            }
-            ObsKind::DeltaPushed
-            | ObsKind::SubscriberConnected
-            | ObsKind::SubscriberLagged
-            | ObsKind::SubscriberDropped => ObsTier::Stream,
-            ObsKind::CheckpointFrozen | ObsKind::CheckpointRestored => ObsTier::Checkpoint,
-        }
-    }
+    CheckpointRestored = "checkpoint-restored", Checkpoint;
 }
 
 /// The optional context an event carries; default everything you don't
@@ -647,25 +596,6 @@ impl ObsHub {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal (no surrounding
-/// quotes). Shared by the serve-layer JSON exporter and the bench bins'
-/// `--json` output so neither hand-rolls escaping.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -768,11 +698,23 @@ mod tests {
         assert_eq!(ObsKind::EpochPublished.tier(), ObsTier::Store);
         assert_eq!(ObsKind::DeltaPushed.tier(), ObsTier::Stream);
         assert_eq!(ObsKind::CheckpointFrozen.tier(), ObsTier::Checkpoint);
-        // Names are unique (they key exporter series).
-        let mut names: Vec<_> = OBS_KINDS.iter().map(|k| k.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), OBS_KINDS.len());
+        assert_eq!(Stage::Diff.tier(), ObsTier::Stream);
+        // Both tables: names non-empty and unique (they key exporter
+        // series), and `index()` is the position in declaration order.
+        let kinds = OBS_KINDS.iter().map(|k| (k.name(), k.index()));
+        let stages = STAGES.iter().map(|s| (s.name(), s.index()));
+        for table in [kinds.collect::<Vec<_>>(), stages.collect()] {
+            for (i, (name, index)) in table.iter().enumerate() {
+                assert!(!name.is_empty());
+                assert_eq!(*index, i, "{name} is out of declaration order");
+            }
+            let mut names: Vec<_> = table.iter().map(|(name, _)| name).collect();
+            names.sort_unstable();
+            names.dedup();
+            assert_eq!(names.len(), table.len());
+        }
+        assert_eq!(STAGES[2], Stage::Reshade);
+        assert_eq!(OBS_KINDS[6], ObsKind::EpochPublished);
     }
 
     #[test]

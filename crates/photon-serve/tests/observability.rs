@@ -4,14 +4,15 @@
 //! requests, concurrent snapshots neither deadlock nor tear, and a live
 //! pool's exporter serves scrapeable text and JSON.
 
-use photon_core::obs::ObsKind;
+use photon_core::obs::{ObsKind, OBS_KINDS, STAGES};
 use photon_core::{Camera, SPEED_TRACE_CAP};
 use photon_math::Vec3;
 use photon_scenes::{cornell_box, TestScene};
 use photon_serve::metrics::ServiceMetrics;
 use photon_serve::{
-    AnswerStore, BackendChoice, ObsServer, RenderRequest, RenderService, RequestOutcome,
-    ServeConfig, SolveRequest, SolverMetricsSnapshot, SolverPool, SolverStatsSource, StreamRequest,
+    AnswerStore, BackendChoice, ObsExporter, ObsServer, RenderRequest, RenderService,
+    RequestOutcome, ServeConfig, SolveRequest, SolverMetricsSnapshot, SolverPool,
+    SolverStatsSource, StreamRequest,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -485,14 +486,55 @@ fn live_pool_exporter_serves_text_and_json() {
     // Stream tier: deltas were pushed to a live subscriber.
     assert!(series_value("photon_stream_deltas_total") >= 2.0);
     assert!(series_value("photon_events_recorded_total") > 0.0);
+    // Every sample is one of ours.
+    for line in body.lines().filter(|l| !l.starts_with('#')) {
+        assert!(line.starts_with("photon_"), "unexpected series: {line:?}");
+    }
 
     let json = fetch("/metrics.json");
     let body = json.split("\r\n\r\n").nth(1).expect("json body");
     assert!(body.starts_with("{\"version\":1,"));
-    assert!(body.contains("\"kind\":\"epoch-published\""));
-    assert!(body.contains("\"kind\":\"job-done\""));
+    for kind in [
+        "job-submitted",
+        "epoch-published",
+        "job-done",
+        "delta-pushed",
+    ] {
+        assert!(
+            body.contains(&format!("\"kind\":\"{kind}\"")),
+            "flight-recorder tail missing {kind}"
+        );
+    }
     assert!(body.contains("\"stages\":{"));
+
+    // Unknown routes 404 instead of confusing a scraper.
+    assert!(fetch("/other").starts_with("HTTP/1.1 404"));
 
     drop(server);
     pool.shutdown();
+}
+
+/// Docs that cannot drift: README *Observability* names every event kind,
+/// every stage and every Prometheus family the exporter writes. An
+/// exporter over nothing still writes each family's `TYPE` line.
+#[test]
+fn readme_names_every_kind_stage_and_family() {
+    let readme = include_str!("../../../README.md");
+    let text = ObsExporter::new(Arc::default(), Arc::default()).prometheus_text();
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+        .collect();
+    // Families with no sample to show (no tenant, no timed stage) are
+    // listed all the same, so this walks the whole table.
+    assert!(families.contains(&"photon_tenant_budget_remaining"));
+    assert!(families.contains(&"photon_stage_duration_us"));
+    let kinds = OBS_KINDS.iter().map(|k| k.name());
+    let stages = STAGES.iter().map(|s| s.name());
+    for name in kinds.chain(stages).chain(families) {
+        assert!(
+            readme.contains(&format!("`{name}`")),
+            "README lacks `{name}`"
+        );
+    }
 }
