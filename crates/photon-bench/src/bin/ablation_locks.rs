@@ -33,7 +33,7 @@
 //! packed nodes, leaf stats in a separate cold array). Same trees, same
 //! probe stream, answers asserted equal — only the memory layout differs.
 
-use photon_bench::{fmt, heading, json_mode, md_table, JsonReport};
+use photon_bench::{fmt, heading, md_table};
 use photon_core::{trace_span, PhotonGenerator, Span, SpeedTrace, TallySink};
 use photon_geom::Scene;
 use photon_hist::{BinPoint, BinRange, BinTree, ExportNode, SplitConfig};
@@ -187,7 +187,6 @@ fn layout_rates() -> (f64, f64, u32) {
 fn main() {
     heading("Ablation — inline-tally (lock per tally) vs batched apply (lock per patch run)");
     let mut rows = Vec::new();
-    let mut report = JsonReport::new("ablation_pipeline");
     for scene_kind in [TestScene::CornellBox, TestScene::ComputerLab] {
         let scene = scene_kind.build();
         for &threads in &[1usize, 2, 4] {
@@ -199,13 +198,6 @@ fn main() {
                 ..Default::default()
             };
             let batched = run(&scene, &config, PHOTONS).speed.steady_rate();
-            report.raw(
-                &format!(
-                    "{}_t{threads}",
-                    scene_kind.name().replace(' ', "_").to_lowercase()
-                ),
-                format!("{{\"inline\":{inline:.1},\"batched\":{batched:.1}}}"),
-            );
             rows.push(vec![
                 scene_kind.name().to_string(),
                 threads.to_string(),
@@ -217,22 +209,6 @@ fn main() {
     }
     let (aos_rate, soa_rate, leaf_bins) = layout_rates();
     let aos_node = std::mem::size_of::<ExportNode>();
-    if json_mode() {
-        report.int("photons", PHOTONS);
-        report.raw(
-            "layout",
-            format!(
-                "{{\"aos_node_bytes\":{aos_node},\"soa_node_bytes\":8,\
-                 \"leaf_bins\":{leaf_bins},\
-                 \"aos_lookups_per_sec\":{aos_rate:.1},\
-                 \"soa_lookups_per_sec\":{soa_rate:.1},\
-                 \"soa_over_aos\":{:.3}}}",
-                soa_rate / aos_rate.max(1e-9)
-            ),
-        );
-        report.print();
-        return;
-    }
     println!(
         "{}",
         md_table(

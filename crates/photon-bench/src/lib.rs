@@ -1,14 +1,15 @@
 //! Shared plumbing for the experiment binaries.
 //!
 //! Every table and figure of the dissertation's evaluation has a binary in
-//! `src/bin/` that regenerates it (see DESIGN.md's per-experiment index and
-//! EXPERIMENTS.md for paper-vs-measured). Binaries print a markdown summary
-//! to stdout and drop raw CSV series / PPM images under `bench_results/`.
+//! `src/bin/` that regenerates it, named after the figure or table; each
+//! binary's module docs say what the paper reports and what to read off the
+//! output. Binaries print a markdown summary to stdout and drop raw CSV
+//! series / PPM images under `bench_results/`. Timing the system itself is
+//! the ledger's job (`crates/photon-ledger`), not this crate's.
 
 #![deny(missing_docs)]
 
 use photon_core::img::Image;
-use photon_core::json::JsonObject;
 use photon_core::SpeedTrace;
 use std::fs;
 use std::io::Write as _;
@@ -80,67 +81,9 @@ pub fn fmt(v: f64) -> String {
     }
 }
 
-/// Prints a section heading for the experiment logs (suppressed under
-/// [`json_mode`], where stdout must be one JSON object).
+/// Prints a section heading for the experiment logs.
 pub fn heading(title: &str) {
-    if !json_mode() {
-        println!("\n## {title}\n");
-    }
-}
-
-/// True when `--json` was passed: the binary emits a single JSON object
-/// on stdout (machine-readable, for baselines like `BENCH_baseline.json`)
-/// instead of markdown tables. Assertions still run either way.
-pub fn json_mode() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// A `--json` bench report: the workspace's one JSON writer
-/// ([`JsonObject`]) with the bench binary's name as its first field.
-pub struct JsonReport(JsonObject);
-
-impl JsonReport {
-    /// A report named after the bench binary.
-    pub fn new(bench: impl Into<String>) -> Self {
-        let mut object = JsonObject::new();
-        object.text("bench", &bench.into());
-        JsonReport(object)
-    }
-
-    /// Adds an integer field.
-    pub fn int(&mut self, key: &str, v: u64) -> &mut Self {
-        self.0.int(key, v);
-        self
-    }
-
-    /// Adds a float field (non-finite values become `null`).
-    pub fn num(&mut self, key: &str, v: f64) -> &mut Self {
-        self.0.num(key, v);
-        self
-    }
-
-    /// Adds a string field (escaped).
-    pub fn text(&mut self, key: &str, v: &str) -> &mut Self {
-        self.0.text(key, v);
-        self
-    }
-
-    /// Adds a pre-rendered JSON value — nested objects and arrays are the
-    /// caller's responsibility.
-    pub fn raw(&mut self, key: &str, rendered_json: impl Into<String>) -> &mut Self {
-        self.0.raw(key, &rendered_json.into());
-        self
-    }
-
-    /// The report as one JSON object.
-    pub fn render(&self) -> String {
-        self.0.render()
-    }
-
-    /// Prints the report — the only stdout a `--json` run produces.
-    pub fn print(&self) {
-        println!("{}", self.render());
-    }
+    println!("\n## {title}\n");
 }
 
 /// Builds a `photon_core` camera from a scene's recommended view.
@@ -169,22 +112,6 @@ mod tests {
         assert!(t.contains("| a | b |"));
         assert!(t.contains("| 1 | 2 |"));
         assert_eq!(t.lines().count(), 3);
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let mut r = JsonReport::new("demo");
-        r.int("count", 3)
-            .num("rate", 1.5)
-            .num("bad", f64::NAN)
-            .text("label", "a\"b")
-            .raw("nested", "{\"x\":1}");
-        let s = r.render();
-        assert_eq!(
-            s,
-            "{\"bench\":\"demo\",\"count\":3,\"rate\":1.500000,\"bad\":null,\
-             \"label\":\"a\\\"b\",\"nested\":{\"x\":1}}"
-        );
     }
 
     #[test]

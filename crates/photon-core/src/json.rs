@@ -1,11 +1,11 @@
 //! The workspace's one JSON writer: an object builder, an array joiner and
 //! string escaping.
 //!
-//! There is no serializer dependency, and everything the repo emits — the
-//! serve tier's `/metrics.json` dump, the bench bins' `--json` reports — is
-//! objects of numbers, strings and already-rendered children. So commas,
-//! quoting, escaping and what a non-finite float becomes are decided here
-//! once instead of in every `format!` string.
+//! There is no serializer dependency, and what the repo emits — the serve
+//! tier's `/metrics.json` dump — is objects of numbers, strings and
+//! already-rendered children. So commas, quoting, escaping and what a
+//! non-finite float becomes are decided here once instead of in every
+//! `format!` string.
 
 use std::fmt::Write as _;
 

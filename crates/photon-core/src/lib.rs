@@ -25,7 +25,7 @@
 //! | streaming wire format (`PHOTSTRM1`) | [`wire`] |
 //! | performance traces | [`perf`] |
 //! | observability (flight recorder, histograms) | [`obs`] |
-//! | the one JSON writer (exporter dump, bench `--json` reports) | [`json`] |
+//! | the one JSON writer (the exporter's dump) | [`json`] |
 //! | polarization (the paper's in-progress extension) | [`polar`] |
 
 #![deny(missing_docs)]

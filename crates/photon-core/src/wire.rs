@@ -52,6 +52,11 @@ pub const KIND_ERROR: u8 = 2;
 /// reader to buffer gigabytes.
 pub const MAX_FRAME_BYTES: u32 = 1 << 28;
 
+/// Most pixels one frame holds: [`MAX_FRAME_BYTES`] of `Rgb`s. It is the
+/// bound [`Camera::validate`] puts on a camera, so a delta decoder that
+/// holds a frame's geometry to it refuses nothing an encoder writes.
+const MAX_FRAME_PIXELS: usize = MAX_FRAME_BYTES as usize / std::mem::size_of::<Rgb>();
+
 /// Delta payload encoding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireMode {
@@ -304,8 +309,15 @@ fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
     if width == 0 || height == 0 {
         return Err(bad_data("zero-sized frame"));
     }
+    // No tile of a frame this size has a pixel count that overflows.
+    if !matches!(width.checked_mul(height), Some(p) if p <= MAX_FRAME_PIXELS) {
+        return Err(bad_data("frame over MAX_FRAME_BYTES"));
+    }
     let ntiles = read_u32(cur)? as usize;
     let mut rects = Vec::with_capacity(ntiles.min(PREALLOC_CAP));
+    // Tiles may repeat or overlap, so their total is bounded on its own: the
+    // quantized plane block is sized by it.
+    let mut pixels = 0usize;
     for _ in 0..ntiles {
         let tile = Tile {
             x0: read_u32(cur)? as usize,
@@ -316,6 +328,10 @@ fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
         if tile.x0 >= tile.x1 || tile.y0 >= tile.y1 || tile.x1 > width || tile.y1 > height {
             return Err(bad_data("tile outside the frame"));
         }
+        pixels = match pixels.checked_add(tile.pixel_count()) {
+            Some(p) if p <= MAX_FRAME_PIXELS => p,
+            _ => return Err(bad_data("tiles hold more pixels than a frame")),
+        };
         rects.push(tile);
     }
     let mut tiles = Vec::with_capacity(rects.len());
@@ -343,8 +359,7 @@ fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
             }
             let raw_len = read_u32(cur)? as usize;
             let coded_len = read_u32(cur)? as usize;
-            let expect: usize = rects.iter().map(|t| t.pixel_count() * 6).sum();
-            if raw_len != expect {
+            if raw_len != pixels * 6 {
                 return Err(bad_data("quantized plane length mismatch"));
             }
             if coded_len > remaining(cur) {
@@ -581,21 +596,21 @@ pub fn entropy_encode(bytes: &[u8]) -> Vec<u8> {
 
 /// Decompresses an [`entropy_encode`] stream back into `expect_len` bytes.
 pub fn entropy_decode(coded: &[u8], expect_len: usize) -> io::Result<Vec<u8>> {
-    if expect_len > 0 && coded.len() < 4 {
-        return Err(bad_data("range-coded block truncated"));
-    }
     let mut model = ByteModel::new();
     let mut low: u32 = 0;
     let mut range: u32 = u32::MAX;
-    let mut pos = 0usize;
-    let next_byte = |pos: &mut usize| -> u8 {
-        let b = coded.get(*pos).copied().unwrap_or(0);
-        *pos += 1;
-        b
+    // The encoder writes one byte per renormalisation and four to flush; the
+    // decoder reads in the same places, so a valid block is read exactly to
+    // its end and a short one must not be padded into `expect_len` bytes.
+    let mut rest = coded.iter();
+    let mut next_byte = || {
+        rest.next()
+            .copied()
+            .ok_or_else(|| bad_data("range-coded block truncated"))
     };
     let mut code: u32 = 0;
     for _ in 0..4 {
-        code = (code << 8) | next_byte(&mut pos) as u32;
+        code = (code << 8) | next_byte()? as u32;
     }
     let mut out = Vec::with_capacity(expect_len.min(PREALLOC_CAP * 16));
     for _ in 0..expect_len {
@@ -611,7 +626,7 @@ pub fn entropy_decode(coded: &[u8], expect_len: usize) -> io::Result<Vec<u8>> {
             } else {
                 break;
             }
-            code = (code << 8) | next_byte(&mut pos) as u32;
+            code = (code << 8) | next_byte()? as u32;
             low <<= 8;
             range <<= 8;
         }
@@ -857,6 +872,91 @@ mod tests {
         lie[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let err = decode_frame(&lie).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A quantized `KIND_DELTA` frame of `width × height` whose tiles are
+    /// `rects` (`[x0, y0, x1, y1]`), claiming `raw_len` plane bytes behind
+    /// `coded` — what a peer can send, not what [`encode_delta`] writes.
+    fn forged_quantized_delta(
+        (width, height): (u32, u32),
+        rects: &[[u32; 4]],
+        raw_len: u32,
+        coded: &[u8],
+    ) -> Vec<u8> {
+        let mut frame = Vec::new();
+        write_header(&mut frame, KIND_DELTA);
+        frame.push(WireMode::Quantized.tag());
+        frame.extend_from_slice(&1u64.to_le_bytes());
+        for v in [width, height, rects.len() as u32] {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        for v in rects.iter().flatten() {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        for _ in 0..rects.len() * 6 {
+            frame.extend_from_slice(&0f64.to_le_bytes());
+        }
+        frame.extend_from_slice(&raw_len.to_le_bytes());
+        frame.extend_from_slice(&(coded.len() as u32).to_le_bytes());
+        frame.extend_from_slice(coded);
+        frame
+    }
+
+    /// How `decode_frame` refuses `frame` (a frame it takes instead is
+    /// kept out of the panic message: it can be megabytes of pixels).
+    fn refusal(frame: &[u8]) -> io::ErrorKind {
+        decode_frame(frame).map(|_| ()).unwrap_err().kind()
+    }
+
+    #[test]
+    fn tile_geometry_that_wraps_the_plane_length_is_refused() {
+        // Two tiles of a `u32::MAX`-square frame holding (2^64 + 2) / 6
+        // pixels between them: six bytes a pixel wraps to a plane length
+        // of 2, which a two-byte block honestly delivers.
+        let side = u32::MAX;
+        let pixels = ((1u128 << 64) + 2) / 6;
+        let rows = (pixels / side as u128) as u32;
+        let rest = (pixels % side as u128) as u32;
+        let coded = entropy_encode(&[0, 0]);
+        let lie = forged_quantized_delta(
+            (side, side),
+            &[[0, 0, side, rows], [0, 0, rest, 1]],
+            2,
+            &coded,
+        );
+        assert_eq!(lie.len(), 172);
+        assert_eq!(refusal(&lie), io::ErrorKind::InvalidData);
+        // Inside a frame of legal size the same tile twice is over the bound
+        // too: the plane block is sized by the tiles' total.
+        let (width, height) = (4096, (MAX_FRAME_PIXELS / 4096) as u32);
+        let full = [0, 0, width, height];
+        let claim = width * height * 2 * 6;
+        let lie = forged_quantized_delta((width, height), &[full, full], claim, &[0; 4]);
+        assert_eq!(refusal(&lie), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_short_code_block_is_not_padded_into_its_claim() {
+        // Four bytes of code behind a 24 MB claim: the decoder stops at the
+        // first byte it needs and does not have, instead of reading zeros
+        // until the claim is met.
+        let claim = 2048 * 2048 * 6;
+        let err = entropy_decode(&[0; 4], claim)
+            .map(|planes| planes.len())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The same through the frame decoder, where the claim is consistent
+        // with the tile list and only the block is short.
+        let lie =
+            forged_quantized_delta((2048, 2048), &[[0, 0, 2048, 2048]], claim as u32, &[0; 4]);
+        assert_eq!(refusal(&lie), io::ErrorKind::InvalidData);
+        // A block cut anywhere short of its end is refused; whole, it decodes.
+        let raw: Vec<u8> = (0..4_000u32).map(|i| ((i * i) >> 5) as u8).collect();
+        let coded = entropy_encode(&raw);
+        for cut in [0, 3, 4, coded.len() / 2, coded.len() - 1] {
+            assert!(entropy_decode(&coded[..cut], raw.len()).is_err(), "{cut}");
+        }
+        assert_eq!(entropy_decode(&coded, raw.len()).unwrap(), raw);
     }
 
     #[test]

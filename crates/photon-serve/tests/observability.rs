@@ -538,3 +538,47 @@ fn readme_names_every_kind_stage_and_family() {
         );
     }
 }
+
+/// Docs that cannot name a command that is gone: every `--bin`,
+/// `--example` and `--bench` target the README and the verify skill
+/// mention has its source file in some package of the tree.
+#[test]
+fn docs_name_only_targets_that_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut packages = vec![root.clone()];
+    for entry in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        packages.push(entry.expect("crates/ entry").path());
+    }
+    let docs = [
+        ("README.md", include_str!("../../../README.md")),
+        (
+            "the verify skill",
+            include_str!("../../../.claude/skills/verify/SKILL.md"),
+        ),
+    ];
+    for (doc, text) in docs {
+        let mut named = 0;
+        let mut words = text.split_whitespace();
+        while let Some(word) = words.next() {
+            let dir = match word.trim_start_matches('`') {
+                "--bin" => "src/bin",
+                "--example" => "examples",
+                "--bench" => "benches",
+                _ => continue,
+            };
+            let name: String = words
+                .next()
+                .unwrap_or_default()
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '-'))
+                .collect();
+            let file = format!("{dir}/{name}.rs");
+            assert!(
+                packages.iter().any(|p| p.join(&file).is_file()),
+                "{doc} names `{word} {name}`, and no package has {file}"
+            );
+            named += 1;
+        }
+        assert!(named > 0, "{doc}: the scan found no target to check");
+    }
+}

@@ -185,6 +185,17 @@ fn progressive_solve_pushes_deltas_without_polling() {
     assert_eq!(d0.epoch, 0);
     let mut canvas = d0.canvas();
     d0.apply(&mut canvas);
+    // A second subscriber on the same exact camera: every epoch it is
+    // pushed costs a cache hit, not a render. Its bootstrap is awaited
+    // too, so it is in place before the first photon as well.
+    let twin = service
+        .subscribe(StreamRequest {
+            scene_id: job.scene_id(),
+            camera,
+        })
+        .expect("subscribe twin");
+    let t0 = twin.recv_timeout(Duration::from_secs(30)).expect("twin");
+    assert_eq!(t0.epoch, 0);
 
     // Each top-up funds exactly one batch → one publish → one delta.
     let mut deltas = 1u64;
@@ -215,6 +226,19 @@ fn progressive_solve_pushes_deltas_without_polling() {
         "streamed viewport diverged from the served frame"
     );
     assert!(canvas.mean_luminance() > 0.0, "the solve lit the scene");
+
+    // Shared viewpoints coalesce through the cache: three epochs to two
+    // subscribers are six deltas and three renders. `rendered` counts only
+    // interactive requests, so the stage histograms count the renders.
+    for epoch in 1..=2u64 {
+        let delta = twin.recv_timeout(Duration::from_secs(30)).expect("twin");
+        assert_eq!(delta.epoch, epoch);
+    }
+    let m = service.metrics();
+    let stages = store.obs().stage_snapshot();
+    let renders = stages.get(Stage::Render).count() + stages.get(Stage::Reshade).count();
+    assert_eq!((renders, m.stream.deltas), (3, 6), "{m:?}");
+    assert!(m.rendered < m.stream.deltas + m.completed, "{m:?}");
 }
 
 /// Regression (one bad job kills the service): a zero-area camera is

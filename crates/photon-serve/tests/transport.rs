@@ -158,13 +158,32 @@ fn quantized_tcp_subscriber_error_is_bounded() {
         .set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
 
+    // A lossless twin on the same viewpoint: the yardstick for "smaller".
+    let mut twin = StreamClient::connect(server.local_addr(), id, camera, WireMode::Lossless)
+        .expect("connect twin");
+    twin.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+
     let d = client.recv_delta().expect("bootstrap");
     let mut canvas = d.canvas();
     d.apply(&mut canvas);
+    let mut full_frame_bytes = d.full_frame_bytes() as u64;
+    assert_eq!(twin.recv_delta().expect("twin bootstrap").epoch, 1);
     sim.run_photons(2_000);
     store.publish(id, sim.answer_snapshot());
     let d = client.recv_delta().expect("refinement");
     d.apply(&mut canvas);
+    full_frame_bytes += d.full_frame_bytes() as u64;
+
+    // The point of the transport: over the same two epochs quantized
+    // undercuts lossless, and lossless undercuts shipping whole frames.
+    assert_eq!(twin.recv_delta().expect("twin refinement").epoch, 2);
+    assert!(
+        client.wire_bytes() < twin.wire_bytes() && twin.wire_bytes() < full_frame_bytes,
+        "quantized {} < lossless {} < full frames {full_frame_bytes}",
+        client.wire_bytes(),
+        twin.wire_bytes()
+    );
 
     // Per-tile quantization bounds are at most the global-range bound, so
     // every pixel must sit within it — across epochs, since stale pixels
