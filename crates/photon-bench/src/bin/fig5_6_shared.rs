@@ -8,7 +8,7 @@
 //!
 //! Note: wall-clock speedups depend on this machine's core count; shapes
 //! (contention on small scenes, better scaling on large) are the
-//! reproduction target. EXPERIMENTS.md records both.
+//! reproduction target (README.md, *Deviations*).
 
 use photon_bench::{fmt, heading, md_table, write_trace};
 use photon_core::SpeedTrace;

@@ -12,8 +12,9 @@
 //! dependencies.
 
 use crate::forest::BinForest;
+use crate::frame::{bad_data, expect_magic, read_counted, read_f64, read_u32, read_u64, read_u8};
 use photon_geom::Scene;
-use photon_hist::{BinPoint, BinTree, ExportNode, LeafStats, SplitConfig};
+use photon_hist::{Axis, BinPoint, BinTree, ExportNode, LeafStats, SplitConfig};
 use photon_math::{CylDir, Onb, Rgb, Vec3};
 use std::io::{self, Read, Write};
 
@@ -143,30 +144,13 @@ impl Answer {
 
     /// Reads a binary answer file written by [`Answer::write_to`].
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Answer> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad_data("not a Photon answer file"));
-        }
+        expect_magic(r, MAGIC, "not a Photon answer file")?;
         let npatches = read_u32(r)? as usize;
         let emitted = read_u64(r)?;
-        let mut trees = Vec::with_capacity(npatches.min(PREALLOC_CAP));
-        for _ in 0..npatches {
-            trees.push(read_tree(r, SplitConfig::default())?);
-        }
+        let trees = read_counted(r, npatches, |r| read_tree(r, SplitConfig::default()))?;
         Ok(Answer { trees, emitted })
     }
 }
-
-/// An `InvalidData` error (shared by the `PHOTANS1` and `PHOTCK1` codecs).
-pub(crate) fn bad_data(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
-}
-
-/// Cap on `Vec::with_capacity` for counts read from untrusted bytes: big
-/// enough to never reallocate on real files' tree blocks, small enough
-/// that a corrupt count cannot abort the process on allocation.
-pub(crate) const PREALLOC_CAP: usize = 1 << 16;
 
 /// Exact encoded size of one tree under [`write_tree`], in bytes.
 pub(crate) fn tree_encoded_size(tree: &BinTree) -> u64 {
@@ -220,58 +204,24 @@ pub(crate) fn read_tree<R: Read>(r: &mut R, config: SplitConfig) -> io::Result<B
     if nnodes == 0 {
         return Err(bad_data("empty tree"));
     }
-    // The count is untrusted until the nodes actually parse: clamp the
-    // pre-allocation so a corrupt header cannot request gigabytes and
-    // abort — a truncated stream fails in `read_exact` instead.
-    let mut nodes = Vec::with_capacity(nnodes.min(PREALLOC_CAP));
-    for _ in 0..nnodes {
-        let mut tag = [0u8; 1];
-        r.read_exact(&mut tag)?;
-        match tag[0] {
-            0 => {
-                let n_total = read_u64(r)?;
-                let rgb = Rgb::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
-                let stat_n = read_u32(r)?;
-                let left = [read_u32(r)?, read_u32(r)?, read_u32(r)?, read_u32(r)?];
-                nodes.push(ExportNode::Leaf(LeafStats {
-                    n_total,
-                    rgb,
-                    stat_n,
-                    left,
-                }));
-            }
-            1 => {
-                let mut ax = [0u8; 1];
-                r.read_exact(&mut ax)?;
-                if ax[0] > 3 {
-                    return Err(bad_data("bad axis"));
-                }
-                let axis = photon_hist::Axis::from_index(ax[0] as usize);
-                let children = [read_u32(r)?, read_u32(r)?];
-                nodes.push(ExportNode::Internal { axis, children });
-            }
-            _ => return Err(bad_data("bad node tag")),
+    let nodes = read_counted(r, nnodes, |r| match read_u8(r)? {
+        0 => Ok(ExportNode::Leaf(LeafStats {
+            n_total: read_u64(r)?,
+            rgb: Rgb::new(read_f64(r)?, read_f64(r)?, read_f64(r)?),
+            stat_n: read_u32(r)?,
+            left: [read_u32(r)?, read_u32(r)?, read_u32(r)?, read_u32(r)?],
+        })),
+        1 => {
+            let axis = match read_u8(r)? {
+                ax @ 0..=3 => Axis::from_index(ax as usize),
+                _ => return Err(bad_data("bad axis")),
+            };
+            let children = [read_u32(r)?, read_u32(r)?];
+            Ok(ExportNode::Internal { axis, children })
         }
-    }
+        _ => Err(bad_data("bad node tag")),
+    })?;
     BinTree::from_export(nodes, config).ok_or_else(|| bad_data("malformed tree"))
-}
-
-pub(crate) fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-pub(crate) fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
-pub(crate) fn read_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
 }
 
 #[cfg(test)]

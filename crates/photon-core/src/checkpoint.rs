@@ -56,8 +56,12 @@
 //! assert_eq!(encode(&resumed.snapshot()), encode(&straight.snapshot()));
 //! ```
 
-use crate::answer::{bad_data, read_tree, read_u32, read_u64, tree_encoded_size, write_tree};
+use crate::answer::{read_tree, tree_encoded_size, write_tree};
 use crate::forest::BinForest;
+use crate::frame::{
+    bad_data, expect_end, expect_magic, read_counted, read_f64, read_u16, read_u32, read_u64,
+    read_u8,
+};
 use crate::sim::SimStats;
 use crate::Answer;
 use photon_hist::{BinTree, SplitConfig, SplitRule};
@@ -196,17 +200,11 @@ impl EngineCheckpoint {
     /// end exactly at the encoding's last byte — trailing garbage is
     /// rejected, so a corrupt concatenation cannot half-parse.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<EngineCheckpoint> {
-        let mut magic = [0u8; 7];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad_data("not a Photon checkpoint file"));
-        }
-        let mut version = [0u8; 1];
-        r.read_exact(&mut version)?;
-        if version[0] != VERSION {
+        expect_magic(r, MAGIC, "not a Photon checkpoint file")?;
+        let version = read_u8(r)?;
+        if version != VERSION {
             return Err(bad_data(&format!(
-                "unsupported checkpoint version {} (expected {VERSION})",
-                version[0]
+                "unsupported checkpoint version {version} (expected {VERSION})"
             )));
         }
         let seed = read_u64(r)?;
@@ -228,37 +226,20 @@ impl EngineCheckpoint {
         if cursor > stats.emitted {
             return Err(bad_data("checkpoint cursor exceeds emitted photons"));
         }
-        let mut sigmas = [0u8; 8];
-        r.read_exact(&mut sigmas)?;
-        let sigmas = f64::from_le_bytes(sigmas);
+        let sigmas = read_f64(r)?;
         if !sigmas.is_finite() || sigmas <= 0.0 {
             return Err(bad_data("bad split rule"));
         }
-        let min_count = read_u32(r)?;
-        let mut depth = [0u8; 2];
-        r.read_exact(&mut depth)?;
         let split = SplitConfig {
-            rule: SplitRule { sigmas, min_count },
-            max_depth: u16::from_le_bytes(depth),
+            rule: SplitRule {
+                sigmas,
+                min_count: read_u32(r)?,
+            },
+            max_depth: read_u16(r)?,
         };
         let npatches = read_u32(r)? as usize;
-        // Untrusted count: clamp the pre-allocation (a lying header fails
-        // in `read_exact`, not in the allocator).
-        let mut trees = Vec::with_capacity(npatches.min(crate::answer::PREALLOC_CAP));
-        for _ in 0..npatches {
-            trees.push(read_tree(r, split)?);
-        }
-        // EOF probe with `read_exact` semantics: retry interrupted reads
-        // so a signal landing on the final syscall can't fail a valid load.
-        let mut probe = [0u8; 1];
-        loop {
-            match r.read(&mut probe) {
-                Ok(0) => break,
-                Ok(_) => return Err(bad_data("trailing garbage after checkpoint")),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
+        let trees = read_counted(r, npatches, |r| read_tree(r, split))?;
+        expect_end(r, "trailing garbage after checkpoint")?;
         Ok(EngineCheckpoint {
             seed,
             cursor,

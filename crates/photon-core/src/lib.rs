@@ -35,6 +35,7 @@ pub mod batch;
 pub mod checkpoint;
 pub mod engine;
 pub mod forest;
+mod frame;
 pub mod generate;
 pub mod img;
 pub mod json;
@@ -65,4 +66,4 @@ pub use trace::{path_rays, trace_photon, trace_span, Span, TallySink, TraceOutco
 pub use view::{
     render, render_tile, render_tile_memo, squash_tile_runs, tiles, Camera, ItemBuffer, Tile,
 };
-pub use wire::{SubscribeFrame, WireDelta, WireFrame, WireMode};
+pub use wire::{FrameDelta, SubscribeFrame, WireFrame, WireMode};

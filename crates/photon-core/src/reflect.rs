@@ -1,7 +1,8 @@
 //! `Reflect`: surface interaction with Russian-roulette absorption.
 //!
 //! The dissertation adopts the physical-optics reflection model of He et al.;
-//! DESIGN.md documents our layered substitute: given a hit, the photon
+//! ours is a layered substitute (README.md, *Deviations*): given a hit, the
+//! photon
 //!
 //! 1. survives with probability `albedo = mean(diffuse) + specular + mirror`
 //!    (else it is absorbed — the probabilistic termination of Fig 4.1);

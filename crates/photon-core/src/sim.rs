@@ -46,8 +46,11 @@ pub struct SimStats {
 
 impl SimStats {
     /// Conservation check: every emitted photon terminated exactly one way.
+    /// Counters read from a checkpoint file may be anything, so the sum is
+    /// checked: one that overflows is not conserved.
     pub fn is_conserved(&self) -> bool {
-        self.emitted == self.absorbed + self.escaped + self.capped
+        let ended = self.absorbed.checked_add(self.escaped);
+        ended.and_then(|n| n.checked_add(self.capped)) == Some(self.emitted)
     }
 
     /// Accounts one traced photon.

@@ -27,10 +27,14 @@
 //! discipline as the sibling codecs, because stream bytes arrive from a
 //! network socket, the least trusted input the system reads.
 
-use crate::answer::{bad_data, read_f64, read_u32, read_u64, PREALLOC_CAP};
-use crate::view::{Camera, Tile};
+use crate::frame::{
+    bad_data, expect_end, expect_magic, read_array, read_bytes, read_counted, read_f64, read_u32,
+    read_u64, read_u8, RESERVE_BYTES,
+};
+use crate::view::{blit_tile, squash_tile_runs, Camera, Tile};
+use crate::Image;
 use photon_math::{Rgb, Vec3};
-use std::io::{self, Cursor, Read, Write};
+use std::io::{self, Read, Write};
 
 /// Magic bytes opening every frame body (version follows as one byte).
 pub const MAGIC: &[u8; 8] = b"PHOTSTRM";
@@ -82,29 +86,115 @@ impl WireMode {
             _ => Err(bad_data("unknown wire mode")),
         }
     }
-
-    /// Stable kebab-case name (bench and metric label value).
-    pub fn name(self) -> &'static str {
-        match self {
-            WireMode::Lossless => "lossless",
-            WireMode::Quantized => "quantized",
-        }
-    }
 }
 
-/// A decoded delta frame: one epoch's changed tiles, ready to blit.
+/// One pushed refinement: the tiles that changed between the last frame
+/// sent to a subscriber and the named epoch's frame — the same value on both
+/// sides of the wire.
+///
+/// The very first delta of a subscription is diffed against a black canvas
+/// (what [`FrameDelta::canvas`] returns), so all-black background tiles
+/// are never shipped at all. A delta may carry zero tiles — the bootstrap
+/// of an all-black view, or an epoch that republished identical pixels —
+/// and still announces the epoch advance.
 #[derive(Clone, Debug)]
-pub struct WireDelta {
-    /// Store epoch this delta advances the subscriber to.
+pub struct FrameDelta {
+    /// The publication epoch this delta brings the subscriber up to.
     pub epoch: u64,
-    /// Full frame width in pixels.
+    /// Frame width in pixels.
     pub width: usize,
-    /// Full frame height in pixels.
+    /// Frame height in pixels.
     pub height: usize,
-    /// Payload mode the frame was encoded with.
-    pub mode: WireMode,
-    /// Changed tiles with their new pixels (dequantized in lossy mode).
+    /// Changed tiles and their complete new pixels (dequantized, when the
+    /// delta was decoded from a lossy frame), in row-major tile order —
+    /// the format [`blit_tile`] consumes.
     pub tiles: Vec<(Tile, Vec<Rgb>)>,
+}
+
+impl FrameDelta {
+    /// A black canvas of the frame's dimensions — the implicit "previous
+    /// frame" of a brand-new subscriber. Apply every received delta in
+    /// order to reassemble each epoch's image exactly.
+    pub fn canvas(&self) -> Image {
+        Image::new(self.width, self.height)
+    }
+
+    /// Blits the changed tiles onto `img`, advancing it to this delta's
+    /// epoch.
+    ///
+    /// # Panics
+    /// Panics if `img` does not match the frame's dimensions.
+    pub fn apply(&self, img: &mut Image) {
+        assert_eq!(
+            (img.width(), img.height()),
+            (self.width, self.height),
+            "delta applied to a mismatched canvas"
+        );
+        for (tile, buf) in &self.tiles {
+            blit_tile(img, *tile, buf);
+        }
+    }
+
+    /// Pixels carried by the changed tiles.
+    pub fn tile_pixels(&self) -> usize {
+        self.tiles.iter().map(|(t, _)| t.pixel_count()).sum()
+    }
+
+    /// Pixel payload bytes carried by the changed tiles.
+    pub fn tile_bytes(&self) -> usize {
+        self.tile_pixels() * std::mem::size_of::<Rgb>()
+    }
+
+    /// Pixel payload bytes a full frame of this view would cost — the
+    /// number a frame-per-epoch protocol would have shipped instead.
+    pub fn full_frame_bytes(&self) -> usize {
+        self.width * self.height * std::mem::size_of::<Rgb>()
+    }
+
+    /// True when the epoch advanced without changing any pixel.
+    pub fn is_empty(&self) -> bool {
+        self.tiles.is_empty()
+    }
+
+    /// Squashes a contiguous run of deltas (oldest first) into one delta
+    /// whose application is bit-identical to applying each in order — the
+    /// slow-consumer coalescing primitive. A tile touched by several
+    /// epochs keeps only its newest pixels ([`squash_tile_runs`]), so the
+    /// squash is bounded by the distinct tiles touched, not by how many
+    /// epochs it covers.
+    ///
+    /// # Panics
+    /// Panics on an empty run or mismatched frame dimensions.
+    pub fn squash(run: &[FrameDelta]) -> FrameDelta {
+        let last = run.last().expect("squash of an empty run");
+        assert!(
+            run.iter()
+                .all(|d| (d.width, d.height) == (last.width, last.height)),
+            "squash over mismatched frame dimensions"
+        );
+        FrameDelta {
+            epoch: last.epoch,
+            width: last.width,
+            height: last.height,
+            tiles: squash_tile_runs(run.iter().map(|d| d.tiles.clone())),
+        }
+    }
+
+    /// Encodes this delta as a `PHOTSTRM1` frame body ([`encode_delta`]).
+    /// Lossless mode decodes bit-identically; quantized mode is smaller
+    /// but lossy (bounded, deterministic error).
+    pub fn encode(&self, mode: WireMode) -> Vec<u8> {
+        encode_delta(self.epoch, self.width, self.height, &self.tiles, mode)
+    }
+
+    /// Decodes a `PHOTSTRM1` delta frame body back into a delta plus the
+    /// mode it was encoded with.
+    pub fn decode(bytes: &[u8]) -> io::Result<(FrameDelta, WireMode)> {
+        match decode_frame(bytes)? {
+            WireFrame::Delta(delta, mode) => Ok((delta, mode)),
+            _ => Err(bad_data("expected a delta frame")),
+        }
+    }
 }
 
 /// A decoded subscribe request: which scene, through which camera, in
@@ -122,8 +212,8 @@ pub struct SubscribeFrame {
 /// Any frame a `PHOTSTRM1` peer can receive.
 #[derive(Clone, Debug)]
 pub enum WireFrame {
-    /// One epoch's tile delta.
-    Delta(WireDelta),
+    /// One epoch's tile delta, and the payload mode it was encoded with.
+    Delta(FrameDelta, WireMode),
     /// A subscribe request.
     Subscribe(SubscribeFrame),
     /// A refusal message.
@@ -151,34 +241,19 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
-/// Most a reader sets aside for a frame on the word of its length prefix
-/// alone; beyond this the buffer grows only as payload bytes arrive.
-const FRAME_RESERVE_BYTES: usize = 64 * 1024;
-
 /// Reads one length-prefixed frame, rejecting lengths over
 /// [`MAX_FRAME_BYTES`]. An EOF before the length prefix surfaces as
 /// `UnexpectedEof` — a cleanly closed peer — and so does one inside the
-/// payload.
+/// payload. The prefix is unauthenticated (it arrives before the
+/// handshake), so the buffer grows in step with delivered bytes.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
     let len = read_u32(r)?;
     if len > MAX_FRAME_BYTES {
         return Err(bad_data("frame length over MAX_FRAME_BYTES"));
     }
     let mut payload = Vec::new();
-    read_payload(r, len as usize, &mut payload)?;
+    read_bytes(r, len as usize, &mut payload)?;
     Ok(payload)
-}
-
-/// Appends exactly `len` bytes of `r` to `payload`. The prefix that named
-/// `len` is unauthenticated (it arrives before the handshake), so memory is
-/// committed in step with delivered bytes, never up front.
-fn read_payload<R: Read>(r: &mut R, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
-    payload.reserve(len.min(FRAME_RESERVE_BYTES));
-    let got = r.take(len as u64).read_to_end(payload)?;
-    if got < len {
-        return Err(io::ErrorKind::UnexpectedEof.into());
-    }
-    Ok(())
 }
 
 fn write_header(out: &mut Vec<u8>, kind: u8) {
@@ -187,42 +262,32 @@ fn write_header(out: &mut Vec<u8>, kind: u8) {
     out.push(kind);
 }
 
-/// Bytes of the frame body not yet consumed — the most a length field
-/// inside it can honestly claim. Checked before allocating on such a
-/// claim: the first frame of every connection is decoded pre-handshake.
-fn remaining(cur: &Cursor<&[u8]>) -> usize {
-    cur.get_ref().len() - cur.position() as usize
-}
-
-fn read_header(cur: &mut Cursor<&[u8]>) -> io::Result<u8> {
-    let mut magic = [0u8; 8];
-    cur.read_exact(&mut magic)
-        .map_err(|_| bad_data("frame shorter than the PHOTSTRM header"))?;
-    if &magic != MAGIC {
-        return Err(bad_data("not a PHOTSTRM frame"));
-    }
-    let mut rest = [0u8; 2];
-    cur.read_exact(&mut rest)
-        .map_err(|_| bad_data("frame shorter than the PHOTSTRM header"))?;
-    if rest[0] != VERSION {
+fn read_header<R: Read>(r: &mut R) -> io::Result<u8> {
+    let short = |e: io::Error| match e.kind() {
+        io::ErrorKind::UnexpectedEof => bad_data("frame shorter than the PHOTSTRM header"),
+        _ => e,
+    };
+    expect_magic(r, MAGIC, "not a PHOTSTRM frame").map_err(short)?;
+    let [version, kind] = read_array(r).map_err(short)?;
+    if version != VERSION {
         return Err(bad_data("unsupported PHOTSTRM version"));
     }
-    Ok(rest[1])
+    Ok(kind)
 }
 
 /// Decodes any frame body, dispatching on its kind tag.
 pub fn decode_frame(bytes: &[u8]) -> io::Result<WireFrame> {
-    let mut cur = Cursor::new(bytes);
-    let kind = read_header(&mut cur)?;
-    let frame = match kind {
-        KIND_DELTA => WireFrame::Delta(decode_delta_body(&mut cur)?),
-        KIND_SUBSCRIBE => WireFrame::Subscribe(decode_subscribe_body(&mut cur)?),
-        KIND_ERROR => WireFrame::Error(decode_error_body(&mut cur)?),
+    let r = &mut &bytes[..];
+    let frame = match read_header(r)? {
+        KIND_DELTA => {
+            let (delta, mode) = decode_delta_body(r)?;
+            WireFrame::Delta(delta, mode)
+        }
+        KIND_SUBSCRIBE => WireFrame::Subscribe(decode_subscribe_body(r)?),
+        KIND_ERROR => WireFrame::Error(decode_error_body(r)?),
         _ => return Err(bad_data("unknown PHOTSTRM frame kind")),
     };
-    if cur.position() != bytes.len() as u64 {
-        return Err(bad_data("trailing garbage after PHOTSTRM frame"));
-    }
+    expect_end(r, "trailing garbage after PHOTSTRM frame")?;
     Ok(frame)
 }
 
@@ -299,13 +364,11 @@ pub fn encode_delta(
     out
 }
 
-fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
-    let mut tag = [0u8; 1];
-    cur.read_exact(&mut tag)?;
-    let mode = WireMode::from_tag(tag[0])?;
-    let epoch = read_u64(cur)?;
-    let width = read_u32(cur)? as usize;
-    let height = read_u32(cur)? as usize;
+fn decode_delta_body<R: Read>(r: &mut R) -> io::Result<(FrameDelta, WireMode)> {
+    let mode = WireMode::from_tag(read_u8(r)?)?;
+    let epoch = read_u64(r)?;
+    let width = read_u32(r)? as usize;
+    let height = read_u32(r)? as usize;
     if width == 0 || height == 0 {
         return Err(bad_data("zero-sized frame"));
     }
@@ -313,17 +376,16 @@ fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
     if !matches!(width.checked_mul(height), Some(p) if p <= MAX_FRAME_PIXELS) {
         return Err(bad_data("frame over MAX_FRAME_BYTES"));
     }
-    let ntiles = read_u32(cur)? as usize;
-    let mut rects = Vec::with_capacity(ntiles.min(PREALLOC_CAP));
+    let ntiles = read_u32(r)? as usize;
     // Tiles may repeat or overlap, so their total is bounded on its own: the
     // quantized plane block is sized by it.
     let mut pixels = 0usize;
-    for _ in 0..ntiles {
+    let rects = read_counted(r, ntiles, |r| {
         let tile = Tile {
-            x0: read_u32(cur)? as usize,
-            y0: read_u32(cur)? as usize,
-            x1: read_u32(cur)? as usize,
-            y1: read_u32(cur)? as usize,
+            x0: read_u32(r)? as usize,
+            y0: read_u32(r)? as usize,
+            x1: read_u32(r)? as usize,
+            y1: read_u32(r)? as usize,
         };
         if tile.x0 >= tile.x1 || tile.y0 >= tile.y1 || tile.x1 > width || tile.y1 > height {
             return Err(bad_data("tile outside the frame"));
@@ -332,65 +394,59 @@ fn decode_delta_body(cur: &mut Cursor<&[u8]>) -> io::Result<WireDelta> {
             Some(p) if p <= MAX_FRAME_PIXELS => p,
             _ => return Err(bad_data("tiles hold more pixels than a frame")),
         };
-        rects.push(tile);
-    }
+        Ok(tile)
+    })?;
     let mut tiles = Vec::with_capacity(rects.len());
     match mode {
         WireMode::Lossless => {
             for tile in rects {
-                let n = tile.pixel_count();
-                let mut buf = Vec::with_capacity(n.min(PREALLOC_CAP));
-                for _ in 0..n {
-                    buf.push(Rgb::new(read_f64(cur)?, read_f64(cur)?, read_f64(cur)?));
-                }
+                let buf = read_counted(r, tile.pixel_count(), |r| {
+                    Ok(Rgb::new(read_f64(r)?, read_f64(r)?, read_f64(r)?))
+                })?;
                 tiles.push((tile, buf));
             }
         }
         WireMode::Quantized => {
-            let mut bounds = Vec::with_capacity(rects.len());
             // Frame layout interleaves each tile's bounds ahead of the
             // shared plane block, so bounds all parse first.
-            for _ in 0..rects.len() {
+            let bounds = read_counted(r, rects.len(), |r| {
                 let mut b = [(0.0, 0.0); 3];
                 for ch in &mut b {
-                    *ch = (read_f64(cur)?, read_f64(cur)?);
+                    *ch = (read_f64(r)?, read_f64(r)?);
                 }
-                bounds.push(b);
-            }
-            let raw_len = read_u32(cur)? as usize;
-            let coded_len = read_u32(cur)? as usize;
+                Ok(b)
+            })?;
+            let raw_len = read_u32(r)? as usize;
+            let coded_len = read_u32(r)? as usize;
             if raw_len != pixels * 6 {
                 return Err(bad_data("quantized plane length mismatch"));
             }
-            if coded_len > remaining(cur) {
-                return Err(bad_data("coded planes longer than their frame"));
-            }
-            let mut coded = vec![0u8; coded_len];
-            cur.read_exact(&mut coded)?;
+            let mut coded = Vec::new();
+            read_bytes(r, coded_len, &mut coded)
+                .map_err(|_| bad_data("coded planes longer than their frame"))?;
             let planes = entropy_decode(&coded, raw_len)?;
-            let mut off = 0;
+            let mut quanta = planes
+                .chunks_exact(2)
+                .map(|q| u16::from_le_bytes([q[0], q[1]]));
             for (tile, b) in rects.into_iter().zip(bounds) {
-                let mut buf = Vec::with_capacity(tile.pixel_count().min(PREALLOC_CAP));
-                for _ in 0..tile.pixel_count() {
-                    let mut ch = [0.0; 3];
-                    for (c, (lo, hi)) in ch.iter_mut().zip(b) {
-                        let q = u16::from_le_bytes([planes[off], planes[off + 1]]);
-                        off += 2;
-                        *c = dequantize(q, lo, hi);
-                    }
-                    buf.push(Rgb::new(ch[0], ch[1], ch[2]));
-                }
-                tiles.push((tile, buf));
+                let px = |_| {
+                    let ch = b.map(|(lo, hi)| {
+                        let q = quanta.next().expect("raw_len is six bytes a pixel");
+                        dequantize(q, lo, hi)
+                    });
+                    Rgb::new(ch[0], ch[1], ch[2])
+                };
+                tiles.push((tile, (0..tile.pixel_count()).map(px).collect()));
             }
         }
     }
-    Ok(WireDelta {
+    let delta = FrameDelta {
         epoch,
         width,
         height,
-        mode,
         tiles,
-    })
+    };
+    Ok((delta, mode))
 }
 
 // ---------------------------------------------------------------------------
@@ -415,22 +471,20 @@ pub fn encode_subscribe(req: &SubscribeFrame) -> Vec<u8> {
     out
 }
 
-fn decode_subscribe_body(cur: &mut Cursor<&[u8]>) -> io::Result<SubscribeFrame> {
-    let scene = read_u32(cur)?;
-    let mut tag = [0u8; 1];
-    cur.read_exact(&mut tag)?;
-    let mode = WireMode::from_tag(tag[0])?;
+fn decode_subscribe_body<R: Read>(r: &mut R) -> io::Result<SubscribeFrame> {
+    let scene = read_u32(r)?;
+    let mode = WireMode::from_tag(read_u8(r)?)?;
     let mut vecs = [Vec3::ZERO; 3];
     for v in &mut vecs {
-        *v = Vec3::new(read_f64(cur)?, read_f64(cur)?, read_f64(cur)?);
+        *v = Vec3::new(read_f64(r)?, read_f64(r)?, read_f64(r)?);
     }
     let camera = Camera {
         eye: vecs[0],
         target: vecs[1],
         up: vecs[2],
-        vfov_deg: read_f64(cur)?,
-        width: read_u32(cur)? as usize,
-        height: read_u32(cur)? as usize,
+        vfov_deg: read_f64(r)?,
+        width: read_u32(r)? as usize,
+        height: read_u32(r)? as usize,
     };
     // A frame that could never be written is refused here, before a peer's
     // eight bytes make the server's one dispatcher build the tile list and
@@ -452,13 +506,10 @@ pub fn encode_error(msg: &str) -> Vec<u8> {
     out
 }
 
-fn decode_error_body(cur: &mut Cursor<&[u8]>) -> io::Result<String> {
-    let len = read_u32(cur)? as usize;
-    if len > remaining(cur) {
-        return Err(bad_data("error message longer than its frame"));
-    }
-    let mut bytes = vec![0u8; len];
-    cur.read_exact(&mut bytes)?;
+fn decode_error_body<R: Read>(r: &mut R) -> io::Result<String> {
+    let len = read_u32(r)? as usize;
+    let mut bytes = Vec::new();
+    read_bytes(r, len, &mut bytes).map_err(|_| bad_data("error message longer than its frame"))?;
     String::from_utf8(bytes).map_err(|_| bad_data("error message is not UTF-8"))
 }
 
@@ -612,7 +663,7 @@ pub fn entropy_decode(coded: &[u8], expect_len: usize) -> io::Result<Vec<u8>> {
     for _ in 0..4 {
         code = (code << 8) | next_byte()? as u32;
     }
-    let mut out = Vec::with_capacity(expect_len.min(PREALLOC_CAP * 16));
+    let mut out = Vec::with_capacity(expect_len.min(RESERVE_BYTES));
     for _ in 0..expect_len {
         let r = range / model.total;
         let target = (code.wrapping_sub(low) / r).min(model.total - 1);
@@ -640,6 +691,7 @@ pub fn entropy_decode(coded: &[u8], expect_len: usize) -> io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::view::tiles;
+    use std::io::Cursor;
 
     fn ramp_pixels(tile: Tile) -> Vec<Rgb> {
         (0..tile.pixel_count())
@@ -697,12 +749,12 @@ mod tests {
     fn lossless_delta_round_trips_bit_identically() {
         let tiles = sample_tiles(40, 24);
         let body = encode_delta(9, 40, 24, &tiles, WireMode::Lossless);
-        let WireFrame::Delta(delta) = decode_frame(&body).unwrap() else {
+        let WireFrame::Delta(delta, mode) = decode_frame(&body).unwrap() else {
             panic!("wrong frame kind");
         };
         assert_eq!(delta.epoch, 9);
         assert_eq!((delta.width, delta.height), (40, 24));
-        assert_eq!(delta.mode, WireMode::Lossless);
+        assert_eq!(mode, WireMode::Lossless);
         assert_eq!(delta.tiles.len(), tiles.len());
         for ((ta, ba), (tb, bb)) in delta.tiles.iter().zip(&tiles) {
             assert_eq!(ta, tb);
@@ -719,7 +771,7 @@ mod tests {
             encode_delta(3, 40, 24, &tiles, WireMode::Quantized),
             "quantized encoding must be deterministic"
         );
-        let WireFrame::Delta(delta) = decode_frame(&body).unwrap() else {
+        let WireFrame::Delta(delta, _) = decode_frame(&body).unwrap() else {
             panic!("wrong frame kind");
         };
         for ((_, orig), (_, back)) in tiles.iter().zip(&delta.tiles) {
@@ -741,7 +793,7 @@ mod tests {
         // Decoding the decoded pixels' re-encode is a fixed point: the
         // quantized values themselves roundtrip exactly.
         let again = encode_delta(3, 40, 24, &delta.tiles, WireMode::Quantized);
-        let WireFrame::Delta(twice) = decode_frame(&again).unwrap() else {
+        let WireFrame::Delta(twice, _) = decode_frame(&again).unwrap() else {
             panic!("wrong frame kind");
         };
         for ((_, a), (_, b)) in delta.tiles.iter().zip(&twice.tiles) {
@@ -753,7 +805,7 @@ mod tests {
     fn empty_delta_round_trips() {
         for mode in [WireMode::Lossless, WireMode::Quantized] {
             let body = encode_delta(5, 16, 16, &[], mode);
-            let WireFrame::Delta(delta) = decode_frame(&body).unwrap() else {
+            let WireFrame::Delta(delta, _) = decode_frame(&body).unwrap() else {
                 panic!("wrong frame kind");
             };
             assert_eq!(delta.epoch, 5);
@@ -996,7 +1048,7 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         // Same read, buffer in hand: it never grew past the reservation cap.
         let mut payload = Vec::new();
-        let err = read_payload(
+        let err = read_bytes(
             &mut Cursor::new(&lie[4..]),
             MAX_FRAME_BYTES as usize,
             &mut payload,
@@ -1004,6 +1056,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         assert_eq!(payload, [7u8; 10]);
-        assert!(payload.capacity() <= FRAME_RESERVE_BYTES);
+        assert!(payload.capacity() <= RESERVE_BYTES);
     }
 }

@@ -1,8 +1,8 @@
 //! Surface materials.
 //!
 //! Photon's reflection model follows the intent of He et al. (the full
-//! physical-optics model cited in ch. 4) with a layered substitute documented
-//! in DESIGN.md: a Lambertian diffuse term, a glossy lobe of configurable
+//! physical-optics model cited in ch. 4) with a layered substitute (README.md,
+//! *Deviations*): a Lambertian diffuse term, a glossy lobe of configurable
 //! tightness, an ideal mirror term, and probabilistic absorption (Russian
 //! roulette). The *material* only stores the coefficients; the sampling
 //! logic lives in `photon-core::reflect`.

@@ -693,7 +693,8 @@ impl BinTree {
     /// (the nodes are re-numbered into the canonical arena order, whatever
     /// order they arrive in). Returns `None` if the node graph is malformed:
     /// a child index out of range, a node referenced twice (shared child or
-    /// cycle), or a node unreachable from the root.
+    /// cycle), or a node unreachable from the root — and if the leaves'
+    /// photon counts overflow their total: an export may come from a file.
     pub fn from_export(nodes: Vec<ExportNode>, config: SplitConfig) -> Option<BinTree> {
         if nodes.is_empty() {
             return None;
@@ -713,14 +714,19 @@ impl BinTree {
             match nodes[src] {
                 ExportNode::Leaf(s) => {
                     packed[dst] = PackedNode::leaf(leaves.len() as u32);
-                    tallies += s.n_total;
+                    tallies = tallies.checked_add(s.n_total)?;
                     leaves.push(s);
                 }
                 ExportNode::Internal { axis, children } => {
                     if children[0] as usize >= n || children[1] as usize >= n {
                         return None;
                     }
+                    // A graph that revisits nodes can name more children than
+                    // there are slots before the revisit is popped.
                     let pair = next;
+                    if pair + 1 >= n {
+                        return None;
+                    }
                     next += 2;
                     packed[dst] = PackedNode::internal(axis, pair as u32);
                     stack.push((children[1] as usize, pair + 1));
@@ -1140,6 +1146,26 @@ mod tests {
             ExportNode::Leaf(LeafStats::default()),
         ];
         assert!(BinTree::from_export(unreachable, SplitConfig::default()).is_none());
+        // Internal nodes that share children name more slots than nodes:
+        // refused before the fourth is written, not by an index panic.
+        let internal = |children| ExportNode::Internal {
+            axis: Axis::S,
+            children,
+        };
+        let overfull = vec![
+            internal([1, 2]),
+            internal([3, 3]),
+            ExportNode::Leaf(LeafStats::default()),
+            internal([2, 2]),
+        ];
+        assert!(BinTree::from_export(overfull, SplitConfig::default()).is_none());
+        // Leaf counts that overflow their sum are not a tree's either.
+        let heavy = ExportNode::Leaf(LeafStats {
+            n_total: u64::MAX,
+            ..Default::default()
+        });
+        let overflowing = vec![internal([1, 2]), heavy, heavy];
+        assert!(BinTree::from_export(overflowing, SplitConfig::default()).is_none());
     }
 
     #[test]

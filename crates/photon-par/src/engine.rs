@@ -38,7 +38,6 @@
 //! and the per-patch counters are all reused.
 
 use crate::{ParConfig, SharedForest};
-use parking_lot::{Mutex, RwLock};
 use photon_core::batch::{PartitionScratch, RecordSink, TallyRecord};
 use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
@@ -49,7 +48,7 @@ use photon_core::{
 use photon_geom::Scene;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 
 /// Buffers shared between the engine thread and the workers, reused across
@@ -97,7 +96,9 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<SimStats>) {
                 // slots are 32 bytes apart, and whether two of them share a
                 // cache line is the allocator's whim — so pushing in place
                 // cost 0–15 % of the trace phase, differently every run.
-                let mut out = std::mem::take(&mut *ctx.shared.traces[ctx.tid].lock());
+                let slot = &ctx.shared.traces[ctx.tid];
+                let mut out =
+                    std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
                 out.clear(); // keep capacity: steady state reallocates nothing
                 let span = Span {
                     start,
@@ -112,11 +113,15 @@ fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<SimStats>) {
                     span,
                     &mut RecordSink::new(&mut out),
                 );
-                *ctx.shared.traces[ctx.tid].lock() = out;
+                *slot.lock().unwrap_or_else(PoisonError::into_inner) = out;
                 let _ = tx.send(stats);
             }
             Cmd::Apply => {
-                let partition = ctx.shared.partition.read();
+                let partition = ctx
+                    .shared
+                    .partition
+                    .read()
+                    .unwrap_or_else(PoisonError::into_inner);
                 loop {
                     let i = ctx.shared.next_run.fetch_add(1, Ordering::Relaxed);
                     let Some(run) = partition.runs.get(i) else {
@@ -265,11 +270,15 @@ impl SolverEngine for ParEngine {
 
         // Partition, on the engine thread.
         {
-            let guards: Vec<_> = self.shared.traces.iter().map(|m| m.lock()).collect();
+            let traces = self.shared.traces.iter();
+            let guards: Vec<_> = traces
+                .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
+                .collect();
             let lists: Vec<&[TallyRecord]> = guards.iter().map(|g| g.as_slice()).collect();
             self.shared
                 .partition
                 .write()
+                .unwrap_or_else(PoisonError::into_inner)
                 .partition(&lists, start, batch);
         }
 

@@ -7,7 +7,7 @@
 //!
 //! The crate is built around [`ParEngine`] (see [`engine`]): a *resumable*
 //! solver implementing [`photon_core::SolverEngine`], holding its
-//! [`SharedForest`] — one `parking_lot::RwLock` per patch tree — and a
+//! [`SharedForest`] — one `RwLock` per patch tree — and a
 //! persistent worker pool across batches. Every worker runs the one photon
 //! loop, [`photon_core::trace_span`], over its leapfrogged share of each
 //! batch (worker `t` of `T` takes every `T`-th photon), and each photon
@@ -33,12 +33,12 @@ pub mod pool;
 pub use engine::ParEngine;
 pub use pool::parallel_map;
 
-use parking_lot::RwLock;
 use photon_core::batch::TallyRecord;
 use photon_core::sim::SimStats;
 use photon_core::{Answer, ForestFootprint, SolverEngine, SpeedTrace};
 use photon_geom::Scene;
 use photon_hist::{BinTree, SplitConfig};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Configuration of a shared-memory run.
 #[derive(Clone, Copy, Debug)]
@@ -70,6 +70,16 @@ pub struct SharedForest {
     trees: Vec<RwLock<BinTree>>,
 }
 
+/// The forest's locks ignore poisoning: a worker that panics is reported
+/// where the engine waits on it, not by the next thread to touch a tree.
+fn read(tree: &RwLock<BinTree>) -> RwLockReadGuard<'_, BinTree> {
+    tree.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write(tree: &RwLock<BinTree>) -> RwLockWriteGuard<'_, BinTree> {
+    tree.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl SharedForest {
     /// One tree per patch.
     pub fn new(patch_count: usize, split: SplitConfig) -> Self {
@@ -89,8 +99,7 @@ impl SharedForest {
         if records.is_empty() {
             return;
         }
-        self.trees[patch_id as usize]
-            .write()
+        write(&self.trees[patch_id as usize])
             .tally_run(records.iter().map(|r| (&r.point, r.energy)));
     }
 
@@ -108,16 +117,13 @@ impl SharedForest {
     pub fn replace(&self, forest: photon_core::BinForest) {
         assert_eq!(forest.len(), self.trees.len(), "patch count mismatch");
         for (slot, tree) in self.trees.iter().zip(forest.into_trees()) {
-            *slot.write() = tree;
+            *write(slot) = tree;
         }
     }
 
     /// Total leaf bins across trees.
     pub fn total_leaf_bins(&self) -> u64 {
-        self.trees
-            .iter()
-            .map(|t| t.read().leaf_count() as u64)
-            .sum()
+        self.trees.iter().map(|t| read(t).leaf_count() as u64).sum()
     }
 
     /// Arena nodes across the forest, derived from the leaf count: the
@@ -132,7 +138,7 @@ impl SharedForest {
     pub fn footprint(&self) -> ForestFootprint {
         let mut fp = ForestFootprint::default();
         for t in &self.trees {
-            fp.add_tree(&t.read());
+            fp.add_tree(&read(t));
         }
         fp
     }
@@ -145,19 +151,24 @@ impl SharedForest {
     /// run being applied.
     pub fn compact_all(&self) {
         for t in &self.trees {
-            t.write().compact();
+            write(t).compact();
         }
     }
 
     /// Clones the current trees into a serial forest — the snapshot behind
     /// a progressive answer publish; the engine keeps refining afterwards.
     pub fn snapshot_forest(&self) -> photon_core::BinForest {
-        photon_core::BinForest::from_trees(self.trees.iter().map(|t| t.read().clone()).collect())
+        photon_core::BinForest::from_trees(self.trees.iter().map(|t| read(t).clone()).collect())
     }
 
     /// Collapses into a serial forest.
     pub fn into_forest(self) -> photon_core::BinForest {
-        photon_core::BinForest::from_trees(self.trees.into_iter().map(|t| t.into_inner()).collect())
+        photon_core::BinForest::from_trees(
+            self.trees
+                .into_iter()
+                .map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner))
+                .collect(),
+        )
     }
 }
 

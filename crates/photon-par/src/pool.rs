@@ -9,8 +9,8 @@
 //! completion order, which is what makes the tile-parallel viewer in
 //! `photon-serve` bit-identical to the serial one.
 
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Maps `job` over `0..jobs` on `threads` workers, returning results in
 /// index order.
@@ -41,7 +41,7 @@ where
         if i >= jobs {
             break;
         }
-        *slots[i].lock() = Some(job(i));
+        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(job(i));
     };
     std::thread::scope(|scope| {
         for _ in 1..threads.min(jobs) {
@@ -51,7 +51,8 @@ where
     });
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every job index was claimed"))
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .map(|done| done.expect("every job index was claimed"))
         .collect()
 }
 

@@ -8,7 +8,7 @@
 //!
 //! The original scene files are lost; these are procedural reconstructions
 //! with the same defining-polygon counts, material mix and luminaire types
-//! (see DESIGN.md, substitution #4). Each scene ships a recommended
+//! (see README.md, *Deviations*). Each scene ships a recommended
 //! [`ViewSpec`] so the renders of Figs 4.7/4.8/5.1 are reproducible.
 //!
 //! [`sun_room`] is the small directional-lighting demo behind Fig 4.4

@@ -177,12 +177,7 @@ impl StreamClient {
         let frame = wire::read_frame(&mut self.sock)?;
         self.wire_bytes += frame.len() as u64 + 4;
         match wire::decode_frame(&frame)? {
-            WireFrame::Delta(d) => Ok(FrameDelta {
-                epoch: d.epoch,
-                width: d.width,
-                height: d.height,
-                tiles: d.tiles,
-            }),
+            WireFrame::Delta(delta, _) => Ok(delta),
             WireFrame::Error(msg) => Err(io::Error::other(format!("server refused: {msg}"))),
             WireFrame::Subscribe(_) => Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -5,11 +5,11 @@
 //!
 //! 1. [`RenderService::submit`] enqueues a [`RenderRequest`] and hands back
 //!    a [`Ticket`].
-//! 2. The dispatcher thread drains the queue in batches (up to
-//!    [`ServeConfig::max_batch`] at a time), groups requests by scene so
-//!    each stored answer is resolved once per batch, and — when caching is
-//!    on — coalesces requests whose quantized [`ViewKey`]s collide, so one
-//!    tile-parallel render answers all of them.
+//! 2. The dispatcher thread drains the queue in batches (up to 64
+//!    requests at a time), groups requests by scene so each stored answer
+//!    is resolved once per batch, and coalesces requests whose quantized
+//!    [`ViewKey`]s collide, so one tile-parallel render answers all of
+//!    them.
 //! 3. Misses render across the worker pool
 //!    ([`render_parallel`](crate::render::render_parallel)), land in the
 //!    LRU view cache, and every waiter gets an `Arc` of the same image.
@@ -165,12 +165,8 @@ pub struct ServeConfig {
     pub render_threads: usize,
     /// Tile side in pixels.
     pub tile_size: usize,
-    /// Most requests drained into one dispatch batch.
-    pub max_batch: usize,
     /// View-cache entries, and as many item buffers (one per exact camera,
-    /// 4 bytes a pixel, kept across epochs); `0` disables caching, item
-    /// buffers *and* same-batch coalescing, so every request pays a full
-    /// render (the bench's baseline mode).
+    /// 4 bytes a pixel, kept across epochs). Clamped to at least 1.
     pub cache_capacity: usize,
     /// Camera quantization: lattice cells per world unit (larger = finer =
     /// fewer cache collisions).
@@ -182,11 +178,6 @@ pub struct ServeConfig {
     /// `stream_window + 1` deltas, however many epochs it sleeps through.
     /// Clamped to at least 1.
     pub stream_window: usize,
-    /// When `true`, an epoch republishing bit-identical pixels still sends
-    /// an empty [`FrameDelta`] (zero tiles) announcing the epoch advance —
-    /// a keepalive. Default `false`: empty republish deltas are
-    /// suppressed (the bootstrap delta is always delivered regardless).
-    pub stream_keepalive: bool,
 }
 
 impl Default for ServeConfig {
@@ -196,11 +187,9 @@ impl Default for ServeConfig {
                 .map_or(2, |n| n.get())
                 .min(8),
             tile_size: 32,
-            max_batch: 64,
             cache_capacity: 256,
             quant_grid: 256.0,
             stream_window: 8,
-            stream_keepalive: false,
         }
     }
 }
@@ -210,12 +199,11 @@ impl ServeConfig {
     /// misconfigured service serves every request instead of panicking the
     /// shared dispatcher on the first one (`tile_size: 0` used to trip the
     /// tile decomposition's assert and kill the thread — every later
-    /// ticket then resolved `ServiceStopped`). `cache_capacity: 0` stays
-    /// meaningful ("no cache").
+    /// ticket then resolved `ServiceStopped`).
     fn sanitized(mut self) -> Self {
         self.render_threads = self.render_threads.max(1);
         self.tile_size = self.tile_size.max(1);
-        self.max_batch = self.max_batch.max(1);
+        self.cache_capacity = self.cache_capacity.max(1);
         if !self.quant_grid.is_finite() || self.quant_grid <= 0.0 {
             self.quant_grid = 256.0;
         }
@@ -244,6 +232,9 @@ enum Msg {
 /// subscribers whose handles were dropped — bounds how long an abandoned
 /// handle on a fully idle service can pin its retained frame.
 const HOUSEKEEP: Duration = Duration::from_millis(200);
+
+/// Most requests drained into one dispatch batch.
+const MAX_BATCH: usize = 64;
 
 /// A camera that can never produce an image, or whose image no frame could
 /// carry, is refused up front — by the bound the subscribe decoder applies
@@ -461,10 +452,10 @@ struct Dispatcher {
     /// The store's shared observability hub: stage timings (cache probe,
     /// render, diff, reply) and serve/stream lifecycle events.
     obs: Arc<ObsHub>,
-    cache: Option<LruCache<ViewKey, Arc<Image>>>,
-    /// What each pixel of a camera sees, kept across epochs: there when
-    /// `cache` is, same capacity, never purged (see [`crate::cache`]).
-    items: Option<LruCache<ItemKey, Arc<ItemBuffer>>>,
+    cache: LruCache<ViewKey, Arc<Image>>,
+    /// What each pixel of a camera sees, kept across epochs: `cache`'s
+    /// capacity, never purged (see [`crate::cache`]).
+    items: LruCache<ItemKey, Arc<ItemBuffer>>,
     /// Freshest epoch seen per scene — when a publish advances it, the
     /// scene's older-epoch cache keys are orphaned (they can never match a
     /// future request) and are purged eagerly instead of squatting in the
@@ -485,15 +476,14 @@ struct Dispatcher {
 
 impl Dispatcher {
     fn new(store: Arc<AnswerStore>, config: ServeConfig, metrics: Arc<ServiceMetrics>) -> Self {
-        let caching = config.cache_capacity > 0;
         let obs = store.obs();
         Dispatcher {
             store,
             config,
             metrics,
             obs,
-            cache: caching.then(|| LruCache::new(config.cache_capacity)),
-            items: caching.then(|| LruCache::new(config.cache_capacity)),
+            cache: LruCache::new(config.cache_capacity),
+            items: LruCache::new(config.cache_capacity),
             seen_epoch: HashMap::new(),
             subscribers: BTreeMap::new(),
             next_subscriber: 0,
@@ -507,7 +497,7 @@ impl Dispatcher {
             // within a bounded interval (an abandoned handle used to pin
             // its retained frame until the *next* unrelated activity woke
             // this loop). On a message, opportunistically drain the queue:
-            // render jobs batch (and cap the drain at max_batch),
+            // render jobs batch (and cap the drain at MAX_BATCH),
             // subscriptions and epoch announcements ride along for free.
             let first = rx.recv_timeout(HOUSEKEEP);
             if matches!(first, Err(mpsc::RecvTimeoutError::Disconnected)) {
@@ -515,7 +505,7 @@ impl Dispatcher {
             }
             let mut inbox = first.into_iter().chain(rx.try_iter());
             let (mut jobs, mut advanced) = (Vec::new(), BTreeSet::new());
-            while jobs.len() < self.config.max_batch {
+            while jobs.len() < MAX_BATCH {
                 let Some(msg) = inbox.next() else { break };
                 match msg {
                     Msg::Job(job) => jobs.push(job),
@@ -589,9 +579,7 @@ impl Dispatcher {
                 }
             }
         }
-        if let Some(cache) = self.cache.as_ref() {
-            self.metrics.record_cache(cache.len() as u64, 0);
-        }
+        self.metrics.record_cache(self.cache.len() as u64, 0);
         self.metrics
             .record_batch(drained, batch_start.elapsed().as_secs_f64());
     }
@@ -600,20 +588,6 @@ impl Dispatcher {
     /// render misses, answer every waiter.
     fn serve_scene_group(&mut self, entry: &Arc<StoredAnswer>, scene_id: SceneId, group: Vec<Job>) {
         let epoch = entry.epoch;
-        if self.cache.is_none() {
-            for job in group {
-                let (image, _) = self.resolve_view(entry, scene_id, &job.request.camera);
-                respond(
-                    job,
-                    image,
-                    RequestOutcome::Rendered,
-                    epoch,
-                    &self.metrics,
-                    &self.obs,
-                );
-            }
-            return;
-        }
         // Coalesce identical quantized views within the batch, preserving
         // first-seen order. Keyed by the entry's epoch: a progressive
         // solve publishing a refined answer re-renders instead of serving
@@ -675,31 +649,18 @@ impl Dispatcher {
         scene_id: SceneId,
         camera: &Camera,
     ) -> (Arc<Image>, RequestOutcome) {
-        let key = self
-            .cache
-            .is_some()
-            .then(|| ViewKey::quantize(scene_id, entry.epoch, camera, self.config.quant_grid));
-        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key.as_ref()) {
-            let probe_start = Instant::now();
-            let hit = cache.get(key).cloned();
-            self.obs
-                .stage(Stage::CacheProbe, probe_start.elapsed().as_secs_f64());
-            if let Some(image) = hit {
-                return (image, RequestOutcome::CacheHit);
-            }
+        let key = ViewKey::quantize(scene_id, entry.epoch, camera, self.config.quant_grid);
+        let probe = || self.cache.get(&key).cloned();
+        if let Some(image) = self.obs.time(Stage::CacheProbe, probe) {
+            return (image, RequestOutcome::CacheHit);
         }
-        let (buffer, stage) = match self.items.as_mut() {
-            None => (None, Stage::Render),
-            Some(items) => {
-                let key = ItemKey::exact(scene_id, camera);
-                match items.get(&key) {
-                    Some(buffer) => (Some(Arc::clone(buffer)), Stage::Reshade),
-                    None => {
-                        let buffer = Arc::new(ItemBuffer::new(camera));
-                        items.insert(key, Arc::clone(&buffer));
-                        (Some(buffer), Stage::Render)
-                    }
-                }
+        let item_key = ItemKey::exact(scene_id, camera);
+        let (buffer, stage) = match self.items.get(&item_key) {
+            Some(buffer) => (Arc::clone(buffer), Stage::Reshade),
+            None => {
+                let buffer = Arc::new(ItemBuffer::new(camera));
+                self.items.insert(item_key, Arc::clone(&buffer));
+                (buffer, Stage::Render)
             }
         };
         let image = self.obs.time(stage, || {
@@ -707,15 +668,13 @@ impl Dispatcher {
                 &entry.scene,
                 &entry.answer,
                 camera,
-                buffer.as_deref(),
+                Some(&buffer),
                 entry.exposure,
                 self.config.render_threads,
                 self.config.tile_size,
             ))
         });
-        if let (Some(cache), Some(key)) = (self.cache.as_mut(), key) {
-            cache.insert(key, Arc::clone(&image));
-        }
+        self.cache.insert(key, Arc::clone(&image));
         (image, RequestOutcome::Rendered)
     }
 
@@ -725,10 +684,7 @@ impl Dispatcher {
     /// bounded by the cache's contents instead of growing one entry per
     /// scene forever (the `seen_epoch` leak).
     fn note_epoch(&mut self, scene_id: SceneId, epoch: u64) {
-        let Some(cache) = self.cache.as_mut() else {
-            // No cache, nothing to purge — and no reason to track.
-            return;
-        };
+        let cache = &mut self.cache;
         let last = self.seen_epoch.entry(scene_id).or_insert(epoch);
         if epoch > *last {
             *last = epoch;
@@ -792,9 +748,8 @@ impl Dispatcher {
     /// guard: a panicking render drops this subscription (its handle reads
     /// `ServiceStopped`) and spares the dispatcher and the rest.
     ///
-    /// An empty diff on a republish is not offered unless
-    /// [`ServeConfig::stream_keepalive`] asks for it; the bootstrap always
-    /// is — the client needs the frame's dimensions and epoch.
+    /// An empty diff on a republish is skippable; the bootstrap never is —
+    /// the client needs the frame's dimensions and epoch.
     fn push_delta(&mut self, id: u64, entry: &Arc<StoredAnswer>, diffed: &mut DiffMemo) {
         let subscriber = &self.subscribers[&id];
         let StreamRequest { scene_id, camera } = subscriber.mailbox.request();
@@ -811,7 +766,7 @@ impl Dispatcher {
             tiles: tiles.clone(),
         };
         let bootstrap = prev.is_none();
-        let skippable = delta.is_empty() && !bootstrap && !self.config.stream_keepalive;
+        let skippable = delta.is_empty() && !bootstrap;
         let subscriber = self.subscribers.get_mut(&id).expect("still registered");
         subscriber.last = Some((entry.epoch, next));
         subscriber.mailbox.offer(delta, skippable);
@@ -918,34 +873,6 @@ mod tests {
         assert_eq!(a.image.pixels(), b.image.pixels());
         let m = service.metrics();
         assert_eq!((m.completed, m.rendered, m.cache_hits), (2, 1, 1));
-    }
-
-    #[test]
-    fn cache_off_renders_every_request() {
-        let (store, id) = store_with_cornell();
-        let config = ServeConfig {
-            cache_capacity: 0,
-            ..Default::default()
-        };
-        let service = RenderService::start(store, config);
-        let req = RenderRequest {
-            scene_id: id,
-            camera: cornell_cam(0.0),
-        };
-        let responses = service.render_batch([req, req, req]);
-        for r in &responses {
-            assert_eq!(r.as_ref().unwrap().outcome, RequestOutcome::Rendered);
-        }
-        let m = service.metrics();
-        assert_eq!(
-            (m.completed, m.rendered, m.cache_hits, m.coalesced),
-            (3, 3, 0, 0)
-        );
-        // "Full render" means the rays too: no cache, no item buffers.
-        assert_eq!(casts_and_reshades(&service), (3, 0));
-        let metrics = Arc::new(ServiceMetrics::new());
-        let dispatcher = Dispatcher::new(Arc::clone(service.store()), config, metrics);
-        assert!(dispatcher.cache.is_none() && dispatcher.items.is_none());
     }
 
     /// Renders that cast their camera rays, and renders that reused an

@@ -45,12 +45,9 @@ use crate::metrics::ServiceMetrics;
 use crate::service::ServeError;
 use crate::store::SceneId;
 use photon_core::obs::{ObsCtx, ObsKind};
-use photon_core::view::{blit_tile, squash_tile_runs, Tile};
-use photon_core::wire::{self, WireMode};
-use photon_core::{Camera, Image, ObsHub};
-use photon_math::Rgb;
+pub use photon_core::wire::FrameDelta;
+use photon_core::{Camera, ObsHub};
 use std::collections::VecDeque;
-use std::io;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -61,126 +58,6 @@ pub struct StreamRequest {
     pub scene_id: SceneId,
     /// The viewpoint every epoch is rendered from.
     pub camera: Camera,
-}
-
-/// One pushed refinement: the tiles that changed between the last frame
-/// sent to this subscriber and the named epoch's frame.
-///
-/// The very first delta of a subscription is diffed against a black canvas
-/// (what [`FrameDelta::canvas`] returns), so all-black background tiles
-/// are never shipped at all. A delta may carry zero tiles — the bootstrap
-/// of an all-black view, or (with `ServeConfig::stream_keepalive` on) an
-/// epoch republishing identical pixels — and still announces the epoch
-/// advance; by default such empty republish deltas are suppressed.
-#[derive(Clone, Debug)]
-pub struct FrameDelta {
-    /// The publication epoch this delta brings the subscriber up to.
-    pub epoch: u64,
-    /// Frame width in pixels.
-    pub width: usize,
-    /// Frame height in pixels.
-    pub height: usize,
-    /// Changed tiles and their complete new pixels, in row-major tile
-    /// order — the format [`photon_core::view::blit_tile`] consumes.
-    pub tiles: Vec<(Tile, Vec<Rgb>)>,
-}
-
-impl FrameDelta {
-    /// A black canvas of the frame's dimensions — the implicit "previous
-    /// frame" of a brand-new subscriber. Apply every received delta in
-    /// order to reassemble each epoch's image exactly.
-    pub fn canvas(&self) -> Image {
-        Image::new(self.width, self.height)
-    }
-
-    /// Blits the changed tiles onto `img`, advancing it to this delta's
-    /// epoch.
-    ///
-    /// # Panics
-    /// Panics if `img` does not match the frame's dimensions.
-    pub fn apply(&self, img: &mut Image) {
-        assert_eq!(
-            (img.width(), img.height()),
-            (self.width, self.height),
-            "delta applied to a mismatched canvas"
-        );
-        for (tile, buf) in &self.tiles {
-            blit_tile(img, *tile, buf);
-        }
-    }
-
-    /// Pixels carried by the changed tiles.
-    pub fn tile_pixels(&self) -> usize {
-        self.tiles.iter().map(|(t, _)| t.pixel_count()).sum()
-    }
-
-    /// Pixel payload bytes carried by the changed tiles.
-    pub fn tile_bytes(&self) -> usize {
-        self.tile_pixels() * std::mem::size_of::<Rgb>()
-    }
-
-    /// Pixel payload bytes a full frame of this view would cost — the
-    /// number a frame-per-epoch protocol would have shipped instead.
-    pub fn full_frame_bytes(&self) -> usize {
-        self.width * self.height * std::mem::size_of::<Rgb>()
-    }
-
-    /// True when the epoch advanced without changing any pixel.
-    pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
-    }
-
-    /// Squashes a contiguous run of deltas (oldest first) into one delta
-    /// whose application is bit-identical to applying each in order — the
-    /// slow-consumer coalescing primitive. A tile touched by several
-    /// epochs keeps only its newest pixels
-    /// ([`photon_core::squash_tile_runs`]), so the squash is bounded by
-    /// the distinct tiles touched, not by how many epochs it covers.
-    ///
-    /// # Panics
-    /// Panics on an empty run or mismatched frame dimensions.
-    pub fn squash(run: &[FrameDelta]) -> FrameDelta {
-        let last = run.last().expect("squash of an empty run");
-        assert!(
-            run.iter()
-                .all(|d| (d.width, d.height) == (last.width, last.height)),
-            "squash over mismatched frame dimensions"
-        );
-        FrameDelta {
-            epoch: last.epoch,
-            width: last.width,
-            height: last.height,
-            tiles: squash_tile_runs(run.iter().map(|d| d.tiles.clone())),
-        }
-    }
-
-    /// Encodes this delta as a `PHOTSTRM1` frame body
-    /// ([`photon_core::wire::encode_delta`]). Lossless mode decodes
-    /// bit-identically; quantized mode is smaller but lossy (bounded,
-    /// deterministic error).
-    pub fn encode(&self, mode: WireMode) -> Vec<u8> {
-        wire::encode_delta(self.epoch, self.width, self.height, &self.tiles, mode)
-    }
-
-    /// Decodes a `PHOTSTRM1` delta frame body back into a delta (pixels
-    /// dequantized in lossy mode) plus the mode it was encoded with.
-    pub fn decode(bytes: &[u8]) -> io::Result<(FrameDelta, WireMode)> {
-        match wire::decode_frame(bytes)? {
-            wire::WireFrame::Delta(d) => Ok((
-                FrameDelta {
-                    epoch: d.epoch,
-                    width: d.width,
-                    height: d.height,
-                    tiles: d.tiles,
-                },
-                d.mode,
-            )),
-            _ => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected a delta frame",
-            )),
-        }
-    }
 }
 
 /// What [`Window::offer`] did with a delta.
@@ -413,11 +290,6 @@ impl StreamHandle {
         self.mailbox.request().scene_id
     }
 
-    /// The subscribed viewpoint.
-    pub fn camera(&self) -> Camera {
-        self.mailbox.request().camera
-    }
-
     /// Blocks until the next delta. [`ServeError::ServiceStopped`] means
     /// the service shut down (or dropped the subscription); no further
     /// deltas will arrive.
@@ -443,6 +315,10 @@ impl StreamHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use photon_core::view::Tile;
+    use photon_core::wire::WireMode;
+    use photon_core::Image;
+    use photon_math::Rgb;
     use photon_rng::Lcg48;
 
     fn tile(x0: usize, y0: usize, x1: usize, y1: usize) -> Tile {

@@ -541,7 +541,8 @@ fn readme_names_every_kind_stage_and_family() {
 
 /// Docs that cannot name a command that is gone: every `--bin`,
 /// `--example` and `--bench` target the README and the verify skill
-/// mention has its source file in some package of the tree.
+/// mention has its source file in some package of the tree — and module
+/// docs that cannot name a document that is gone.
 #[test]
 fn docs_name_only_targets_that_exist() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -581,4 +582,31 @@ fn docs_name_only_targets_that_exist() {
         }
         assert!(named > 0, "{doc}: the scan found no target to check");
     }
+    // Nor a document that is gone: a `*.md` a module doc under `crates/`
+    // names is a file at the root or beside one of the source's ancestors.
+    let root = root.canonicalize().expect("the repo root");
+    let mut named = 0;
+    let mut dirs = vec![root.join("crates")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a directory under crates/") {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                let source = std::fs::read_to_string(&path).expect("a source file");
+                let docs = source.lines().filter(|line| line.starts_with("//!"));
+                let is_path = |c: char| c.is_ascii_alphanumeric() || "_-./".contains(c);
+                for word in docs.flat_map(|line| line.split(|c| !is_path(c))) {
+                    let name = word.trim_end_matches('.');
+                    if name.ends_with(".md") {
+                        let mut inside = path.ancestors().take_while(|dir| dir.starts_with(&root));
+                        let found = inside.any(|dir| dir.join(name).is_file());
+                        assert!(found, "{} names {name}, which is not there", path.display());
+                        named += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(named > 0, "the scan found no module doc naming a document");
 }

@@ -312,7 +312,7 @@ fn tile_size_zero_config_still_serves() {
         ServeConfig {
             tile_size: 0,
             render_threads: 0,
-            max_batch: 0,
+            cache_capacity: 0,
             quant_grid: f64::NAN,
             ..ServeConfig::default()
         },
@@ -578,9 +578,9 @@ fn stalled_consumer_is_coalesced_and_reassembles_exactly() {
 
 /// Regression (empty republish spam): republishing bit-identical pixels
 /// advances the epoch but used to push an empty delta to every
-/// subscriber. Empty deltas are now suppressed by default — and the
-/// subscriber's cursor still advances, so the next real refinement diffs
-/// correctly. Opting into `stream_keepalive` restores the old behavior.
+/// subscriber. Empty deltas are suppressed — and the subscriber's cursor
+/// still advances, so the next real refinement diffs correctly. (The name
+/// keeps a knob that is gone: there is no keepalive to opt into.)
 #[test]
 fn identical_republish_sends_nothing_unless_keepalive() {
     let mut sim = Simulator::new(
@@ -597,9 +597,8 @@ fn identical_republish_sends_nothing_unless_keepalive() {
     let scene = sim.scene().clone();
     let camera = distant_cornell_camera();
 
-    // Default: suppression on.
     let store = Arc::new(AnswerStore::new());
-    let id = store.insert("quiet", scene.clone(), first.clone());
+    let id = store.insert("quiet", scene, first.clone());
     let service = RenderService::start(Arc::clone(&store), serve_config());
     let stream = service
         .subscribe(StreamRequest {
@@ -627,7 +626,7 @@ fn identical_republish_sends_nothing_unless_keepalive() {
 
     // The suppressed epoch still advanced the cursor: the next real
     // refinement arrives at epoch 3 and reassembles exactly.
-    assert_eq!(store.publish(id, second.clone()), 3);
+    assert_eq!(store.publish(id, second), 3);
     let d2 = stream
         .recv_timeout(Duration::from_secs(60))
         .expect("real refinement still flows");
@@ -637,32 +636,6 @@ fn identical_republish_sends_nothing_unless_keepalive() {
     let entry = store.get(id).expect("stored");
     let reference = render_parallel(&entry.scene, &entry.answer, &camera, entry.exposure, 2, 16);
     assert_eq!(canvas.pixels(), reference.pixels());
-
-    // Keepalive opt-in: the empty delta is delivered, epoch attached.
-    let store = Arc::new(AnswerStore::new());
-    let id = store.insert("chatty", scene, first.clone());
-    let service = RenderService::start(
-        Arc::clone(&store),
-        ServeConfig {
-            stream_keepalive: true,
-            ..serve_config()
-        },
-    );
-    let stream = service
-        .subscribe(StreamRequest {
-            scene_id: id,
-            camera,
-        })
-        .expect("subscribe");
-    stream
-        .recv_timeout(Duration::from_secs(30))
-        .expect("bootstrap");
-    assert_eq!(store.publish(id, first), 2);
-    let keepalive = stream
-        .recv_timeout(Duration::from_secs(60))
-        .expect("keepalive mode delivers the empty delta");
-    assert_eq!(keepalive.epoch, 2);
-    assert!(keepalive.is_empty());
 }
 
 /// Regression (`seen_epoch` leaks): the dispatcher's per-scene epoch map

@@ -5,7 +5,7 @@
 //! a cluster of SGI Indy workstations (Ethernet), and an IBM SP-2 (≤ 64
 //! nodes). None of those machines exist anymore, and the repro brief flags
 //! MPI bindings as thin — so this crate supplies the substrate
-//! (DESIGN.md, substitution #1):
+//! (README.md, *Deviations*):
 //!
 //! * **Real message passing.** Each rank is an OS thread; ranks exchange
 //!   real byte buffers over a channel mesh ([`Comm::alltoallv`],

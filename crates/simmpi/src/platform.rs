@@ -1,8 +1,8 @@
 //! Virtual-time cost models of the paper's three platforms.
 //!
 //! Parameters are calibrated to the *relative* characteristics the
-//! dissertation describes, not to absolute 1997 microseconds (EXPERIMENTS.md
-//! records the resulting shapes):
+//! dissertation describes, not to absolute 1997 microseconds (README.md,
+//! *Deviations*; `fig5_9_indy` and `fig5_12_sp2` print the resulting shapes):
 //!
 //! * **SGI Power Onyx** — shared-memory multiprocessor: negligible latency,
 //!   very high bandwidth, fastest per-processor compute.
