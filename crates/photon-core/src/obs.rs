@@ -11,7 +11,7 @@
 //! |-------|------------|
 //! | [`FlightRecorder`] | lock-cheap bounded ring buffer of [`ObsEvent`]s — a post-mortem timeline of every lifecycle edge, filterable by scene/job/tenant/kind |
 //! | [`Histogram`] | fixed-size log-bucketed latency histogram: constant memory forever, p50/p90/p99 within one bucket of exact, exact count/sum/max, mergeable |
-//! | [`StageTimings`] | one histogram per pipeline [`Stage`] (cache probe, render, reshade, diff, reply, solve slice, checkpoint freeze/encode/restore) |
+//! | [`StageTimings`] | one histogram per pipeline [`Stage`] (cache probe, render, reshade, diff, reply, wire encode/write, solve slice, checkpoint freeze/encode/restore) |
 //! | [`ObsHub`] | the `Arc`-shared bundle of all three that instrumented code records into |
 //!
 //! Everything here is bounded by construction: the recorder drops its
@@ -261,6 +261,12 @@ vocabulary! {
     Diff = "diff", Stream;
     /// Answering a waiter (metrics accounting + channel send).
     Reply = "reply", Serve;
+    /// Encoding one delta as a `PHOTSTRM1` frame body for a TCP subscriber,
+    /// in the subscriber's payload mode (quantized runs the range coder).
+    WireEncode = "wire-encode", Stream;
+    /// Writing one encoded delta frame to a TCP subscriber's socket and
+    /// flushing it: where a reader that has stopped reading shows up.
+    WireWrite = "wire-write", Stream;
     /// One scheduler slice: a single `engine.step` call.
     SolveSlice = "solve-slice", Solve;
     /// The trace phase of a solve slice: photons traced into tally records

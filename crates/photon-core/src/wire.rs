@@ -314,7 +314,12 @@ pub fn encode_delta(
     mode: WireMode,
 ) -> Vec<u8> {
     let pixels: usize = tiles.iter().map(|(t, _)| t.pixel_count()).sum();
-    let mut out = Vec::with_capacity(64 + tiles.len() * 16 + pixels * 24);
+    // Quantized: 16 bytes of rectangle and 48 of bounds a tile, and the
+    // half of the 6-byte-a-pixel plane block `entropy_encode` guesses too.
+    let mut out = Vec::with_capacity(match mode {
+        WireMode::Lossless => 64 + tiles.len() * 16 + pixels * 24,
+        WireMode::Quantized => 64 + tiles.len() * 64 + pixels * 3,
+    });
     write_header(&mut out, KIND_DELTA);
     out.push(mode.tag());
     out.extend_from_slice(&epoch.to_le_bytes());
@@ -559,6 +564,13 @@ pub fn quantization_error_bound(lo: f64, hi: f64) -> f64 {
 // ---------------------------------------------------------------------------
 // Adaptive order-0 range coder (carryless, Subbotin style)
 // ---------------------------------------------------------------------------
+//
+// The coder narrows `[low, low + range)` by a symbol's `(cum, freq)` out of
+// the model's `total`, and those three numbers are all it ever sees of the
+// model. The model keeps them in two levels — 256 frequencies under 16 block
+// sums — so finding a symbol's span costs at most 30 steps where a flat
+// table costs 255, and since the numbers it returns are the flat table's
+// own, the coded bytes cannot tell the difference.
 
 const RC_TOP: u32 = 1 << 24;
 const RC_BOT: u32 = 1 << 16;
@@ -567,8 +579,17 @@ const RC_BOT: u32 = 1 << 16;
 /// every coded byte and halved when the total nears the coder's precision
 /// limit. Encoder and decoder evolve the model identically, so no table
 /// ships on the wire.
+///
+/// Two levels: `block[b]` is the sum of the sixteen frequencies
+/// `freq[16 * b..16 * b + 16]`, and `total` the sum of the blocks — every
+/// method leaves both true. A cumulative frequency is then whole blocks plus
+/// a partial run of entries; it is the same sum of the same `freq` entries a
+/// scan from symbol 0 would make, so `(cum, freq, total)` for every symbol —
+/// and with them every coded byte — are those of a flat 256-entry table
+/// (`tests::LinearModel`, which the tests hold this one to).
 struct ByteModel {
     freq: [u32; 256],
+    block: [u32; 16],
     total: u32,
 }
 
@@ -576,36 +597,54 @@ impl ByteModel {
     fn new() -> Self {
         ByteModel {
             freq: [1; 256],
+            block: [16; 16],
             total: 256,
         }
     }
 
     /// `(cumulative frequency below sym, sym's frequency)`.
     fn span(&self, sym: u8) -> (u32, u32) {
-        let cum = self.freq[..sym as usize].iter().sum();
-        (cum, self.freq[sym as usize])
+        let sym = sym as usize;
+        // Two contiguous slice sums, which the compiler reduces with vector
+        // adds; a masked fixed-length sum measured slower than the flat scan.
+        let blocks: u32 = self.block[..sym >> 4].iter().sum();
+        let entries: u32 = self.freq[sym & !15..sym].iter().sum();
+        (blocks + entries, self.freq[sym])
     }
 
-    /// The symbol whose span covers cumulative value `target`.
+    /// The symbol whose span covers cumulative value `target`, which must be
+    /// below `total`: some block and some entry in it then cover `target`,
+    /// so neither walk needs to test its last candidate.
     fn symbol_at(&self, target: u32) -> (u8, u32, u32) {
+        debug_assert!(target < self.total);
         let mut cum = 0u32;
-        for (sym, &f) in self.freq.iter().enumerate() {
-            if target < cum + f {
-                return (sym as u8, cum, f);
-            }
-            cum += f;
+        let mut b = 0;
+        while b < 15 && target >= cum + self.block[b] {
+            cum += self.block[b];
+            b += 1;
         }
-        (255, self.total - self.freq[255], self.freq[255])
+        let run = &self.freq[b << 4..][..16];
+        let mut k = 0;
+        while k < 15 && target >= cum + run[k] {
+            cum += run[k];
+            k += 1;
+        }
+        ((b << 4 | k) as u8, cum, run[k])
     }
 
     fn update(&mut self, sym: u8) {
         self.freq[sym as usize] += 32;
+        self.block[sym as usize >> 4] += 32;
         self.total += 32;
         if self.total >= RC_BOT {
             self.total = 0;
-            for f in &mut self.freq {
-                *f -= *f >> 1; // halve, floor 1
-                self.total += *f;
+            for (block, run) in self.block.iter_mut().zip(self.freq.chunks_exact_mut(16)) {
+                *block = 0;
+                for f in run {
+                    *f -= *f >> 1; // halve, floor 1
+                    *block += *f;
+                }
+                self.total += *block;
             }
         }
     }
@@ -691,7 +730,115 @@ pub fn entropy_decode(coded: &[u8], expect_len: usize) -> io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::view::tiles;
+    use proptest::prelude::*;
     use std::io::Cursor;
+
+    /// The model as one flat table, every cumulative frequency a scan from
+    /// symbol 0: what `ByteModel` was before it grew block sums, kept as the
+    /// reference its `(cum, freq, total)` are held to.
+    struct LinearModel {
+        freq: [u32; 256],
+        total: u32,
+    }
+
+    impl LinearModel {
+        fn new() -> Self {
+            LinearModel {
+                freq: [1; 256],
+                total: 256,
+            }
+        }
+
+        fn span(&self, sym: u8) -> (u32, u32) {
+            let cum = self.freq[..sym as usize].iter().sum();
+            (cum, self.freq[sym as usize])
+        }
+
+        fn symbol_at(&self, target: u32) -> (u8, u32, u32) {
+            let mut cum = 0u32;
+            for (sym, &f) in self.freq.iter().enumerate() {
+                if target < cum + f {
+                    return (sym as u8, cum, f);
+                }
+                cum += f;
+            }
+            (255, self.total - self.freq[255], self.freq[255])
+        }
+
+        fn update(&mut self, sym: u8) {
+            self.freq[sym as usize] += 32;
+            self.total += 32;
+            if self.total >= RC_BOT {
+                self.total = 0;
+                for f in &mut self.freq {
+                    *f -= *f >> 1; // halve, floor 1
+                    self.total += *f;
+                }
+            }
+        }
+    }
+
+    /// Drives both models through `stream`: after every update `total` and
+    /// the coded symbol's span agree, and at every 257th step — a stride
+    /// that lands on every phase of the 16-entry blocks and on both sides
+    /// of a halving — so does `symbol_at` for every target below `total`.
+    fn models_agree(name: &str, stream: &[u8]) -> Result<(), String> {
+        let mut model = ByteModel::new();
+        let mut linear = LinearModel::new();
+        let mut halvings = 0;
+        for (step, &sym) in stream.iter().enumerate() {
+            let before = model.total;
+            model.update(sym);
+            linear.update(sym);
+            halvings += usize::from(model.total < before);
+            prop_assert_eq!(model.total, linear.total, "{name}: total at step {step}");
+            prop_assert_eq!(
+                model.span(sym),
+                linear.span(sym),
+                "{name}: span of {sym} at step {step}"
+            );
+            if step % 257 == 0 {
+                for target in 0..model.total {
+                    prop_assert_eq!(
+                        model.symbol_at(target),
+                        linear.symbol_at(target),
+                        "{name}: symbol_at({target}) at step {step}"
+                    );
+                }
+            }
+        }
+        prop_assert!(halvings >= 3, "{name}: only {halvings} halvings");
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn two_level_model_matches_the_linear_scan(
+            noise in proptest::collection::vec(0u32..1 << 16, 8_000..10_000),
+            hot in 0u32..256,
+            start in 0u32..1 << 16,
+        ) {
+            let len = noise.len();
+            let uniform: Vec<u8> = noise.iter().map(|&n| n as u8).collect();
+            // Nine symbols in ten are `hot`, whichever block it falls in.
+            let skewed: Vec<u8> = noise
+                .iter()
+                .map(|&n| if n % 10 == 0 { (n >> 8) as u8 } else { hot as u8 })
+                .collect();
+            // What a quantized plane block looks like: a slow high byte
+            // interleaved with a low byte that cycles through every symbol.
+            let ramp: Vec<u8> = (0..len as u32 / 2)
+                .flat_map(|i| ((start + i) as u16).to_le_bytes())
+                .collect();
+            models_agree("uniform", &uniform)?;
+            models_agree("skewed", &skewed)?;
+            models_agree("all 0xFF", &vec![0xFF; len])?;
+            models_agree("all 0x00", &vec![0x00; len])?;
+            models_agree("16-bit ramp", &ramp)?;
+        }
+    }
 
     fn ramp_pixels(tile: Tile) -> Vec<Rgb> {
         (0..tile.pixel_count())

@@ -1,9 +1,15 @@
-//! A reusable scoped worker pool for index-addressed jobs.
+//! A scoped parallel map over index-addressed jobs.
+//!
+//! Not a pool that outlives a call: [`parallel_map`] opens one
+//! `std::thread::scope`, spawns `threads − 1` workers beside the calling
+//! thread, and joins them before it returns, so every map (every rendered
+//! frame, in `photon-serve`) pays its own spawns and nothing arbitrates
+//! between two maps running at once.
 //!
 //! The shared-memory simulator splits photon batches across threads with
 //! static leapfrog striping (the RNG demands it — the union of the threads'
 //! draws must be the serial stream). Rendering has no such constraint, so
-//! this pool hands out job indices dynamically from a shared counter: fast
+//! a map hands out job indices dynamically from a shared counter: fast
 //! workers keep pulling while a slow tile (deep octree region, refined bin
 //! trees) occupies one thread. Results come back in job order regardless of
 //! completion order, which is what makes the tile-parallel viewer in
@@ -18,9 +24,9 @@ use std::sync::{Mutex, PoisonError};
 /// Scheduling is dynamic: each worker repeatedly claims the next unclaimed
 /// index. The calling thread is one of the `threads` workers — a caller
 /// parked behind `threads` spawned ones would be one runnable thread too
-/// many when the pool is sized to the host, and a spawn more than a short
+/// many when `threads` is sized to the host, and a spawn more than a short
 /// map needs. With `threads == 1` (or one job) everything runs on the
-/// calling thread with no synchronization, so a single-threaded pool is
+/// calling thread with no synchronization, so a single-threaded map is
 /// exactly the serial loop.
 ///
 /// # Panics

@@ -35,6 +35,7 @@ use crate::net::{Listener, MAX_CONNECTIONS, REQUEST_TIMEOUT};
 use crate::service::{RenderService, ServeError};
 use crate::store::SceneId;
 use crate::stream::{FrameDelta, StreamRequest};
+use photon_core::obs::Stage;
 use photon_core::wire::{self, SubscribeFrame, WireFrame, WireMode};
 use photon_core::Camera;
 use std::io::{self, BufWriter, Write};
@@ -108,14 +109,14 @@ fn serve_connection(
             return writer.flush();
         }
     };
-    let metrics = service.metrics_handle();
+    let (metrics, obs) = (service.metrics_handle(), service.store().obs());
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
         match handle.recv_timeout(STOP_POLL) {
             Ok(delta) => {
-                let body = delta.encode(sub.mode);
+                let body = obs.time(Stage::WireEncode, || delta.encode(sub.mode));
                 // Record before the write — once the frame is flushed the
                 // client can observe it and read metrics, so recording
                 // afterwards races exact-count readers (the cost is one
@@ -124,8 +125,10 @@ fn serve_connection(
                 // shutdown) drops the handle on return, which
                 // unsubscribes dispatcher-side.
                 metrics.record_wire(body.len() as u64 + 4);
-                wire::write_frame(&mut writer, &body)?;
-                writer.flush()?;
+                obs.time(Stage::WireWrite, || {
+                    wire::write_frame(&mut writer, &body)?;
+                    writer.flush()
+                })?;
             }
             Err(ServeError::TimedOut) => {}
             Err(_) => return Ok(()),

@@ -5,6 +5,7 @@
 //! server-side (squash counter observed, retained state bounded) while a
 //! fast consumer on the same scene streams on unaffected.
 
+use photon_core::obs::Stage;
 use photon_core::{Camera, Image, SimConfig, Simulator};
 use photon_math::Vec3;
 use photon_scenes::{cornell_box, TestScene};
@@ -212,6 +213,16 @@ fn quantized_tcp_subscriber_error_is_bounded() {
         "quantized error {worst} beyond the advertised bound {bound}"
     );
     assert!(worst > 0.0, "quantized mode is actually lossy");
+
+    // Both wire stages timed every delta written. `wire-write` is recorded
+    // after the flush a client can already have read past, so join the
+    // connection writers before counting.
+    drop(server);
+    let written = service.metrics().stream.wire_deltas;
+    assert_eq!(written, 4, "2 clients × (bootstrap + 1 publish)");
+    let stages = store.obs().stage_snapshot();
+    assert_eq!(stages.get(Stage::WireEncode).count(), written);
+    assert_eq!(stages.get(Stage::WireWrite).count(), written);
 }
 
 /// A server refusal (unknown scene) reaches the client as a readable

@@ -11,6 +11,12 @@
 //! a black canvas to a 64 × 48 render from the scene's recommended view —
 //! recorded on the commit before the three decoders moved onto one reader.
 //! A codec change that means to keep every byte leaves them alone too.
+//!
+//! The 64 × 48 delta (18 432 coded bytes) takes the range coder's model
+//! through 17 halvings; the ledger's fan-out phase streams 240 × 180 frames,
+//! 259 200 coded bytes and some 250 halvings each. The last two tests pin
+//! the quantized encoding of one such frame per scene, recorded on the
+//! commit before `ByteModel` grew its block sums.
 
 use photon_gi::core::view::{diff_tiles, render};
 use photon_gi::core::{Camera, Image, SimConfig, Simulator, SolverEngine};
@@ -49,33 +55,54 @@ fn answer_digest(kind: TestScene) -> (usize, u64) {
     digest(&bytes)
 }
 
-/// `(len, fnv1a64)` of the solve's `PHOTCK1` bytes, then of its bootstrap
-/// delta's `PHOTSTRM1` body, lossless and quantized.
-fn checkpoint_and_delta_digests(kind: TestScene) -> [(usize, u64); 3] {
-    let sim = solved(kind);
-    let checkpoint = sim.checkpoint().to_bytes();
+/// The delta that takes a black canvas to a `width × height` render of the
+/// solve from the scene's recommended view (exposure 1.0, tile 16).
+fn bootstrap_delta(kind: TestScene, sim: &Simulator, width: usize, height: usize) -> FrameDelta {
     let view = kind.view();
     let camera = Camera {
         eye: view.eye,
         target: view.target,
         up: view.up,
         vfov_deg: view.vfov_deg,
-        width: 64,
-        height: 48,
+        width,
+        height,
     };
     let frame = render(sim.scene(), &sim.answer_snapshot(), &camera, 1.0);
     let delta = FrameDelta {
         epoch: 1,
-        width: camera.width,
-        height: camera.height,
-        tiles: diff_tiles(&Image::new(camera.width, camera.height), &frame, 16),
+        width,
+        height,
+        tiles: diff_tiles(&Image::new(width, height), &frame, 16),
     };
     assert!(!delta.tiles.is_empty(), "the view is lit");
+    delta
+}
+
+/// `(len, fnv1a64)` of the solve's `PHOTCK1` bytes, then of its bootstrap
+/// delta's `PHOTSTRM1` body, lossless and quantized.
+fn checkpoint_and_delta_digests(kind: TestScene) -> [(usize, u64); 3] {
+    let sim = solved(kind);
+    let checkpoint = sim.checkpoint().to_bytes();
+    let delta = bootstrap_delta(kind, &sim, 64, 48);
     [
         digest(&checkpoint),
         digest(&delta.encode(WireMode::Lossless)),
         digest(&delta.encode(WireMode::Quantized)),
     ]
+}
+
+/// `(len, fnv1a64)` of the quantized body of one fan-out-sized frame, after
+/// checking that decoding it gives a delta that encodes to the same bytes.
+fn full_frame_quantized_digest(kind: TestScene) -> (usize, u64) {
+    let delta = bootstrap_delta(kind, &solved(kind), 240, 180);
+    let body = delta.encode(WireMode::Quantized);
+    let (back, mode) = FrameDelta::decode(&body).expect("own encoding decodes");
+    assert_eq!(mode, WireMode::Quantized);
+    assert!(
+        back.encode(WireMode::Quantized) == body,
+        "decoded 240 x 180 frame does not re-encode to the bytes it came from"
+    );
+    digest(&body)
 }
 
 #[test]
@@ -119,5 +146,23 @@ fn computer_lab_checkpoint_and_delta_bytes_are_pinned() {
             (3310, 0x6d84_cf86_2884_d2bf),
         ],
         "(len, fnv1a64) of the Computer Laboratory PHOTCK1 / PHOTSTRM1 bytes changed"
+    );
+}
+
+#[test]
+fn cornell_box_full_frame_quantized_bytes_are_pinned() {
+    assert_eq!(
+        full_frame_quantized_digest(TestScene::CornellBox),
+        (27_654, 0xdc6c_b8df_460c_6b6f),
+        "(len, fnv1a64) of the Cornell Box 240 x 180 quantized delta changed"
+    );
+}
+
+#[test]
+fn computer_lab_full_frame_quantized_bytes_are_pinned() {
+    assert_eq!(
+        full_frame_quantized_digest(TestScene::ComputerLab),
+        (18_610, 0x71cf_b59c_d280_20b6),
+        "(len, fnv1a64) of the Computer Laboratory 240 x 180 quantized delta changed"
     );
 }
