@@ -14,7 +14,7 @@
 use crate::forest::BinForest;
 use crate::frame::{bad_data, expect_magic, read_counted, read_f64, read_u32, read_u64, read_u8};
 use photon_geom::Scene;
-use photon_hist::{Axis, BinPoint, BinTree, ExportNode, LeafStats, SplitConfig};
+use photon_hist::{Axis, BinPoint, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig};
 use photon_math::{CylDir, Onb, Rgb, Vec3};
 use std::io::{self, Read, Write};
 
@@ -77,6 +77,38 @@ impl Answer {
     /// `L = (E / N) / (A · f_A · π · f_Ω)`
     /// (the `π` is the full hemisphere's cosine-weighted measure).
     pub fn radiance(&self, scene: &Scene, patch_id: u32, s: f64, t: f64, dir: Vec3) -> Rgb {
+        self.radiance_with(scene, patch_id, s, t, dir, &mut LastLeaf::default())
+    }
+
+    /// [`Answer::radiance`] remembering the leaf it read in `last`, so a
+    /// run of lookups that stays in one leaf pays for it once.
+    ///
+    /// A lookup the remembered leaf admits returns the remembered radiance:
+    /// [`Answer::leaf_radiance`] reads the leaf, the patch area and
+    /// `emitted` — never the point — and admission is the bin tree's
+    /// descend-equivalent containment, so that is the value a descent would
+    /// have produced, bit for bit. When the leaf spans every direction
+    /// ([`LeafCursor::spans_all_directions`]) the descent to it compared
+    /// only `s` and `t`, so `dir` is not turned into `(θ, r²)` at all.
+    pub(crate) fn radiance_with(
+        &self,
+        scene: &Scene,
+        patch_id: u32,
+        s: f64,
+        t: f64,
+        dir: Vec3,
+        last: &mut LastLeaf,
+    ) -> Rgb {
+        if last.patch != Some(patch_id) {
+            *last = LastLeaf {
+                patch: Some(patch_id),
+                ..LastLeaf::default()
+            };
+        } else if last.leaf.spans_all_directions()
+            && last.leaf.admits(&BinPoint::new(s, t, 0.0, 0.0))
+        {
+            return last.rgb;
+        }
         let sp = scene.patch(patch_id);
         // Choose the frame of the side `dir` leaves from.
         let frame = if dir.dot(sp.frame.w) >= 0.0 {
@@ -90,16 +122,22 @@ impl Answer {
         };
         let cyl = CylDir::from_world(dir.normalized(), &frame);
         let point = BinPoint::new(s, t, cyl.theta, cyl.r_sq);
-        let (stats, range) = self.trees[patch_id as usize].lookup(&point);
-        self.leaf_radiance(
+        if last.leaf.admits(&point) {
+            return last.rgb;
+        }
+        let (stats, range) = self.trees[patch_id as usize].lookup_with(&point, &mut last.leaf);
+        last.rgb = self.leaf_radiance(
             stats,
             range.area_fraction(),
             range.solid_angle_fraction(),
             sp.area,
-        )
+        );
+        last.rgb
     }
 
-    /// Radiance of a known leaf (shared by `radiance` and the mesh export).
+    /// Radiance of a known leaf: a function of the leaf, the patch area and
+    /// `emitted` alone, never of the point looked up — which is what lets
+    /// `radiance_with` reuse it for every point the leaf admits.
     fn leaf_radiance(
         &self,
         stats: &LeafStats,
@@ -150,6 +188,16 @@ impl Answer {
         let trees = read_counted(r, npatches, |r| read_tree(r, SplitConfig::default()))?;
         Ok(Answer { trees, emitted })
     }
+}
+
+/// The last leaf [`Answer::radiance_with`] read: its patch, that patch
+/// tree's [`LeafCursor`] and the leaf's radiance. Empty by default; a new
+/// patch empties it. Valid against one answer.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct LastLeaf {
+    patch: Option<u32>,
+    leaf: LeafCursor,
+    rgb: Rgb,
 }
 
 /// Exact encoded size of one tree under [`write_tree`], in bytes.

@@ -242,8 +242,8 @@ vocabulary! {
     ///
     /// These split apart the time the dispatcher used to lump into one
     /// request latency — render vs diff vs cache probe vs reply — plus the
-    /// solve tier's slice duration and the checkpoint tier's freeze, encode,
-    /// and restore costs.
+    /// solve tier's slice, snapshot and publish durations and the checkpoint
+    /// tier's freeze, encode, and restore costs.
     enum Stage;
     /// Every stage, in display order.
     const STAGES;
@@ -254,8 +254,12 @@ vocabulary! {
     /// buffer yet, or none kept).
     Render = "render", Serve;
     /// Tile-parallel render of one view that reused its item buffer: one
-    /// patch re-tested per pixel, no octree. `render` + `reshade` counts
-    /// are every render; their ratio is the buffer reuse.
+    /// patch re-tested per pixel, no octree, and — while a tile's pixels
+    /// stay in the bin-tree leaf the previous pixel read — no descent, no
+    /// radiance division and, for a leaf never split on direction, no eye
+    /// direction either; the leaf's containment test is the descent's own,
+    /// so no pixel bit moves. `render` + `reshade` counts are every render;
+    /// their ratio is the buffer reuse.
     Reshade = "reshade", Serve;
     /// Tile diff of two frames on the streaming path.
     Diff = "diff", Stream;
@@ -276,6 +280,12 @@ vocabulary! {
     /// by patch and folding them into the bin forest (zero for inline-tally
     /// backends).
     TallyApply = "tally-apply", Solve;
+    /// Turning a leased engine's forest into the answer a solve job
+    /// publishes (or a checkpoint that already meets the target into it).
+    Snapshot = "snapshot", Solve;
+    /// Publishing one answer to the store: the epoch bump and the watchers
+    /// it wakes.
+    Publish = "publish", Store;
     /// Freezing an engine into an `EngineCheckpoint`.
     CheckpointFreeze = "checkpoint-freeze", Checkpoint;
     /// Encoding a checkpoint to `PHOTCK1` bytes.

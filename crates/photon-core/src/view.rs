@@ -11,8 +11,17 @@
 //! radiance stored there changes as a solve refines. An [`ItemBuffer`]
 //! remembers the first, so every later render of the view re-tests one
 //! patch per pixel instead of searching the octree.
+//!
+//! Neighbouring pixels mostly read one bin: the tile loop keeps the last
+//! leaf it shaded (its patch, that tree's `photon_hist::LeafCursor`, its
+//! radiance), and a pixel on the same patch whose bin point the leaf
+//! admits reuses the radiance — no descent, no division, and for a leaf
+//! whose path never split on `θ` or `r²` no eye direction at all, since
+//! only `s, t` decide it. No bit can move: admission is the bin tree's
+//! descend-equivalent containment test, and a leaf's radiance depends on
+//! the leaf alone, never on the point looked up.
 
-use crate::answer::Answer;
+use crate::answer::{Answer, LastLeaf};
 use crate::img::Image;
 use crate::wire::MAX_FRAME_BYTES;
 use photon_geom::{Scene, SceneHit};
@@ -61,21 +70,39 @@ impl Camera {
         }
     }
 
-    /// Refuses a frame that could never be rendered or shipped, with the
+    /// Refuses a camera that could never be rendered or shipped, with the
     /// reason: no pixels, or more than one [`crate::wire`] frame carries
     /// (`MAX_FRAME_BYTES` of `Rgb`s; the bootstrap delta of a lit view holds
-    /// every pixel). Every door a camera comes in by — the subscribe
-    /// decoder, the render service — checks it before anything is sized by
-    /// `width * height`.
+    /// every pixel); a non-finite `eye`, `target`, `up` or `vfov_deg`, or a
+    /// field of view outside (0°, 180°); or no view basis — `eye` on
+    /// `target`, or `up` zero or along the view, where [`Vec3::normalized`]
+    /// would fall back to `Z` and every ray go one way. Every door a camera
+    /// comes in by — the subscribe decoder, the render service — checks it
+    /// before anything is sized by `width * height` or keyed by a quantized
+    /// camera (which maps NaN to 0 and would hand a NaN camera's black
+    /// image to the camera at the origin).
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.width == 0 || self.height == 0 {
             return Err("camera has zero pixel area");
         }
         let max_pixels = MAX_FRAME_BYTES as usize / std::mem::size_of::<Rgb>();
-        match self.width.checked_mul(self.height) {
-            Some(pixels) if pixels <= max_pixels => Ok(()),
-            _ => Err("camera frame over MAX_FRAME_BYTES"),
+        if !matches!(self.width.checked_mul(self.height), Some(p) if p <= max_pixels) {
+            return Err("camera frame over MAX_FRAME_BYTES");
         }
+        let finite = |v: Vec3| v.x.is_finite() && v.y.is_finite() && v.z.is_finite();
+        if ![self.eye, self.target, self.up].into_iter().all(finite) || !self.vfov_deg.is_finite() {
+            return Err("camera has a non-finite coordinate");
+        }
+        if !(self.vfov_deg > 0.0 && self.vfov_deg < 180.0) {
+            return Err("camera field of view outside (0, 180) degrees");
+        }
+        // What `basis` normalizes must have a length it can divide by.
+        let normalizable = |v: Vec3| v.length_sq() > 0.0 && v.length_sq().is_finite();
+        let back = self.eye - self.target;
+        if !normalizable(back) || !normalizable(self.up.cross(back.normalized())) {
+            return Err("camera has no view basis: eye on target, or up zero or along the view");
+        }
+        Ok(())
     }
 }
 
@@ -248,6 +275,7 @@ pub fn render_tile_memo(
         );
     }
     let basis = camera.basis();
+    let mut last = LastLeaf::default();
     let mut buf = Vec::with_capacity(tile.pixel_count());
     for y in tile.y0..tile.y1 {
         for x in tile.x0..tile.x1 {
@@ -256,7 +284,7 @@ pub fn render_tile_memo(
                 Some(items) => items.first_hit(scene, y * camera.width + x, &ray),
                 None => scene.intersect(&ray, f64::INFINITY),
             };
-            buf.push(seen(scene, answer, &ray, hit) * exposure);
+            buf.push(seen(scene, answer, &ray, hit, &mut last) * exposure);
         }
     }
     buf
@@ -389,18 +417,26 @@ pub fn render(scene: &Scene, answer: &Answer, camera: &Camera, exposure: f64) ->
 
 /// The color seen along one ray (before exposure).
 pub fn shade(scene: &Scene, answer: &Answer, ray: &Ray) -> Rgb {
-    seen(scene, answer, ray, scene.intersect(ray, f64::INFINITY))
+    let hit = scene.intersect(ray, f64::INFINITY);
+    seen(scene, answer, ray, hit, &mut LastLeaf::default())
 }
 
-/// The color `ray` shows given its first hit, however that was found.
+/// The color `ray` shows given its first hit, however that was found;
+/// `last` is the leaf the previous pixel of the tile read.
 #[inline]
-fn seen(scene: &Scene, answer: &Answer, ray: &Ray, hit: Option<SceneHit>) -> Rgb {
+fn seen(
+    scene: &Scene,
+    answer: &Answer,
+    ray: &Ray,
+    hit: Option<SceneHit>,
+    last: &mut LastLeaf,
+) -> Rgb {
     let Some(hit) = hit else {
         return Rgb::BLACK;
     };
     // Radiance leaving the hit point toward the eye.
     let to_eye = -ray.dir;
-    answer.radiance(scene, hit.patch_id, hit.s, hit.v, to_eye)
+    answer.radiance_with(scene, hit.patch_id, hit.s, hit.v, to_eye, last)
 }
 
 /// Picks an exposure that maps the answer's mean lit-patch radiance to
@@ -599,6 +635,33 @@ mod tests {
     }
 
     #[test]
+    fn a_camera_without_a_finite_basis_is_refused() {
+        assert_eq!(camera().validate(), Ok(()));
+        let non_finite = Err("camera has a non-finite coordinate");
+        let fov = Err("camera field of view outside (0, 180) degrees");
+        let no_basis = Err("camera has no view basis: eye on target, or up zero or along the view");
+        let cases: [(fn(&mut Camera), _); 11] = [
+            (|c| c.eye.x = f64::NAN, non_finite),
+            (|c| c.target.z = f64::INFINITY, non_finite),
+            (|c| c.up.y = f64::NEG_INFINITY, non_finite),
+            (|c| c.vfov_deg = f64::NAN, non_finite),
+            (|c| c.vfov_deg = 0.0, fov),
+            (|c| c.vfov_deg = 180.0, fov),
+            (|c| c.vfov_deg = -50.0, fov),
+            (|c| c.target = c.eye, no_basis),
+            (|c| c.up = Vec3::ZERO, no_basis),
+            (|c| c.up = c.target - c.eye, no_basis),
+            // Finite coordinates whose difference is not.
+            (|c| (c.eye.x, c.target.x) = (f64::MAX, -f64::MAX), no_basis),
+        ];
+        for (i, (spoil, why)) in cases.into_iter().enumerate() {
+            let mut cam = camera();
+            spoil(&mut cam);
+            assert_eq!(cam.validate(), why, "case {i}: {cam:?}");
+        }
+    }
+
+    #[test]
     fn tiles_partition_the_image() {
         for (w, h, ts) in [(64, 48, 32), (33, 17, 16), (5, 5, 8), (1, 1, 1)] {
             let ts = tiles(w, h, ts);
@@ -619,24 +682,51 @@ mod tests {
         }
     }
 
+    /// The tile loop carries one leaf from pixel to pixel; [`shade`] starts
+    /// every pixel from nothing. Every pixel, every channel, every bit.
     #[test]
     fn tiled_render_matches_per_pixel_shade() {
-        let scene = lit_floor_scene();
-        let mut sim = Simulator::new(
-            scene,
-            SimConfig {
-                seed: 11,
-                ..Default::default()
-            },
-        );
-        sim.run_photons(5_000);
-        let answer = sim.answer_snapshot();
-        let scene = sim.scene();
-        let cam = camera();
-        let img = render(scene, &answer, &cam, 1.0);
-        for (x, y) in [(0, 0), (7, 3), (cam.width - 1, cam.height - 1)] {
-            let expect = shade(scene, &answer, &cam.ray(x, y));
-            assert_eq!(img.get(x, y), expect, "pixel ({x},{y})");
+        use photon_scenes::TestScene;
+        let bits = |p: Rgb| [p.r, p.g, p.b].map(f64::to_bits);
+        for kind in TestScene::ALL {
+            let mut sim = Simulator::new(
+                kind.build(),
+                SimConfig {
+                    seed: 11,
+                    ..Default::default()
+                },
+            );
+            // Shallow trees to ones deep enough that most neighbouring
+            // pixels share a leaf, some of them split on θ and r².
+            for photons in [1_000, 9_000, 70_000] {
+                sim.run_photons(photons);
+                let answer = sim.answer_snapshot();
+                let scene = sim.scene();
+                for phase in [0.0, 0.3, 0.6] {
+                    let view = kind.view().orbited(phase, 1.0);
+                    let cam = Camera {
+                        eye: view.eye,
+                        target: view.target,
+                        up: view.up,
+                        vfov_deg: view.vfov_deg,
+                        width: 80,
+                        height: 60,
+                    };
+                    let img = render(scene, &answer, &cam, 1.0);
+                    for y in 0..cam.height {
+                        for x in 0..cam.width {
+                            let (got, want) =
+                                (img.get(x, y), shade(scene, &answer, &cam.ray(x, y)));
+                            assert!(
+                                bits(got) == bits(want),
+                                "{} at {} photons, phase {phase}: pixel ({x}, {y})",
+                                kind.name(),
+                                answer.emitted()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

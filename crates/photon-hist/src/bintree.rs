@@ -100,6 +100,9 @@ impl BinPoint {
     }
 }
 
+/// Upper bounds of the root range, indexed by `Axis`.
+const FULL_HI: [f64; 4] = [1.0, 1.0, TAU, 1.0];
+
 /// The 4-D parameter box covered by a node.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BinRange {
@@ -114,7 +117,7 @@ impl BinRange {
     pub fn full() -> Self {
         BinRange {
             lo: [0.0; 4],
-            hi: [1.0, 1.0, TAU, 1.0],
+            hi: FULL_HI,
         }
     }
 
@@ -347,18 +350,24 @@ impl BinTree {
     /// a leaf with box `range` is half-open on every axis (`lo <= x < hi`)
     /// except at the global upper boundary, which is closed because
     /// [`BinPoint::new`] clamps onto it and `descend` compares with `<`.
+    /// The lower test is written `!(x < lo)`, the negation of the very
+    /// comparison `descend` made to go upper, so a NaN coordinate — which
+    /// `descend` sends upper at every split — is admitted exactly where
+    /// `descend` takes it; in particular an axis the path never split
+    /// (`lo == 0`, `hi` the global bound) admits every coordinate
+    /// [`BinPoint::new`] can produce.
     ///
     /// [`BinRange::contains`] is closed on *both* ends and must not be used
     /// here: a coordinate exactly on a cached leaf's upper edge belongs to
     /// the sibling, and treating it as a hit would diverge from `descend`
     /// (and therefore from the serial tally order).
     #[inline]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x < lo)` is `descend`'s own test, NaN included
     fn leaf_admits(range: &BinRange, p: &BinPoint) -> bool {
-        const FULL_HI: [f64; 4] = [1.0, 1.0, TAU, 1.0];
         Axis::ALL.iter().all(|&a| {
             let i = a as usize;
             let x = p.coord(a);
-            x >= range.lo[i] && (x < range.hi[i] || range.hi[i] >= FULL_HI[i])
+            !(x < range.lo[i]) && (x < range.hi[i] || range.hi[i] >= FULL_HI[i])
         })
     }
 
@@ -512,6 +521,29 @@ impl BinTree {
         let node = self.nodes[idx];
         debug_assert!(node.is_leaf(), "descend ended on internal node");
         (&self.leaves[node.payload() as usize], range)
+    }
+
+    /// [`BinTree::lookup`] through a [`LeafCursor`]: the same leaf and range
+    /// bit for bit, without the root descent when `p` lands in the cursor's
+    /// leaf — the containment test [`BinTree::tally_with`] relies on. It
+    /// changes nothing but the cursor, so over a tree nobody tallies into
+    /// (an answer's) a cursor stays valid for as long as the tree does. A
+    /// cursor is one tree's: a caller moving to another tree starts a fresh
+    /// one.
+    pub fn lookup_with(&self, p: &BinPoint, cursor: &mut LeafCursor) -> (&LeafStats, BinRange) {
+        let (idx, range) = match cursor.cached {
+            Some((idx, range, _))
+                if self.nodes[idx as usize].is_leaf() && Self::leaf_admits(&range, p) =>
+            {
+                (idx as usize, range)
+            }
+            _ => {
+                let (idx, range, depth) = self.descend(p);
+                cursor.cached = Some((idx as u32, range, depth));
+                (idx, range)
+            }
+        };
+        (&self.leaves[self.nodes[idx].payload() as usize], range)
     }
 
     /// Visits every leaf with its range, in depth-first order.
@@ -746,12 +778,13 @@ impl BinTree {
     }
 }
 
-/// Cache of the last leaf a run of tallies landed in, used by
-/// [`BinTree::tally_with`]/[`BinTree::tally_run`] to skip the root descent
-/// for coherent runs. A cursor is only meaningful against the tree that
-/// populated it, *in the arena layout that populated it*: a split or a
-/// [`BinTree::compact`] invalidates it, which is why engines reset cursors
-/// at batch boundaries and only compact there.
+/// Cache of the last leaf a run of tallies or lookups landed in, used by
+/// [`BinTree::tally_with`]/[`BinTree::tally_run`] and
+/// [`BinTree::lookup_with`] to skip the root descent for coherent runs. A
+/// cursor is only meaningful against the tree that populated it, *in the
+/// arena layout that populated it*: a split or a [`BinTree::compact`]
+/// invalidates it, which is why engines reset cursors at batch boundaries
+/// and only compact there.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LeafCursor {
     /// `(arena index, leaf box, depth)` of the previous tally's leaf, or
@@ -763,6 +796,27 @@ impl LeafCursor {
     /// A cursor with no cached leaf: the first tally descends from the root.
     pub fn new() -> Self {
         LeafCursor::default()
+    }
+
+    /// True when `p` lands in the cached leaf — the test
+    /// [`BinTree::lookup_with`] makes before it skips the descent. False
+    /// with nothing cached. Valid while the tree that filled the cursor is
+    /// unchanged.
+    #[inline]
+    pub fn admits(&self, p: &BinPoint) -> bool {
+        matches!(self.cached, Some((_, range, _)) if BinTree::leaf_admits(&range, p))
+    }
+
+    /// True when the cached leaf spans every direction: no split on the
+    /// path to it compared `θ` or `r²`, so [`LeafCursor::admits`] gives the
+    /// same answer for every direction a [`BinPoint::new`] point can carry
+    /// — NaN included — and a caller may test a placeholder direction in
+    /// place of the real one.
+    #[inline]
+    pub fn spans_all_directions(&self) -> bool {
+        const DIRECTIONS: [usize; 2] = [Axis::Theta as usize, Axis::RSq as usize];
+        matches!(self.cached, Some((_, range, _))
+            if DIRECTIONS.iter().all(|&i| range.lo[i] == 0.0 && range.hi[i] == FULL_HI[i]))
     }
 }
 

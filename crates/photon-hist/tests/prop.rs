@@ -1,6 +1,8 @@
 //! Property tests on the 4-D bin tree invariants.
 
-use photon_hist::{Axis, BinPoint, BinRange, BinTree, ExportNode, LeafStats, SplitConfig};
+use photon_hist::{
+    Axis, BinPoint, BinRange, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig,
+};
 use photon_math::Rgb;
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -112,19 +114,88 @@ fn naive_lookup(nodes: &[ExportNode], p: &BinPoint) -> (LeafStats, BinRange) {
     }
 }
 
-/// Point streams with a random warp so some runs have steep gradients.
+/// Point streams with a random warp so some runs have steep gradients —
+/// on position and on both direction axes, so trees split on `θ` and `r²`.
 fn arb_stream() -> impl Strategy<Value = Vec<BinPoint>> {
     (proptest::collection::vec(arb_point(), 100..2000), 1u32..4).prop_map(|(mut pts, warp)| {
         for p in &mut pts {
             p.s = p.s.powi(warp as i32);
+            p.theta = TAU * (p.theta / TAU).powi(warp as i32);
             p.r_sq = p.r_sq.powi(warp as i32);
         }
         pts
     })
 }
 
+/// Points a lookup cursor must place exactly, leaf by leaf: the lower
+/// corner (every coordinate a split mid or 0), the centre, the upper corner
+/// (the sibling's, or the closed global bound), and the centre with each
+/// coordinate in turn NaN — then the closed global corner with `θ` from a
+/// `rem_euclid` that rounds onto 2π.
+fn edge_walk(tree: &BinTree) -> Vec<BinPoint> {
+    let corner = |x: [f64; 4]| BinPoint {
+        s: x[0],
+        t: x[1],
+        theta: x[2],
+        r_sq: x[3],
+    };
+    let mut walk = Vec::new();
+    tree.for_each_leaf(|range, _| {
+        let centre = range.center();
+        walk.extend([corner(range.lo), centre, corner(range.hi)]);
+        for a in Axis::ALL {
+            let mut x = [centre.s, centre.t, centre.theta, centre.r_sq];
+            x[a as usize] = f64::NAN;
+            walk.push(BinPoint::new(x[0], x[1], x[2], x[3]));
+        }
+    });
+    let rounds_to_tau = BinPoint::new(1.0, 1.0, -1e-20, 1.0);
+    assert_eq!(rounds_to_tau.theta, TAU);
+    walk.push(rounds_to_tau);
+    walk
+}
+
+fn range_bits(range: &BinRange) -> [u64; 8] {
+    let mut bits = [0; 8];
+    for (b, x) in bits.iter_mut().zip(range.lo.iter().chain(&range.hi)) {
+        *b = x.to_bits();
+    }
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// One cursor walked across a tree returns `lookup`'s leaf and range
+    /// bits at every step, admits exactly the points whose leaf it holds,
+    /// and — when that leaf spans every direction — admits a point exactly
+    /// when it admits the point with its direction replaced by `(0, 0)`:
+    /// the placeholder the viewer tests instead of computing one.
+    #[test]
+    fn lookup_with_matches_lookup_along_a_walk(
+        stream in arb_stream(),
+        probes in proptest::collection::vec(arb_point(), 8..64),
+    ) {
+        let mut tree = BinTree::new(SplitConfig::default());
+        for p in &stream {
+            tree.tally(p, Rgb::new(0.2, 0.4, 0.8));
+        }
+        let walk = edge_walk(&tree);
+        let mut cursor = LeafCursor::new();
+        let mut held: Option<BinRange> = None;
+        for p in walk.iter().chain(&probes).chain(stream.iter().take(64)) {
+            let (want_stats, want_range) = tree.lookup(p);
+            prop_assert_eq!(cursor.admits(p), held == Some(want_range), "{:?}", p);
+            if cursor.spans_all_directions() {
+                let placeholder = BinPoint { theta: 0.0, r_sq: 0.0, ..*p };
+                prop_assert_eq!(cursor.admits(&placeholder), cursor.admits(p), "{:?}", p);
+            }
+            let (stats, range) = tree.lookup_with(p, &mut cursor);
+            prop_assert!(std::ptr::eq(stats, want_stats), "another leaf for {:?}", p);
+            prop_assert_eq!(range_bits(&range), range_bits(&want_range));
+            held = Some(range);
+        }
+    }
 
     /// Total tallies are conserved and leaf measures partition the domain.
     #[test]

@@ -1071,6 +1071,40 @@ mod tests {
         assert_renders_exactly(&service, id, cornell_cam(0.0));
     }
 
+    /// A NaN eye quantizes to the view key of the eye at 0. Refused at both
+    /// doors, it cannot leave its black image under that key for the
+    /// finite camera to be handed as a cache hit.
+    #[test]
+    fn a_non_finite_camera_cannot_take_a_finite_cameras_cache_entry() {
+        use photon_core::wire::{decode_frame, encode_subscribe, SubscribeFrame, WireMode};
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let mut finite = cornell_cam(0.0);
+        finite.eye.x = 0.0;
+        let mut nan = finite;
+        nan.eye.x = f64::NAN;
+        let grid = ServeConfig::default().quant_grid;
+        assert_eq!(
+            ViewKey::quantize(id, 0, &nan, grid),
+            ViewKey::quantize(id, 0, &finite, grid),
+            "the alias the doors close"
+        );
+        let frame = SubscribeFrame {
+            scene: id.0,
+            mode: WireMode::Lossless,
+            camera: nan,
+        };
+        let decoded = decode_frame(&encode_subscribe(&frame));
+        assert!(decoded.unwrap_err().to_string().contains("non-finite"));
+        let submitted = service.render_blocking(RenderRequest {
+            scene_id: id,
+            camera: nan,
+        });
+        let why = "camera has a non-finite coordinate";
+        assert_eq!(submitted.unwrap_err(), ServeError::InvalidRequest(why));
+        assert_renders_exactly(&service, id, finite);
+    }
+
     #[test]
     fn wait_timeout_returns_instead_of_blocking_forever() {
         let (store, id) = store_with_cornell();

@@ -1342,7 +1342,8 @@ fn leased_work(store: &AnswerStore, shared: &Shared, lease: Lease, ctx: &ReportC
     } = lease;
     let publish = |answer: Answer| {
         let leaf_bins = answer.total_leaf_bins();
-        (store.publish(scene_id, answer), leaf_bins)
+        let epoch = obs.time(Stage::Publish, || store.publish(scene_id, answer));
+        (epoch, leaf_bins)
     };
     let stored_emitted = lease.checkpoint.as_ref().map(|ck| ck.emitted());
     let mut engine = match lease.engine {
@@ -1360,7 +1361,7 @@ fn leased_work(store: &AnswerStore, shared: &Shared, lease: Lease, ctx: &ReportC
             // from the checkpoint, so skip booting a worker pool or rank
             // world just to snapshot and drop it.
             Some(ck) => {
-                let (epoch, leaf_bins) = publish(ck.to_answer());
+                let (epoch, leaf_bins) = publish(obs.time(Stage::Snapshot, || ck.to_answer()));
                 let end = Some(End::Converged);
                 return Settled {
                     published: true,
@@ -1433,7 +1434,7 @@ fn leased_work(store: &AnswerStore, shared: &Shared, lease: Lease, ctx: &ReportC
     // `publish_every` steps.
     let publish_now = end.is_some() || (lease.batches + 1).is_multiple_of(lease.publish_every);
     let report = publish_now.then(|| {
-        let (epoch, leaf_bins) = publish(engine.snapshot());
+        let (epoch, leaf_bins) = publish(obs.time(Stage::Snapshot, || engine.snapshot()));
         let step_clock = step
             .filter(|_| end != Some(End::Canceled))
             .map(|report| (report.elapsed_seconds, engine.virtual_time()));

@@ -2,7 +2,7 @@
 //! (pause/resume/cancel), per-tenant quotas, and regression tests for the
 //! epoch-lifecycle bug batch.
 
-use photon_core::{Camera, SimConfig, Simulator};
+use photon_core::{Camera, SimConfig, Simulator, Stage};
 use photon_scenes::{cornell_box, TestScene};
 use photon_serve::{
     AnswerStore, BackendChoice, RenderRequest, RenderService, ServeConfig, SolveRequest, SolverPool,
@@ -373,6 +373,28 @@ fn already_met_target_publishes_without_stepping() {
     let entry = store.get(job.scene_id()).unwrap();
     assert_eq!(entry.epoch, 1, "the (empty) final state still publishes");
     assert_eq!(entry.answer.emitted(), 0);
+}
+
+/// The two per-epoch stages of a solve are timed once per publish: a job
+/// that publishes every slice records one `snapshot` and one `publish`
+/// per epoch it put in the store.
+#[test]
+fn every_published_epoch_times_one_snapshot_and_one_publish() {
+    let store = Arc::new(AnswerStore::new());
+    let pool = SolverPool::start(Arc::clone(&store), 1);
+    let mut req = SolveRequest::new("timed-epochs", cornell_box());
+    req.seed = 12;
+    req.batch_size = 2_000;
+    req.target_photons = 10_000;
+    req.publish_every = 1;
+    let job = pool.submit(req);
+    job.wait_done(Duration::from_secs(60)).expect("converges");
+    let epochs = store.get(job.scene_id()).unwrap().epoch;
+    assert_eq!(epochs, 5, "one epoch per 2 000-photon slice");
+    let stages = store.obs().stage_snapshot();
+    for stage in [Stage::Snapshot, Stage::Publish] {
+        assert_eq!(stages.get(stage).count(), epochs, "{}", stage.name());
+    }
 }
 
 /// Regression (stale-epoch view-cache leak): every publish orphans the
