@@ -14,7 +14,9 @@
 use crate::forest::BinForest;
 use crate::frame::{bad_data, expect_magic, read_counted, read_f64, read_u32, read_u64, read_u8};
 use photon_geom::Scene;
-use photon_hist::{Axis, BinPoint, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig};
+use photon_hist::{
+    Axis, BinPoint, BinRange, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig,
+};
 use photon_math::{CylDir, Onb, Rgb, Vec3};
 use std::io::{self, Read, Write};
 
@@ -125,34 +127,44 @@ impl Answer {
         if last.leaf.admits(&point) {
             return last.rgb;
         }
-        let (stats, range) = self.trees[patch_id as usize].lookup_with(&point, &mut last.leaf);
-        last.rgb = self.leaf_radiance(
-            stats,
-            range.area_fraction(),
-            range.solid_angle_fraction(),
-            sp.area,
-        );
+        let tree = &self.trees[patch_id as usize];
+        let (stats, range) = tree.lookup_with(&point, &mut last.leaf);
+        last.rgb = self.leaf_radiance(stats, &range, sp.area);
+        last.slot = tree
+            .cursor_slot(&last.leaf)
+            .expect("lookup_with caches its leaf");
         last.rgb
     }
 
-    /// Radiance of a known leaf: a function of the leaf, the patch area and
-    /// `emitted` alone, never of the point looked up — which is what lets
-    /// `radiance_with` reuse it for every point the leaf admits.
-    fn leaf_radiance(
-        &self,
-        stats: &LeafStats,
-        area_fraction: f64,
-        solid_angle_fraction: f64,
-        patch_area: f64,
-    ) -> Rgb {
+    /// Every leaf's radiance on patch `patch_id`, indexed by leaf slot: for
+    /// a point whose descent ends at slot `k` of this tree — or of any tree
+    /// with its exact shape ([`BinTree::same_shape`]) — entry `k` is what
+    /// [`Answer::radiance`] returns, bit for bit. The walk builds each range
+    /// by the same [`photon_hist::BinRange::split`]s the descent does, and
+    /// [`Answer::leaf_radiance`] reads nothing else of the point.
+    pub(crate) fn slot_radiance(&self, scene: &Scene, patch_id: u32) -> Box<[Rgb]> {
+        let tree = &self.trees[patch_id as usize];
+        let area = scene.patch(patch_id).area;
+        let mut table = vec![Rgb::BLACK; tree.leaf_count() as usize];
+        tree.for_each_leaf_slot(|slot, range, stats| {
+            table[slot as usize] = self.leaf_radiance(stats, range, area);
+        });
+        table.into_boxed_slice()
+    }
+
+    /// Radiance of a known leaf: a function of the leaf, its range, the
+    /// patch area and `emitted` alone, never of the point looked up — which
+    /// is what lets `radiance_with` reuse it for every point the leaf
+    /// admits, and a view reuse it by slot across answers.
+    fn leaf_radiance(&self, stats: &LeafStats, range: &BinRange, patch_area: f64) -> Rgb {
         if self.emitted == 0 || stats.n_total == 0 {
             return Rgb::BLACK;
         }
         let denom = self.emitted as f64
             * patch_area.max(1e-12)
-            * area_fraction.max(1e-12)
+            * range.area_fraction().max(1e-12)
             * std::f64::consts::PI
-            * solid_angle_fraction.max(1e-12);
+            * range.solid_angle_fraction().max(1e-12);
         stats.rgb / denom
     }
 
@@ -191,12 +203,15 @@ impl Answer {
 }
 
 /// The last leaf [`Answer::radiance_with`] read: its patch, that patch
-/// tree's [`LeafCursor`] and the leaf's radiance. Empty by default; a new
-/// patch empties it. Valid against one answer.
+/// tree's [`LeafCursor`], the leaf's slot in that tree and its radiance.
+/// Empty by default; a new patch empties it. Valid against one answer.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct LastLeaf {
     patch: Option<u32>,
     leaf: LeafCursor,
+    /// The slot of the leaf `leaf` holds ([`BinTree::cursor_slot`]);
+    /// meaningless until `radiance_with` has returned once.
+    pub(crate) slot: u32,
     rgb: Rgb,
 }
 

@@ -64,6 +64,7 @@ pub use polar::{Polarization, PolarizedBounce};
 pub use sim::{SimConfig, SimStats, Simulator};
 pub use trace::{path_rays, trace_photon, trace_span, Span, TallySink, TraceOutcome};
 pub use view::{
-    render, render_tile, render_tile_memo, squash_tile_runs, tiles, Camera, ItemBuffer, Tile,
+    render, render_tile, render_tile_memo, squash_tile_runs, tiles, Camera, ItemBuffer, ItemFrame,
+    Tile,
 };
 pub use wire::{FrameDelta, SubscribeFrame, WireFrame, WireMode};

@@ -253,13 +253,15 @@ vocabulary! {
     /// Tile-parallel render of one view that cast its camera rays (no item
     /// buffer yet, or none kept).
     Render = "render", Serve;
-    /// Tile-parallel render of one view that reused its item buffer: one
-    /// patch re-tested per pixel, no octree, and — while a tile's pixels
-    /// stay in the bin-tree leaf the previous pixel read — no descent, no
-    /// radiance division and, for a leaf never split on direction, no eye
-    /// direction either; the leaf's containment test is the descent's own,
-    /// so no pixel bit moves. `render` + `reshade` counts are every render;
-    /// their ratio is the buffer reuse.
+    /// Tile-parallel render of one view that reused its item buffer. A
+    /// pixel on a patch whose bin tree kept the exact shape it had in the
+    /// buffer's last answer is read by leaf slot: no ray, no patch test, no
+    /// descent (`slots-reused` counts them). Every other pixel re-tests one
+    /// patch, no octree, and — while a tile's pixels stay in the bin-tree
+    /// leaf the previous pixel read — no descent, no radiance division and,
+    /// for a leaf never split on direction, no eye direction either. No
+    /// pixel bit moves. `render` + `reshade` counts are every render; their
+    /// ratio is the buffer reuse.
     Reshade = "reshade", Serve;
     /// Tile diff of two frames on the streaming path.
     Diff = "diff", Stream;
@@ -391,6 +393,10 @@ vocabulary! {
     CachePurged = "cache-purged", Serve;
     /// One render request answered. Payload: latency in microseconds.
     RequestServed = "request-served", Serve;
+    /// A view rendered through its item buffer (every `render` or
+    /// `reshade`). Payload: pixels read by leaf slot — on a patch whose
+    /// tree kept the shape it had in the buffer's last answer.
+    SlotsReused = "slots-reused", Serve;
     /// A scene's dispatch panicked; the dispatcher survived. Payload:
     /// requests answered with `RenderFailed`.
     DispatchPanic = "dispatch-panic", Serve;

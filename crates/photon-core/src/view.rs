@@ -9,8 +9,12 @@
 //!
 //! *Which* patch a pixel sees depends on scene and camera alone; only the
 //! radiance stored there changes as a solve refines. An [`ItemBuffer`]
-//! remembers the first, so every later render of the view re-tests one
-//! patch per pixel instead of searching the octree.
+//! remembers the first, and the slot of the bin-tree leaf the pixel's bin
+//! point reached, for the answer it last rendered. A later render of the
+//! view ([`ItemFrame`]) reads a pixel whose patch's tree kept its exact
+//! shape straight from that leaf slot — no ray, no patch test, no descent
+//! — and re-tests the remembered patch for every other pixel instead of
+//! searching the octree.
 //!
 //! Neighbouring pixels mostly read one bin: the tile loop keeps the last
 //! leaf it shaded (its patch, that tree's `photon_hist::LeafCursor`, its
@@ -26,7 +30,8 @@ use crate::img::Image;
 use crate::wire::MAX_FRAME_BYTES;
 use photon_geom::{Scene, SceneHit};
 use photon_math::{Ray, Rgb, Vec3};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A pinhole camera.
 #[derive(Clone, Copy, Debug)]
@@ -49,6 +54,14 @@ impl Camera {
     /// The primary ray through the center of pixel `(x, y)`.
     pub fn ray(&self, x: usize, y: usize) -> Ray {
         self.basis().ray(x, y)
+    }
+
+    /// The pose's ten `f64`s — eye, target, up, `vfov_deg` — by `to_bits`:
+    /// what tells two cameras' rays apart exactly (one ulp of the eye, or
+    /// `-0.0` for `0.0`, already changes `Ray::inv_dir`).
+    pub fn pose_bits(&self) -> [u64; 10] {
+        let (e, t, u) = (self.eye, self.target, self.up);
+        [e.x, e.y, e.z, t.x, t.y, t.z, u.x, u.y, u.z, self.vfov_deg].map(f64::to_bits)
     }
 
     /// Everything [`Camera::ray`] needs that no pixel changes.
@@ -78,9 +91,7 @@ impl Camera {
     /// `target`, or `up` zero or along the view, where [`Vec3::normalized`]
     /// would fall back to `Z` and every ray go one way. Every door a camera
     /// comes in by — the subscribe decoder, the render service — checks it
-    /// before anything is sized by `width * height` or keyed by a quantized
-    /// camera (which maps NaN to 0 and would hand a NaN camera's black
-    /// image to the camera at the origin).
+    /// before anything is sized by `width * height`, rendered or cached.
     pub fn validate(&self) -> Result<(), &'static str> {
         if self.width == 0 || self.height == 0 {
             return Err("camera has zero pixel area");
@@ -129,39 +140,79 @@ impl Basis {
 }
 
 /// The item buffer of one view (Weghorst, Hooper & Greenberg 1984): per
-/// pixel, the id of the patch its camera ray meets first.
+/// pixel, the id of the patch its camera ray meets first and the slot of
+/// the bin-tree leaf its bin point reached, plus the answer those slots
+/// are exact for (the *stamp*).
 ///
-/// That id is a function of scene and camera alone, so a buffer filled by
+/// The id is a function of scene and camera alone, so a buffer filled by
 /// one render serves every later render of the *same camera over the same
 /// scene*, whatever answer is looked up: a known pixel re-runs the patch
 /// test on the remembered patch ([`Scene::intersect_patch`]) and gets the
 /// traversal's hit back bit for bit; an unknown one searches the octree and
-/// records the winner. Keeping a buffer with its scene and camera is the
-/// holder's job; the frame size is checked.
+/// records the winner. The hit, and so the pixel's bin point, is then
+/// fixed too, so wherever a patch's tree in the answer being rendered has
+/// the stamp's exact shape ([`photon_hist::BinTree::same_shape`]) the point
+/// lands in the same slot, and the pixel is that leaf's radiance — read by
+/// slot, without the ray ([`ItemFrame`]). Keeping a buffer with its scene is
+/// the holder's job; the camera is checked bit for bit.
 ///
-/// Pixels are independent and each slot is a relaxed atomic, so the tiles
+/// 8 bytes a pixel and one `Arc` of the stamp, which keeps the last answer
+/// rendered through the buffer alive until the next render replaces it.
+/// Pixels are independent and each entry is a relaxed atomic, so the tiles
 /// of one frame fill one shared buffer from several threads, and a render
-/// that stops half way leaves a valid, partly filled buffer.
+/// that stops half way leaves a valid, partly filled buffer with no stamp.
 #[derive(Debug)]
 pub struct ItemBuffer {
-    width: usize,
-    height: usize,
+    camera: Camera,
     ids: Vec<AtomicU32>,
+    slots: Vec<AtomicU32>,
+    stamp: Mutex<Option<Arc<Answer>>>,
 }
 
 /// The ray left the scene: nothing to shade, ever.
 const LEFT_SCENE: u32 = u32::MAX;
 /// Not traced yet. Any id the scene does not have reads the same way.
 const UNTRACED: u32 = u32::MAX - 1;
+/// No leaf slot recorded: the pixel was never shaded, or left the scene.
+const NO_SLOT: u32 = u32::MAX;
 
 impl ItemBuffer {
-    /// An empty buffer for `camera`'s frame: 4 bytes a pixel.
+    /// An empty buffer for `camera`'s frame: 8 bytes a pixel, no stamp.
     pub fn new(camera: &Camera) -> Self {
         let pixels = camera.width * camera.height;
+        let filled = |value| (0..pixels).map(|_| AtomicU32::new(value)).collect();
         ItemBuffer {
-            width: camera.width,
-            height: camera.height,
-            ids: (0..pixels).map(|_| AtomicU32::new(UNTRACED)).collect(),
+            camera: *camera,
+            ids: filled(UNTRACED),
+            slots: filled(NO_SLOT),
+            stamp: Mutex::new(None),
+        }
+    }
+
+    /// Opens one render of the view against `answer` over `scene`. The
+    /// frame holds the buffer's stamp until it ends, so a second frame on
+    /// the same buffer waits for the first. [`ItemFrame::finish`] it once
+    /// every tile is rendered; a frame dropped before (a panicking tile)
+    /// clears the stamp, and the next frame trusts no slot.
+    pub fn frame<'a>(&'a self, scene: &'a Scene, answer: &Arc<Answer>) -> ItemFrame<'a> {
+        // Only a frame holds the lock, and one that unwinds clears the stamp
+        // in its `Drop` before the guard goes: a poisoned stamp is `None`.
+        let mut stamp = self.stamp.lock().unwrap_or_else(PoisonError::into_inner);
+        if stamp
+            .as_ref()
+            .is_some_and(|was| was.patch_count() != answer.patch_count())
+        {
+            *stamp = None;
+        }
+        ItemFrame {
+            items: self,
+            stamp,
+            scene,
+            answer: Arc::clone(answer),
+            tables: (0..answer.patch_count()).map(|_| OnceLock::new()).collect(),
+            rendered: AtomicUsize::new(0),
+            reused: AtomicUsize::new(0),
+            finished: false,
         }
     }
 
@@ -181,6 +232,73 @@ impl ItemBuffer {
         let hit = scene.intersect(ray, f64::INFINITY);
         slot.store(hit.map_or(LEFT_SCENE, |h| h.patch_id), Ordering::Relaxed);
         hit
+    }
+}
+
+/// One render of a view through its [`ItemBuffer`], opened by
+/// [`ItemBuffer::frame`]: what [`render_tile_memo`] needs to serve a pixel
+/// from its leaf slot.
+///
+/// A patch is *trusted* when the stamp's tree and the answer's tree have
+/// the same shape ([`photon_hist::BinTree::same_shape`]; one `Arc` twice
+/// trusts every patch). For a trusted patch the frame builds, on the first
+/// pixel that needs it, the answer's radiance by leaf slot, and a pixel on
+/// it with a known slot is that entry. No bit can move: the pixel's bin
+/// point is fixed by scene and camera, equal node arenas route it down
+/// equal nodes to the equal slot with a range built by the same splits,
+/// and a leaf's radiance reads only the leaf, its range, the patch area
+/// and the answer's `emitted`. Every other pixel takes the ray and records
+/// the slot it reached, so a finished frame leaves every slot exact for
+/// the answer it stamps.
+#[derive(Debug)]
+pub struct ItemFrame<'a> {
+    items: &'a ItemBuffer,
+    stamp: MutexGuard<'a, Option<Arc<Answer>>>,
+    scene: &'a Scene,
+    answer: Arc<Answer>,
+    tables: Box<[SlotTable]>,
+    rendered: AtomicUsize,
+    reused: AtomicUsize,
+    finished: bool,
+}
+
+/// One patch's entry in an [`ItemFrame`], built on first use: the radiance
+/// by slot of a trusted patch, `None` for one whose tree changed shape.
+type SlotTable = OnceLock<Option<Box<[Rgb]>>>;
+
+impl ItemFrame<'_> {
+    /// Ends the frame and returns how many of its pixels were served from
+    /// a leaf slot. Once every pixel of the view was rendered the buffer's
+    /// slots are exact for this frame's answer and it becomes the stamp;
+    /// after a partial frame nothing is.
+    pub fn finish(mut self) -> usize {
+        let whole = *self.rendered.get_mut() == self.items.ids.len();
+        *self.stamp = whole.then(|| Arc::clone(&self.answer));
+        self.finished = true;
+        *self.reused.get_mut()
+    }
+
+    /// Pixel `index`'s radiance from its leaf slot, when its patch is
+    /// trusted and its slot known.
+    #[inline]
+    fn reused(&self, index: usize) -> Option<Rgb> {
+        let stamp = self.stamp.as_ref()?;
+        let id = self.items.ids[index].load(Ordering::Relaxed);
+        let table = self.tables.get(id as usize)?.get_or_init(|| {
+            let trusted =
+                Arc::ptr_eq(stamp, &self.answer) || stamp.tree(id).same_shape(self.answer.tree(id));
+            trusted.then(|| self.answer.slot_radiance(self.scene, id))
+        });
+        let slot = self.items.slots[index].load(Ordering::Relaxed);
+        table.as_deref()?.get(slot as usize).copied()
+    }
+}
+
+impl Drop for ItemFrame<'_> {
+    fn drop(&mut self) {
+        if !self.finished {
+            *self.stamp = None;
+        }
     }
 }
 
@@ -253,39 +371,67 @@ pub fn render_tile(
     render_tile_memo(scene, answer, camera, None, tile, exposure)
 }
 
-/// [`render_tile`] through the view's [`ItemBuffer`], when there is one:
-/// the same pixels bit for bit, without the octree wherever the buffer
-/// already knows what the pixel sees. This is the only per-pixel loop.
+/// [`render_tile`] through a frame of the view's [`ItemBuffer`], when there
+/// is one: the same pixels bit for bit, from the leaf slot wherever the
+/// frame trusts it and without the octree wherever the buffer already
+/// knows what the pixel sees. This is the only per-pixel loop.
 ///
 /// # Panics
-/// Panics if `items` was built for another frame size.
+/// Panics if the frame's buffer was built for another camera, or the frame
+/// was opened over another scene or answer.
 pub fn render_tile_memo(
     scene: &Scene,
     answer: &Answer,
     camera: &Camera,
-    items: Option<&ItemBuffer>,
+    frame: Option<&ItemFrame>,
     tile: Tile,
     exposure: f64,
 ) -> Vec<Rgb> {
-    if let Some(items) = items {
+    if let Some(frame) = frame {
+        let own = &frame.items.camera;
         assert_eq!(
-            (items.width, items.height),
+            (own.width, own.height),
             (camera.width, camera.height),
             "item buffer of another frame size"
+        );
+        assert!(
+            own.pose_bits() == camera.pose_bits(),
+            "item buffer of another camera"
+        );
+        assert!(
+            std::ptr::eq(scene, frame.scene) && std::ptr::eq(answer, &*frame.answer),
+            "item frame of another scene or answer"
         );
     }
     let basis = camera.basis();
     let mut last = LastLeaf::default();
     let mut buf = Vec::with_capacity(tile.pixel_count());
+    let mut reused = 0;
     for y in tile.y0..tile.y1 {
         for x in tile.x0..tile.x1 {
+            let index = y * camera.width + x;
+            if let Some(rgb) = frame.and_then(|frame| frame.reused(index)) {
+                reused += 1;
+                buf.push(rgb * exposure);
+                continue;
+            }
             let ray = basis.ray(x, y);
-            let hit = match items {
-                Some(items) => items.first_hit(scene, y * camera.width + x, &ray),
+            let hit = match frame {
+                Some(frame) => frame.items.first_hit(scene, index, &ray),
                 None => scene.intersect(&ray, f64::INFINITY),
             };
             buf.push(seen(scene, answer, &ray, hit, &mut last) * exposure);
+            if let Some(frame) = frame {
+                let slot = if hit.is_some() { last.slot } else { NO_SLOT };
+                frame.items.slots[index].store(slot, Ordering::Relaxed);
+            }
         }
+    }
+    if let Some(frame) = frame {
+        frame
+            .rendered
+            .fetch_add(tile.pixel_count(), Ordering::Relaxed);
+        frame.reused.fetch_add(reused, Ordering::Relaxed);
     }
     buf
 }
@@ -504,7 +650,8 @@ mod tests {
         }
     }
 
-    /// [`render`] through an item buffer: the same serial tile loop.
+    /// [`render`] through an item buffer: the same serial tile loop, in
+    /// one finished frame over an `Arc` of its own.
     fn render_memo(
         scene: &Scene,
         answer: &Answer,
@@ -512,12 +659,171 @@ mod tests {
         items: &ItemBuffer,
         exposure: f64,
     ) -> Image {
+        let answer = Arc::new(answer.clone());
+        render_frame(scene, &answer, camera, items, exposure).0
+    }
+
+    /// One finished frame of every tile, and the pixels it served by slot.
+    fn render_frame(
+        scene: &Scene,
+        answer: &Arc<Answer>,
+        camera: &Camera,
+        items: &ItemBuffer,
+        exposure: f64,
+    ) -> (Image, usize) {
+        let frame = items.frame(scene, answer);
         let mut img = Image::new(camera.width, camera.height);
         for tile in tiles(camera.width, camera.height, DEFAULT_TILE_SIZE) {
-            let buf = render_tile_memo(scene, answer, camera, Some(items), tile, exposure);
+            let buf = render_tile_memo(scene, answer, camera, Some(&frame), tile, exposure);
             blit_tile(&mut img, tile, &buf);
         }
-        img
+        (img, frame.finish())
+    }
+
+    /// A view from inside the scene, where it sees several patches.
+    fn orbit_camera(kind: photon_scenes::TestScene, phase: f64, width: usize) -> Camera {
+        let view = kind.view().orbited(phase, 0.25);
+        Camera {
+            eye: view.eye,
+            target: view.target,
+            up: view.up,
+            vfov_deg: view.vfov_deg,
+            width,
+            height: width * 3 / 4,
+        }
+    }
+
+    /// Pixels of `items` per patch id it remembers (rays that left the
+    /// scene and untraced pixels not counted).
+    fn pixels_by_patch(items: &ItemBuffer) -> std::collections::BTreeMap<u32, usize> {
+        let mut seen = std::collections::BTreeMap::new();
+        for id in &items.ids {
+            let id = id.load(Ordering::Relaxed);
+            if id < UNTRACED {
+                *seen.entry(id).or_default() += 1;
+            }
+        }
+        seen
+    }
+
+    /// `answer` with the split axis of `patch`'s root flipped, through its
+    /// `PHOTANS1` bytes: the same node count on every patch and the same
+    /// `emitted`, another shape on that one tree.
+    fn with_root_axis_flipped(answer: &Answer, patch: u32) -> Answer {
+        let mut bytes = Vec::new();
+        answer.write_to(&mut bytes).unwrap();
+        // Magic, patch count and `emitted`, then every earlier tree block.
+        let at = 8
+            + 4
+            + 8
+            + (0..patch)
+                .map(|p| crate::answer::tree_encoded_size(answer.tree(p)) as usize)
+                .sum::<usize>();
+        // The root is the block's first node: its tag, then its axis.
+        assert_eq!(bytes[at + 4], 1, "patch {patch}'s root is internal");
+        bytes[at + 5] = (bytes[at + 5] + 1) % 4;
+        Answer::read_from(&mut bytes.as_slice()).unwrap()
+    }
+
+    /// Reuse across answers: a republished answer serves every lit pixel
+    /// from its slot, a refined snapshot and a foreign answer with equal
+    /// node counts only the patches that kept their exact shape, and every
+    /// frame is an un-memoised render's, bit for bit.
+    #[test]
+    fn slot_reuse_is_exact_across_answers() {
+        use photon_scenes::TestScene;
+        for kind in TestScene::ALL {
+            let mut sim = Simulator::new(
+                kind.build(),
+                SimConfig {
+                    seed: 17,
+                    ..Default::default()
+                },
+            );
+            sim.run_photons(20_000);
+            let first = Arc::new(sim.answer_snapshot());
+            sim.run_photons(4_000);
+            let later = Arc::new(sim.answer_snapshot());
+            let scene = sim.scene();
+            for phase in [0.0, 0.3, 0.6] {
+                let camera = orbit_camera(kind, phase, 96);
+                let what = format!("{} phase {phase}", kind.name());
+                let items = ItemBuffer::new(&camera);
+                let exact = |answer: &Arc<Answer>, step: &str| {
+                    let (memo, reused) = render_frame(scene, answer, &camera, &items, 0.02);
+                    let plain = render(scene, answer, &camera, 0.02);
+                    assert!(bits(&memo) == bits(&plain), "{what}: {step} diverged");
+                    reused
+                };
+                assert_eq!(exact(&first, "cold"), 0, "{what}: nothing stamped yet");
+                let seen = pixels_by_patch(&items);
+                let lit: usize = seen.values().sum();
+                assert!(seen.len() > 1, "{what}: the view sees several patches");
+                let rewrapped = Arc::new((*first).clone());
+                assert_eq!(exact(&rewrapped, "republished"), lit, "{what}");
+                let refined = exact(&later, "refined");
+                assert!(refined <= lit, "{what}");
+                // The most-seen patch whose tree has split, flipped.
+                let (&patch, &on_patch) = seen
+                    .iter()
+                    .filter(|&(&id, _)| later.tree(id).node_count() > 1)
+                    .max_by_key(|&(_, &n)| n)
+                    .expect("a refined patch in view");
+                let foreign = Arc::new(with_root_axis_flipped(&later, patch));
+                for p in 0..later.patch_count() as u32 {
+                    let (a, b) = (later.tree(p), foreign.tree(p));
+                    assert_eq!(a.node_count(), b.node_count());
+                    assert_eq!(a.same_shape(b), p != patch);
+                }
+                assert_eq!(exact(&foreign, "foreign"), lit - on_patch, "{what}");
+                exact(&first, "first again");
+            }
+        }
+    }
+
+    /// A frame dropped before every tile rendered — a panicking tile —
+    /// leaves slots exact for two answers at once, so it leaves no stamp:
+    /// the next frame, even on an answer of the last stamp's exact shape,
+    /// reuses nothing and is exact.
+    #[test]
+    fn an_unfinished_frame_leaves_nothing_to_trust() {
+        use photon_scenes::TestScene;
+        let kind = TestScene::CornellBox;
+        let mut sim = Simulator::new(kind.build(), SimConfig::default());
+        sim.run_photons(6_000);
+        let first = Arc::new(sim.answer_snapshot());
+        sim.run_photons(30_000);
+        let later = Arc::new(sim.answer_snapshot());
+        let scene = sim.scene();
+        let camera = orbit_camera(kind, 0.2, 80);
+        let items = ItemBuffer::new(&camera);
+        render_frame(scene, &first, &camera, &items, 1.0);
+        {
+            let frame = items.frame(scene, &later);
+            let all = tiles(camera.width, camera.height, 16);
+            for &tile in &all[..all.len() / 2] {
+                render_tile_memo(scene, &later, &camera, Some(&frame), tile, 1.0);
+            }
+        }
+        let rewrapped = Arc::new((*first).clone());
+        let (memo, reused) = render_frame(scene, &rewrapped, &camera, &items, 1.0);
+        assert_eq!(reused, 0, "a slot of the dropped frame was trusted");
+        assert!(bits(&memo) == bits(&render(scene, &first, &camera, 1.0)));
+        // The frame after that one is stamped again.
+        let (_, reused) = render_frame(scene, &first, &camera, &items, 1.0);
+        assert_eq!(reused, pixels_by_patch(&items).values().sum::<usize>());
+    }
+
+    #[test]
+    #[should_panic(expected = "item buffer of another camera")]
+    fn an_item_buffer_of_another_camera_is_refused() {
+        let scene = lit_floor_scene();
+        let answer =
+            Arc::new(Simulator::new(scene.clone(), SimConfig::default()).answer_snapshot());
+        let mut moved = camera();
+        moved.eye.x = f64::from_bits(moved.eye.x.to_bits() + 1);
+        let items = ItemBuffer::new(&moved);
+        render_frame(&scene, &answer, &camera(), &items, 1.0);
     }
 
     /// Every channel of every pixel, as bits: `-0.0`, `0.0` and NaNs apart.

@@ -546,15 +546,47 @@ impl BinTree {
         (&self.leaves[self.nodes[idx].payload() as usize], range)
     }
 
+    /// The cold-arena slot of the leaf `cursor` holds, or `None` with
+    /// nothing cached. After [`BinTree::lookup_with`] that is the slot of
+    /// the leaf the lookup returned — the index [`BinTree::for_each_leaf_slot`]
+    /// visits it under.
+    #[inline]
+    pub fn cursor_slot(&self, cursor: &LeafCursor) -> Option<u32> {
+        let (idx, _, _) = cursor.cached?;
+        let node = self.nodes[idx as usize];
+        node.is_leaf().then(|| node.payload())
+    }
+
+    /// True when `other`'s packed node arena is bit-equal to this one's:
+    /// the same splits on the same axes *and* the same leaf slots, so every
+    /// point descends both trees through the same nodes to the same slot
+    /// with the same range. Over trees in the canonical arena order (every
+    /// [`BinTree::compacted_clone`] and [`BinTree::from_export`] result —
+    /// all an answer holds) that is exactly equality of the exported shape;
+    /// two trees that grew in place may share a shape and still differ
+    /// here. Leaf statistics are not compared.
+    pub fn same_shape(&self, other: &BinTree) -> bool {
+        self.nodes == other.nodes
+    }
+
     /// Visits every leaf with its range, in depth-first order.
     pub fn for_each_leaf<F: FnMut(&BinRange, &LeafStats)>(&self, mut f: F) {
+        self.for_each_leaf_slot(|_, range, stats| f(range, stats));
+    }
+
+    /// [`BinTree::for_each_leaf`] with each leaf's cold-arena slot: every
+    /// slot in `0..leaf_count()` once, with the range a descent to that
+    /// leaf builds (both split ranges by [`BinRange::split`]). In the
+    /// canonical arena order the slots come in ascending order.
+    pub fn for_each_leaf_slot<F: FnMut(u32, &BinRange, &LeafStats)>(&self, mut f: F) {
         self.walk(0, BinRange::full(), &mut f);
     }
 
-    fn walk<F: FnMut(&BinRange, &LeafStats)>(&self, idx: usize, range: BinRange, f: &mut F) {
+    fn walk<F: FnMut(u32, &BinRange, &LeafStats)>(&self, idx: usize, range: BinRange, f: &mut F) {
         let node = self.nodes[idx];
         if node.is_leaf() {
-            f(&range, &self.leaves[node.payload() as usize]);
+            let slot = node.payload();
+            f(slot, &range, &self.leaves[slot as usize]);
         } else {
             let (lo, hi) = range.split(node.axis());
             let first = node.payload() as usize;

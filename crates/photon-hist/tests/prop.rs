@@ -155,6 +155,18 @@ fn edge_walk(tree: &BinTree) -> Vec<BinPoint> {
     walk
 }
 
+/// A tree's shape as its export gives it: each node's axis, or none for a
+/// leaf, and its child indices — everything but the statistics.
+fn export_shape(tree: &BinTree) -> Vec<Option<(Axis, [u32; 2])>> {
+    let nodes = tree.export_nodes().into_iter();
+    nodes
+        .map(|n| match n {
+            ExportNode::Leaf(_) => None,
+            ExportNode::Internal { axis, children } => Some((axis, children)),
+        })
+        .collect()
+}
+
 fn range_bits(range: &BinRange) -> [u64; 8] {
     let mut bits = [0; 8];
     for (b, x) in bits.iter_mut().zip(range.lo.iter().chain(&range.hi)) {
@@ -195,6 +207,109 @@ proptest! {
             prop_assert_eq!(range_bits(&range), range_bits(&want_range));
             held = Some(range);
         }
+    }
+
+    /// After every `lookup_with`, the cursor's slot is the leaf the lookup
+    /// returned: the slot the slot walk visits that leaf under.
+    #[test]
+    fn cursor_slot_is_the_leaf_lookup_returns(
+        stream in arb_stream(),
+        probes in proptest::collection::vec(arb_point(), 8..64),
+    ) {
+        let mut tree = BinTree::new(SplitConfig::default());
+        for p in &stream {
+            tree.tally(p, Rgb::new(0.2, 0.4, 0.8));
+        }
+        let mut by_slot = vec![std::ptr::null(); tree.leaf_count() as usize];
+        tree.for_each_leaf_slot(|slot, _, stats| by_slot[slot as usize] = stats as *const _);
+        let mut cursor = LeafCursor::new();
+        prop_assert_eq!(tree.cursor_slot(&cursor), None);
+        for p in edge_walk(&tree).iter().chain(&probes) {
+            let (stats, _) = tree.lookup_with(p, &mut cursor);
+            let slot = tree.cursor_slot(&cursor).expect("a leaf is cached");
+            prop_assert!(std::ptr::eq(by_slot[slot as usize], stats), "{:?}", p);
+        }
+    }
+
+    /// The slot walk visits every slot once, each with the range bits
+    /// `lookup` returns at that leaf's centre — ascending in the canonical
+    /// order of a compacted clone.
+    #[test]
+    fn the_slot_walk_visits_every_slot_once_with_lookups_range(stream in arb_stream()) {
+        let mut tree = BinTree::new(SplitConfig::default());
+        for p in &stream {
+            tree.tally(p, Rgb::WHITE);
+        }
+        for tree in [tree.clone(), tree.compacted_clone()] {
+            let mut visits = vec![0u32; tree.leaf_count() as usize];
+            tree.for_each_leaf_slot(|slot, range, stats| {
+                visits[slot as usize] += 1;
+                let (want_stats, want_range) = tree.lookup(&range.center());
+                assert!(std::ptr::eq(stats, want_stats));
+                assert_eq!(range_bits(range), range_bits(&want_range));
+            });
+            prop_assert!(visits.iter().all(|&n| n == 1), "{:?}", visits);
+        }
+        let mut order = Vec::new();
+        tree.compacted_clone().for_each_leaf_slot(|slot, _, _| order.push(slot));
+        prop_assert!(order.iter().enumerate().all(|(i, &slot)| i as u32 == slot));
+    }
+
+    /// `same_shape` is exactly "the exports agree on axes and child layout"
+    /// over trees in the canonical order (compacted clones and imports —
+    /// what an answer holds), whatever their statistics; on any pair it
+    /// implies it. A tree with one internal node's axis flipped keeps its
+    /// node count and loses its shape.
+    #[test]
+    fn same_shape_is_export_shape_equality(
+        stream in arb_stream(),
+        cut in 0usize..2000,
+        flip in 0usize..64,
+    ) {
+        let grow = |points: &[BinPoint], rgb| {
+            let mut tree = BinTree::new(SplitConfig::default());
+            for p in points {
+                tree.tally(p, rgb);
+            }
+            tree
+        };
+        let whole = grow(&stream, Rgb::WHITE);
+        // Energy never decides a split: the same shape, other statistics.
+        let tinted = grow(&stream, Rgb::new(0.1, 0.7, 0.3));
+        let prefix = grow(&stream[..cut.min(stream.len())], Rgb::WHITE);
+        let mut flipped = whole.export_nodes();
+        let internals: Vec<usize> = (0..flipped.len())
+            .filter(|&i| matches!(flipped[i], ExportNode::Internal { .. }))
+            .collect();
+        if let Some(&i) = internals.get(flip % internals.len().max(1)) {
+            if let ExportNode::Internal { axis, .. } = &mut flipped[i] {
+                *axis = Axis::from_index((*axis as usize + 1) % 4);
+            }
+        }
+        let flipped = BinTree::from_export(flipped, SplitConfig::default()).expect("valid");
+        prop_assert_eq!(flipped.node_count(), whole.node_count());
+        let canonical = [
+            whole.compacted_clone(),
+            tinted.compacted_clone(),
+            prefix.compacted_clone(),
+            BinTree::from_export(whole.export_nodes(), SplitConfig::default()).expect("valid"),
+            flipped,
+        ];
+        let grown = [whole.clone(), tinted, prefix];
+        for a in canonical.iter().chain(&grown) {
+            for b in canonical.iter().chain(&grown) {
+                let equal = export_shape(a) == export_shape(b);
+                let both_canonical = canonical.iter().any(|c| std::ptr::eq(c, a))
+                    && canonical.iter().any(|c| std::ptr::eq(c, b));
+                if both_canonical {
+                    prop_assert_eq!(a.same_shape(b), equal);
+                } else {
+                    prop_assert!(!a.same_shape(b) || equal);
+                }
+            }
+        }
+        prop_assert!(whole.same_shape(&whole.clone()));
+        prop_assert_eq!(canonical[4].same_shape(&canonical[0]), internals.is_empty());
     }
 
     /// Total tallies are conserved and leaf measures partition the domain.

@@ -13,14 +13,18 @@
 //! refreshed views re-render instead of serving stale images.
 //!
 //! **The item-buffer cache** holds, keyed by `ItemKey` — (scene, the
-//! camera's exact bits) — which patch each pixel of a view sees
-//! ([`photon_core::ItemBuffer`]). That is what a re-render after a publish
-//! does *not* have to find again: visibility is a function of scene and
-//! camera alone and a stored scene never changes, so this cache has no
-//! epoch in its key, is never purged, and only ages out by LRU. Its key is
-//! exact because its use is: one flipped bit of the eye moves every ray,
-//! and a buffer recorded for the neighbouring camera would be re-tested
-//! against the wrong rays.
+//! camera's exact bits) — which patch each pixel of a view sees and which
+//! leaf slot of that patch's tree its bin point reached in the last answer
+//! rendered ([`photon_core::ItemBuffer`], 8 bytes a pixel). That is what a
+//! re-render after a publish does *not* have to find again: visibility is
+//! a function of scene and camera alone and a stored scene never changes,
+//! so this cache has no epoch in its key, is never purged, and only ages
+//! out by LRU; a slot is only trusted while its patch's tree keeps its
+//! exact shape. Each buffer keeps the last answer it rendered alive until
+//! it renders again, so whatever retires a scene must drop its buffers
+//! too. Its key is exact because its use is: one flipped bit of the eye
+//! moves every ray, and a buffer recorded for the neighbouring camera
+//! would be re-tested against the wrong rays.
 
 use crate::store::SceneId;
 use photon_core::Camera;
@@ -40,12 +44,34 @@ use std::hash::Hash;
 pub struct ViewKey {
     scene: SceneId,
     epoch: u64,
-    eye: [i64; 3],
-    target: [i64; 3],
-    up: [i64; 3],
-    vfov_cdeg: i64,
+    eye: [Cell; 3],
+    target: [Cell; 3],
+    up: [Cell; 3],
+    vfov_cdeg: Cell,
     width: usize,
     height: usize,
+}
+
+/// One coordinate of a [`ViewKey`]: its lattice cell, or — where the
+/// lattice is no finer than `f64` itself (`|v · grid| ≥ 2^52`, or not
+/// finite) and rounding to an `i64` would saturate, folding distinct
+/// cameras into one key — the coordinate's exact bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Cell {
+    Lattice(i64),
+    Exact(u64),
+}
+
+impl Cell {
+    fn of(v: f64, grid: f64) -> Self {
+        const FINEST: f64 = (1u64 << 52) as f64;
+        let scaled = v * grid;
+        if scaled.abs() < FINEST {
+            Cell::Lattice(scaled.round() as i64)
+        } else {
+            Cell::Exact(v.to_bits())
+        }
+    }
 }
 
 impl ViewKey {
@@ -62,15 +88,14 @@ impl ViewKey {
     /// Quantizes a request against answer `epoch` with `grid` lattice
     /// cells per world unit.
     pub fn quantize(scene: SceneId, epoch: u64, camera: &Camera, grid: f64) -> Self {
-        let q = |v: f64| (v * grid).round() as i64;
-        let qv = |v: photon_math::Vec3| [q(v.x), q(v.y), q(v.z)];
+        let qv = |v: photon_math::Vec3| [v.x, v.y, v.z].map(|x| Cell::of(x, grid));
         ViewKey {
             scene,
             epoch,
             eye: qv(camera.eye),
             target: qv(camera.target),
             up: qv(camera.up),
-            vfov_cdeg: (camera.vfov_deg * 100.0).round() as i64,
+            vfov_cdeg: Cell::of(camera.vfov_deg, 100.0),
             width: camera.width,
             height: camera.height,
         }
@@ -91,11 +116,9 @@ pub(crate) struct ItemKey {
 impl ItemKey {
     /// The key of exactly this camera over `scene`.
     pub(crate) fn exact(scene: SceneId, camera: &Camera) -> Self {
-        let (e, t, u) = (camera.eye, camera.target, camera.up);
-        let fields = [e.x, e.y, e.z, t.x, t.y, t.z, u.x, u.y, u.z, camera.vfov_deg];
         ItemKey {
             scene,
-            camera: fields.map(f64::to_bits),
+            camera: camera.pose_bits(),
             width: camera.width,
             height: camera.height,
         }
@@ -251,6 +274,22 @@ mod tests {
         let mut resized = cam(1.0);
         resized.width = 128;
         assert_ne!(a, ViewKey::quantize(SceneId(0), 1, &resized, 256.0));
+    }
+
+    /// Far out, where `round() as i64` saturates (`1e17 · 256` is past
+    /// `i64::MAX`) or `v · grid` is already infinite, two distinct eyes
+    /// keep two keys: each coordinate is keyed by its exact bits there.
+    #[test]
+    fn far_cameras_never_share_a_key_by_saturation() {
+        let key = |x| ViewKey::quantize(SceneId(0), 1, &cam(x), 256.0);
+        for (a, b) in [(1e17, 2e17), (1e306, 1.5e306), (-1e17, -2e17)] {
+            assert!((a * 256.0f64).abs() >= (1u64 << 52) as f64);
+            assert_ne!(key(a), key(b), "{a} and {b}");
+            assert_eq!(key(a), key(a));
+        }
+        // Inside the lattice, far out as it is, jitter still folds.
+        assert_eq!(key(1e12), key(1e12 + 1e-3));
+        assert_ne!(key(1e12), key(1e12 + 1.0));
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //! bit-identical to the serial image: same rays, same shading, same f64
 //! arithmetic, only the tile *schedule* differs, and tiles write disjoint
 //! pixels. The same holds with the view's [`ItemBuffer`] in hand: it
-//! changes how a pixel's first hit is found, never the hit.
+//! changes how a pixel's first hit and leaf are found, never the hit or
+//! the leaf.
 
 use photon_core::view::{blit_tile, render_tile_memo, tiles};
-use photon_core::{Answer, Camera, Image, ItemBuffer};
+use photon_core::{Answer, Camera, Image, ItemBuffer, ItemFrame};
 use photon_geom::Scene;
 use photon_par::parallel_map;
+use std::sync::Arc;
 
 /// Renders `camera`'s view of a stored answer across `threads` workers,
 /// decomposed into `tile_size`-sided tiles.
@@ -25,24 +27,50 @@ pub fn render_parallel(
     threads: usize,
     tile_size: usize,
 ) -> Image {
-    render_parallel_memo(scene, answer, camera, None, exposure, threads, tile_size)
+    render_tiles(scene, answer, camera, None, exposure, threads, tile_size)
 }
 
-/// [`render_parallel`] through the view's item buffer, when the caller
-/// keeps one for this `(scene, camera)`: pixels it knows skip the octree,
-/// the rest are traced and recorded, the image is the same bit for bit.
+/// [`render_parallel`] through the item buffer the caller keeps for this
+/// `(scene, camera)`, in one frame ([`ItemBuffer::frame`]): pixels on a
+/// patch whose tree kept the buffer's last answer's shape are read by leaf
+/// slot, other known pixels skip the octree, the rest are traced and
+/// recorded; the image is the same bit for bit. Also returns how many
+/// pixels were read by slot.
 pub(crate) fn render_parallel_memo(
+    scene: &Scene,
+    answer: &Arc<Answer>,
+    camera: &Camera,
+    items: &ItemBuffer,
+    exposure: f64,
+    threads: usize,
+    tile_size: usize,
+) -> (Image, usize) {
+    let frame = items.frame(scene, answer);
+    let image = render_tiles(
+        scene,
+        answer,
+        camera,
+        Some(&frame),
+        exposure,
+        threads,
+        tile_size,
+    );
+    (image, frame.finish())
+}
+
+/// The one tile fan-out under both renders.
+fn render_tiles(
     scene: &Scene,
     answer: &Answer,
     camera: &Camera,
-    items: Option<&ItemBuffer>,
+    frame: Option<&ItemFrame>,
     exposure: f64,
     threads: usize,
     tile_size: usize,
 ) -> Image {
     let tile_list = tiles(camera.width, camera.height, tile_size);
     let buffers = parallel_map(threads, tile_list.len(), |i| {
-        render_tile_memo(scene, answer, camera, items, tile_list[i], exposure)
+        render_tile_memo(scene, answer, camera, frame, tile_list[i], exposure)
     });
     let mut img = Image::new(camera.width, camera.height);
     for (tile, buf) in tile_list.iter().zip(&buffers) {

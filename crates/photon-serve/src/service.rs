@@ -14,9 +14,11 @@
 //!    ([`render_parallel`](crate::render::render_parallel)), land in the
 //!    LRU view cache, and every waiter gets an `Arc` of the same image.
 //!    The first render of a camera also fills its item buffer — which
-//!    patch each pixel sees — in a second LRU; every later miss on that
-//!    camera (each publish makes one) re-shades from the buffer instead of
-//!    casting its rays again. Same pixels, bit for bit.
+//!    patch each pixel sees, and which leaf slot of that patch's tree — in
+//!    a second LRU; every later miss on that camera (each publish makes
+//!    one) re-shades from the buffer instead of casting its rays again,
+//!    and reads a pixel whose patch's tree kept its shape by slot. Same
+//!    pixels, bit for bit.
 //!
 //! One dispatcher owns the cache (no lock contention on the hot map); the
 //! heavy lifting inside a render is already parallel at tile granularity,
@@ -166,7 +168,8 @@ pub struct ServeConfig {
     /// Tile side in pixels.
     pub tile_size: usize,
     /// View-cache entries, and as many item buffers (one per exact camera,
-    /// 4 bytes a pixel, kept across epochs). Clamped to at least 1.
+    /// 8 bytes a pixel, kept across epochs; each also keeps the last answer
+    /// it rendered alive until it renders again). Clamped to at least 1.
     pub cache_capacity: usize,
     /// Camera quantization: lattice cells per world unit (larger = finer =
     /// fewer cache collisions).
@@ -641,8 +644,10 @@ impl Dispatcher {
     /// A miss renders through the camera's item buffer. The first one
     /// casts the rays and fills it ([`Stage::Render`]); while the buffer
     /// stays in its LRU every later one — the same camera after a publish
-    /// — only re-shades ([`Stage::Reshade`]). Either way the outcome is
-    /// `Rendered` and the pixels are those of an un-memoised render.
+    /// — only re-shades ([`Stage::Reshade`]), reading every pixel whose
+    /// patch's tree kept its shape by leaf slot ([`ObsKind::SlotsReused`]
+    /// counts them). Either way the outcome is `Rendered` and the pixels
+    /// are those of an un-memoised render.
     fn resolve_view(
         &mut self,
         entry: &Arc<StoredAnswer>,
@@ -663,17 +668,26 @@ impl Dispatcher {
                 (buffer, Stage::Render)
             }
         };
-        let image = self.obs.time(stage, || {
-            Arc::new(render_parallel_memo(
+        let (image, reused) = self.obs.time(stage, || {
+            render_parallel_memo(
                 &entry.scene,
                 &entry.answer,
                 camera,
-                Some(&buffer),
+                &buffer,
                 entry.exposure,
                 self.config.render_threads,
                 self.config.tile_size,
-            ))
+            )
         });
+        self.obs.emit(
+            ObsKind::SlotsReused,
+            ObsCtx {
+                scene: Some(scene_id.0),
+                payload: reused as u64,
+                ..Default::default()
+            },
+        );
+        let image = Arc::new(image);
         self.cache.insert(key, Arc::clone(&image));
         (image, RequestOutcome::Rendered)
     }
@@ -1071,9 +1085,10 @@ mod tests {
         assert_renders_exactly(&service, id, cornell_cam(0.0));
     }
 
-    /// A NaN eye quantizes to the view key of the eye at 0. Refused at both
-    /// doors, it cannot leave its black image under that key for the
-    /// finite camera to be handed as a cache hit.
+    /// A NaN eye used to quantize to the view key of the eye at 0. The key
+    /// now holds a non-finite coordinate by its bits, and both doors refuse
+    /// the camera all the same: it cannot leave a black image under any
+    /// key for the finite camera to be handed as a cache hit.
     #[test]
     fn a_non_finite_camera_cannot_take_a_finite_cameras_cache_entry() {
         use photon_core::wire::{decode_frame, encode_subscribe, SubscribeFrame, WireMode};
@@ -1084,10 +1099,10 @@ mod tests {
         let mut nan = finite;
         nan.eye.x = f64::NAN;
         let grid = ServeConfig::default().quant_grid;
-        assert_eq!(
+        assert_ne!(
             ViewKey::quantize(id, 0, &nan, grid),
             ViewKey::quantize(id, 0, &finite, grid),
-            "the alias the doors close"
+            "the alias is closed at the key too"
         );
         let frame = SubscribeFrame {
             scene: id.0,
@@ -1103,6 +1118,53 @@ mod tests {
         let why = "camera has a non-finite coordinate";
         assert_eq!(submitted.unwrap_err(), ServeError::InvalidRequest(why));
         assert_renders_exactly(&service, id, finite);
+    }
+
+    /// Two finite cameras far enough out that `v · grid` saturates an
+    /// `i64` used to share one view key: the second was handed the first's
+    /// image as a cache hit. Both pass `Camera::validate`, and each now
+    /// renders its own view.
+    #[test]
+    fn far_cameras_are_each_rendered_not_aliased() {
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let far = |x: f64| Camera {
+            eye: Vec3::new(x, 2.73, -7.5),
+            vfov_deg: 1e-14,
+            ..cornell_cam(0.0)
+        };
+        let (a, b) = (far(1e17), far(2e17));
+        assert_eq!((a.validate(), b.validate()), (Ok(()), Ok(())));
+        assert_renders_exactly(&service, id, a);
+        assert_renders_exactly(&service, id, b);
+    }
+
+    /// A republish of the same answer keeps every tree's shape, so the
+    /// view's re-shade reads every pixel that sees the scene by leaf slot.
+    #[test]
+    fn a_republished_answer_is_read_by_slot_at_every_lit_pixel() {
+        let (store, id) = store_with_cornell();
+        let service = RenderService::start(store, ServeConfig::default());
+        let camera = cornell_cam(0.7);
+        let reused = |service: &RenderService| {
+            let events = service
+                .store()
+                .obs()
+                .recorder()
+                .filtered(|e| e.kind == ObsKind::SlotsReused);
+            events.iter().map(|e| e.ctx.payload).collect::<Vec<_>>()
+        };
+        assert_renders_exactly(&service, id, camera);
+        assert_eq!(reused(&service), [0], "a cold render reads no slot");
+        republish(&service, id);
+        assert_renders_exactly(&service, id, camera);
+        let scene = &service.store().get(id).unwrap().scene;
+        let lit = (0..camera.height)
+            .flat_map(|y| (0..camera.width).map(move |x| (x, y)))
+            .filter(|&(x, y)| scene.intersect(&camera.ray(x, y), f64::INFINITY).is_some())
+            .count() as u64;
+        assert!(lit > 0);
+        assert_eq!(reused(&service), [0, lit]);
     }
 
     #[test]

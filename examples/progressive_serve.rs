@@ -6,7 +6,7 @@
 //! cargo run --release --example progressive_serve
 //! ```
 
-use photon_gi::core::Camera;
+use photon_gi::core::{Camera, ObsKind};
 use photon_gi::scenes::TestScene;
 use photon_gi::serve::{
     AnswerStore, BackendChoice, RenderRequest, RenderService, ServeConfig, SolveRequest, SolverPool,
@@ -35,7 +35,8 @@ fn main() {
         job.scene_id()
     );
 
-    let v = kind.view();
+    // From inside the box, where the view sees several walls and boxes.
+    let v = kind.view().orbited(0.3, 0.25);
     let camera = Camera {
         eye: v.eye,
         target: v.target,
@@ -50,7 +51,17 @@ fn main() {
     };
 
     // Render the same view once per published epoch: quality converges
-    // while the service stays online.
+    // while the service stays online. After the first, each render re-shades
+    // from the view's item buffer and reads every pixel whose patch's bin
+    // tree kept its shape by leaf slot; `slots-reused` says how many.
+    let reused = || {
+        let events = store
+            .obs()
+            .recorder()
+            .filtered(|e| e.kind == ObsKind::SlotsReused);
+        events.last().map_or(0, |e| e.ctx.payload)
+    };
+    let pixels = (camera.width * camera.height) as f64;
     let mut last = None;
     while let Some(progress) = job.next_progress(Duration::from_secs(120)) {
         let view = service.render_blocking(req).expect("served");
@@ -59,7 +70,7 @@ fn main() {
             .unwrap_or(f64::NAN);
         println!(
             "epoch {:>2}: {:>6} photons, {:>4} leaf bins | served epoch {:>2} ({:?}), \
-             mean luminance {:.4}, rms vs previous {:.5}",
+             mean luminance {:.4}, rms vs previous {:.5}, slots reused {:>5.1} %",
             progress.epoch,
             progress.emitted,
             progress.leaf_bins,
@@ -67,6 +78,7 @@ fn main() {
             view.outcome,
             view.image.mean_luminance(),
             drift,
+            100.0 * reused() as f64 / pixels,
         );
         last = Some(view.image);
         if progress.done {
