@@ -137,11 +137,12 @@ impl Answer {
     }
 
     /// Every leaf's radiance on patch `patch_id`, indexed by leaf slot: for
-    /// a point whose descent ends at slot `k` of this tree — or of any tree
-    /// with its exact shape ([`BinTree::same_shape`]) — entry `k` is what
-    /// [`Answer::radiance`] returns, bit for bit. The walk builds each range
-    /// by the same [`photon_hist::BinRange::split`]s the descent does, and
-    /// [`Answer::leaf_radiance`] reads nothing else of the point.
+    /// a point whose descent ends at slot `k` of this tree — or at a leaf
+    /// of an older tree that [`BinTree::leaf_remap`] maps to `k` — entry
+    /// `k` is what [`Answer::radiance`] returns, bit for bit. The walk
+    /// builds each range by the same [`photon_hist::BinRange::split`]s the
+    /// descent does, and [`Answer::leaf_radiance`] reads nothing else of
+    /// the point.
     pub(crate) fn slot_radiance(&self, scene: &Scene, patch_id: u32) -> Box<[Rgb]> {
         let tree = &self.trees[patch_id as usize];
         let area = scene.patch(patch_id).area;

@@ -26,7 +26,6 @@
 //! | performance traces | [`perf`] |
 //! | observability (flight recorder, histograms) | [`obs`] |
 //! | the one JSON writer (the exporter's dump) | [`json`] |
-//! | polarization (the paper's in-progress extension) | [`polar`] |
 
 #![deny(missing_docs)]
 
@@ -41,7 +40,6 @@ pub mod img;
 pub mod json;
 pub mod obs;
 pub mod perf;
-pub mod polar;
 pub mod reflect;
 pub mod sim;
 pub mod trace;
@@ -60,7 +58,6 @@ pub use obs::{
     Stage, StageTimings, StageTimingsSnapshot,
 };
 pub use perf::{MemoryTrace, SpeedTrace, SPEED_TRACE_CAP};
-pub use polar::{Polarization, PolarizedBounce};
 pub use sim::{SimConfig, SimStats, Simulator};
 pub use trace::{path_rays, trace_photon, trace_span, Span, TallySink, TraceOutcome};
 pub use view::{

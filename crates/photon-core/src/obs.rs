@@ -254,12 +254,13 @@ vocabulary! {
     /// buffer yet, or none kept).
     Render = "render", Serve;
     /// Tile-parallel render of one view that reused its item buffer. A
-    /// pixel on a patch whose bin tree kept the exact shape it had in the
-    /// buffer's last answer is read by leaf slot: no ray, no patch test, no
-    /// descent (`slots-reused` counts them). Every other pixel re-tests one
-    /// patch, no octree, and — while a tile's pixels stay in the bin-tree
-    /// leaf the previous pixel read — no descent, no radiance division and,
-    /// for a leaf never split on direction, no eye direction either. No
+    /// pixel whose bin-tree leaf in the buffer's last answer is still a
+    /// leaf — however much the rest of its patch's tree split — is read by
+    /// leaf slot: no ray, no patch test, no descent (`slots-reused` counts
+    /// them). A pixel whose leaf split re-tests one patch, no octree, and
+    /// — while a tile's pixels stay in the bin-tree leaf the previous pixel
+    /// read — no descent, no radiance division and, for a leaf never split
+    /// on direction, no eye direction either. No
     /// pixel bit moves. `render` + `reshade` counts are every render; their
     /// ratio is the buffer reuse.
     Reshade = "reshade", Serve;
@@ -394,8 +395,8 @@ vocabulary! {
     /// One render request answered. Payload: latency in microseconds.
     RequestServed = "request-served", Serve;
     /// A view rendered through its item buffer (every `render` or
-    /// `reshade`). Payload: pixels read by leaf slot — on a patch whose
-    /// tree kept the shape it had in the buffer's last answer.
+    /// `reshade`). Payload: pixels read by leaf slot — whose leaf in the
+    /// buffer's last answer is still a leaf of the rendered one.
     SlotsReused = "slots-reused", Serve;
     /// A scene's dispatch panicked; the dispatcher survived. Payload:
     /// requests answered with `RenderFailed`.

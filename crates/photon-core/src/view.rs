@@ -11,10 +11,10 @@
 //! radiance stored there changes as a solve refines. An [`ItemBuffer`]
 //! remembers the first, and the slot of the bin-tree leaf the pixel's bin
 //! point reached, for the answer it last rendered. A later render of the
-//! view ([`ItemFrame`]) reads a pixel whose patch's tree kept its exact
-//! shape straight from that leaf slot — no ray, no patch test, no descent
-//! — and re-tests the remembered patch for every other pixel instead of
-//! searching the octree.
+//! view ([`ItemFrame`]) reads a pixel whose leaf is still a leaf of the new
+//! answer's tree straight from that leaf's slot there — no ray, no patch
+//! test, no descent — and re-tests the remembered patch for every pixel
+//! whose leaf split instead of searching the octree.
 //!
 //! Neighbouring pixels mostly read one bin: the tile loop keeps the last
 //! leaf it shaded (its patch, that tree's `photon_hist::LeafCursor`, its
@@ -150,14 +150,16 @@ impl Basis {
 /// test on the remembered patch ([`Scene::intersect_patch`]) and gets the
 /// traversal's hit back bit for bit; an unknown one searches the octree and
 /// records the winner. The hit, and so the pixel's bin point, is then
-/// fixed too, so wherever a patch's tree in the answer being rendered has
-/// the stamp's exact shape ([`photon_hist::BinTree::same_shape`]) the point
-/// lands in the same slot, and the pixel is that leaf's radiance — read by
-/// slot, without the ray ([`ItemFrame`]). Keeping a buffer with its scene is
-/// the holder's job; the camera is checked bit for bit.
+/// fixed too, so wherever the stamp's leaf is still a leaf of the tree in
+/// the answer being rendered ([`photon_hist::BinTree::leaf_remap`]) the
+/// point lands in that leaf, and the pixel is its radiance — read by slot,
+/// without the ray ([`ItemFrame`]). Keeping a buffer with its scene is the
+/// holder's job; the camera is checked bit for bit.
 ///
 /// 8 bytes a pixel and one `Arc` of the stamp, which keeps the last answer
-/// rendered through the buffer alive until the next render replaces it.
+/// rendered through the buffer alive until the next render replaces it; a
+/// frame adds 4 bytes per stamp leaf of each changed patch it sees, and
+/// drops them when it ends.
 /// Pixels are independent and each entry is a relaxed atomic, so the tiles
 /// of one frame fill one shared buffer from several threads, and a render
 /// that stops half way leaves a valid, partly filled buffer with no stamp.
@@ -239,17 +241,20 @@ impl ItemBuffer {
 /// [`ItemBuffer::frame`]: what [`render_tile_memo`] needs to serve a pixel
 /// from its leaf slot.
 ///
-/// A patch is *trusted* when the stamp's tree and the answer's tree have
-/// the same shape ([`photon_hist::BinTree::same_shape`]; one `Arc` twice
-/// trusts every patch). For a trusted patch the frame builds, on the first
-/// pixel that needs it, the answer's radiance by leaf slot, and a pixel on
-/// it with a known slot is that entry. No bit can move: the pixel's bin
-/// point is fixed by scene and camera, equal node arenas route it down
-/// equal nodes to the equal slot with a range built by the same splits,
-/// and a leaf's radiance reads only the leaf, its range, the patch area
-/// and the answer's `emitted`. Every other pixel takes the ray and records
-/// the slot it reached, so a finished frame leaves every slot exact for
-/// the answer it stamps.
+/// A *leaf* is trusted, not a tree. On the first pixel of a patch the
+/// frame maps the stamp's leaf slots onto the answer's tree — the identity
+/// when the trees have one shape ([`photon_hist::BinTree::same_shape`]; one
+/// `Arc` twice trusts every patch), else one paired walk of the two trees
+/// ([`photon_hist::BinTree::leaf_remap`]) — and, unless no leaf maps,
+/// builds the answer's radiance by leaf slot. A pixel whose slot maps is
+/// that entry, and its slot moves to the mapped one. No bit can move: the
+/// pixel's bin point is fixed by scene and camera, paired nodes split
+/// equal ranges on equal axes, so the point follows the same path in both
+/// trees to the paired leaf with a bit-equal range, and a leaf's radiance
+/// reads only the leaf, its range, the patch area and the answer's
+/// `emitted`. A pixel whose leaf split takes the ray and records the slot
+/// it reached, so a finished frame leaves every slot exact for the answer
+/// it stamps.
 #[derive(Debug)]
 pub struct ItemFrame<'a> {
     items: &'a ItemBuffer,
@@ -262,9 +267,19 @@ pub struct ItemFrame<'a> {
     finished: bool,
 }
 
-/// One patch's entry in an [`ItemFrame`], built on first use: the radiance
-/// by slot of a trusted patch, `None` for one whose tree changed shape.
-type SlotTable = OnceLock<Option<Box<[Rgb]>>>;
+/// One patch's entry in an [`ItemFrame`], built on first use; `None` when
+/// none of the stamp's leaves is a leaf of the answer's tree.
+type SlotTable = OnceLock<Option<Remap>>;
+
+/// How a patch's pixels are read by slot in one frame.
+#[derive(Debug)]
+struct Remap {
+    /// The stamp's slot → the answer's, `u32::MAX` for a leaf that split;
+    /// `None` when the trees have one shape and every slot stays.
+    slots: Option<Box<[u32]>>,
+    /// The answer's radiance by its own slots.
+    radiance: Box<[Rgb]>,
+}
 
 impl ItemFrame<'_> {
     /// Ends the frame and returns how many of its pixels were served from
@@ -278,19 +293,40 @@ impl ItemFrame<'_> {
         *self.reused.get_mut()
     }
 
-    /// Pixel `index`'s radiance from its leaf slot, when its patch is
-    /// trusted and its slot known.
+    /// Pixel `index`'s radiance from its leaf slot, when its slot is known
+    /// and its leaf still a leaf; the slot then becomes the answer's.
     #[inline]
     fn reused(&self, index: usize) -> Option<Rgb> {
         let stamp = self.stamp.as_ref()?;
         let id = self.items.ids[index].load(Ordering::Relaxed);
-        let table = self.tables.get(id as usize)?.get_or_init(|| {
-            let trusted =
-                Arc::ptr_eq(stamp, &self.answer) || stamp.tree(id).same_shape(self.answer.tree(id));
-            trusted.then(|| self.answer.slot_radiance(self.scene, id))
-        });
-        let slot = self.items.slots[index].load(Ordering::Relaxed);
-        table.as_deref()?.get(slot as usize).copied()
+        let table = self.tables.get(id as usize)?;
+        let remap = table.get_or_init(|| self.remap(stamp, id)).as_ref()?;
+        let cell = &self.items.slots[index];
+        let slot = cell.load(Ordering::Relaxed);
+        let Some(map) = &remap.slots else {
+            return remap.radiance.get(slot as usize).copied();
+        };
+        // An unmapped leaf, like an unknown slot, is past every table.
+        let new = *map.get(slot as usize)?;
+        let rgb = remap.radiance.get(new as usize).copied()?;
+        cell.store(new, Ordering::Relaxed);
+        Some(rgb)
+    }
+
+    /// Patch `id`'s [`Remap`] from the stamp's tree to the answer's.
+    fn remap(&self, stamp: &Arc<Answer>, id: u32) -> Option<Remap> {
+        let (was, now) = (stamp.tree(id), self.answer.tree(id));
+        let slots = if Arc::ptr_eq(stamp, &self.answer) || was.same_shape(now) {
+            None
+        } else {
+            let map = was.leaf_remap(now);
+            if map.iter().all(|&slot| slot == u32::MAX) {
+                return None;
+            }
+            Some(map.into_boxed_slice())
+        };
+        let radiance = self.answer.slot_radiance(self.scene, id);
+        Some(Remap { slots, radiance })
     }
 }
 
@@ -374,7 +410,9 @@ pub fn render_tile(
 /// [`render_tile`] through a frame of the view's [`ItemBuffer`], when there
 /// is one: the same pixels bit for bit, from the leaf slot wherever the
 /// frame trusts it and without the octree wherever the buffer already
-/// knows what the pixel sees. This is the only per-pixel loop.
+/// knows what the pixel sees. This is the only per-pixel loop. A frame
+/// moves each pixel's slot to its own answer's tree as it renders it, so
+/// it renders every tile once.
 ///
 /// # Panics
 /// Panics if the frame's buffer was built for another camera, or the frame
@@ -779,6 +817,101 @@ mod tests {
                 exact(&first, "first again");
             }
         }
+    }
+
+    /// Per pixel, whether the leaf its slot names in `was` is still a leaf
+    /// of `now`, by range bits; and how many lit pixels sit on a patch
+    /// whose whole tree kept its shape — all the old rule trusted.
+    fn kept_leaves(items: &ItemBuffer, was: &Answer, now: &Answer) -> (Vec<bool>, usize) {
+        let ranges = |tree: &photon_hist::BinTree| {
+            let mut by_slot = vec![[[0; 4]; 2]; tree.leaf_count() as usize];
+            tree.for_each_leaf_slot(|slot, range, _| {
+                by_slot[slot as usize] = [range.lo, range.hi].map(|x| x.map(f64::to_bits));
+            });
+            by_slot
+        };
+        let mut same_shape = 0;
+        let kept = (0..items.ids.len())
+            .map(|i| {
+                let id = items.ids[i].load(Ordering::Relaxed);
+                let slot = items.slots[i].load(Ordering::Relaxed);
+                if id >= UNTRACED || slot == NO_SLOT {
+                    return false;
+                }
+                let (old, new) = (was.tree(id), now.tree(id));
+                same_shape += usize::from(old.same_shape(new));
+                ranges(new).contains(&ranges(old)[slot as usize])
+            })
+            .collect();
+        (kept, same_shape)
+    }
+
+    fn slots(items: &ItemBuffer) -> Vec<u32> {
+        items
+            .slots
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
+            .collect()
+    }
+
+    /// Reuse is by leaf along a lineage: three epochs of one solve through
+    /// one buffer read by slot exactly the pixels whose leaf is still a
+    /// leaf — more than the patches whose whole tree kept its shape hold —
+    /// and the third reads slots the second moved to its own tree. Every
+    /// frame is an un-memoised render's, bit for bit.
+    #[test]
+    fn a_leaf_that_did_not_split_is_read_by_slot() {
+        use photon_scenes::TestScene;
+        let (mut beyond_shape, mut read_moved) = (0, 0);
+        for kind in TestScene::ALL {
+            let mut sim = Simulator::new(
+                kind.build(),
+                SimConfig {
+                    seed: 29,
+                    ..Default::default()
+                },
+            );
+            let epochs = [20_000, 2_000, 2_000].map(|photons| {
+                sim.run_photons(photons);
+                Arc::new(sim.answer_snapshot())
+            });
+            let scene = sim.scene();
+            for phase in [0.0, 0.3, 0.6] {
+                let camera = orbit_camera(kind, phase, 96);
+                let what = format!("{} phase {phase}", kind.name());
+                let items = ItemBuffer::new(&camera);
+                let mut moved = vec![false; items.ids.len()];
+                for (e, answer) in epochs.iter().enumerate() {
+                    let before = slots(&items);
+                    let (kept, same_shape) = match e {
+                        0 => (vec![false; items.ids.len()], 0),
+                        _ => kept_leaves(&items, &epochs[e - 1], answer),
+                    };
+                    let (memo, reused) = render_frame(scene, answer, &camera, &items, 0.02);
+                    let plain = render(scene, answer, &camera, 0.02);
+                    assert!(bits(&memo) == bits(&plain), "{what}: e{e} diverged");
+                    let oracle = kept.iter().filter(|&&k| k).count();
+                    assert_eq!(reused, oracle, "{what}: e{e}");
+                    assert!(reused >= same_shape, "{what}: e{e}");
+                    if e == 1 {
+                        beyond_shape += usize::from(reused > same_shape);
+                    }
+                    if e == 2 {
+                        let both = kept.iter().zip(&moved).filter(|&(&k, &m)| k && m);
+                        read_moved += both.count();
+                    }
+                    let after = slots(&items);
+                    moved = (0..after.len())
+                        .map(|i| kept[i] && after[i] != before[i])
+                        .collect();
+                }
+            }
+        }
+        assert!(beyond_shape > 0, "no view trusted a leaf of a changed tree");
+        assert!(
+            read_moved > 0,
+            "no slot an epoch moved was read by the next"
+        );
     }
 
     /// A frame dropped before every tile rendered — a panicking tile —

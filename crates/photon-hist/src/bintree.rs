@@ -569,6 +569,35 @@ impl BinTree {
         self.nodes == other.nodes
     }
 
+    /// Where each of this tree's leaves sits in `newer`: entry `k` is the
+    /// slot in `newer` of the leaf at the same place as this tree's slot
+    /// `k`, or `u32::MAX` where `newer` split or reshaped it. One paired
+    /// walk from both roots: two leaves pair their slots, two internal
+    /// nodes on the same axis pair their lower and their upper daughters,
+    /// and anything else leaves the whole subtree unmapped — the walk
+    /// never descends where the trees diverge. Paired nodes are reached by
+    /// the same splits on the same axes, so a paired leaf's range is
+    /// bit-equal in both trees and every point [`BinTree::lookup`] routes
+    /// to slot `k` here reaches the mapped slot in `newer`. Over two trees
+    /// of [`BinTree::same_shape`] this is the identity.
+    pub fn leaf_remap(&self, newer: &BinTree) -> Vec<u32> {
+        fn pair(old: &BinTree, new: &BinTree, a: usize, b: usize, map: &mut [u32]) {
+            let (x, y) = (old.nodes[a], new.nodes[b]);
+            match (x.is_leaf(), y.is_leaf()) {
+                (true, true) => map[x.payload() as usize] = y.payload(),
+                (false, false) if x.axis() == y.axis() => {
+                    let (a, b) = (x.payload() as usize, y.payload() as usize);
+                    pair(old, new, a, b, map);
+                    pair(old, new, a + 1, b + 1, map);
+                }
+                _ => {}
+            }
+        }
+        let mut map = vec![u32::MAX; self.leaves.len()];
+        pair(self, newer, 0, 0, &mut map);
+        map
+    }
+
     /// Visits every leaf with its range, in depth-first order.
     pub fn for_each_leaf<F: FnMut(&BinRange, &LeafStats)>(&self, mut f: F) {
         self.for_each_leaf_slot(|_, range, stats| f(range, stats));

@@ -5,7 +5,7 @@ use photon_hist::{
 };
 use photon_math::Rgb;
 use proptest::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::f64::consts::TAU;
 
 fn arb_point() -> impl Strategy<Value = BinPoint> {
@@ -167,6 +167,34 @@ fn export_shape(tree: &BinTree) -> Vec<Option<(Axis, [u32; 2])>> {
         .collect()
 }
 
+/// Whether `newer`'s export has a leaf where `older`'s leaf holding `p`
+/// is: both descended together, each split on the same axis in both.
+fn kept_in_place(older: &[ExportNode], newer: &[ExportNode], p: &BinPoint) -> bool {
+    let (mut a, mut b, mut range) = (0, 0, BinRange::full());
+    loop {
+        match (older[a], newer[b]) {
+            (ExportNode::Leaf(_), ExportNode::Leaf(_)) => return true,
+            (
+                ExportNode::Internal { axis, children: x },
+                ExportNode::Internal {
+                    axis: other,
+                    children: y,
+                },
+            ) if axis == other => {
+                let (lo, hi) = range.split(axis);
+                let side = if p.coord(axis) < range.mid(axis) {
+                    0
+                } else {
+                    1
+                };
+                range = [lo, hi][side];
+                (a, b) = (x[side] as usize, y[side] as usize);
+            }
+            _ => return false,
+        }
+    }
+}
+
 fn range_bits(range: &BinRange) -> [u64; 8] {
     let mut bits = [0; 8];
     for (b, x) in bits.iter_mut().zip(range.lo.iter().chain(&range.hi)) {
@@ -310,6 +338,88 @@ proptest! {
         }
         prop_assert!(whole.same_shape(&whole.clone()));
         prop_assert_eq!(canonical[4].same_shape(&canonical[0]), internals.is_empty());
+    }
+
+    /// `leaf_remap` sends an older tree's leaf nowhere or to the slot
+    /// `lookup` reaches in the newer tree at every stream point and leaf
+    /// centre, and maps it exactly when the newer tree has a leaf in its
+    /// place (a reference descent of both exports, split for split). Over
+    /// a lineage that is exactly "the newer tree has a leaf with its range
+    /// bits"; across lineages a leaf reached by other splits can share
+    /// them. Two trees of one shape map to the identity. The cases of
+    /// `same_shape_is_export_shape_equality`, plus another stream's tree.
+    #[test]
+    fn leaf_remap_lands_where_lookup_does(
+        stream in arb_stream(),
+        other in arb_stream(),
+        cut in 0usize..2000,
+        flip in 0usize..64,
+    ) {
+        let grow = |points: &[BinPoint], rgb| {
+            let mut tree = BinTree::new(SplitConfig::default());
+            for p in points {
+                tree.tally(p, rgb);
+            }
+            tree
+        };
+        let whole = grow(&stream, Rgb::WHITE);
+        let tinted = grow(&stream, Rgb::new(0.1, 0.7, 0.3));
+        let prefix = grow(&stream[..cut.min(stream.len())], Rgb::WHITE);
+        let foreign = grow(&other, Rgb::WHITE);
+        let mut flipped = whole.export_nodes();
+        let internals: Vec<usize> = (0..flipped.len())
+            .filter(|&i| matches!(flipped[i], ExportNode::Internal { .. }))
+            .collect();
+        if let Some(&i) = internals.get(flip % internals.len().max(1)) {
+            if let ExportNode::Internal { axis, .. } = &mut flipped[i] {
+                *axis = Axis::from_index((*axis as usize + 1) % 4);
+            }
+        }
+        let flipped = BinTree::from_export(flipped, SplitConfig::default()).expect("valid");
+        // (older, newer, whether newer grew from older)
+        let cases = [
+            (prefix.compacted_clone(), whole.compacted_clone(), true),
+            (prefix.clone(), whole.clone(), true),
+            (whole.compacted_clone(), tinted.clone(), true),
+            (whole.compacted_clone(), whole.compacted_clone(), true),
+            (whole.compacted_clone(), flipped, false),
+            (whole.compacted_clone(), foreign.compacted_clone(), false),
+            (foreign, whole.clone(), false),
+        ];
+        for (older, newer, lineage) in &cases {
+            let map = older.leaf_remap(newer);
+            prop_assert_eq!(map.len(), older.leaf_count() as usize);
+            let mut newer_leaves = HashMap::new();
+            newer.for_each_leaf_slot(|slot, range, _| {
+                newer_leaves.insert(range_bits(range), slot);
+            });
+            let mut leaves = Vec::new();
+            older.for_each_leaf_slot(|slot, range, _| leaves.push((slot, *range)));
+            let (was, now) = (older.export_nodes(), newer.export_nodes());
+            for (slot, range) in &leaves {
+                let mapped = map[*slot as usize];
+                let in_place = kept_in_place(&was, &now, &range.center());
+                prop_assert_eq!(mapped != u32::MAX, in_place, "slot {}", slot);
+                let same_range = newer_leaves.get(&range_bits(range));
+                if in_place {
+                    prop_assert_eq!(same_range, Some(&mapped), "slot {}", slot);
+                } else if *lineage {
+                    prop_assert_eq!(same_range, None, "slot {}", slot);
+                }
+            }
+            let centres = leaves.iter().map(|(_, range)| range.center());
+            for p in stream.iter().copied().chain(centres) {
+                let (mut was, mut now) = (LeafCursor::new(), LeafCursor::new());
+                older.lookup_with(&p, &mut was);
+                newer.lookup_with(&p, &mut now);
+                let (was, now) = (older.cursor_slot(&was), newer.cursor_slot(&now));
+                let mapped = map[was.expect("a leaf") as usize];
+                prop_assert!(mapped == u32::MAX || Some(mapped) == now, "{:?}", p);
+            }
+            if older.same_shape(newer) {
+                prop_assert!(map.iter().enumerate().all(|(k, &slot)| k as u32 == slot));
+            }
+        }
     }
 
     /// Total tallies are conserved and leaf measures partition the domain.

@@ -19,10 +19,11 @@
 //! re-render after a publish does *not* have to find again: visibility is
 //! a function of scene and camera alone and a stored scene never changes,
 //! so this cache has no epoch in its key, is never purged, and only ages
-//! out by LRU; a slot is only trusted while its patch's tree keeps its
-//! exact shape. Each buffer keeps the last answer it rendered alive until
-//! it renders again, so whatever retires a scene must drop its buffers
-//! too. Its key is exact because its use is: one flipped bit of the eye
+//! out by LRU; a slot is only trusted while its leaf is still a leaf (a
+//! split elsewhere in the patch's tree moves the slot, never the pixel).
+//! Each buffer keeps the last answer it rendered alive until it renders
+//! again, so whatever retires a scene must drop its buffers too. Its key
+//! is exact because its use is: one flipped bit of the eye
 //! moves every ray, and a buffer recorded for the neighbouring camera
 //! would be re-tested against the wrong rays.
 

@@ -17,8 +17,8 @@
 //!    patch each pixel sees, and which leaf slot of that patch's tree — in
 //!    a second LRU; every later miss on that camera (each publish makes
 //!    one) re-shades from the buffer instead of casting its rays again,
-//!    and reads a pixel whose patch's tree kept its shape by slot. Same
-//!    pixels, bit for bit.
+//!    and reads a pixel whose leaf did not split by slot. Same pixels,
+//!    bit for bit.
 //!
 //! One dispatcher owns the cache (no lock contention on the hot map); the
 //! heavy lifting inside a render is already parallel at tile granularity,
@@ -645,7 +645,7 @@ impl Dispatcher {
     /// casts the rays and fills it ([`Stage::Render`]); while the buffer
     /// stays in its LRU every later one — the same camera after a publish
     /// — only re-shades ([`Stage::Reshade`]), reading every pixel whose
-    /// patch's tree kept its shape by leaf slot ([`ObsKind::SlotsReused`]
+    /// bin-tree leaf is still a leaf by its slot ([`ObsKind::SlotsReused`]
     /// counts them). Either way the outcome is `Rendered` and the pixels
     /// are those of an un-memoised render.
     fn resolve_view(

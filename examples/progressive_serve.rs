@@ -6,10 +6,12 @@
 //! cargo run --release --example progressive_serve
 //! ```
 
-use photon_gi::core::{Camera, ObsKind};
+use photon_gi::core::view::render;
+use photon_gi::core::{Camera, Image, ObsKind};
 use photon_gi::scenes::TestScene;
 use photon_gi::serve::{
-    AnswerStore, BackendChoice, RenderRequest, RenderService, ServeConfig, SolveRequest, SolverPool,
+    AnswerStore, BackendChoice, RenderRequest, RenderResponse, RenderService, ServeConfig,
+    SolveRequest, SolverPool,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -52,8 +54,11 @@ fn main() {
 
     // Render the same view once per published epoch: quality converges
     // while the service stays online. After the first, each render re-shades
-    // from the view's item buffer and reads every pixel whose patch's bin
-    // tree kept its shape by leaf slot; `slots-reused` says how many.
+    // from the view's item buffer and reads every pixel whose bin-tree leaf
+    // is still a leaf by its slot, however much the rest of the patch's tree
+    // split; `slots-reused` says how many. Each served frame whose epoch is
+    // still the stored one must be an un-memoised render of that answer,
+    // bit for bit.
     let reused = || {
         let events = store
             .obs()
@@ -61,12 +66,33 @@ fn main() {
             .filtered(|e| e.kind == ObsKind::SlotsReused);
         events.last().map_or(0, |e| e.ctx.payload)
     };
+    let mut checked = 0;
+    let mut check = |view: &RenderResponse| {
+        let entry = store.get(job.scene_id()).expect("stored");
+        if entry.epoch != view.epoch {
+            return;
+        }
+        let plain = render(&entry.scene, &entry.answer, &camera, entry.exposure);
+        let bits = |img: &Image| -> Vec<u64> {
+            let channels = img.pixels().iter().flat_map(|p| [p.r, p.g, p.b]);
+            channels.map(f64::to_bits).collect()
+        };
+        if bits(&view.image) != bits(&plain) {
+            eprintln!(
+                "epoch {}: served pixels differ from a fresh render",
+                view.epoch
+            );
+            std::process::exit(1);
+        }
+        checked += 1;
+    };
     let pixels = (camera.width * camera.height) as f64;
     let mut last = None;
     while let Some(progress) = job.next_progress(Duration::from_secs(120)) {
         let view = service.render_blocking(req).expect("served");
+        check(&view);
         let drift = last
-            .map(|prev: std::sync::Arc<photon_gi::core::Image>| view.image.rms_error(&prev))
+            .map(|prev: Arc<Image>| view.image.rms_error(&prev))
             .unwrap_or(f64::NAN);
         println!(
             "epoch {:>2}: {:>6} photons, {:>4} leaf bins | served epoch {:>2} ({:?}), \
@@ -87,6 +113,8 @@ fn main() {
     }
 
     let final_view = service.render_blocking(req).expect("served");
+    check(&final_view);
+    println!("{checked} served frames bit-equal to a fresh render of their stored answer");
     let out = std::env::temp_dir().join("progressive_serve.ppm");
     let mut f = std::fs::File::create(&out).expect("create output");
     final_view.image.write_ppm(&mut f).expect("write ppm");
