@@ -9,9 +9,11 @@
 //! budget, and report bins-per-defining-polygon ratios.
 //!
 //! A second table reports what those defining polygons cost a ray: the
-//! octree's size, and internal nodes expanded, patches tested and bilinear
-//! inversions per photon-path ray. These are counts the traversal makes of
-//! itself and repeat exactly, on any host.
+//! octree's size; per photon-path ray, the internal nodes the rope walk
+//! steps through, the patches it tests and the bilinear inversions; and how
+//! many of those rays fell back to the depth-first traversal on a tie.
+//! These are counts the query makes of itself and repeat exactly, on any
+//! host.
 
 use photon_bench::{fmt, heading, md_table, write_csv};
 use photon_core::{path_rays, PhotonGenerator, SimConfig, Simulator};
@@ -36,6 +38,7 @@ fn octree_work_row(name: &str, scene: &Scene) -> Vec<String> {
         stats.nodes.to_string(),
         stats.item_refs.to_string(),
         format!("{:.2}", work.internal_nodes as f64 / rays),
+        format!("{} / {rays}", work.fallbacks),
         format!("{:.2}", work.patch_tests as f64 / rays),
         format!("{:.2}", work.inversions as f64 / rays),
     ]
@@ -103,7 +106,8 @@ fn main() {
                 "Geometry",
                 "Octree Nodes",
                 "Patch Refs",
-                "Internal Nodes / Ray",
+                "Walk Steps / Ray",
+                "Fallbacks / Rays",
                 "Patch Tests / Ray",
                 "Inversions / Ray",
             ],

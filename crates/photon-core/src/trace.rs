@@ -17,7 +17,7 @@
 //!   locally when it owns the patch and otherwise queueing the record for
 //!   the all-to-all exchange (Fig 5.3).
 
-use crate::engine::photon_stream;
+use crate::engine::{photon_stream, PHOTON_DRAW_STRIDE};
 use crate::forest::BinForest;
 use crate::generate::{EmittedPhoton, PhotonGenerator};
 use crate::reflect::{reflect, Bounce};
@@ -25,7 +25,7 @@ use crate::sim::SimStats;
 use photon_geom::Scene;
 use photon_hist::BinPoint;
 use photon_math::{CylDir, Onb, Ray, Rgb};
-use photon_rng::PhotonRng;
+use photon_rng::{Lcg48, PhotonRng};
 
 /// Receives photon interaction tallies.
 pub trait TallySink {
@@ -111,15 +111,29 @@ pub fn trace_span<S: TallySink>(
     sink: &mut S,
 ) -> SimStats {
     let mut stats = SimStats::default();
-    let end = span.start + span.count;
-    let mut j = span.start + span.offset;
-    while j < end {
+    for (j, mut rng) in span_streams(seed, span) {
         sink.begin_photon(j);
-        let mut rng = photon_stream(seed, j);
         stats.record(&trace_photon(scene, generator, &mut rng, sink));
-        j += span.stride;
     }
     stats
+}
+
+/// Each photon index of `span` in ascending order, with its generator
+/// [`photon_stream`]`(seed, j)`. Only the first is derived that way; each
+/// later one leaps from its predecessor's starting state by one jump of
+/// `stride` blocks, made once per span — exact mod 2^48, so every draw is
+/// the same.
+fn span_streams(seed: u64, span: Span) -> impl Iterator<Item = (u64, Lcg48)> {
+    let first = span.start + span.offset;
+    let jump = Lcg48::new(seed).jump(span.stride.wrapping_mul(PHOTON_DRAW_STRIDE));
+    let mut next = photon_stream(seed, first);
+    (first..span.start + span.count)
+        .step_by(span.stride as usize)
+        .map(move |j| {
+            let rng = next.clone();
+            next.leap(jump);
+            (j, rng)
+        })
 }
 
 /// Emits and traces one photon, reporting every interaction to `sink`.
@@ -266,7 +280,6 @@ mod tests {
     use crate::generate::PhotonGenerator;
     use photon_geom::{Luminaire, Material, SurfacePatch};
     use photon_math::{Patch, Vec3};
-    use photon_rng::Lcg48;
 
     /// A closed box: light panel at the top, diffuse gray walls.
     ///
@@ -379,6 +392,32 @@ mod tests {
             reflections += trace_photon(&scene, &generator, &mut rng, &mut forest).bounces as u64;
         }
         assert_eq!(forest.total_tallies(), n + reflections);
+    }
+
+    #[test]
+    fn a_span_leaps_to_each_photons_own_stream() {
+        let seed = 77;
+        for start in [0, 13, (1 << 35) - 21] {
+            for stride in 1..=8 {
+                for offset in 0..stride {
+                    let span = Span {
+                        start,
+                        count: 20,
+                        offset,
+                        stride,
+                    };
+                    let indices: Vec<u64> = (start + offset..start + 20)
+                        .step_by(stride as usize)
+                        .collect();
+                    let streams: Vec<(u64, Lcg48)> = span_streams(seed, span).collect();
+                    assert_eq!(streams.len(), indices.len(), "{span:?}");
+                    for ((j, rng), want) in streams.into_iter().zip(indices) {
+                        assert_eq!(j, want, "{span:?}");
+                        assert_eq!(rng, photon_stream(seed, j), "{span:?} photon {j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -76,8 +76,23 @@ impl Lcg48 {
     /// Advances the stream by `n` steps in `O(log n)` — the block-splitting
     /// primitive, and the workhorse behind [`Lcg48::leapfrog`].
     pub fn jump_ahead(&mut self, n: u64) {
-        let (an, cn) = self.compose_n(n);
-        self.state = (mul_mod(an, self.state).wrapping_add(cn)) & MASK;
+        self.leap(self.jump(n));
+    }
+
+    /// `n` steps of this generator as one [`Jump`], composed in
+    /// `O(log n)` once.
+    pub fn jump(&self, n: u64) -> Jump {
+        let (a, c) = self.compose_n(n);
+        Jump { a, c }
+    }
+
+    /// Advances the stream by a precomputed [`Jump`] — exactly
+    /// [`Lcg48::jump_ahead`] by its `n`, in one multiply. The jump must come
+    /// from a generator with this one's `(a, c)`, such as the base stream of
+    /// this block substream.
+    #[inline]
+    pub fn leap(&mut self, jump: Jump) {
+        self.state = (mul_mod(jump.a, self.state).wrapping_add(jump.c)) & MASK;
     }
 
     /// Returns block substream `index`: this stream advanced by
@@ -122,6 +137,16 @@ impl Lcg48 {
             c: cp,
         }
     }
+}
+
+/// A fixed number of generator steps as one affine map
+/// `x -> a·x + c (mod 2^48)`, made by [`Lcg48::jump`] and applied by
+/// [`Lcg48::leap`]. Composition is exact mod 2^48, so leaping `k` times by
+/// the jump of `n` steps lands on the state `k·n` steps on, bit for bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Jump {
+    a: u64,
+    c: u64,
 }
 
 /// `(a * b) mod 2^48` without overflow.

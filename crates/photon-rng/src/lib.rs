@@ -13,7 +13,8 @@
 //! subsequence of an LCG is itself an LCG with multiplier `a^P mod m` and an
 //! adjusted increment, both computed in `O(log P)` by modular doubling
 //! ([`Lcg48::leapfrog`]); arbitrary jump-ahead works the same way
-//! ([`Lcg48::jump_ahead`]).
+//! ([`Lcg48::jump_ahead`]), and a jump made once ([`Jump`]) advances any
+//! substream of the base stream by the same distance in one multiply.
 //!
 //! [`CountingRng`] wraps any generator and counts draws — used by the
 //! photon-generation FLOP accounting experiment (paper ch. 4 charges
@@ -25,7 +26,7 @@ pub mod counting;
 pub mod lcg;
 
 pub use counting::CountingRng;
-pub use lcg::Lcg48;
+pub use lcg::{Jump, Lcg48};
 
 /// Minimal random-source interface used throughout the workspace.
 ///
