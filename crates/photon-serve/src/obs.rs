@@ -703,6 +703,33 @@ mod tests {
         (render_text(&scrape), render_json(&scrape))
     }
 
+    /// `json` with every event's `"ts_us"` value replaced by `N`: the one
+    /// field of an export that depends on when it ran.
+    fn mask_timestamps(json: &str) -> String {
+        const KEY: &str = "\"ts_us\":";
+        let (mut out, mut rest) = (String::new(), json);
+        while let Some(at) = rest.find(KEY) {
+            out.push_str(&rest[..at + KEY.len()]);
+            out.push('N');
+            rest = rest[at + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out + rest
+    }
+
+    /// Both formats of `fixture()`, byte for byte: whatever changes in what
+    /// feeds the exporters, a snapshot renders as it did when this was
+    /// pinned.
+    #[test]
+    fn fixture_exports_are_pinned() {
+        let (hub, snap) = fixture();
+        let (text, json) = exports(&hub, &snap);
+        assert_eq!(text, include_str!("../testdata/fixture_exports.txt"));
+        assert_eq!(
+            mask_timestamps(&json),
+            include_str!("../testdata/fixture_exports.json")
+        );
+    }
+
     /// The exposition format allows one `TYPE` per family and wants a
     /// family's samples in one group: every sample must belong to the
     /// family whose header was the last one written.
