@@ -256,16 +256,6 @@ impl EngineCheckpoint {
         buf
     }
 
-    /// [`to_bytes`](EngineCheckpoint::to_bytes) with the encode duration
-    /// recorded into `hub` under [`Stage::CheckpointEncode`] — what the
-    /// serve tier calls so checkpoint encode cost shows up in the stage
-    /// histograms.
-    ///
-    /// [`Stage::CheckpointEncode`]: crate::obs::Stage::CheckpointEncode
-    pub fn to_bytes_observed(&self, hub: &crate::ObsHub) -> Vec<u8> {
-        hub.time(crate::Stage::CheckpointEncode, || self.to_bytes())
-    }
-
     /// Decodes a byte slice produced by [`to_bytes`](EngineCheckpoint::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> io::Result<EngineCheckpoint> {
         EngineCheckpoint::read_from(&mut &bytes[..])

@@ -54,8 +54,8 @@ pub use forest::{BinForest, ForestFootprint};
 pub use generate::{EmittedPhoton, PhotonGenerator};
 pub use img::Image;
 pub use obs::{
-    FlightRecorder, Histogram, HistogramSnapshot, ObsCtx, ObsEvent, ObsHub, ObsKind, ObsTier,
-    Stage, StageTimings, StageTimingsSnapshot,
+    Counter, FlightRecorder, Histogram, HistogramSnapshot, ObsCtx, ObsEvent, ObsHub, ObsKind,
+    ObsTier, Stage, StageTimings, StageTimingsSnapshot,
 };
 pub use perf::{MemoryTrace, SpeedTrace, SPEED_TRACE_CAP};
 pub use sim::{SimConfig, SimStats, Simulator};

@@ -11,8 +11,9 @@
 //! |-------|------------|
 //! | [`FlightRecorder`] | lock-cheap bounded ring buffer of [`ObsEvent`]s — a post-mortem timeline of every lifecycle edge, filterable by scene/job/tenant/kind |
 //! | [`Histogram`] | fixed-size log-bucketed latency histogram: constant memory forever, p50/p90/p99 within one bucket of exact, exact count/sum/max, mergeable |
-//! | [`StageTimings`] | one histogram per pipeline [`Stage`] (cache probe, render, reshade, diff, reply, wire encode/write, solve slice, checkpoint freeze/encode/restore) |
-//! | [`ObsHub`] | the `Arc`-shared bundle of all three that instrumented code records into |
+//! | [`StageTimings`] | one histogram per pipeline [`Stage`] (cache probe, render, reshade, diff, reply, wire encode/write, solve slice, checkpoint freeze/restore) |
+//! | [`Counter`] | the service's counters and gauges (requests by outcome, batches, cache, subscribers, deltas, wire bytes) |
+//! | [`ObsHub`] | the `Arc`-shared bundle that instrumented code records into: the recorder, the stage timings, the counters and the request-latency histogram |
 //!
 //! Everything here is bounded by construction: the recorder drops its
 //! oldest event past capacity (counting the drops), and a histogram is 65
@@ -21,13 +22,16 @@
 //!
 //! Recording is designed for hot paths: histogram recording is three
 //! relaxed atomic operations (no lock at all), and a flight-recorder event
-//! takes one short mutex hold to push into the ring.
+//! takes one short mutex hold to push into the ring. Counting takes one
+//! short mutex hold too, over every counter a call names, so a reader never
+//! sees half of one call's increments.
 
 pub use crate::json::json_escape;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Number of histogram buckets: bucket `i` holds values whose bit length
 /// is `i`, i.e. bucket 0 is exactly `{0}` and bucket `i ≥ 1` covers
@@ -192,12 +196,12 @@ impl HistogramSnapshot {
     }
 }
 
-/// Declares one observability vocabulary — [`Stage`] or [`ObsKind`] — from
-/// a single table of `doc comment, Variant = "kebab-name", tier` rows. The
-/// enum, the array of every variant in declaration order (its length
-/// counted, not written), `name()`, `tier()` and the discriminant `index()`
-/// are all derived from the rows, so a variant cannot exist unnamed or
-/// unlisted.
+/// Declares one observability vocabulary — [`Stage`], [`ObsKind`] or
+/// [`Counter`] — from a single table of `doc comment, Variant = "name",
+/// tier` rows. The enum, the array of every variant in declaration order
+/// (its length counted, not written), `name()`, `tier()` and the
+/// discriminant `index()` are all derived from the rows, so a variant
+/// cannot exist unnamed or unlisted.
 macro_rules! vocabulary {
     (
         $(#[$enum_doc:meta])* enum $Enum:ident;
@@ -214,8 +218,8 @@ macro_rules! vocabulary {
         pub const $ALL: [$Enum; [$($name),+].len()] = [$($Enum::$Variant),+];
 
         impl $Enum {
-            /// Stable kebab-case name (what exports, dumps and metric
-            /// labels print).
+            /// Stable name (what exports, dumps and metric labels print):
+            /// kebab-case for a stage or kind, the JSON key for a counter.
             pub fn name(&self) -> &'static str {
                 match self {
                     $($Enum::$Variant => $name,)+
@@ -243,7 +247,7 @@ vocabulary! {
     /// These split apart the time the dispatcher used to lump into one
     /// request latency — render vs diff vs cache probe vs reply — plus the
     /// solve tier's slice, snapshot and publish durations and the checkpoint
-    /// tier's freeze, encode, and restore costs.
+    /// tier's freeze and restore costs.
     enum Stage;
     /// Every stage, in display order.
     const STAGES;
@@ -266,7 +270,7 @@ vocabulary! {
     Reshade = "reshade", Serve;
     /// Tile diff of two frames on the streaming path.
     Diff = "diff", Stream;
-    /// Answering a waiter (metrics accounting + channel send).
+    /// Answering a waiter (counting it in the hub + channel send).
     Reply = "reply", Serve;
     /// Encoding one delta as a `PHOTSTRM1` frame body for a TCP subscriber,
     /// in the subscriber's payload mode (quantized runs the range coder).
@@ -291,8 +295,6 @@ vocabulary! {
     Publish = "publish", Store;
     /// Freezing an engine into an `EngineCheckpoint`.
     CheckpointFreeze = "checkpoint-freeze", Checkpoint;
-    /// Encoding a checkpoint to `PHOTCK1` bytes.
-    CheckpointEncode = "checkpoint-encode", Checkpoint;
     /// Restoring an engine from a checkpoint.
     CheckpointRestore = "checkpoint-restore", Checkpoint;
 }
@@ -415,6 +417,60 @@ vocabulary! {
     CheckpointFrozen = "checkpoint-frozen", Checkpoint;
     /// An engine restored from a checkpoint. Payload: photons inherited.
     CheckpointRestored = "checkpoint-restored", Checkpoint;
+}
+
+vocabulary! {
+    /// The service's counters and gauges: what the render service, its
+    /// stream mailboxes and the TCP stream writers count. A counter only
+    /// grows ([`ObsHub::count`]); a gauge is overwritten ([`ObsHub::set`]).
+    /// Each name is the key the value has in the exporters' JSON.
+    enum Counter;
+    /// Every counter, in export order.
+    const COUNTERS;
+
+    /// Requests answered by rendering.
+    Rendered = "rendered", Serve;
+    /// Requests answered from the view cache.
+    CacheHits = "cache_hits", Serve;
+    /// Requests answered by riding an identical render in the same batch.
+    Coalesced = "coalesced", Serve;
+    /// Dispatch batches drained.
+    Batches = "batches", Serve;
+    /// Gauge: live view-cache entries.
+    CacheEntries = "cache_entries", Serve;
+    /// Stale-epoch view-cache keys purged.
+    CachePurged = "cache_purged", Serve;
+    /// Gauge: scenes the dispatcher tracks a freshest-seen epoch for.
+    SeenEpochEntries = "seen_epoch_entries", Serve;
+    /// Gauge: live epoch subscriptions.
+    Subscribers = "subscribers", Stream;
+    /// Frame deltas delivered to subscribers.
+    Deltas = "deltas", Stream;
+    /// Changed tiles those deltas carried.
+    Tiles = "tiles", Stream;
+    /// Pixel payload bytes of those tiles.
+    TileBytes = "tile_bytes", Stream;
+    /// Pixel payload bytes a whole frame per delta would have carried.
+    FullFrameBytes = "full_frame_bytes", Stream;
+    /// Deltas folded into a lagging subscriber's pending delta.
+    DeltasSquashed = "deltas_squashed", Stream;
+    /// Times a subscriber crossed its send window into the lagging state.
+    LagEvents = "lag_events", Stream;
+    /// `PHOTSTRM1` frames written to TCP subscribers.
+    WireDeltas = "wire_deltas", Stream;
+    /// Bytes those frames put on the wire, length prefixes included.
+    WireBytes = "wire_bytes", Stream;
+}
+
+/// What a reader of a hub's counters hangs beside them (see
+/// [`ObsHub::attach`]).
+pub type Attached = Arc<dyn Any + Send + Sync>;
+
+/// The counter values and the attachment, under one lock.
+#[derive(Debug, Default)]
+struct Counters {
+    values: [u64; COUNTERS.len()],
+    attached: Option<Attached>,
 }
 
 /// The optional context an event carries; default everything you don't
@@ -561,7 +617,8 @@ impl FlightRecorder {
 }
 
 /// The `Arc`-shared observability bundle every tier records into: one
-/// flight recorder and one set of stage-duration histograms.
+/// flight recorder, one set of stage-duration histograms, the service
+/// [`Counter`]s and the request-latency histogram.
 ///
 /// The serve layer's `AnswerStore` owns one hub and every component built
 /// over that store (solver pool, render service, exporters) shares it, so
@@ -570,6 +627,8 @@ impl FlightRecorder {
 pub struct ObsHub {
     recorder: FlightRecorder,
     stages: StageTimings,
+    latency: Histogram,
+    counters: Mutex<Counters>,
 }
 
 /// Default flight-recorder capacity for a hub ([`ObsHub::default`]).
@@ -587,6 +646,8 @@ impl ObsHub {
         ObsHub {
             recorder: FlightRecorder::new(capacity),
             stages: StageTimings::default(),
+            latency: Histogram::new(),
+            counters: Mutex::default(),
         }
     }
 
@@ -606,6 +667,45 @@ impl ObsHub {
         let out = f();
         self.stages.record(stage, t.elapsed().as_secs_f64());
         out
+    }
+
+    /// Adds each `n` to its counter, all in one critical section: a reader
+    /// sees every increment of one call or none of them.
+    pub fn count(&self, counts: &[(Counter, u64)]) {
+        let mut counters = self.counters.lock().unwrap();
+        for &(counter, n) in counts {
+            counters.values[counter.index()] += n;
+        }
+    }
+
+    /// Sets the gauge `counter` to `value`.
+    pub fn set(&self, counter: Counter, value: u64) {
+        self.counters.lock().unwrap().values[counter.index()] = value;
+    }
+
+    /// Records one request's latency (microsecond samples, no lock).
+    pub fn latency(&self, latency: Duration) {
+        self.latency.record(latency.as_micros() as u64);
+    }
+
+    /// Replaces what hangs beside the counters with `update(current)`,
+    /// under the counters' lock. A reader gets it with the values they
+    /// copy, in the same critical section.
+    pub fn attach(&self, update: impl FnOnce(Option<&Attached>) -> Attached) {
+        let mut counters = self.counters.lock().unwrap();
+        counters.attached = Some(update(counters.attached.as_ref()));
+    }
+
+    /// Every counter's value (indexed by [`Counter::index`]) and the
+    /// attachment, copied in one critical section.
+    pub fn counters(&self) -> ([u64; COUNTERS.len()], Option<Attached>) {
+        let counters = self.counters.lock().unwrap();
+        (counters.values, counters.attached.clone())
+    }
+
+    /// Point-in-time copy of the request-latency histogram.
+    pub fn latency_snapshot(&self) -> HistogramSnapshot {
+        self.latency.snapshot()
     }
 
     /// The event timeline.
@@ -722,11 +822,16 @@ mod tests {
         assert_eq!(ObsKind::DeltaPushed.tier(), ObsTier::Stream);
         assert_eq!(ObsKind::CheckpointFrozen.tier(), ObsTier::Checkpoint);
         assert_eq!(Stage::Diff.tier(), ObsTier::Stream);
-        // Both tables: names non-empty and unique (they key exporter
+        // Every table: names non-empty and unique (they key exporter
         // series), and `index()` is the position in declaration order.
         let kinds = OBS_KINDS.iter().map(|k| (k.name(), k.index()));
         let stages = STAGES.iter().map(|s| (s.name(), s.index()));
-        for table in [kinds.collect::<Vec<_>>(), stages.collect()] {
+        let counters = COUNTERS.iter().map(|c| (c.name(), c.index()));
+        for table in [
+            kinds.collect::<Vec<_>>(),
+            stages.collect(),
+            counters.collect(),
+        ] {
             for (i, (name, index)) in table.iter().enumerate() {
                 assert!(!name.is_empty());
                 assert_eq!(*index, i, "{name} is out of declaration order");
@@ -738,6 +843,31 @@ mod tests {
         }
         assert_eq!(STAGES[2], Stage::Reshade);
         assert_eq!(OBS_KINDS[6], ObsKind::EpochPublished);
+    }
+
+    #[test]
+    fn hub_counts_sets_and_attaches() {
+        let hub = ObsHub::new(8);
+        hub.count(&[(Counter::Deltas, 1), (Counter::TileBytes, 600)]);
+        hub.count(&[(Counter::Deltas, 1)]);
+        hub.set(Counter::Subscribers, 3);
+        hub.set(Counter::Subscribers, 2);
+        hub.latency(Duration::from_micros(700));
+        let (values, attached) = hub.counters();
+        assert_eq!(values[Counter::Deltas.index()], 2);
+        assert_eq!(values[Counter::TileBytes.index()], 600);
+        assert_eq!(
+            values[Counter::Subscribers.index()],
+            2,
+            "a gauge is overwritten"
+        );
+        assert_eq!(values[Counter::WireBytes.index()], 0);
+        assert!(attached.is_none());
+        assert_eq!(hub.latency_snapshot().max, 700);
+        hub.attach(|_| Arc::new(1u32));
+        hub.attach(|old| Arc::new(old.and_then(|a| a.downcast_ref::<u32>()).unwrap() + 1));
+        let attached = hub.counters().1.expect("attached");
+        assert_eq!(attached.downcast_ref::<u32>(), Some(&2));
     }
 
     #[test]

@@ -147,17 +147,6 @@ impl SpeedTrace {
         half.iter().map(|s| s.rate).sum::<f64>() / half.len() as f64
     }
 
-    /// Fixed-time speedup of `self` over `reference` at `time`.
-    pub fn speedup_over(&self, reference: &SpeedTrace, time: f64) -> Option<f64> {
-        let mine = self.rate_at(time)?;
-        let base = reference.rate_at(time)?;
-        if base > 0.0 {
-            Some(mine / base)
-        } else {
-            None
-        }
-    }
-
     /// CSV rows `elapsed,rate,photons` (header not included).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -236,14 +225,6 @@ mod tests {
         assert_eq!(t.rate_at(1.5), Some(100.0));
         assert_eq!(t.rate_at(2.5), Some(300.0)); // past the end
         assert!(SpeedTrace::new().rate_at(1.0).is_none());
-    }
-
-    #[test]
-    fn speedup_is_rate_ratio() {
-        let serial = trace(&[(1.0, 100, 1.0), (2.0, 100, 1.0)]);
-        let par = trace(&[(1.0, 380, 1.0), (2.0, 400, 1.0)]);
-        let s = par.speedup_over(&serial, 2.0).unwrap();
-        assert!((s - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! | [`service`] | submission queue → batching dispatcher → cache/coalesce/render |
 //! | [`stream`] | epoch subscriptions: publishes push [`FrameDelta`]s (changed tiles only) to subscribers, reassembling bit-identical frames |
 //! | [`netstream`] | off-box transport: a TCP server fanning each scene's epochs out as `PHOTSTRM1` frames (lossless or quantized), with slow consumers coalesced server-side |
-//! | [`metrics`] | p50/p99 latency, queries/sec, speed traces, streaming-tier counters, and solve-tier scheduler state (per-job photons/sec, queue depth, per-tenant slices) |
+//! | [`metrics`] | the typed read of the hub's service counters: p50/p99 latency, queries/sec, streaming-tier counters, and solve-tier scheduler state (per-job photons/sec, queue depth, per-tenant slices) |
 //! | [`obs`] | exporters over the shared observability hub: Prometheus text exposition, versioned JSON dump (metrics + stage histograms + flight-recorder tail), and a scrapeable TCP endpoint |
 //!
 //! **Multi-job scheduling.** The pool is not FIFO: every backend engine is

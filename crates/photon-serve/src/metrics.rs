@@ -1,25 +1,26 @@
-//! Service metrics: request latency percentiles, throughput, and solver
-//! scheduler state, in the `perf` house style.
+//! Service metrics: the typed read of the service counters, request
+//! latency percentiles, throughput, and solver scheduler state.
 //!
-//! The simulator's perf layer records speed-vs-time traces per batch
-//! ([`SpeedTrace`]); the serving layer does the same with dispatch batches —
-//! one sample per drained queue batch, rate in requests/second — and adds
-//! the request-level accounting a service needs: completed/rendered/cache
-//! splits and p50/p99 latency over the full run.
+//! There is one metric system: the render service, its stream mailboxes
+//! and the TCP stream writers count into the store's shared
+//! [`ObsHub`] (one row of the [`Counter`] table per number, plus the
+//! request-latency histogram). A [`MetricsSnapshot`] is a read of that hub
+//! ([`MetricsSnapshot::read`]): completed/rendered/cache splits, stream
+//! traffic, and p50/p99 latency over the full run.
 //!
 //! The solve side reports through the same snapshot: attach a
-//! [`SolverStatsSource`] (any `SolverPool`) with
-//! [`ServiceMetrics::attach_solver`] and every [`MetricsSnapshot`] carries
-//! a [`SolverMetricsSnapshot`] — queue depth, per-job photons/sec and
-//! epochs/sec, and slices granted per tenant — beside the render-side
-//! latencies. That is the engine-level backpressure signal: when queue
-//! depth grows while per-job photon rates fall, the solve tier is
-//! saturated no matter how healthy the render latencies look.
+//! [`SolverStatsSource`] (any `SolverPool`) with [`attach_solver`] and
+//! every [`MetricsSnapshot`] carries a [`SolverMetricsSnapshot`] — queue
+//! depth, per-job photons/sec and epochs/sec, and slices granted per
+//! tenant — beside the render-side latencies. That is the engine-level
+//! backpressure signal: when queue depth grows while per-job photon rates
+//! fall, the solve tier is saturated no matter how healthy the render
+//! latencies look.
 
-use photon_core::obs::HistogramSnapshot;
-use photon_core::{Histogram, SpeedTrace};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use photon_core::obs::{Counter, HistogramSnapshot};
+use photon_core::ObsHub;
+use std::sync::{Arc, Weak};
+use std::time::Instant;
 
 /// Latency distribution summary, milliseconds.
 ///
@@ -89,11 +90,57 @@ pub struct MetricsSnapshot {
     /// The raw bounded latency histogram (microsecond buckets) — what
     /// exporters turn into Prometheus `le` buckets.
     pub latency_hist: HistogramSnapshot,
-    /// Per-dispatch-batch rate trace (requests/second), perf style.
-    pub speed: SpeedTrace,
     /// Solve-tier scheduler state, when a solver pool is attached via
-    /// [`ServiceMetrics::attach_solver`]; empty otherwise.
+    /// [`attach_solver`]; empty otherwise.
     pub solver: SolverMetricsSnapshot,
+}
+
+impl MetricsSnapshot {
+    /// Reads the service counters off `hub`.
+    ///
+    /// Every counter is copied in ONE critical section, so the snapshot
+    /// can never tear (e.g. observe a delta's `tiles` without its
+    /// `tile_bytes`). The attached solver source is consulted strictly
+    /// after that lock is released: its `solver_snapshot()` takes the
+    /// scheduler's own lock, so the two are never nested and a source that
+    /// records back into the hub cannot deadlock.
+    pub fn read(hub: &ObsHub) -> Self {
+        let latency_hist = hub.latency_snapshot();
+        let (values, attached) = hub.counters();
+        let attached = attached
+            .as_deref()
+            .and_then(|a| a.downcast_ref::<Attachment>());
+        let get = |counter: Counter| values[counter.index()];
+        let completed = get(Counter::Rendered) + get(Counter::CacheHits) + get(Counter::Coalesced);
+        let uptime = attached.and_then(|a| Some(a.started?.elapsed().as_secs_f64()));
+        let uptime = uptime.filter(|&seconds| seconds > 0.0);
+        let solver = attached.and_then(|a| a.solver.as_ref()?.upgrade());
+        MetricsSnapshot {
+            completed,
+            rendered: get(Counter::Rendered),
+            cache_hits: get(Counter::CacheHits),
+            coalesced: get(Counter::Coalesced),
+            batches: get(Counter::Batches),
+            qps: uptime.map_or(0.0, |uptime| completed as f64 / uptime),
+            cache_entries: get(Counter::CacheEntries),
+            cache_purged: get(Counter::CachePurged),
+            seen_epoch_entries: get(Counter::SeenEpochEntries),
+            stream: StreamMetricsSnapshot {
+                subscribers: get(Counter::Subscribers),
+                deltas: get(Counter::Deltas),
+                tiles: get(Counter::Tiles),
+                tile_bytes: get(Counter::TileBytes),
+                full_frame_bytes: get(Counter::FullFrameBytes),
+                deltas_squashed: get(Counter::DeltasSquashed),
+                lag_events: get(Counter::LagEvents),
+                wire_deltas: get(Counter::WireDeltas),
+                wire_bytes: get(Counter::WireBytes),
+            },
+            latency: LatencySummary::from_histogram(&latency_hist),
+            latency_hist,
+            solver: solver.map(|s| s.solver_snapshot()).unwrap_or_default(),
+        }
+    }
 }
 
 /// What one scheduled solve job is doing right now.
@@ -228,171 +275,40 @@ pub trait SolverStatsSource: Send + Sync {
     fn solver_snapshot(&self) -> SolverMetricsSnapshot;
 }
 
-#[derive(Default)]
-struct Inner {
-    completed: u64,
-    rendered: u64,
-    cache_hits: u64,
-    coalesced: u64,
-    batches: u64,
-    cache_entries: u64,
-    cache_purged: u64,
-    seen_epoch_entries: u64,
-    stream: StreamMetricsSnapshot,
-    speed: SpeedTrace,
-    solver: Option<Arc<dyn SolverStatsSource>>,
+/// What the serve tier hangs on its hub beside the counters.
+#[derive(Clone, Default)]
+struct Attachment {
+    /// When the first service started over the hub: `qps`'s denominator.
+    started: Option<Instant>,
+    /// The attached solver pool. Held weakly: the pool records into this
+    /// hub, so a strong reference would keep both alive forever.
+    solver: Option<Weak<dyn SolverStatsSource>>,
 }
 
-/// Shared metrics sink written by the dispatcher, read by anyone.
-///
-/// Memory is bounded by construction: latencies go into a fixed-size
-/// log-bucketed [`Histogram`] (not a growing `Vec`), and the per-batch
-/// [`SpeedTrace`] coalesces past [`photon_core::SPEED_TRACE_CAP`] samples
-/// — a service that answers a billion requests holds the same metrics
-/// footprint as one that answered a thousand.
-pub struct ServiceMetrics {
-    start: Instant,
-    // Lock-free: recorded outside the counter mutex on the hot path.
-    latency: Histogram,
-    inner: Mutex<Inner>,
+/// Replaces `hub`'s attachment with a changed copy, under its lock.
+fn update(hub: &ObsHub, change: impl FnOnce(&mut Attachment)) {
+    hub.attach(|current| {
+        let current = current.and_then(|a| a.downcast_ref::<Attachment>());
+        let mut attachment = current.cloned().unwrap_or_default();
+        change(&mut attachment);
+        Arc::new(attachment)
+    });
 }
 
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Starts `hub`'s uptime, unless a service already started over it.
+pub(crate) fn start_serving(hub: &ObsHub) {
+    update(hub, |a| {
+        a.started.get_or_insert_with(Instant::now);
+    });
 }
 
-impl ServiceMetrics {
-    /// Fresh metrics anchored at "now".
-    pub fn new() -> Self {
-        ServiceMetrics {
-            start: Instant::now(),
-            latency: Histogram::new(),
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Attaches a solver pool so snapshots include the solve-tier
-    /// scheduler state beside the render-side counters.
-    pub fn attach_solver(&self, source: Arc<dyn SolverStatsSource>) {
-        self.inner.lock().unwrap().solver = Some(source);
-    }
-
-    /// Records the view cache's live entry count and how many stale-epoch
-    /// keys the dispatcher just purged.
-    pub fn record_cache(&self, entries: u64, purged: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.cache_entries = entries;
-        inner.cache_purged += purged;
-    }
-
-    /// Records the dispatcher's per-scene epoch-tracking map size (the
-    /// `seen_epoch` bound regression watches this gauge).
-    pub fn record_epoch_map(&self, entries: u64) {
-        self.inner.lock().unwrap().seen_epoch_entries = entries;
-    }
-
-    /// Records the current live-subscription count.
-    pub fn record_subscribers(&self, count: u64) {
-        self.inner.lock().unwrap().stream.subscribers = count;
-    }
-
-    /// Records one frame delta pushed to a subscriber: how many changed
-    /// tiles it carried, their pixel payload bytes, and what a full frame
-    /// of that view would have cost instead.
-    pub fn record_delta(&self, tiles: u64, tile_bytes: u64, full_frame_bytes: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stream.deltas += 1;
-        inner.stream.tiles += tiles;
-        inner.stream.tile_bytes += tile_bytes;
-        inner.stream.full_frame_bytes += full_frame_bytes;
-    }
-
-    /// Records one epoch delta coalesced into a lagging subscriber's
-    /// pending squash instead of being delivered. `lag_transition` is true
-    /// when this fold *started* a lag episode (the subscriber just crossed
-    /// its send window).
-    pub fn record_squash(&self, lag_transition: bool) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stream.deltas_squashed += 1;
-        if lag_transition {
-            inner.stream.lag_events += 1;
-        }
-    }
-
-    /// Records one `PHOTSTRM1` frame sent over TCP and its on-wire size.
-    pub fn record_wire(&self, bytes: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stream.wire_deltas += 1;
-        inner.stream.wire_bytes += bytes;
-    }
-
-    /// Records one answered request and how it was satisfied. The latency
-    /// lands in the bounded histogram without taking the counter lock.
-    pub fn record_request(&self, latency: Duration, outcome: RequestOutcome) {
-        self.latency.record(latency.as_micros() as u64);
-        let mut inner = self.inner.lock().unwrap();
-        inner.completed += 1;
-        match outcome {
-            RequestOutcome::Rendered => inner.rendered += 1,
-            RequestOutcome::CacheHit => inner.cache_hits += 1,
-            RequestOutcome::Coalesced => inner.coalesced += 1,
-        }
-    }
-
-    /// Records one drained dispatch batch of `requests`, taking
-    /// `batch_seconds` to serve.
-    pub fn record_batch(&self, requests: u64, batch_seconds: f64) {
-        let elapsed = self.start.elapsed().as_secs_f64();
-        let mut inner = self.inner.lock().unwrap();
-        inner.batches += 1;
-        inner.speed.push_batch(elapsed, requests, batch_seconds);
-    }
-
-    /// Snapshots every counter.
-    ///
-    /// All service counters are copied in ONE critical section, so the
-    /// snapshot can never tear (e.g. observe a delta's `tiles` without its
-    /// `tile_bytes`). The solver source is cloned inside that same section
-    /// but its `solver_snapshot()` — which takes the scheduler's own lock
-    /// — runs strictly after the counter lock is released, so the two
-    /// locks are never nested and a solver that reports back into these
-    /// metrics cannot deadlock.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        let uptime = self.start.elapsed().as_secs_f64();
-        let latency_hist = self.latency.snapshot();
-        let (mut snap, solver_source) = {
-            let inner = self.inner.lock().unwrap();
-            (
-                MetricsSnapshot {
-                    completed: inner.completed,
-                    rendered: inner.rendered,
-                    cache_hits: inner.cache_hits,
-                    coalesced: inner.coalesced,
-                    batches: inner.batches,
-                    qps: if uptime > 0.0 {
-                        inner.completed as f64 / uptime
-                    } else {
-                        0.0
-                    },
-                    cache_entries: inner.cache_entries,
-                    cache_purged: inner.cache_purged,
-                    seen_epoch_entries: inner.seen_epoch_entries,
-                    stream: inner.stream,
-                    latency: LatencySummary::from_histogram(&latency_hist),
-                    latency_hist,
-                    speed: inner.speed.clone(),
-                    solver: SolverMetricsSnapshot::default(),
-                },
-                inner.solver.clone(),
-            )
-        };
-        if let Some(source) = solver_source {
-            snap.solver = source.solver_snapshot();
-        }
-        snap
-    }
+/// Attaches a solver pool's scheduler (see `SolverPool::stats_source`) to
+/// `hub`, so every [`MetricsSnapshot`] read off it carries the solve
+/// tier's queue depth, per-job rates, and per-tenant slice accounting —
+/// exporters built before the attach included. The hub does not keep the
+/// pool alive: once the pool is gone, snapshots carry an empty solver.
+pub fn attach_solver(hub: &ObsHub, source: Arc<dyn SolverStatsSource>) {
+    update(hub, |a| a.solver = Some(Arc::downgrade(&source)));
 }
 
 /// How a request was satisfied.
@@ -406,18 +322,46 @@ pub enum RequestOutcome {
     Coalesced,
 }
 
+impl RequestOutcome {
+    /// The counter a request answered this way adds to.
+    pub fn counter(self) -> Counter {
+        match self {
+            RequestOutcome::Rendered => Counter::Rendered,
+            RequestOutcome::CacheHit => Counter::CacheHits,
+            RequestOutcome::Coalesced => Counter::Coalesced,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    /// What the dispatcher records for one answered request.
+    fn request(hub: &ObsHub, latency: Duration, outcome: RequestOutcome) {
+        hub.latency(latency);
+        hub.count(&[(outcome.counter(), 1)]);
+    }
+
+    /// What a stream mailbox records for one delivered delta.
+    fn delta(hub: &ObsHub, tiles: u64, tile_bytes: u64, full_frame_bytes: u64) {
+        hub.count(&[
+            (Counter::Deltas, 1),
+            (Counter::Tiles, tiles),
+            (Counter::TileBytes, tile_bytes),
+            (Counter::FullFrameBytes, full_frame_bytes),
+        ]);
+    }
 
     #[test]
     fn percentiles_read_off_the_bounded_histogram() {
         // 1..=100 ms in microseconds.
-        let m = ServiceMetrics::new();
+        let hub = ObsHub::default();
         for ms in 1..=100u64 {
-            m.record_request(Duration::from_millis(ms), RequestOutcome::Rendered);
+            request(&hub, Duration::from_millis(ms), RequestOutcome::Rendered);
         }
-        let s = m.snapshot().latency;
+        let s = MetricsSnapshot::read(&hub).latency;
         assert_eq!(s.count, 100);
         // Exact aggregates stay exact.
         assert_eq!(s.max_ms, 100.0);
@@ -432,21 +376,21 @@ mod tests {
 
     #[test]
     fn empty_summary_is_zeroed() {
-        let s = ServiceMetrics::new().snapshot().latency;
+        let s = MetricsSnapshot::read(&ObsHub::default()).latency;
         assert_eq!(s.count, 0);
         assert_eq!(s.p99_ms, 0.0);
     }
 
     #[test]
     fn stream_tier_accumulates_deltas_and_saved_bytes() {
-        let m = ServiceMetrics::new();
-        m.record_subscribers(2);
-        m.record_epoch_map(3);
+        let hub = ObsHub::default();
+        hub.set(Counter::Subscribers, 2);
+        hub.set(Counter::SeenEpochEntries, 3);
         // Two deltas over a 100-pixel frame (2400 payload bytes each):
         // one shipping 1 tile / 600 bytes, one shipping nothing.
-        m.record_delta(1, 600, 2400);
-        m.record_delta(0, 0, 2400);
-        let s = m.snapshot();
+        delta(&hub, 1, 600, 2400);
+        delta(&hub, 0, 0, 2400);
+        let s = MetricsSnapshot::read(&hub);
         assert_eq!(s.seen_epoch_entries, 3);
         assert_eq!(s.stream.subscribers, 2);
         assert_eq!(s.stream.deltas, 2);
@@ -460,29 +404,29 @@ mod tests {
 
     #[test]
     fn squash_and_wire_counters_accumulate() {
-        let m = ServiceMetrics::new();
-        m.record_squash(true);
-        m.record_squash(false);
-        m.record_squash(false);
-        m.record_wire(100);
-        m.record_wire(44);
-        let s = m.snapshot().stream;
+        let hub = ObsHub::default();
+        hub.count(&[(Counter::DeltasSquashed, 1), (Counter::LagEvents, 1)]);
+        hub.count(&[(Counter::DeltasSquashed, 1)]);
+        hub.count(&[(Counter::DeltasSquashed, 1)]);
+        hub.count(&[(Counter::WireDeltas, 1), (Counter::WireBytes, 100)]);
+        hub.count(&[(Counter::WireDeltas, 1), (Counter::WireBytes, 44)]);
+        let s = MetricsSnapshot::read(&hub).stream;
         assert_eq!((s.deltas_squashed, s.lag_events), (3, 1));
         assert_eq!((s.wire_deltas, s.wire_bytes), (2, 144));
     }
 
     #[test]
     fn outcomes_split_the_counters() {
-        let m = ServiceMetrics::new();
-        m.record_request(Duration::from_millis(2), RequestOutcome::Rendered);
-        m.record_request(Duration::from_millis(1), RequestOutcome::CacheHit);
-        m.record_request(Duration::from_millis(1), RequestOutcome::Coalesced);
-        m.record_batch(3, 0.004);
-        let s = m.snapshot();
+        let hub = ObsHub::default();
+        start_serving(&hub);
+        request(&hub, Duration::from_millis(2), RequestOutcome::Rendered);
+        request(&hub, Duration::from_millis(1), RequestOutcome::CacheHit);
+        request(&hub, Duration::from_millis(1), RequestOutcome::Coalesced);
+        hub.count(&[(Counter::Batches, 1)]);
+        let s = MetricsSnapshot::read(&hub);
         assert_eq!(s.completed, 3);
         assert_eq!((s.rendered, s.cache_hits, s.coalesced), (1, 1, 1));
         assert_eq!(s.batches, 1);
-        assert_eq!(s.speed.total_photons(), 3); // "photons" are requests here
         assert!(s.qps > 0.0);
     }
 }

@@ -35,7 +35,7 @@ use crate::net::{Listener, MAX_CONNECTIONS, REQUEST_TIMEOUT};
 use crate::service::{RenderService, ServeError};
 use crate::store::SceneId;
 use crate::stream::{FrameDelta, StreamRequest};
-use photon_core::obs::Stage;
+use photon_core::obs::{Counter, Stage};
 use photon_core::wire::{self, SubscribeFrame, WireFrame, WireMode};
 use photon_core::Camera;
 use std::io::{self, BufWriter, Write};
@@ -109,7 +109,7 @@ fn serve_connection(
             return writer.flush();
         }
     };
-    let (metrics, obs) = (service.metrics_handle(), service.store().obs());
+    let obs = service.store().obs();
     loop {
         if stop.load(Ordering::Acquire) {
             return Ok(());
@@ -118,13 +118,16 @@ fn serve_connection(
             Ok(delta) => {
                 let body = obs.time(Stage::WireEncode, || delta.encode(sub.mode));
                 // Record before the write — once the frame is flushed the
-                // client can observe it and read metrics, so recording
+                // client can observe it and read the hub, so recording
                 // afterwards races exact-count readers (the cost is one
                 // phantom frame when the write fails and the connection
                 // dies anyway). A write error (client gone, server
                 // shutdown) drops the handle on return, which
                 // unsubscribes dispatcher-side.
-                metrics.record_wire(body.len() as u64 + 4);
+                obs.count(&[
+                    (Counter::WireDeltas, 1),
+                    (Counter::WireBytes, body.len() as u64 + 4),
+                ]);
                 obs.time(Stage::WireWrite, || {
                     wire::write_frame(&mut writer, &body)?;
                     writer.flush()

@@ -2,10 +2,10 @@
 //! dump, and a minimal TCP endpoint serving both.
 //!
 //! [`ObsExporter`] turns a live pool's state — the full
-//! [`MetricsSnapshot`], the per-stage duration histograms, and the flight
-//! recorder's recent tail — into the two formats an operator actually
-//! consumes: `prometheus_text()` for scrapers and dashboards, `json()`
-//! for post-mortems and scripts. [`ObsServer`] is the off-box probe: a
+//! [`MetricsSnapshot`] read off the hub, the per-stage duration
+//! histograms, and the flight recorder's recent tail — into the two
+//! formats an operator actually consumes: `prometheus_text()` for
+//! scrapers and dashboards, `json()` for post-mortems and scripts. [`ObsServer`] is the off-box probe: a
 //! blocking TCP listener (std only, one thread) answering
 //! `GET /metrics` with the text exposition and `GET /metrics.json` with
 //! the JSON dump — the endpoint a shard router's health checks will point
@@ -16,8 +16,8 @@
 //! dispatcher or the scheduler.
 
 use crate::metrics::{
-    LatencySummary, MetricsSnapshot, ServiceMetrics, SolveJobMetrics, SolverMetricsSnapshot,
-    StreamMetricsSnapshot, TenantMetrics,
+    LatencySummary, MetricsSnapshot, SolveJobMetrics, SolverMetricsSnapshot, StreamMetricsSnapshot,
+    TenantMetrics,
 };
 use crate::net::{Listener, MAX_CONNECTIONS, REQUEST_TIMEOUT};
 use crate::RenderService;
@@ -216,7 +216,6 @@ const RECORDER: &[Series<FlightRecorder>] = &[
 /// [`RenderService::exporter`] or [`ObsExporter::new`].
 #[derive(Clone)]
 pub struct ObsExporter {
-    metrics: Arc<ServiceMetrics>,
     obs: Arc<ObsHub>,
 }
 
@@ -228,15 +227,15 @@ struct Scrape<'a> {
 }
 
 impl ObsExporter {
-    /// An exporter over a metrics sink and an observability hub (usually
-    /// the store's — see `AnswerStore::obs`).
-    pub fn new(metrics: Arc<ServiceMetrics>, obs: Arc<ObsHub>) -> Self {
-        ObsExporter { metrics, obs }
+    /// An exporter over an observability hub (usually the store's — see
+    /// `AnswerStore::obs`).
+    pub fn new(obs: Arc<ObsHub>) -> Self {
+        ObsExporter { obs }
     }
 
     fn scrape(&self) -> Scrape<'_> {
         Scrape {
-            snap: self.metrics.snapshot(),
+            snap: MetricsSnapshot::read(&self.obs),
             stages: self.obs.stage_snapshot(),
             recorder: self.obs.recorder(),
         }
@@ -259,21 +258,14 @@ impl ObsExporter {
     pub fn json(&self) -> String {
         render_json(&self.scrape())
     }
-
-    /// The full service snapshot the exporter formats from — for callers
-    /// that want the typed data instead of a serialization.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
 }
 
 impl RenderService {
-    /// An exporter over this service's metrics and its store's shared
-    /// observability hub — the one-liner behind both
-    /// [`ObsExporter::prometheus_text`] scrapes and [`ObsServer`]
-    /// endpoints.
+    /// An exporter over this service's store's shared observability hub —
+    /// the one-liner behind both [`ObsExporter::prometheus_text`] scrapes
+    /// and [`ObsServer`] endpoints.
     pub fn exporter(&self) -> ObsExporter {
-        ObsExporter::new(self.metrics_handle(), self.store().obs())
+        ObsExporter::new(self.store().obs())
     }
 }
 
@@ -529,17 +521,19 @@ fn answer_scrape(mut stream: &TcpStream, exporter: &ObsExporter) -> std::io::Res
 #[cfg(test)]
 mod tests {
     use super::*;
-    use photon_core::obs::{ObsCtx, ObsKind, Stage};
+    use photon_core::obs::{Counter, ObsCtx, ObsKind, Stage};
     use std::time::Duration as StdDuration;
 
     fn exporter_with_data() -> ObsExporter {
-        let metrics = Arc::new(ServiceMetrics::new());
         let obs = Arc::new(ObsHub::default());
-        metrics.record_request(
-            StdDuration::from_millis(3),
-            crate::metrics::RequestOutcome::Rendered,
-        );
-        metrics.record_delta(2, 1200, 4800);
+        obs.latency(StdDuration::from_millis(3));
+        obs.count(&[(Counter::Rendered, 1)]);
+        obs.count(&[
+            (Counter::Deltas, 1),
+            (Counter::Tiles, 2),
+            (Counter::TileBytes, 1200),
+            (Counter::FullFrameBytes, 4800),
+        ]);
         obs.stage(Stage::Render, 0.002);
         obs.emit(
             ObsKind::EpochPublished,
@@ -549,7 +543,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        ObsExporter::new(metrics, obs)
+        ObsExporter::new(obs)
     }
 
     #[test]
@@ -672,7 +666,6 @@ mod tests {
             },
             latency: LatencySummary::from_histogram(&latency_hist),
             latency_hist,
-            speed: Default::default(),
             solver: SolverMetricsSnapshot {
                 queue_depth: 301,
                 running: 302,
@@ -794,6 +787,19 @@ mod tests {
                     "{series} has a sample"
                 ),
             }
+        }
+    }
+
+    /// A hub counter is exported under its own name: every [`COUNTERS`] row
+    /// is the key of a service or stream series.
+    ///
+    /// [`COUNTERS`]: photon_core::obs::COUNTERS
+    #[test]
+    fn every_counter_is_the_key_of_a_series() {
+        let keys: Vec<&str> = SERVICE.iter().map(|row| row.key).collect();
+        let keys = [keys, STREAM.iter().map(|row| row.key).collect()].concat();
+        for counter in photon_core::obs::COUNTERS {
+            assert!(keys.contains(&counter.name()), "{}", counter.name());
         }
     }
 

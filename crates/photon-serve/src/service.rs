@@ -34,11 +34,11 @@
 //! behalf — its idle tick only sweeps subscribers whose handles are gone.
 
 use crate::cache::{ItemKey, LruCache, ViewKey};
-use crate::metrics::{MetricsSnapshot, RequestOutcome, ServiceMetrics, SolverStatsSource};
+use crate::metrics::{self, MetricsSnapshot, RequestOutcome, SolverStatsSource};
 use crate::render::render_parallel_memo;
 use crate::store::{AnswerStore, SceneId, StoredAnswer, WatcherId};
 use crate::stream::{FrameDelta, Mailbox, StreamHandle, StreamRequest};
-use photon_core::obs::{ObsCtx, ObsKind, Stage};
+use photon_core::obs::{Counter, ObsCtx, ObsKind, Stage};
 use photon_core::view::{diff_tiles, Tile};
 use photon_core::{Camera, Image, ItemBuffer, ObsHub};
 use photon_math::Rgb;
@@ -255,7 +255,6 @@ fn validate_camera(camera: &Camera) -> Result<(), ServeError> {
 pub struct RenderService {
     tx: Option<Sender<Msg>>,
     dispatcher: Option<JoinHandle<()>>,
-    metrics: Arc<ServiceMetrics>,
     store: Arc<AnswerStore>,
     watcher: Option<WatcherId>,
     stream_window: usize,
@@ -270,7 +269,7 @@ impl RenderService {
     pub fn start(store: Arc<AnswerStore>, config: ServeConfig) -> Self {
         let config = config.sanitized();
         let (tx, rx) = mpsc::channel::<Msg>();
-        let metrics = Arc::new(ServiceMetrics::new());
+        metrics::start_serving(&store.obs());
         // Publishes push an event onto the dispatch queue, so streaming
         // subscribers learn of fresh epochs without anyone polling the
         // store. Unregistered at shutdown — otherwise the callback's
@@ -284,16 +283,14 @@ impl RenderService {
         };
         let dispatcher = {
             let store = Arc::clone(&store);
-            let metrics = Arc::clone(&metrics);
             std::thread::Builder::new()
                 .name("photon-serve-dispatch".into())
-                .spawn(move || Dispatcher::new(store, config, metrics).run(rx))
+                .spawn(move || Dispatcher::new(store, config).run(rx))
                 .expect("spawn dispatcher")
         };
         RenderService {
             tx: Some(tx),
             dispatcher: Some(dispatcher),
-            metrics,
             store,
             watcher: Some(watcher),
             stream_window: config.stream_window,
@@ -352,8 +349,7 @@ impl RenderService {
     /// [`subscribe`](Self::subscribe) behind the door (see
     /// [`enqueue`](Self::enqueue)).
     fn attach(&self, request: StreamRequest) -> Result<StreamHandle, ServeError> {
-        let (metrics, obs) = (Arc::clone(&self.metrics), self.store.obs());
-        let (mailbox, handle) = StreamHandle::open(request, self.stream_window, metrics, obs);
+        let (mailbox, handle) = StreamHandle::open(request, self.stream_window, self.store.obs());
         let subscriber = Subscriber {
             last: None,
             mailbox,
@@ -381,24 +377,18 @@ impl RenderService {
         tickets.into_iter().map(Ticket::wait).collect()
     }
 
-    /// Current service counters.
+    /// Current service counters: a read of the store's hub.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
-    }
-
-    /// The shared metrics sink itself (not a snapshot) — what
-    /// [`exporter`](Self::exporter) and tests that probe concurrency
-    /// hang on to.
-    pub fn metrics_handle(&self) -> Arc<ServiceMetrics> {
-        Arc::clone(&self.metrics)
+        MetricsSnapshot::read(&self.store.obs())
     }
 
     /// Attaches a solver pool's scheduler (see
     /// `SolverPool::stats_source`) so [`metrics`](Self::metrics)
     /// snapshots carry the solve tier's queue depth, per-job rates, and
-    /// per-tenant slice accounting beside the render-side latencies.
+    /// per-tenant slice accounting beside the render-side latencies (see
+    /// [`metrics::attach_solver`]).
     pub fn attach_solver(&self, source: Arc<dyn SolverStatsSource>) {
-        self.metrics.attach_solver(source);
+        metrics::attach_solver(&self.store.obs(), source);
     }
 
     /// Stops accepting work, serves what is queued, and joins the
@@ -451,9 +441,8 @@ type DiffMemo = HashMap<(Option<*const Image>, *const Image), TileDelta>;
 struct Dispatcher {
     store: Arc<AnswerStore>,
     config: ServeConfig,
-    metrics: Arc<ServiceMetrics>,
-    /// The store's shared observability hub: stage timings (cache probe,
-    /// render, diff, reply) and serve/stream lifecycle events.
+    /// The store's shared observability hub: counters, stage timings
+    /// (cache probe, render, diff, reply) and serve/stream lifecycle events.
     obs: Arc<ObsHub>,
     cache: LruCache<ViewKey, Arc<Image>>,
     /// What each pixel of a camera sees, kept across epochs: `cache`'s
@@ -478,12 +467,11 @@ struct Dispatcher {
 }
 
 impl Dispatcher {
-    fn new(store: Arc<AnswerStore>, config: ServeConfig, metrics: Arc<ServiceMetrics>) -> Self {
+    fn new(store: Arc<AnswerStore>, config: ServeConfig) -> Self {
         let obs = store.obs();
         Dispatcher {
             store,
             config,
-            metrics,
             obs,
             cache: LruCache::new(config.cache_capacity),
             items: LruCache::new(config.cache_capacity),
@@ -533,9 +521,10 @@ impl Dispatcher {
             // After every drain *and* on idle ticks: drop subscriptions
             // whose handles are gone and refresh the gauges.
             self.subscribers.retain(|_, s| !s.mailbox.is_closed());
-            self.metrics.record_epoch_map(self.seen_epoch.len() as u64);
-            let subscribers = self.subscribers.len() as u64;
-            self.metrics.record_subscribers(subscribers);
+            self.obs
+                .set(Counter::SeenEpochEntries, self.seen_epoch.len() as u64);
+            self.obs
+                .set(Counter::Subscribers, self.subscribers.len() as u64);
         }
     }
 
@@ -546,8 +535,6 @@ impl Dispatcher {
     /// [`ServeError::RenderFailed`] and the dispatcher lives on — one bad
     /// job can no longer turn every future ticket into `ServiceStopped`.
     fn dispatch_jobs(&mut self, jobs: Vec<Job>) {
-        let batch_start = Instant::now();
-        let drained = jobs.len() as u64;
         let mut by_scene: BTreeMap<SceneId, Vec<Job>> = BTreeMap::new();
         for job in jobs {
             by_scene.entry(job.request.scene_id).or_default().push(job);
@@ -582,9 +569,8 @@ impl Dispatcher {
                 }
             }
         }
-        self.metrics.record_cache(self.cache.len() as u64, 0);
-        self.metrics
-            .record_batch(drained, batch_start.elapsed().as_secs_f64());
+        self.obs.set(Counter::CacheEntries, self.cache.len() as u64);
+        self.obs.count(&[(Counter::Batches, 1)]);
     }
 
     /// Serves one scene's batch group: coalesce identical quantized views,
@@ -614,23 +600,9 @@ impl Dispatcher {
                 RequestOutcome::Rendered => RequestOutcome::Coalesced,
                 _ => RequestOutcome::CacheHit,
             };
-            respond(
-                leader,
-                Arc::clone(&image),
-                outcome,
-                epoch,
-                &self.metrics,
-                &self.obs,
-            );
+            respond(leader, Arc::clone(&image), outcome, epoch, &self.obs);
             for job in bucket {
-                respond(
-                    job,
-                    Arc::clone(&image),
-                    follower_outcome,
-                    epoch,
-                    &self.metrics,
-                    &self.obs,
-                );
+                respond(job, Arc::clone(&image), follower_outcome, epoch, &self.obs);
             }
         }
     }
@@ -703,8 +675,9 @@ impl Dispatcher {
         if epoch > *last {
             *last = epoch;
             let purged = cache.retain(|key| key.scene() != scene_id || key.epoch() >= epoch);
-            self.metrics.record_cache(cache.len() as u64, purged as u64);
+            self.obs.set(Counter::CacheEntries, cache.len() as u64);
             if purged > 0 {
+                self.obs.count(&[(Counter::CachePurged, purged as u64)]);
                 self.obs.emit(
                     ObsKind::CachePurged,
                     ObsCtx {
@@ -804,18 +777,21 @@ impl Dispatcher {
     }
 }
 
-fn respond(
-    job: Job,
-    image: Arc<Image>,
-    outcome: RequestOutcome,
-    epoch: u64,
-    metrics: &ServiceMetrics,
-    obs: &ObsHub,
-) {
+/// Answers one waiter. Everything is recorded before the send: once the
+/// reply is out, the waiter may read the hub.
+fn respond(job: Job, image: Arc<Image>, outcome: RequestOutcome, epoch: u64, obs: &ObsHub) {
     let reply_start = Instant::now();
-    let scene = job.request.scene_id.0;
     let latency = job.submitted.elapsed();
-    metrics.record_request(latency, outcome);
+    obs.latency(latency);
+    obs.count(&[(outcome.counter(), 1)]);
+    obs.emit(
+        ObsKind::RequestServed,
+        ObsCtx {
+            scene: Some(job.request.scene_id.0),
+            payload: latency.as_micros() as u64,
+            ..Default::default()
+        },
+    );
     // A dead waiter (dropped ticket) is fine; the render still warmed the
     // cache.
     let _ = job.reply.send(Ok(RenderResponse {
@@ -824,14 +800,6 @@ fn respond(
         epoch,
         latency,
     }));
-    obs.emit(
-        ObsKind::RequestServed,
-        ObsCtx {
-            scene: Some(scene),
-            payload: latency.as_micros() as u64,
-            ..Default::default()
-        },
-    );
     obs.stage(Stage::Reply, reply_start.elapsed().as_secs_f64());
 }
 

@@ -41,10 +41,9 @@
 //! [`RenderService::subscribe`]: crate::RenderService::subscribe
 //! [`ServeConfig::stream_window`]: crate::ServeConfig::stream_window
 
-use crate::metrics::ServiceMetrics;
 use crate::service::ServeError;
 use crate::store::SceneId;
-use photon_core::obs::{ObsCtx, ObsKind};
+use photon_core::obs::{Counter, ObsCtx, ObsKind};
 pub use photon_core::wire::FrameDelta;
 use photon_core::{Camera, ObsHub};
 use std::collections::VecDeque;
@@ -139,13 +138,12 @@ impl Window {
 }
 
 /// What the two ends of a subscription share: the [`Window`] under its
-/// lock, the condvar a waiting consumer sleeps on, and where both ends
-/// count deliveries.
+/// lock, the condvar a waiting consumer sleeps on, and the hub both ends
+/// count deliveries in.
 struct Shared {
     window: Mutex<Window>,
     ready: Condvar,
     request: StreamRequest,
-    metrics: Arc<ServiceMetrics>,
     obs: Arc<ObsHub>,
 }
 
@@ -205,10 +203,11 @@ impl Mailbox {
         match window.offer(delta) {
             Offer::Queued => self.count_pushed(&window.queue.back().expect("just queued").0),
             Offer::Lagged => {
-                shared.metrics.record_squash(true);
+                let lagged = [(Counter::DeltasSquashed, 1), (Counter::LagEvents, 1)];
+                shared.obs.count(&lagged);
                 self.emit(ObsKind::SubscriberLagged, window.window as u64);
             }
-            Offer::Squashed => shared.metrics.record_squash(false),
+            Offer::Squashed => shared.obs.count(&[(Counter::DeltasSquashed, 1)]),
             Offer::Closed => {}
         }
         shared.ready.notify_all();
@@ -218,9 +217,13 @@ impl Mailbox {
     /// receives: at the offer for a delta queued as rendered, at the take
     /// for one that came through the fold slot.
     fn count_pushed(&self, delta: &FrameDelta) {
-        let (tiles, bytes) = (delta.tiles.len() as u64, delta.tile_bytes() as u64);
-        let full_bytes = delta.full_frame_bytes() as u64;
-        self.0.metrics.record_delta(tiles, bytes, full_bytes);
+        let bytes = delta.tile_bytes() as u64;
+        self.0.obs.count(&[
+            (Counter::Deltas, 1),
+            (Counter::Tiles, delta.tiles.len() as u64),
+            (Counter::TileBytes, bytes),
+            (Counter::FullFrameBytes, delta.full_frame_bytes() as u64),
+        ]);
         self.emit(ObsKind::DeltaPushed, bytes);
     }
 
@@ -271,14 +274,12 @@ impl StreamHandle {
     pub(crate) fn open(
         request: StreamRequest,
         window: usize,
-        metrics: Arc<ServiceMetrics>,
         obs: Arc<ObsHub>,
     ) -> (Mailbox, StreamHandle) {
         let shared = Arc::new(Shared {
             window: Mutex::new(Window::new(window)),
             ready: Condvar::new(),
             request,
-            metrics,
             obs,
         });
         let mailbox = Mailbox(Arc::clone(&shared));
@@ -315,6 +316,7 @@ impl StreamHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MetricsSnapshot;
     use photon_core::view::Tile;
     use photon_core::wire::WireMode;
     use photon_core::Image;
@@ -448,7 +450,7 @@ mod tests {
     /// counted at the take; either end dropping ends the other.
     #[test]
     fn handle_takes_the_fold_itself_and_either_end_closes_both() {
-        let metrics = Arc::new(ServiceMetrics::new());
+        let obs = Arc::new(ObsHub::new(16));
         let request = StreamRequest {
             scene_id: SceneId(3),
             camera: Camera {
@@ -460,21 +462,19 @@ mod tests {
                 height: SIM_H,
             },
         };
-        let open = || {
-            let obs = Arc::new(ObsHub::new(16));
-            StreamHandle::open(request, 1, Arc::clone(&metrics), obs)
-        };
+        let open = || StreamHandle::open(request, 1, Arc::clone(&obs));
+        let stream = || MetricsSnapshot::read(&obs).stream;
         let rng = &mut Lcg48::new(7);
         let (producer, handle) = open();
         for epoch in 1..=3 {
             producer.offer(random_delta(rng, epoch), false);
         }
-        let s = metrics.snapshot().stream;
+        let s = stream();
         assert_eq!((s.deltas, s.deltas_squashed, s.lag_events), (1, 2, 1));
         assert_eq!(handle.recv().unwrap().epoch, 1);
-        assert_eq!(metrics.snapshot().stream.deltas, 1, "counted at the offer");
+        assert_eq!(stream().deltas, 1, "counted at the offer");
         assert_eq!(handle.recv().unwrap().epoch, 3);
-        assert_eq!(metrics.snapshot().stream.deltas, 2, "the fold, at the take");
+        assert_eq!(stream().deltas, 2, "the fold, at the take");
         let now = Duration::ZERO;
         assert_eq!(handle.recv_timeout(now).unwrap_err(), ServeError::TimedOut);
 

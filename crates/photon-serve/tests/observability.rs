@@ -1,17 +1,17 @@
 //! Observability acceptance: the flight recorder captures the full
-//! solve→publish→render→delta→checkpoint lifecycle in causal order,
-//! `ServiceMetrics` stays memory-bounded after a million recorded
+//! solve→publish→render→delta→checkpoint lifecycle in causal order, the
+//! hub's service counters stay memory-bounded after a million recorded
 //! requests, concurrent snapshots neither deadlock nor tear, and a live
 //! pool's exporter serves scrapeable text and JSON.
 
-use photon_core::obs::{ObsKind, OBS_KINDS, STAGES};
-use photon_core::{Camera, SPEED_TRACE_CAP};
+use photon_core::obs::{Counter, ObsKind, OBS_KINDS, STAGES};
+use photon_core::{Camera, ObsHub};
 use photon_math::Vec3;
 use photon_scenes::{cornell_box, TestScene};
-use photon_serve::metrics::ServiceMetrics;
+use photon_serve::metrics::attach_solver;
 use photon_serve::{
-    AnswerStore, BackendChoice, ObsExporter, ObsServer, RenderRequest, RenderService,
-    RequestOutcome, ServeConfig, SolveRequest, SolverMetricsSnapshot, SolverPool,
+    AnswerStore, BackendChoice, MetricsSnapshot, ObsExporter, ObsServer, RenderRequest,
+    RenderService, RequestOutcome, ServeConfig, SolveRequest, SolverMetricsSnapshot, SolverPool,
     SolverStatsSource, StreamRequest,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -259,13 +259,18 @@ fn subscriber_connected_counts_the_scene_not_the_service() {
     drop(streams);
 }
 
+/// What the dispatcher records for one answered request.
+fn request(hub: &ObsHub, latency: Duration, outcome: RequestOutcome) {
+    hub.latency(latency);
+    hub.count(&[(outcome.counter(), 1)]);
+}
+
 /// The memory-bound acceptance: a million recorded requests (and a
-/// hundred thousand batch samples) leave every collection at its fixed
-/// cap — 65 histogram buckets, ≤ `SPEED_TRACE_CAP` speed samples — while
-/// the exact counters still account for every single event.
+/// hundred thousand batches) leave the latency histogram at its fixed 65
+/// buckets, while the exact counters still account for every single event.
 #[test]
 fn metrics_stay_bounded_after_a_million_requests() {
-    let metrics = ServiceMetrics::new();
+    let hub = ObsHub::default();
     let total: u64 = 1_000_000;
     for i in 0..total {
         // Latencies sweep 0..~16ms so many buckets populate.
@@ -274,13 +279,13 @@ fn metrics_stay_bounded_after_a_million_requests() {
             1 => RequestOutcome::CacheHit,
             _ => RequestOutcome::Coalesced,
         };
-        metrics.record_request(Duration::from_micros(i % 16_384), outcome);
+        request(&hub, Duration::from_micros(i % 16_384), outcome);
     }
-    for i in 0..100_000u64 {
-        metrics.record_batch(1 + i % 3, 0.0005);
+    for _ in 0..100_000u64 {
+        hub.count(&[(Counter::Batches, 1)]);
     }
 
-    let snap = metrics.snapshot();
+    let snap = MetricsSnapshot::read(&hub);
     assert_eq!(snap.completed, total, "every request counted");
     assert_eq!(snap.latency.count, total);
     assert_eq!(
@@ -298,50 +303,40 @@ fn metrics_stay_bounded_after_a_million_requests() {
     assert!(snap.latency.p50_ms > 0.0 && snap.latency.p50_ms <= snap.latency.p99_ms);
     assert!(snap.latency.p99_ms <= snap.latency.max_ms);
     assert!((snap.latency.max_ms - 16.383).abs() < 1e-9, "max is exact");
-
-    // The speed trace coalesced instead of growing: bounded length, exact
-    // totals.
-    assert!(
-        snap.speed.samples().len() <= SPEED_TRACE_CAP,
-        "speed trace exceeded its cap: {}",
-        snap.speed.samples().len()
-    );
-    let expected: u64 = (0..100_000u64).map(|i| 1 + i % 3).sum();
-    assert_eq!(snap.speed.total_photons(), expected);
+    assert_eq!(snap.batches, 100_000);
 }
 
-/// A stats source that re-enters the metrics sink from inside
-/// `solver_snapshot` — the exact shape that deadlocked when `snapshot`
-/// held the service lock across the solver call.
+/// A stats source that re-enters the hub from inside `solver_snapshot` —
+/// the exact shape that deadlocked when a snapshot held the counter lock
+/// across the solver call.
 struct ReentrantSource {
-    metrics: std::sync::Mutex<Option<Arc<ServiceMetrics>>>,
+    hub: std::sync::Mutex<Option<Arc<ObsHub>>>,
     calls: AtomicU64,
 }
 
 impl SolverStatsSource for ReentrantSource {
     fn solver_snapshot(&self) -> SolverMetricsSnapshot {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        if let Some(metrics) = self.metrics.lock().unwrap().as_ref() {
-            // Both of these take the service lock `snapshot` used to hold.
-            metrics.record_request(Duration::from_micros(7), RequestOutcome::CacheHit);
-            metrics.record_cache(1, 0);
+        if let Some(hub) = self.hub.lock().unwrap().as_ref() {
+            // Both of these take the counter lock a snapshot reads under.
+            request(hub, Duration::from_micros(7), RequestOutcome::CacheHit);
+            hub.set(Counter::CacheEntries, 1);
         }
         SolverMetricsSnapshot::default()
     }
 }
 
-/// Regression: `snapshot` must not hold its lock while consulting the
-/// solver source, and concurrent `record_*` traffic must never tear the
-/// stream tier — every snapshot sees delta/tile/byte counters in exact
-/// lockstep.
+/// Regression: a snapshot must not hold the counter lock while consulting
+/// the solver source, and concurrent counting must never tear the stream
+/// tier — every snapshot sees delta/tile/byte counters in exact lockstep.
 #[test]
 fn concurrent_snapshots_never_deadlock_or_tear() {
-    let metrics = Arc::new(ServiceMetrics::new());
+    let hub = Arc::new(ObsHub::default());
     let source = Arc::new(ReentrantSource {
-        metrics: std::sync::Mutex::new(Some(Arc::clone(&metrics))),
+        hub: std::sync::Mutex::new(Some(Arc::clone(&hub))),
         calls: AtomicU64::new(0),
     });
-    metrics.attach_solver(Arc::clone(&source) as Arc<dyn SolverStatsSource>);
+    attach_solver(&hub, Arc::clone(&source) as Arc<dyn SolverStatsSource>);
 
     // Writers hammer the lock in lockstep units: every delta carries
     // exactly 1 tile, 100 tile-bytes, 200 full-frame-bytes, so any torn
@@ -349,16 +344,21 @@ fn concurrent_snapshots_never_deadlock_or_tear() {
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writers: Vec<_> = (0..2)
         .map(|w| {
-            let metrics = Arc::clone(&metrics);
+            let hub = Arc::clone(&hub);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
                     if w == 0 {
-                        metrics.record_delta(1, 100, 200);
-                        metrics.record_subscribers(1);
+                        hub.count(&[
+                            (Counter::Deltas, 1),
+                            (Counter::Tiles, 1),
+                            (Counter::TileBytes, 100),
+                            (Counter::FullFrameBytes, 200),
+                        ]);
+                        hub.set(Counter::Subscribers, 1);
                     } else {
-                        metrics.record_request(Duration::from_micros(42), RequestOutcome::Rendered);
-                        metrics.record_batch(1, 0.0001);
+                        request(&hub, Duration::from_micros(42), RequestOutcome::Rendered);
+                        hub.count(&[(Counter::Batches, 1)]);
                     }
                 }
             })
@@ -369,10 +369,10 @@ fn concurrent_snapshots_never_deadlock_or_tear() {
     // regresses, the channel times out instead of hanging the test binary.
     let (tx, rx) = mpsc::channel();
     let snapper = {
-        let metrics = Arc::clone(&metrics);
+        let hub = Arc::clone(&hub);
         std::thread::spawn(move || {
             for _ in 0..500 {
-                let snap = metrics.snapshot();
+                let snap = MetricsSnapshot::read(&hub);
                 assert_eq!(
                     snap.stream.tile_bytes,
                     snap.stream.deltas * 100,
@@ -389,7 +389,7 @@ fn concurrent_snapshots_never_deadlock_or_tear() {
         })
     };
     rx.recv_timeout(Duration::from_secs(60))
-        .expect("snapshot deadlocked against concurrent record_* traffic");
+        .expect("snapshot deadlocked against concurrent counting");
     snapper.join().unwrap();
     stop.store(true, Ordering::Release);
     for w in writers {
@@ -399,9 +399,9 @@ fn concurrent_snapshots_never_deadlock_or_tear() {
 
     // The reentrant writes landed — proof the lock was free during the
     // solver call.
-    let snap = metrics.snapshot();
+    let snap = MetricsSnapshot::read(&hub);
     assert!(snap.cache_hits >= 500);
-    *source.metrics.lock().unwrap() = None; // break the Arc cycle
+    *source.hub.lock().unwrap() = None; // break the Arc cycle
 }
 
 /// The exporter acceptance: a live pool + service, scraped over TCP,
@@ -520,7 +520,7 @@ fn live_pool_exporter_serves_text_and_json() {
 #[test]
 fn readme_names_every_kind_stage_and_family() {
     let readme = include_str!("../../../README.md");
-    let text = ObsExporter::new(Arc::default(), Arc::default()).prometheus_text();
+    let text = ObsExporter::new(Arc::default()).prometheus_text();
     let families: Vec<&str> = text
         .lines()
         .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
