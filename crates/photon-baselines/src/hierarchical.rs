@@ -268,11 +268,6 @@ impl HierarchicalRadiosity {
             .map(|e| (e.center, e.area, e.b))
             .collect()
     }
-
-    /// Total element count (the paper's patch-proliferation metric).
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
 }
 
 #[cfg(test)]

@@ -118,25 +118,6 @@ impl SpeedTrace {
         self.samples.last().map_or(0.0, |s| s.elapsed)
     }
 
-    /// Rate interpolated at `time` (piecewise-constant per batch; the
-    /// paper's "interpolate fixed-time speedup by examining the graph").
-    pub fn rate_at(&self, time: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut last = None;
-        for s in &self.samples {
-            if s.elapsed <= time {
-                last = Some(s.rate);
-            } else if last.is_none() {
-                // Before the first sample completes, the first batch's rate
-                // is the best estimate.
-                return Some(s.rate);
-            }
-        }
-        last.or_else(|| self.samples.last().map(|s| s.rate))
-    }
-
     /// Steady-state rate: mean of the last half of the samples (skips
     /// startup/load-balance transients).
     pub fn steady_rate(&self) -> f64 {
@@ -216,15 +197,6 @@ mod tests {
         assert_eq!(t.samples()[1].rate, 250.0);
         assert_eq!(t.total_photons(), 1000);
         assert_eq!(t.total_elapsed(), 3.0);
-    }
-
-    #[test]
-    fn rate_at_interpolates_piecewise() {
-        let t = trace(&[(1.0, 100, 1.0), (2.0, 300, 1.0)]);
-        assert_eq!(t.rate_at(0.5), Some(100.0)); // before first completion
-        assert_eq!(t.rate_at(1.5), Some(100.0));
-        assert_eq!(t.rate_at(2.5), Some(300.0)); // past the end
-        assert!(SpeedTrace::new().rate_at(1.0).is_none());
     }
 
     #[test]

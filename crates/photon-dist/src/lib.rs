@@ -16,9 +16,11 @@
 //! so the speedup traces of Figs 5.9–5.15 are deterministic.
 //!
 //! The rank world itself lives behind [`DistEngine`] (see [`engine`]): a
-//! resumable [`photon_core::SolverEngine`] whose ranks persist across
-//! batches and answer snapshot requests mid-solve. [`run_distributed`]
-//! drives that engine to a [`StopRule`] and takes its last snapshot — the
+//! resumable [`photon_core::SolverEngine`] that keeps every rank's state
+//! and a persistent [`simmpi::World`] across batches, runs each batch as
+//! one [`simmpi::World::run`], and snapshots mid-solve by reading the
+//! ranks' trees directly. [`run_distributed`] drives that engine to a
+//! [`StopRule`] and reads its last snapshot and per-rank tables — the
 //! original one-shot shape, now a thin wrapper.
 
 #![deny(missing_docs)]
@@ -172,33 +174,16 @@ pub fn run_distributed(scene: &Scene, config: &DistConfig) -> DistRunResult {
         engine.step_round(per_rank_hint);
     }
 
-    // The answer is the engine's last snapshot (every patch's tree from its
-    // unique owner); then wind the world down for the per-rank tables.
-    let answer = engine.snapshot();
-    let stats = engine.stats();
-    let speed = engine.speed_trace().clone();
-    let ownership = engine.ownership().clone();
-    let bytes_forwarded = engine.bytes_forwarded();
-    let finals = engine.finish();
-    let mut per_rank_tallies = Vec::with_capacity(config.nranks);
-    let mut batch_history = Vec::new();
-    let mut virtual_elapsed = 0.0f64;
-    for (rank, r) in finals.into_iter().enumerate() {
-        per_rank_tallies.push(r.processed);
-        virtual_elapsed = virtual_elapsed.max(r.final_clock);
-        if rank == 0 {
-            batch_history = r.batch_history;
-        }
-    }
     DistRunResult {
-        stats,
-        speed,
-        per_rank_tallies,
-        batch_history,
-        answer,
-        virtual_elapsed,
-        ownership,
-        bytes_forwarded,
+        stats: engine.stats(),
+        speed: engine.speed_trace().clone(),
+        per_rank_tallies: engine.per_rank_tallies(),
+        batch_history: engine.batch_history(),
+        // Every patch's tree from its unique owner.
+        answer: engine.snapshot(),
+        virtual_elapsed: engine.final_clock(),
+        ownership: engine.ownership().clone(),
+        bytes_forwarded: engine.bytes_forwarded(),
     }
 }
 

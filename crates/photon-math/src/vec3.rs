@@ -114,12 +114,6 @@ impl Vec3 {
         self - n * (2.0 * self.dot(n))
     }
 
-    /// Componentwise multiplication (Hadamard product).
-    #[inline]
-    pub fn hadamard(self, o: Vec3) -> Vec3 {
-        Vec3::new(self.x * o.x, self.y * o.y, self.z * o.z)
-    }
-
     /// Componentwise minimum.
     #[inline]
     pub fn min(self, o: Vec3) -> Vec3 {

@@ -1,10 +1,13 @@
 //! The resumable shared-memory solver engine.
 //!
 //! [`ParEngine`] is `photon_par`'s implementation of
-//! [`photon_core::SolverEngine`]: it owns its [`SharedForest`] and a
-//! persistent worker pool, so the solve advances batch by batch across
+//! [`photon_core::SolverEngine`]: it owns its scene, its [`SharedForest`]
+//! and its step buffers, so the solve advances batch by batch across
 //! [`step`](photon_core::SolverEngine::step) calls instead of running once
-//! and exiting. `photon_par::run` is a thin driver over this engine.
+//! and exiting. It owns no thread: each parallel phase of a step is one
+//! [`parallel_map`] over the workers, which borrows `T − 1` threads beside
+//! the calling one for that phase alone, so nothing is parked between
+//! steps. `photon_par::run` is a thin driver over this engine.
 //!
 //! **Photon assignment.** Step `k` covers global photon indices
 //! `[cursor, cursor + batch)`; worker `t` of `T` leapfrogs through them,
@@ -18,8 +21,8 @@
 //! 1. *Trace* — every worker runs the workspace's one photon loop
 //!    ([`photon_core::trace_span`]) over its stride, lock-free, its sink a
 //!    [`RecordSink`] over its own scratch buffer (reused across steps), and
-//!    replies with its photon counters only.
-//! 2. *Partition* — the engine thread counting-sorts all records by patch,
+//!    returns its photon counters only.
+//! 2. *Partition* — the calling thread counting-sorts all records by patch,
 //!    scattering in global `(photon, bounce)` order into one reused buffer:
 //!    each patch's run is exactly the serial tally subsequence for that
 //!    tree.
@@ -34,10 +37,11 @@
 //! **bit-identical** to `Simulator`'s for the same seed and photon count,
 //! at any thread count — one worker included, which runs the same three
 //! phases — while runs on distinct trees apply concurrently. Steady-state
-//! steps allocate nothing: trace buffers, the sorted buffer, the run list,
-//! and the per-patch counters are all reused.
+//! steps reuse every buffer: trace buffers, the sorted buffer, the run
+//! list, and the per-patch counters. What a step still allocates is its
+//! two phases' spawns and T-entry vectors (`tests/steady_state_alloc.rs`).
 
-use crate::{ParConfig, SharedForest};
+use crate::{parallel_map, ParConfig, SharedForest};
 use photon_core::batch::{PartitionScratch, RecordSink, TallyRecord};
 use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
@@ -47,154 +51,40 @@ use photon_core::{
 };
 use photon_geom::Scene;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Mutex, PoisonError};
 
-/// Buffers shared between the engine thread and the workers, reused across
-/// steps. The phases alternate strict ownership: workers write `traces`
-/// (each its own slot) while tracing and the engine reads them all during
-/// the partition; the engine writes `partition` during the partition and
-/// workers read it during the apply. The locks are therefore uncontended —
-/// they exist to prove the handoff to the compiler, not to arbitrate races.
-struct StepShared {
-    /// Per-worker trace records; slot `t` belongs to worker `t`.
-    traces: Vec<Mutex<Vec<TallyRecord>>>,
-    /// The partition output the apply phase consumes.
-    partition: RwLock<PartitionScratch>,
-    /// Next un-claimed index into `partition.runs` during the apply phase.
-    next_run: AtomicUsize,
-}
-
-#[derive(Clone, Copy)]
-enum Cmd {
-    /// Trace this worker's leapfrogged share of photons
-    /// `[start, start + count)` into its scratch buffer.
-    Trace { start: u64, count: u64 },
-    /// Claim patch runs from the shared partition and apply them.
-    Apply,
-}
-
-struct WorkerCtx {
-    tid: usize,
-    threads: usize,
-    seed: u64,
-    scene: Arc<Scene>,
-    generator: Arc<PhotonGenerator>,
-    forest: Arc<SharedForest>,
-    shared: Arc<StepShared>,
-}
-
-/// Runs commands until the engine hangs up, acknowledging each with the
-/// counters of the photons it traced (none, for an apply).
-fn worker_loop(ctx: WorkerCtx, rx: Receiver<Cmd>, tx: Sender<SimStats>) {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Trace { start, count } => {
-                // Trace into the buffer from this worker's own stack, not in
-                // its slot: a `Vec`'s length is stored at every push, the
-                // slots are 32 bytes apart, and whether two of them share a
-                // cache line is the allocator's whim — so pushing in place
-                // cost 0–15 % of the trace phase, differently every run.
-                let slot = &ctx.shared.traces[ctx.tid];
-                let mut out =
-                    std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
-                out.clear(); // keep capacity: steady state reallocates nothing
-                let span = Span {
-                    start,
-                    count,
-                    offset: ctx.tid as u64,
-                    stride: ctx.threads as u64,
-                };
-                let stats = trace_span(
-                    &ctx.scene,
-                    &ctx.generator,
-                    ctx.seed,
-                    span,
-                    &mut RecordSink::new(&mut out),
-                );
-                *slot.lock().unwrap_or_else(PoisonError::into_inner) = out;
-                let _ = tx.send(stats);
-            }
-            Cmd::Apply => {
-                let partition = ctx
-                    .shared
-                    .partition
-                    .read()
-                    .unwrap_or_else(PoisonError::into_inner);
-                loop {
-                    let i = ctx.shared.next_run.fetch_add(1, Ordering::Relaxed);
-                    let Some(run) = partition.runs.get(i) else {
-                        break;
-                    };
-                    ctx.forest
-                        .tally_run(run.patch_id, partition.run_records(run));
-                }
-                drop(partition);
-                let _ = tx.send(SimStats::default());
-            }
-        }
-    }
-}
-
-/// The resumable shared-memory engine: a worker pool over a shared,
-/// reader/writer-locked bin forest, stepped batch by batch through the
-/// trace→partition→apply pipeline.
+/// The resumable shared-memory engine: a shared, reader/writer-locked bin
+/// forest, stepped batch by batch through the trace→partition→apply
+/// pipeline, each parallel phase one [`parallel_map`] over the workers.
 pub struct ParEngine {
     config: ParConfig,
-    forest: Arc<SharedForest>,
-    shared: Arc<StepShared>,
-    /// One command channel per worker (`config.threads` of them).
-    cmd_txs: Vec<Sender<Cmd>>,
-    reply_rx: Receiver<SimStats>,
-    handles: Vec<JoinHandle<()>>,
+    scene: Scene,
+    generator: PhotonGenerator,
+    forest: SharedForest,
+    /// Per-worker trace records, reused across steps; slot `t` holds the
+    /// records of worker `t`'s stride. The locks are uncontended: a trace
+    /// job touches only its own slot, and the partition reads them all
+    /// after the phase has joined.
+    traces: Vec<Mutex<Vec<TallyRecord>>>,
+    /// The partition output the apply phase consumes.
+    partition: PartitionScratch,
     steps: StepBook,
 }
 
 impl ParEngine {
-    /// Spawns `config.threads` workers over `scene` and an empty forest.
+    /// An engine over `scene` and an empty forest, tracing on
+    /// `config.threads` workers.
     pub fn new(scene: Scene, config: ParConfig) -> Self {
         assert!(config.threads >= 1);
-        let workers = config.threads;
-        let forest = Arc::new(SharedForest::new(scene.polygon_count(), config.split));
-        let shared = Arc::new(StepShared {
-            traces: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
-            partition: RwLock::new(PartitionScratch::new(scene.polygon_count())),
-            next_run: AtomicUsize::new(0),
-        });
-        let generator = Arc::new(PhotonGenerator::new(&scene));
-        let scene = Arc::new(scene);
-        let (reply_tx, reply_rx) = channel();
-        let mut cmd_txs = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for tid in 0..workers {
-            let (tx, rx) = channel();
-            cmd_txs.push(tx);
-            let ctx = WorkerCtx {
-                tid,
-                threads: workers,
-                seed: config.seed,
-                scene: Arc::clone(&scene),
-                generator: Arc::clone(&generator),
-                forest: Arc::clone(&forest),
-                shared: Arc::clone(&shared),
-            };
-            let reply_tx = reply_tx.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("photon-par-{tid}"))
-                    .spawn(move || worker_loop(ctx, rx, reply_tx))
-                    .expect("spawn worker"),
-            );
-        }
+        let forest = SharedForest::new(scene.polygon_count(), config.split);
         ParEngine {
             config,
+            generator: PhotonGenerator::new(&scene),
+            traces: (0..config.threads).map(|_| Mutex::default()).collect(),
+            partition: PartitionScratch::new(scene.polygon_count()),
             steps: StepBook::new(forest.total_nodes()),
+            scene,
             forest,
-            shared,
-            cmd_txs,
-            reply_rx,
-            handles,
         }
     }
 
@@ -213,45 +103,51 @@ impl ParEngine {
         &self.config
     }
 
-    /// Sends every worker a command, waits for all of them to finish it,
-    /// and returns the counters they report.
-    fn round(&self, cmd: Cmd) -> SimStats {
-        for tx in &self.cmd_txs {
-            tx.send(cmd).expect("worker alive");
-        }
-        let mut stats = SimStats::default();
-        for _ in &self.cmd_txs {
-            stats.merge(&self.reply_rx.recv().expect("worker alive"));
-        }
+    /// Finishes the run, moving the forest into the answer (no tree
+    /// clones, unlike a mid-solve [`SolverEngine::snapshot`]).
+    pub fn into_answer(self) -> Answer {
+        Answer::from_forest(&self.forest.into_forest(), self.steps.stats.emitted)
+    }
+
+    /// Worker `t`'s leapfrogged share of photons `[start, start + count)`,
+    /// traced into its slot of `traces`.
+    fn trace(&self, t: usize, start: u64, count: u64) -> SimStats {
+        // Trace into the buffer from this worker's own stack, not in its
+        // slot: a `Vec`'s length is stored at every push, the slots are 32
+        // bytes apart, and whether two of them share a cache line is the
+        // allocator's whim — so pushing in place cost 0–15 % of the trace
+        // phase, differently every run.
+        let slot = &self.traces[t];
+        let mut out = std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
+        out.clear(); // keep capacity: steady state reallocates nothing
+        let span = Span {
+            start,
+            count,
+            offset: t as u64,
+            stride: self.config.threads as u64,
+        };
+        let stats = trace_span(
+            &self.scene,
+            &self.generator,
+            self.config.seed,
+            span,
+            &mut RecordSink::new(&mut out),
+        );
+        *slot.lock().unwrap_or_else(PoisonError::into_inner) = out;
         stats
     }
 
-    fn shutdown(&mut self) {
-        self.cmd_txs.clear(); // hang up; workers exit their recv loop
-        for h in self.handles.drain(..) {
-            let _ = h.join();
+    /// Claims patch runs from `next_run` until none are left, folding each
+    /// into its tree.
+    fn apply(&self, next_run: &AtomicUsize) {
+        loop {
+            let i = next_run.fetch_add(1, Ordering::Relaxed);
+            let Some(run) = self.partition.runs.get(i) else {
+                break;
+            };
+            self.forest
+                .tally_run(run.patch_id, self.partition.run_records(run));
         }
-    }
-
-    /// Finishes the run, moving the forest into the answer (no tree
-    /// clones, unlike a mid-solve [`SolverEngine::snapshot`]).
-    pub fn into_answer(mut self) -> Answer {
-        self.shutdown(); // joins workers, dropping their forest handles
-        let emitted = self.steps.stats.emitted;
-        let dummy = Arc::new(SharedForest::new(0, self.config.split));
-        let forest = std::mem::replace(&mut self.forest, dummy);
-        let forest = match Arc::try_unwrap(forest) {
-            Ok(owned) => owned.into_forest(),
-            // Unreachable after shutdown, but cloning stays correct.
-            Err(shared) => shared.snapshot_forest(),
-        };
-        Answer::from_forest(&forest, emitted)
-    }
-}
-
-impl Drop for ParEngine {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -259,34 +155,33 @@ impl SolverEngine for ParEngine {
     fn step(&mut self, batch: u64) -> BatchReport {
         let batch_start = self.steps.begin();
         let start = self.steps.cursor;
+        let threads = self.config.threads;
 
         // Generate + trace: lock-free, each worker into its own buffer.
-        let traced = self.round(Cmd::Trace {
-            start,
-            count: batch,
-        });
+        let mut traced = SimStats::default();
+        for stats in parallel_map(threads, threads, |t| self.trace(t, start, batch)) {
+            traced.merge(&stats);
+        }
         self.steps.advance(batch, &traced);
         let trace_seconds = batch_start.elapsed().as_secs_f64();
 
-        // Partition, on the engine thread.
-        {
-            let traces = self.shared.traces.iter();
-            let guards: Vec<_> = traces
-                .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
-                .collect();
-            let lists: Vec<&[TallyRecord]> = guards.iter().map(|g| g.as_slice()).collect();
-            self.shared
-                .partition
-                .write()
-                .unwrap_or_else(PoisonError::into_inner)
-                .partition(&lists, start, batch);
-        }
+        // Partition, on the calling thread.
+        let lists: Vec<&[TallyRecord]> = self
+            .traces
+            .iter_mut()
+            .map(|m| {
+                m.get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .as_slice()
+            })
+            .collect();
+        self.partition.partition(&lists, start, batch);
 
         // Apply: workers claim whole patch runs.
-        self.shared.next_run.store(0, Ordering::Release);
-        self.round(Cmd::Apply);
+        let next_run = AtomicUsize::new(0);
+        parallel_map(threads, threads, |_| self.apply(&next_run));
 
-        // Compact: no worker holds a guard between rounds, so this batch
+        // Compact: no worker holds a guard between phases, so this batch
         // boundary is the one safe place. Invisible in the answer
         // (canonical export).
         if self.steps.wants_compaction(self.forest.total_nodes()) {
@@ -328,8 +223,8 @@ impl SolverEngine for ParEngine {
             self.config.seed,
             self.config.split,
         )?;
-        // The workers only hold the shared forest and per-photon stream
-        // parameters, so swapping the trees in place restores them too.
+        // The forest is the engine's only solve state besides the book, so
+        // swapping the trees in place restores the solve.
         self.forest.replace(checkpoint.forest());
         self.steps.restore(checkpoint, self.forest.total_nodes());
         Ok(())

@@ -7,12 +7,13 @@
 //!
 //! The crate is built around [`ParEngine`] (see [`engine`]): a *resumable*
 //! solver implementing [`photon_core::SolverEngine`], holding its
-//! [`SharedForest`] — one `RwLock` per patch tree — and a
-//! persistent worker pool across batches. Every worker runs the one photon
-//! loop, [`photon_core::trace_span`], over its leapfrogged share of each
-//! batch (worker `t` of `T` takes every `T`-th photon), and each photon
-//! draws from its own block substream of the seeded base stream, so the
-//! photon set is exactly the serial simulator's regardless of thread count.
+//! [`SharedForest`] — one `RwLock` per patch tree — across batches, and
+//! borrowing its workers from [`parallel_map`] one phase at a time. Every
+//! worker runs the one photon loop, [`photon_core::trace_span`], over its
+//! leapfrogged share of each batch (worker `t` of `T` takes every `T`-th
+//! photon), and each photon draws from its own block substream of the
+//! seeded base stream, so the photon set is exactly the serial simulator's
+//! regardless of thread count.
 //!
 //! **The pipeline.** Each step is trace → partition → apply (the kernel of
 //! [`photon_core::batch`]; [`engine`] walks through it): per-tree tally
@@ -47,8 +48,9 @@ pub struct ParConfig {
     pub seed: u64,
     /// Bin splitting policy.
     pub split: SplitConfig,
-    /// Worker thread count (the paper's "processors"). The engine spawns
-    /// exactly this many; the answer does not depend on it.
+    /// Worker count (the paper's "processors"): each phase of a step runs
+    /// on this many threads, the caller's included. The answer does not
+    /// depend on it.
     pub threads: usize,
     /// Photons per batch (across all threads).
     pub batch_size: u64,

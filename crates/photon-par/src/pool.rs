@@ -3,13 +3,18 @@
 //! Not a pool that outlives a call: [`parallel_map`] opens one
 //! `std::thread::scope`, spawns `threads − 1` workers beside the calling
 //! thread, and joins them before it returns, so every map (every rendered
-//! frame, in `photon-serve`) pays its own spawns and nothing arbitrates
-//! between two maps running at once.
+//! frame in `photon-serve`, both phases of every `ParEngine` step) pays
+//! its own spawns, no thread waits parked between maps, and nothing
+//! arbitrates between two maps running at once. It is one of the two
+//! places a data-parallel phase gets its threads (`simmpi::World::run` is
+//! the other), so a persistent pool would be a change here, not in each
+//! caller.
 //!
-//! The shared-memory simulator splits photon batches across threads with
-//! static leapfrog striping (the RNG demands it — the union of the threads'
-//! draws must be the serial stream). Rendering has no such constraint, so
-//! a map hands out job indices dynamically from a shared counter: fast
+//! The shared-memory engine maps over one job per worker, each job a
+//! static leapfrog stripe of the photon batch (the RNG demands it — the
+//! union of the stripes' draws must be the serial stream). Jobs in general
+//! need no such striping, so a map hands out job indices dynamically from
+//! a shared counter: fast
 //! workers keep pulling while a slow tile (deep octree region, refined bin
 //! trees) occupies one thread. Results come back in job order regardless of
 //! completion order, which is what makes the tile-parallel viewer in

@@ -1358,8 +1358,8 @@ fn leased_work(store: &AnswerStore, shared: &Shared, lease: Lease, ctx: &ReportC
         None => match lease.checkpoint.filter(|ck| ck.emitted() >= target) {
             // A resumed job whose checkpoint already meets the target
             // needs no engine at all: the published answer is derivable
-            // from the checkpoint, so skip booting a worker pool or rank
-            // world just to snapshot and drop it.
+            // from the checkpoint, so skip building an engine (a rank
+            // world boots with a pilot trace) just to snapshot and drop it.
             Some(ck) => {
                 let (epoch, leaf_bins) = publish(obs.time(Stage::Snapshot, || ck.to_answer()));
                 let end = Some(End::Converged);

@@ -25,19 +25,18 @@
 //! tuple until they resolve the entry again.
 //!
 //! **Publish watch.** Pollers waste the latency the epochs were built to
-//! hide, so the store announces every publish: blocking consumers park in
-//! [`AnswerStore::wait_for_epoch`] (a condvar wait, woken by the next
-//! publish), and push consumers — the render service's streaming
-//! dispatcher — register a callback via [`AnswerStore::register_watcher`]
-//! and are invoked inline with the `(SceneId, epoch)` of each publish.
+//! hide, so the store announces every publish: consumers — the render
+//! service's streaming dispatcher — register a callback via
+//! [`AnswerStore::register_watcher`] and are invoked inline with the
+//! `(SceneId, epoch)` of each publish. A solve's submitter follows its
+//! epochs on the job's progress channel (`SolveHandle::wait_epoch`).
 
 use photon_core::obs::{ObsCtx, ObsKind};
 use photon_core::view::auto_exposure;
 use photon_core::{Answer, ObsHub};
 use photon_geom::Scene;
 use std::io::{self, Read, Write};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Handle to one stored solution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,12 +85,6 @@ struct Watchers {
 #[derive(Default)]
 pub struct AnswerStore {
     entries: RwLock<Vec<Arc<StoredAnswer>>>,
-    /// Pairs with `epoch_cond` for [`wait_for_epoch`][Self::wait_for_epoch]:
-    /// holding it across the epoch check and the condvar park means a
-    /// publish (which takes it before notifying) can never slip between the
-    /// two and leave a waiter asleep past its wake-up.
-    epoch_lock: Mutex<()>,
-    epoch_cond: Condvar,
     watchers: Mutex<Watchers>,
     /// The shared observability hub. The store is the rendezvous every
     /// tier already meets at, so every component built over this store
@@ -220,34 +213,10 @@ impl AnswerStore {
             });
             epoch
         };
-        // Announce outside the entries lock: waiters re-resolve the entry
-        // on wake-up, and watcher callbacks must never run under it.
+        // Announce outside the entries lock: watcher callbacks must never
+        // run under it.
         self.announce(id, bumped);
         bumped
-    }
-
-    /// Blocks until entry `id`'s epoch reaches `min_epoch`, returning the
-    /// (fresh) entry, or `None` when `timeout` passes first or the store
-    /// has never seen `id`. An entry already at or past `min_epoch`
-    /// returns immediately — this is the poll-free way to follow a
-    /// progressive solve: `wait_for_epoch(id, last_seen + 1, ..)`.
-    pub fn wait_for_epoch(
-        &self,
-        id: SceneId,
-        min_epoch: u64,
-        timeout: Duration,
-    ) -> Option<Arc<StoredAnswer>> {
-        let deadline = Instant::now() + timeout;
-        let mut parked = self.epoch_lock.lock().unwrap();
-        loop {
-            let entry = self.get(id)?;
-            if entry.epoch >= min_epoch {
-                return Some(entry);
-            }
-            let left = deadline.checked_duration_since(Instant::now())?;
-            let (guard, _) = self.epoch_cond.wait_timeout(parked, left).unwrap();
-            parked = guard;
-        }
     }
 
     /// Registers `watcher` to be called with `(id, epoch)` on every
@@ -276,9 +245,8 @@ impl AnswerStore {
             .retain(|(w, _)| *w != id.0);
     }
 
-    /// Wakes [`wait_for_epoch`][Self::wait_for_epoch] parkers and runs the
-    /// registered watcher callbacks. Callers must not hold the entries
-    /// lock: waiters re-resolve entries inside their critical section.
+    /// Runs the registered watcher callbacks. Callers must not hold the
+    /// entries lock: a callback may resolve the entry it was told about.
     fn announce(&self, id: SceneId, epoch: u64) {
         self.obs.emit(
             ObsKind::EpochPublished,
@@ -288,8 +256,6 @@ impl AnswerStore {
                 ..Default::default()
             },
         );
-        drop(self.epoch_lock.lock().unwrap());
-        self.epoch_cond.notify_all();
         let watchers = self.watchers.lock().unwrap();
         for (_, watcher) in &watchers.list {
             watcher(id, epoch);
@@ -466,46 +432,6 @@ mod tests {
         // An equally-rich snapshot still republishes (same photon count is
         // not stale — the pipeline republishes converged answers).
         assert_eq!(store.publish(id, late), 2);
-    }
-
-    #[test]
-    fn wait_for_epoch_wakes_on_publish_without_polling() {
-        let store = Arc::new(AnswerStore::new());
-        let (scene, answer) = small_answer();
-        let id = store.register("watched", scene);
-        // Already-satisfied waits return immediately.
-        let e0 = store
-            .wait_for_epoch(id, 0, Duration::from_secs(5))
-            .expect("epoch 0 exists");
-        assert_eq!(e0.epoch, 0);
-        let publisher = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(30));
-                store.publish(id, answer)
-            })
-        };
-        let woken = store
-            .wait_for_epoch(id, 1, Duration::from_secs(30))
-            .expect("publish wakes the waiter");
-        assert!(woken.epoch >= 1);
-        assert!(woken.answer.emitted() > 0, "fresh entry, not the stale one");
-        assert_eq!(publisher.join().unwrap(), 1);
-    }
-
-    #[test]
-    fn wait_for_epoch_times_out_and_rejects_unknown_ids() {
-        let store = AnswerStore::new();
-        let (scene, _) = small_answer();
-        let id = store.register("quiet", scene);
-        let t0 = std::time::Instant::now();
-        assert!(store
-            .wait_for_epoch(id, 5, Duration::from_millis(40))
-            .is_none());
-        assert!(t0.elapsed() >= Duration::from_millis(40));
-        assert!(store
-            .wait_for_epoch(SceneId(9), 0, Duration::from_secs(5))
-            .is_none());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The rank runtime: threads, channel mesh, collectives, virtual clocks.
+//! The rank runtime: a persistent world, channel mesh, collectives,
+//! virtual clocks.
 
 use crate::platform::Platform;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -133,19 +134,15 @@ impl Comm {
             }
         }
         while pending > 0 {
-            let m = match self.inbox.recv_timeout(Duration::from_millis(100)) {
-                Ok(m) => m,
-                Err(RecvTimeoutError::Timeout) => {
-                    assert!(
-                        !self.poisoned.load(Ordering::SeqCst),
-                        "rank {}: a peer rank panicked mid-collective",
-                        self.rank
-                    );
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    panic!("world shut down mid-collective")
-                }
+            // Every `Comm` holds a sender into its own inbox, so a receive
+            // can only time out, never find the mesh hung up.
+            let Ok(m) = self.inbox.recv_timeout(Duration::from_millis(100)) else {
+                assert!(
+                    !self.poisoned.load(Ordering::SeqCst),
+                    "rank {}: a peer rank panicked mid-collective",
+                    self.rank
+                );
+                continue;
             };
             if m.seq == self.seq {
                 max_ready = max_ready.max(m.t_ready);
@@ -225,63 +222,86 @@ impl Comm {
     }
 }
 
-/// Spawns `nranks` threads running `body`; returns each rank's result in
-/// rank order. The closure receives the rank's [`Comm`].
-pub fn run_world<T, F>(nranks: usize, platform: Platform, body: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&mut Comm) -> T + Sync,
-{
-    assert!(nranks >= 1, "need at least one rank");
-    let mut senders: Vec<Sender<Msg>> = Vec::with_capacity(nranks);
-    let mut inboxes: Vec<Option<Receiver<Msg>>> = Vec::with_capacity(nranks);
-    for _ in 0..nranks {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        inboxes.push(Some(rx));
+/// A persistent rank world: every rank's [`Comm`], kept between runs so
+/// clocks, collective sequence numbers, stashes and inboxes carry over from
+/// one [`World::run`] to the next.
+pub struct World {
+    comms: Vec<Comm>,
+    /// Shared with every `Comm`: set when any rank panics.
+    poisoned: Arc<AtomicBool>,
+}
+
+impl World {
+    /// Builds an `nranks`-rank world on `platform`, every clock at zero.
+    pub fn new(nranks: usize, platform: Platform) -> World {
+        assert!(nranks >= 1, "need at least one rank");
+        let (senders, inboxes): (Vec<Sender<Msg>>, Vec<Receiver<Msg>>) =
+            (0..nranks).map(|_| channel()).unzip();
+        let poisoned = Arc::new(AtomicBool::new(false));
+        let comms = inboxes
+            .into_iter()
+            .enumerate()
+            .map(|(rank, inbox)| Comm {
+                rank,
+                size: nranks,
+                platform,
+                clock: 0.0,
+                seq: 0,
+                senders: senders.clone(),
+                inbox,
+                stash: Vec::new(),
+                poisoned: Arc::clone(&poisoned),
+            })
+            .collect();
+        World { comms, poisoned }
     }
-    let body = &body;
-    let poisoned = Arc::new(AtomicBool::new(false));
-    let mut results: Vec<Option<T>> = (0..nranks).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(nranks);
-        for (rank, inbox) in inboxes.iter_mut().enumerate() {
-            let senders = senders.clone();
-            let inbox = inbox.take().expect("inbox taken once");
-            let poisoned = Arc::clone(&poisoned);
-            handles.push(scope.spawn(move || {
-                let mut comm = Comm {
-                    rank,
-                    size: nranks,
-                    platform,
-                    clock: 0.0,
-                    seq: 0,
-                    senders,
-                    inbox,
-                    stash: Vec::new(),
-                    poisoned: Arc::clone(&poisoned),
-                };
-                // If this rank panics, poison the world so peers blocked in
-                // collectives fail fast instead of waiting forever.
-                let out =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut comm)));
-                match out {
-                    Ok(v) => v,
-                    Err(e) => {
-                        poisoned.store(true, Ordering::SeqCst);
-                        std::panic::resume_unwind(e);
-                    }
-                }
-            }));
-        }
-        for (rank, h) in handles.into_iter().enumerate() {
-            results[rank] = Some(h.join().expect("rank panicked"));
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all ranks joined"))
-        .collect()
+
+    /// Every rank's communicator, in rank order (clocks as the last run
+    /// left them).
+    pub fn comms(&self) -> &[Comm] {
+        &self.comms
+    }
+
+    /// Runs `body` on every rank at once, rank `r` with its [`Comm`] and
+    /// `states[r]`, and returns each rank's result in rank order.
+    ///
+    /// The calling thread runs rank 0 and the other ranks borrow scoped
+    /// threads for the length of the call, so no thread outlives it. If a
+    /// rank panics, the world is poisoned, so peers blocked in a collective
+    /// fail fast instead of waiting forever, and the panic propagates.
+    ///
+    /// # Panics
+    /// Panics if `states` does not hold one entry per rank, and propagates
+    /// a panic from any rank.
+    pub fn run<S, T, F>(&mut self, states: &mut [S], body: F) -> Vec<T>
+    where
+        S: Send,
+        T: Send,
+        F: Fn(&mut Comm, &mut S) -> T + Sync,
+    {
+        assert_eq!(states.len(), self.comms.len(), "one state per rank");
+        let (body, poisoned) = (&body, &*self.poisoned);
+        let guarded = move |comm: &mut Comm, state: &mut S| match std::panic::catch_unwind(
+            std::panic::AssertUnwindSafe(|| body(comm, state)),
+        ) {
+            Ok(v) => v,
+            Err(e) => {
+                poisoned.store(true, Ordering::SeqCst);
+                std::panic::resume_unwind(e);
+            }
+        };
+        let mut ranks = self.comms.iter_mut().zip(states.iter_mut());
+        let (comm0, state0) = ranks.next().expect("at least one rank");
+        std::thread::scope(|scope| {
+            let peers: Vec<_> = ranks
+                .map(|(comm, state)| scope.spawn(move || guarded(comm, state)))
+                .collect();
+            let first = guarded(comm0, state0);
+            std::iter::once(first)
+                .chain(peers.into_iter().map(|h| h.join().expect("rank panicked")))
+                .collect()
+        })
+    }
 }
 
 #[cfg(test)]
@@ -292,9 +312,18 @@ mod tests {
         Platform::power_onyx()
     }
 
+    /// One stateless run on a fresh `nranks`-rank world.
+    fn spmd<T: Send>(
+        nranks: usize,
+        platform: Platform,
+        body: impl Fn(&mut Comm) -> T + Sync,
+    ) -> Vec<T> {
+        World::new(nranks, platform).run(&mut vec![(); nranks], |c, _| body(c))
+    }
+
     #[test]
     fn single_rank_world_runs() {
-        let out = run_world(1, onyx(), |c| {
+        let out = spmd(1, onyx(), |c| {
             assert_eq!(c.size(), 1);
             let got = c.alltoallv(vec![b"self".to_vec()]);
             assert_eq!(got[0], b"self");
@@ -305,7 +334,7 @@ mod tests {
 
     #[test]
     fn alltoallv_delivers_personalized_payloads() {
-        let out = run_world(4, onyx(), |c| {
+        let out = spmd(4, onyx(), |c| {
             let outgoing: Vec<Vec<u8>> = (0..4)
                 .map(|d| vec![c.rank() as u8 * 16 + d as u8])
                 .collect();
@@ -318,7 +347,7 @@ mod tests {
 
     #[test]
     fn repeated_collectives_stay_matched() {
-        let out = run_world(3, onyx(), |c| {
+        let out = spmd(3, onyx(), |c| {
             let mut acc = 0u64;
             for round in 0..50u64 {
                 let outgoing: Vec<Vec<u8>> = (0..3).map(|_| round.to_le_bytes().to_vec()).collect();
@@ -336,7 +365,7 @@ mod tests {
 
     #[test]
     fn clocks_synchronize_to_slowest_rank() {
-        let clocks = run_world(4, onyx(), |c| {
+        let clocks = spmd(4, onyx(), |c| {
             // Rank 2 is slow.
             if c.rank() == 2 {
                 c.advance(5.0);
@@ -352,17 +381,17 @@ mod tests {
 
     #[test]
     fn allreduce_sum_and_max() {
-        let sums = run_world(4, onyx(), |c| c.allreduce_sum_f64(c.rank() as f64 + 1.0));
+        let sums = spmd(4, onyx(), |c| c.allreduce_sum_f64(c.rank() as f64 + 1.0));
         assert!(sums.iter().all(|&s| (s - 10.0).abs() < 1e-12), "{sums:?}");
-        let maxes = run_world(4, onyx(), |c| c.allreduce_max_f64(c.rank() as f64));
+        let maxes = spmd(4, onyx(), |c| c.allreduce_max_f64(c.rank() as f64));
         assert!(maxes.iter().all(|&m| m == 3.0));
-        let usums = run_world(3, onyx(), |c| c.allreduce_sum_u64(100 << c.rank()));
+        let usums = spmd(3, onyx(), |c| c.allreduce_sum_u64(100 << c.rank()));
         assert!(usums.iter().all(|&s| s == 700));
     }
 
     #[test]
     fn communication_advances_virtual_time() {
-        let clocks = run_world(2, Platform::indy_cluster(), |c| {
+        let clocks = spmd(2, Platform::indy_cluster(), |c| {
             let big = vec![0u8; 100_000];
             let outgoing: Vec<Vec<u8>> = (0..2)
                 .map(|d| {
@@ -383,7 +412,7 @@ mod tests {
 
     #[test]
     fn empty_exchange_is_nearly_free() {
-        let clocks = run_world(4, onyx(), |c| {
+        let clocks = spmd(4, onyx(), |c| {
             c.barrier();
             c.clock()
         });
@@ -392,7 +421,7 @@ mod tests {
 
     #[test]
     fn compute_charge_uses_platform_model() {
-        let clocks = run_world(1, Platform::sp2(), |c| {
+        let clocks = spmd(1, Platform::sp2(), |c| {
             c.charge_compute(26_000, 30);
             c.clock()
         });
@@ -402,15 +431,46 @@ mod tests {
     #[test]
     #[should_panic]
     fn wrong_payload_count_panics() {
-        run_world(2, onyx(), |c| {
+        spmd(2, onyx(), |c| {
             let _ = c.alltoallv(vec![Vec::new()]); // needs 2 entries
         });
     }
 
     #[test]
     fn results_come_back_in_rank_order() {
-        let out = run_world(6, onyx(), |c| c.rank() * 7);
+        let out = spmd(6, onyx(), |c| c.rank() * 7);
         assert_eq!(out, vec![0, 7, 14, 21, 28, 35]);
+    }
+
+    #[test]
+    fn clocks_and_states_persist_between_runs() {
+        let mut world = World::new(3, onyx());
+        let mut rounds = vec![0u32; 3];
+        for _ in 0..4 {
+            world.run(&mut rounds, |c, n| {
+                if c.rank() == 1 {
+                    c.advance(1.0);
+                }
+                c.barrier();
+                *n += 1;
+            });
+        }
+        assert_eq!(rounds, vec![4; 3]);
+        // Four barriers behind rank 1's four seconds, on every rank.
+        for c in world.comms() {
+            assert!((4.0..4.1).contains(&c.clock()), "{}", c.clock());
+        }
+    }
+
+    #[test]
+    fn the_caller_runs_rank_zero() {
+        let me = std::thread::current().id();
+        let ran_on = World::new(3, onyx()).run(&mut [(); 3], |c, _| {
+            c.barrier();
+            std::thread::current().id()
+        });
+        assert_eq!(ran_on[0], me);
+        assert!(ran_on[1..].iter().all(|&id| id != me));
     }
 
     /// Failure injection: a rank that dies mid-collective must poison the
@@ -421,7 +481,7 @@ mod tests {
     fn panicking_rank_fails_the_world_quickly() {
         let start = std::time::Instant::now();
         let result = std::panic::catch_unwind(|| {
-            run_world(3, onyx(), |c| {
+            spmd(3, onyx(), |c| {
                 if c.rank() == 1 {
                     panic!("injected rank failure");
                 }
@@ -446,7 +506,7 @@ mod tests {
     fn out_of_order_arrivals_are_stashed_not_fatal() {
         let nranks = 4;
         let rounds = 300u64;
-        let ok = run_world(nranks, onyx(), |c| {
+        let ok = spmd(nranks, onyx(), |c| {
             let mut jitter = 12345u64 ^ (c.rank() as u64);
             for round in 0..rounds {
                 // Deterministic per-rank jitter: spin a variable amount so

@@ -7,7 +7,10 @@
 //! MPI bindings as thin — so this crate supplies the substrate
 //! (README.md, *Deviations*):
 //!
-//! * **Real message passing.** Each rank is an OS thread; ranks exchange
+//! * **Real message passing.** A [`World`] holds every rank's [`Comm`]
+//!   (clock, collective sequence, inbox) between runs; [`World::run`] runs
+//!   every rank at once, rank 0 on the calling thread and each other rank
+//!   on a scoped thread that lives only as long as the run. Ranks exchange
 //!   real byte buffers over a channel mesh ([`Comm::alltoallv`],
 //!   reductions, barriers). The distributed algorithm above runs
 //!   unmodified, queues and all.
@@ -29,5 +32,5 @@
 pub mod comm;
 pub mod platform;
 
-pub use comm::{run_world, Comm};
+pub use comm::{Comm, World};
 pub use platform::Platform;
