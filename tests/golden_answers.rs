@@ -24,9 +24,17 @@
 //! orbit phases of all three scenes — the harpsichord's mirror shelf and
 //! sun give leaves split on θ and r² — recorded on the commit before the
 //! tile loop carried a leaf cursor from pixel to pixel.
+//!
+//! The equivalence suites hold a 1-rank `DistEngine` to the serial bytes,
+//! but a multi-rank solve (ownership by bin packing, records forwarded
+//! through the all-to-all) only to itself. The two `dist_*` tests pin the
+//! `PHOTANS1` and `PHOTCK1` bytes of two such solves, with the bits of
+//! their virtual clock and their forwarded byte count, recorded on the
+//! commit before the rank world ran as bulk-synchronous supersteps.
 
 use photon_gi::core::view::{diff_tiles, render};
 use photon_gi::core::{Camera, Image, SimConfig, Simulator, SolverEngine};
+use photon_gi::dist::{AdaptiveBatch, BatchMode, DistConfig, DistEngine};
 use photon_gi::scenes::{TestScene, ViewSpec};
 use photon_gi::serve::{FrameDelta, WireMode};
 
@@ -122,6 +130,67 @@ fn full_frame_quantized_digest(kind: TestScene) -> (usize, u64) {
         "decoded 240 x 180 frame does not re-encode to the bytes it came from"
     );
     digest(&body)
+}
+
+/// `(len, fnv1a64)` of the `PHOTANS1` and `PHOTCK1` bytes of an
+/// `nranks`-rank distributed solve stepped in rounds of 500 photons a rank
+/// (an adaptive controller sizes its own) past `PHOTONS` main-loop
+/// photons, then the bits of its virtual clock and its forwarded bytes.
+fn dist_digests(kind: TestScene, nranks: usize, batch: BatchMode) -> ([(usize, u64); 2], u64, u64) {
+    let config = DistConfig {
+        seed: SEED,
+        nranks,
+        batch,
+        ..Default::default()
+    };
+    let mut engine = DistEngine::new(kind.build(), config);
+    while engine.main_emitted() < PHOTONS {
+        engine.step_round(500);
+    }
+    let mut answer = Vec::new();
+    engine
+        .snapshot()
+        .write_to(&mut answer)
+        .expect("writing to a Vec cannot fail");
+    let checkpoint = engine.checkpoint().to_bytes();
+    (
+        [digest(&answer), digest(&checkpoint)],
+        engine.virtual_clock().to_bits(),
+        engine.bytes_forwarded(),
+    )
+}
+
+#[test]
+fn dist_cornell_box_three_ranks_fixed_batches_are_pinned() {
+    assert_eq!(
+        dist_digests(TestScene::CornellBox, 3, BatchMode::Fixed(500)),
+        (
+            [(6581, 0xe75a_b544_893d_3305), (6643, 0x12dc_53f6_434f_b8f5)],
+            0x3fec_1779_3234_ca51,
+            1_055_296
+        ),
+        "a 3-rank Cornell Box solve's PHOTANS1 / PHOTCK1 / clock bits / bytes changed"
+    );
+}
+
+#[test]
+fn dist_computer_lab_four_ranks_adaptive_batches_are_pinned() {
+    assert_eq!(
+        dist_digests(
+            TestScene::ComputerLab,
+            4,
+            BatchMode::Adaptive(AdaptiveBatch::default())
+        ),
+        (
+            [
+                (111_473, 0x81eb_6960_a7e5_e9bc),
+                (111_535, 0x0289_c92b_96fd_b2b1)
+            ],
+            0x3ff7_fca1_128b_3edc,
+            1_081_888
+        ),
+        "a 4-rank Computer Laboratory solve's PHOTANS1 / PHOTCK1 / clock bits / bytes changed"
+    );
 }
 
 #[test]
