@@ -85,8 +85,8 @@ pub fn naive(patch_count: usize, nranks: usize) -> Ownership {
 pub fn best_fit(pilot_counts: &[u64], nranks: usize) -> Ownership {
     assert!(nranks >= 1);
     let mut order: Vec<usize> = (0..pilot_counts.len()).collect();
-    // Decreasing by count; ties broken by index for determinism across
-    // ranks (every rank computes the identical assignment).
+    // Decreasing by count; ties broken by index, so the packing is a pure
+    // function of the counts.
     order.sort_by(|&a, &b| pilot_counts[b].cmp(&pilot_counts[a]).then(a.cmp(&b)));
     let mut owner = vec![0u32; pilot_counts.len()];
     let mut loads = vec![0u64; nranks];

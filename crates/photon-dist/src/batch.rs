@@ -48,8 +48,9 @@ impl Default for AdaptiveBatch {
     }
 }
 
-/// Stateful batch-size controller; one instance per run, identical on every
-/// rank (decisions depend only on the synchronized virtual clock).
+/// Stateful batch-size controller; one instance per world (decisions depend
+/// only on the synchronized virtual clock, so every rank would make the
+/// same ones).
 #[derive(Clone, Debug)]
 pub struct BatchController {
     size: u64,

@@ -1,13 +1,24 @@
 //! The resumable distributed solver engine.
 //!
-//! [`DistEngine`] wraps the Fig 5.3 message-passing world behind
-//! [`photon_core::SolverEngine`]: it owns a persistent [`simmpi::World`]
-//! and every rank's state (forest shard, owned patches, batch controller,
-//! stream cursor), so clocks and trees persist between batches while no
-//! thread does. Booting (the pilot trace and the balancing barrier) is one
-//! [`World::run`], and so is each
-//! [`step`](photon_core::SolverEngine::step): one trace→exchange→tally
-//! round, with the calling thread as rank 0.
+//! [`DistEngine`] wraps the Fig 5.3 loop behind
+//! [`photon_core::SolverEngine`]: it owns a [`simmpi::World`] (one virtual
+//! clock per rank) and every rank's state (forest shard, owned patches,
+//! processed count), so clocks and trees persist between batches while no
+//! thread does. Each [`step`](photon_core::SolverEngine::step) is one
+//! round of three bulk-synchronous supersteps:
+//!
+//! 1. **Trace** — one [`parallel_map`] over the ranks: rank `r` traces its
+//!    stride of the batch, tallying the patches it owns and queueing
+//!    records for the rest per owner.
+//! 2. **Exchange** — on the calling thread: each rank is charged its
+//!    compute, and [`World::alltoallv`] moves every queue to its owner.
+//! 3. **Tally** — a second [`parallel_map`]: each rank tallies what it
+//!    received, in source-rank order.
+//!
+//! The clocks then meet ([`World::sync_clocks`]) and the engine's one
+//! batch controller observes the round's rate. A world of any size runs
+//! on at most the host's cores, and since a clock depends only on segment
+//! counts and bytes, the schedule never shows in virtual time.
 //! [`snapshot`](photon_core::SolverEngine::snapshot) clones the trees each
 //! rank owns and merges them into an [`Answer`], so a progressive solve can
 //! publish refining answers between steps. All reported times are
@@ -24,7 +35,7 @@
 use crate::balance::{self, Ownership};
 use crate::batch::{BatchController, BatchMode};
 use crate::record::PhotonRecord;
-use crate::{DistConfig, DistSink};
+use crate::{BalanceMode, DistConfig, DistSink};
 use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
 use photon_core::trace::trace_photon;
@@ -34,23 +45,19 @@ use photon_core::{
 };
 use photon_geom::Scene;
 use photon_hist::BinTree;
+use photon_par::parallel_map;
 use photon_rng::Lcg48;
-use simmpi::{Comm, World};
+use simmpi::World;
+use std::num::NonZeroUsize;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// One rank's solve state, kept in the engine between world runs.
+/// One rank's solve state, kept in the engine between steps.
 struct Rank {
     /// Every tree; the rank refines those it owns, and the rest keep the
-    /// pilot-phase state every rank builds identically at boot.
+    /// pilot-phase state the engine built once at boot.
     forest: BinForest,
     /// The patches this rank owns (set by the balancing phase).
     owned: Vec<u32>,
-    /// The adaptive batch controller (lockstep on every rank), if any.
-    controller: Option<BatchController>,
-    /// Next main-loop photon index to trace.
-    main_start: u64,
-    /// Synchronized virtual clock at the start of the current batch.
-    batch_start: f64,
     /// Photon interactions processed (local + received): Table 5.2's
     /// metric.
     processed: u64,
@@ -68,40 +75,32 @@ impl Rank {
     }
 }
 
-/// What one rank reports from one batch.
-struct RankBatch {
-    /// Counters for this batch on this rank.
-    stats: SimStats,
-    /// Synchronized virtual clock after the batch.
-    clock: f64,
-    /// Virtual seconds the batch took (identical on every rank).
-    seconds: f64,
-    /// Bytes this rank queued through the all-to-all.
-    bytes: u64,
-    /// Arena footprint of this rank's owned trees.
-    footprint: ForestFootprint,
-}
-
-/// Only the engine's `&self` readers lock a rank, one rank at a time, and a
-/// world runs under `&mut self`, so the lock is never contended. Poisoning
-/// is ignored, as in `photon_par::SharedForest`: the panic that poisoned a
-/// lock has already propagated to its caller.
+/// A superstep's job locks its own rank and the engine's `&self` readers
+/// lock one rank at a time, so the lock is never contended. Lock poisoning
+/// is ignored, as in `photon_par::SharedForest`: a job that panicked has
+/// already panicked its map.
 fn lock(rank: &Mutex<Rank>) -> MutexGuard<'_, Rank> {
     rank.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn rank_mut(rank: &mut Mutex<Rank>) -> &mut Rank {
-    rank.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The distributed engine: a persistent rank world driven batch by batch.
+/// The distributed engine: a rank world driven batch by batch.
 pub struct DistEngine {
     scene: Scene,
     generator: PhotonGenerator,
     config: DistConfig,
     world: World,
     ranks: Vec<Mutex<Rank>>,
+    /// Threads a superstep maps its ranks over: the host's cores, at most
+    /// one per rank.
+    workers: usize,
     ownership: Ownership,
+    /// The adaptive batch controller, if any: one for the world, since
+    /// its decisions depend only on the synchronized clock.
+    controller: Option<BatchController>,
+    /// Next main-loop photon index to trace.
+    main_start: u64,
+    /// Synchronized virtual clock at the start of the current batch.
+    batch_start: f64,
     stats: SimStats,
     speed: SpeedTrace,
     main_emitted: u64,
@@ -111,43 +110,62 @@ pub struct DistEngine {
 
 impl DistEngine {
     /// Boots an `config.nranks`-rank world over `scene` and runs the
-    /// load-balancing phase.
+    /// load-balancing phase (ch. 5): every rank would trace the same pilot
+    /// photons with the same seed into the same forest, so the engine
+    /// traces them once, charges them to every rank, and gives each rank a
+    /// copy of the pilot forest.
     pub fn new(scene: Scene, config: DistConfig) -> Self {
-        assert!(config.nranks >= 1);
+        let nranks = config.nranks;
+        assert!(nranks >= 1);
+        let npolys = scene.polygon_count();
         let generator = PhotonGenerator::new(&scene);
-        let mut world = World::new(config.nranks, config.platform);
-        let mut ranks: Vec<Mutex<Rank>> = (0..config.nranks)
-            .map(|_| {
+        let mut world = World::new(nranks, config.platform);
+        let mut pilot = BinForest::new(npolys, config.split);
+        let mut stats = SimStats::default();
+        let ownership = match config.balance {
+            BalanceMode::Naive => balance::naive(npolys, nranks),
+            BalanceMode::BinPacking { pilot_photons } => {
+                let mut pilot_rng = Lcg48::new(config.seed ^ 0x9E3779B97F4A7C15);
+                let mut segments = 0u64;
+                for _ in 0..pilot_photons {
+                    let out = trace_photon(&scene, &generator, &mut pilot_rng, &mut pilot);
+                    segments += 1 + out.bounces as u64;
+                    stats.record(&out);
+                }
+                for r in 0..nranks {
+                    world.charge_compute(r, segments, npolys);
+                }
+                let counts: Vec<u64> = pilot.iter().map(|(_, t)| t.tallies()).collect();
+                balance::best_fit(&counts, nranks)
+            }
+        };
+        world.barrier(); // end of the balancing phase; clocks sync
+        let clock = world.clocks().iter().copied().fold(0.0, f64::max);
+        let batch_start = world.sync_clocks();
+        let ranks = (0..nranks)
+            .map(|r| {
                 Mutex::new(Rank {
-                    forest: BinForest::new(scene.polygon_count(), config.split),
-                    owned: Vec::new(),
-                    controller: match config.batch {
-                        BatchMode::Adaptive(params) => Some(BatchController::new(params)),
-                        BatchMode::Fixed(_) => None,
-                    },
-                    main_start: 0,
-                    batch_start: 0.0,
+                    forest: pilot.clone(),
+                    owned: ownership.patches_of(r),
                     processed: 0,
                 })
             })
             .collect();
-        let booted = world.run(&mut ranks, |comm, rank| {
-            boot_rank(&scene, &generator, &config, comm, rank_mut(rank))
-        });
-        let mut stats = SimStats::default();
-        let mut clock = 0.0f64;
-        for (pilot, barrier_clock, _) in &booted {
-            stats.merge(pilot);
-            clock = clock.max(*barrier_clock);
-        }
-        let (_, _, ownership) = booted.into_iter().next().expect("rank 0 booted");
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         DistEngine {
             scene,
             generator,
             config,
             world,
             ranks,
+            workers: cores.min(nranks),
             ownership,
+            controller: match config.batch {
+                BatchMode::Adaptive(params) => Some(BatchController::new(params)),
+                BatchMode::Fixed(_) => None,
+            },
+            main_start: 0,
+            batch_start,
             stats,
             speed: SpeedTrace::new(),
             main_emitted: 0,
@@ -186,11 +204,10 @@ impl DistEngine {
         self.ranks.iter().map(|r| lock(r).processed).collect()
     }
 
-    /// The batch sizes the adaptive controllers chose, in order (empty for
-    /// fixed batches; every rank's controller holds the same history).
+    /// The batch sizes the adaptive controller chose, in order (empty for
+    /// fixed batches).
     pub(crate) fn batch_history(&self) -> Vec<u64> {
-        lock(&self.ranks[0])
-            .controller
+        self.controller
             .as_ref()
             .map(|c| c.history().to_vec())
             .unwrap_or_default()
@@ -198,11 +215,7 @@ impl DistEngine {
 
     /// The latest virtual clock on any rank.
     pub(crate) fn final_clock(&self) -> f64 {
-        self.world
-            .comms()
-            .iter()
-            .map(Comm::clock)
-            .fold(0.0, f64::max)
+        self.world.clocks().iter().copied().fold(0.0, f64::max)
     }
 
     /// Clones every rank's owned trees and merges them into one forest
@@ -233,29 +246,89 @@ impl DistEngine {
     /// One trace→exchange→tally round with `per_rank_hint` photons per
     /// non-adaptive rank. Returns the batch report (virtual time).
     pub fn step_round(&mut self, per_rank_hint: u64) -> BatchReport {
-        let (scene, generator, config, ownership) =
-            (&self.scene, &self.generator, &self.config, &self.ownership);
-        let batches = self.world.run(&mut self.ranks, |comm, rank| {
-            step_rank(
-                scene,
-                generator,
-                config,
+        let nranks = self.config.nranks;
+        let npolys = self.scene.polygon_count();
+        let platform = self.config.platform;
+        let per_rank = match &self.controller {
+            Some(c) => c.size(),
+            None => per_rank_hint.max(1),
+        };
+        let global_batch = per_rank * nranks as u64;
+        let (scene, generator, seed) = (&self.scene, &self.generator, self.config.seed);
+        let (ownership, ranks, main_start) = (&self.ownership, &self.ranks, self.main_start);
+
+        // Superstep 1: rank r leapfrogs over the batch window, `per_rank`
+        // photons, the union over ranks exactly the serial set.
+        let traced = parallel_map(self.workers, nranks, |r| {
+            let rank = &mut *lock(&ranks[r]);
+            let mut queues: Vec<Vec<u8>> = vec![Vec::new(); nranks];
+            // Counted in a local: neighbouring ranks' counters can share a
+            // cache line, and a per-tally write there costs ~9 %.
+            let mut processed = 0;
+            let span = Span {
+                start: main_start,
+                count: global_batch,
+                offset: r as u64,
+                stride: nranks as u64,
+            };
+            let mut sink = DistSink {
                 ownership,
-                comm,
-                rank_mut(rank),
-                per_rank_hint,
-            )
+                my_rank: r,
+                forest: &mut rank.forest,
+                queues: &mut queues,
+                processed: &mut processed,
+            };
+            let stats = trace_span(scene, generator, seed, span, &mut sink);
+            rank.processed += processed;
+            (stats, queues)
         });
+
+        // Superstep 2: charge each rank its segments (one per tally: the
+        // emission and each bounce) and the fixed per-batch bookkeeping the
+        // adaptive controller amortizes, then exchange foreign tallies.
         let mut batch_photons = 0;
-        let mut footprint = ForestFootprint::default();
-        for b in &batches {
-            self.stats.merge(&b.stats);
-            batch_photons += b.stats.emitted;
-            self.clock = self.clock.max(b.clock);
-            self.bytes_forwarded += b.bytes;
-            footprint.merge(&b.footprint);
+        let mut outgoing = Vec::with_capacity(nranks);
+        for (r, (stats, queues)) in traced.into_iter().enumerate() {
+            self.world
+                .charge_compute(r, stats.emitted + stats.reflections, npolys);
+            self.world.advance(r, platform.batch_overhead_s);
+            self.bytes_forwarded += queues.iter().map(|q| q.len() as u64).sum::<u64>();
+            self.stats.merge(&stats);
+            batch_photons += stats.emitted;
+            outgoing.push(queues);
         }
-        let batch_seconds = batches[0].seconds;
+        let incoming = self.world.alltoallv(outgoing);
+
+        // Superstep 3: every owner tallies what it received, in source
+        // order.
+        let tallied = parallel_map(self.workers, nranks, |r| {
+            let rank = &mut *lock(&ranks[r]);
+            let mut received = 0u64;
+            for buf in &incoming[r] {
+                for rec in PhotonRecord::decode_all(buf) {
+                    debug_assert_eq!(ownership.owner_of(rec.patch_id), r);
+                    rank.forest.tally(rec.patch_id, &rec.point, rec.energy);
+                    received += 1;
+                }
+            }
+            rank.processed += received;
+            (received, rank.owned_footprint())
+        });
+        let mut footprint = ForestFootprint::default();
+        for (r, (received, fp)) in tallied.iter().enumerate() {
+            self.world.advance(r, platform.tally_cost(*received));
+            footprint.merge(fp);
+        }
+
+        // Batch accounting on the synchronized clock.
+        let t_batch_end = self.world.sync_clocks();
+        self.main_start += global_batch;
+        let batch_seconds = (t_batch_end - self.batch_start).max(1e-12);
+        if let Some(c) = self.controller.as_mut() {
+            c.observe(global_batch as f64 / batch_seconds);
+        }
+        self.batch_start = t_batch_end;
+        self.clock = self.clock.max(t_batch_end);
         self.main_emitted += batch_photons;
         self.speed
             .push_batch(self.clock, batch_photons, batch_seconds);
@@ -308,20 +381,18 @@ impl SolverEngine for DistEngine {
             self.config.split,
         )?;
         let trees = checkpoint.forest().into_trees();
-        let main_start = checkpoint.cursor();
-        for rank in &mut self.ranks {
+        for rank in &self.ranks {
             // Adopt the checkpoint's state for the trees this rank owns;
-            // unowned trees keep the pilot-phase state every rank
-            // regenerated identically at boot, exactly as in an
-            // uninterrupted run.
-            let rank = rank_mut(rank);
+            // unowned trees keep the pilot-phase state the engine
+            // regenerated at boot, exactly as in an uninterrupted run.
+            let rank = &mut *lock(rank);
             for &p in &rank.owned {
                 *rank.forest.tree_mut(p) = trees[p as usize].clone();
             }
-            rank.main_start = main_start;
         }
+        self.main_start = checkpoint.cursor();
         self.stats = checkpoint.stats();
-        self.main_emitted = main_start;
+        self.main_emitted = self.main_start;
         // Rates after a resume describe the resumed solve only (the
         // virtual clock itself stays synchronized with the rank world).
         self.speed = SpeedTrace::new();
@@ -334,124 +405,5 @@ impl SolverEngine for DistEngine {
 
     fn virtual_time(&self) -> bool {
         true
-    }
-}
-
-/// The balancing phase on one rank (redundant pilot trace; ch. 5): returns
-/// the rank's pilot counters, its clock after the balancing barrier, and
-/// the ownership map (identical on every rank).
-fn boot_rank(
-    scene: &Scene,
-    generator: &PhotonGenerator,
-    config: &DistConfig,
-    comm: &mut Comm,
-    rank: &mut Rank,
-) -> (SimStats, f64, Ownership) {
-    let npolys = scene.polygon_count();
-    let nranks = comm.size();
-    let mut pilot_stats = SimStats::default();
-    let ownership = match config.balance {
-        crate::BalanceMode::Naive => balance::naive(npolys, nranks),
-        crate::BalanceMode::BinPacking { pilot_photons } => {
-            // Every rank traces the *same* photons with the same seed,
-            // producing the same forest and hence the same packing. Only
-            // rank 0 reports the pilot in its stats — the photons are
-            // global, not per rank.
-            let mut pilot_rng = Lcg48::new(config.seed ^ 0x9E3779B97F4A7C15);
-            let mut segments = 0u64;
-            for _ in 0..pilot_photons {
-                let out = trace_photon(scene, generator, &mut pilot_rng, &mut rank.forest);
-                segments += 1 + out.bounces as u64;
-                if comm.rank() == 0 {
-                    pilot_stats.record(&out);
-                }
-            }
-            comm.charge_compute(segments, npolys);
-            let counts: Vec<u64> = rank.forest.iter().map(|(_, t)| t.tallies()).collect();
-            balance::best_fit(&counts, nranks)
-        }
-    };
-    comm.barrier(); // end of the balancing phase; clocks sync
-    let barrier_clock = comm.clock();
-    rank.owned = ownership.patches_of(comm.rank());
-    rank.batch_start = crate::sync_clock(comm);
-    (pilot_stats, barrier_clock, ownership)
-}
-
-/// One Fig 5.3 round on one rank: trace its share of the batch, exchange
-/// foreign tallies all-to-all, and tally what it received.
-fn step_rank(
-    scene: &Scene,
-    generator: &PhotonGenerator,
-    config: &DistConfig,
-    ownership: &Ownership,
-    comm: &mut Comm,
-    rank: &mut Rank,
-    per_rank_hint: u64,
-) -> RankBatch {
-    let npolys = scene.polygon_count();
-    let nranks = comm.size();
-    let my_rank = comm.rank();
-    let per_rank = match &rank.controller {
-        Some(c) => c.size(),
-        None => per_rank_hint.max(1),
-    };
-    let global_batch = per_rank * nranks as u64;
-    let mut queues: Vec<Vec<u8>> = (0..nranks).map(|_| Vec::new()).collect();
-    // Rank r leapfrogs over the batch window: `per_rank` photons, the union
-    // over ranks exactly the serial set.
-    let span = Span {
-        start: rank.main_start,
-        count: global_batch,
-        offset: my_rank as u64,
-        stride: nranks as u64,
-    };
-    let mut sink = DistSink {
-        ownership,
-        my_rank,
-        forest: &mut rank.forest,
-        queues: &mut queues,
-        processed: &mut rank.processed,
-    };
-    let stats = trace_span(scene, generator, config.seed, span, &mut sink);
-    // One ray segment per tally: the emission and each bounce.
-    comm.charge_compute(stats.emitted + stats.reflections, npolys);
-    // Fixed per-batch bookkeeping (queue setup, flush, rate sampling): the
-    // cost the adaptive controller amortizes.
-    comm.advance(comm.platform().batch_overhead_s);
-    let bytes: u64 = queues.iter().map(|q| q.len() as u64).sum();
-
-    // All-to-all exchange; receivers process foreign tallies.
-    let incoming = comm.alltoallv(queues);
-    let mut received = 0u64;
-    for (src, buf) in incoming.iter().enumerate() {
-        if src == my_rank {
-            continue;
-        }
-        for rec in PhotonRecord::decode_all(buf) {
-            debug_assert_eq!(ownership.owner_of(rec.patch_id), my_rank);
-            rank.forest.tally(rec.patch_id, &rec.point, rec.energy);
-            received += 1;
-        }
-    }
-    rank.processed += received;
-    comm.advance(comm.platform().tally_cost(received));
-
-    // Batch accounting on the synchronized clock: identical on every rank,
-    // so the adaptive controllers stay in lockstep.
-    let t_batch_end = crate::sync_clock(comm);
-    rank.main_start += global_batch;
-    let seconds = (t_batch_end - rank.batch_start).max(1e-12);
-    let rate = global_batch as f64 / seconds;
-    if let Some(c) = rank.controller.as_mut() {
-        c.observe(rate);
-    }
-    rank.batch_start = t_batch_end;
-    RankBatch {
-        stats,
-        clock: t_batch_end,
-        seconds,
-        bytes,
-        footprint: rank.owned_footprint(),
     }
 }

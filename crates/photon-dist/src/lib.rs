@@ -17,9 +17,12 @@
 //!
 //! The rank world itself lives behind [`DistEngine`] (see [`engine`]): a
 //! resumable [`photon_core::SolverEngine`] that keeps every rank's state
-//! and a persistent [`simmpi::World`] across batches, runs each batch as
-//! one [`simmpi::World::run`], and snapshots mid-solve by reading the
-//! ranks' trees directly. [`run_distributed`] drives that engine to a
+//! and a [`simmpi::World`] of virtual clocks across batches, and runs each
+//! batch as bulk-synchronous supersteps — the ranks' traces as one
+//! `photon_par::parallel_map`, the all-to-all on the calling thread, the
+//! owners' tallies as a second map — so a world of any size runs on at
+//! most the host's cores. It snapshots mid-solve by reading the ranks'
+//! trees directly. [`run_distributed`] drives that engine to a
 //! [`StopRule`] and reads its last snapshot and per-rank tables — the
 //! original one-shot shape, now a thin wrapper.
 
@@ -41,7 +44,7 @@ use photon_core::{Answer, BinForest, SolverEngine, SpeedTrace};
 use photon_geom::Scene;
 use photon_hist::{BinPoint, SplitConfig};
 use photon_math::Rgb;
-use simmpi::{Comm, Platform};
+use simmpi::Platform;
 
 /// Ownership assignment strategy.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -155,7 +158,7 @@ pub fn run_distributed(scene: &Scene, config: &DistConfig) -> DistRunResult {
     let mut engine = DistEngine::new(scene.clone(), *config);
     let per_rank_hint = match config.batch {
         BatchMode::Fixed(n) => n,
-        // Adaptive ranks size themselves from their lockstep controllers.
+        // An adaptive world sizes its batches from its controller.
         BatchMode::Adaptive(params) => params.initial,
     };
     loop {
@@ -185,17 +188,6 @@ pub fn run_distributed(scene: &Scene, config: &DistConfig) -> DistRunResult {
         ownership: engine.ownership().clone(),
         bytes_forwarded: engine.bytes_forwarded(),
     }
-}
-
-/// Synchronizes every rank's virtual clock to the global maximum and
-/// returns it.
-pub(crate) fn sync_clock(comm: &mut Comm) -> f64 {
-    let t = comm.allreduce_max_f64(comm.clock());
-    let dt = t - comm.clock();
-    if dt > 0.0 {
-        comm.advance(dt);
-    }
-    comm.clock()
 }
 
 #[cfg(test)]
@@ -229,7 +221,7 @@ mod tests {
     fn merged_forest_has_every_tally_exactly_once() {
         // Every interaction — pilot and main, local and forwarded — lands
         // in exactly one owner tree: total tallies = emissions +
-        // reflections, both of which include the pilot via rank 0's stats.
+        // reflections, both of which include the pilot, counted once.
         let scene = cornell_box();
         let r = run_distributed(&scene, &base_config());
         let total_tallies: u64 = (0..r.answer.patch_count() as u32)

@@ -117,11 +117,6 @@ impl Material {
             SurfaceKind::Diffuse
         }
     }
-
-    /// True when any light leaving this surface depends on view angle.
-    pub fn is_view_dependent(&self) -> bool {
-        self.specular + self.mirror > 1e-9
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +154,5 @@ mod tests {
             SurfaceKind::Glossy
         );
         assert_eq!(Material::emitter(Rgb::WHITE).kind(), SurfaceKind::Emitter);
-    }
-
-    #[test]
-    fn view_dependence() {
-        assert!(!Material::matte(Rgb::gray(0.5)).is_view_dependent());
-        assert!(Material::mirror(0.9).is_view_dependent());
-        assert!(Material::glossy(Rgb::gray(0.2), 0.3, 10.0).is_view_dependent());
     }
 }

@@ -82,16 +82,6 @@ impl Aabb {
         self.max - self.min
     }
 
-    /// Surface area (zero for invalid boxes).
-    #[inline]
-    pub fn surface_area(&self) -> f64 {
-        if !self.is_valid() {
-            return 0.0;
-        }
-        let e = self.extent();
-        2.0 * (e.x * e.y + e.y * e.z + e.z * e.x)
-    }
-
     /// True when the point lies inside or on the boundary.
     #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
@@ -195,12 +185,6 @@ mod tests {
         for p in pts {
             assert!(b.contains(p));
         }
-    }
-
-    #[test]
-    fn surface_area_of_unit_cube() {
-        assert!(approx_eq(unit_box().surface_area(), 6.0, EPS));
-        assert_eq!(Aabb::EMPTY.surface_area(), 0.0);
     }
 
     #[test]

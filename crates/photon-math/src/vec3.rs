@@ -126,18 +126,6 @@ impl Vec3 {
         Vec3::new(self.x.max(o.x), self.y.max(o.y), self.z.max(o.z))
     }
 
-    /// Largest component.
-    #[inline]
-    pub fn max_component(self) -> f64 {
-        self.x.max(self.y).max(self.z)
-    }
-
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// Linear interpolation: `self` at `t = 0`, `o` at `t = 1`.
     #[inline]
     pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
@@ -148,21 +136,6 @@ impl Vec3 {
     #[inline]
     pub fn distance(self, o: Vec3) -> f64 {
         (self - o).length()
-    }
-
-    /// Index of the component with the largest absolute value (0, 1 or 2).
-    #[inline]
-    pub fn dominant_axis(self) -> usize {
-        let ax = self.x.abs();
-        let ay = self.y.abs();
-        let az = self.z.abs();
-        if ax >= ay && ax >= az {
-            0
-        } else if ay >= az {
-            1
-        } else {
-            2
-        }
     }
 
     /// True when any component is NaN.
@@ -327,20 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn dominant_axis_picks_largest_magnitude() {
-        assert_eq!(Vec3::new(-5.0, 1.0, 2.0).dominant_axis(), 0);
-        assert_eq!(Vec3::new(0.0, -3.0, 2.0).dominant_axis(), 1);
-        assert_eq!(Vec3::new(0.1, -0.2, 0.9).dominant_axis(), 2);
-    }
-
-    #[test]
     fn componentwise_min_max() {
         let a = Vec3::new(1.0, 5.0, -2.0);
         let b = Vec3::new(2.0, -1.0, 0.0);
         assert_eq!(a.min(b), Vec3::new(1.0, -1.0, -2.0));
         assert_eq!(a.max(b), Vec3::new(2.0, 5.0, 0.0));
-        assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), -2.0);
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! Not a pool that outlives a call: [`parallel_map`] opens one
 //! `std::thread::scope`, spawns `threads − 1` workers beside the calling
 //! thread, and joins them before it returns, so every map (every rendered
-//! frame in `photon-serve`, both phases of every `ParEngine` step) pays
-//! its own spawns, no thread waits parked between maps, and nothing
-//! arbitrates between two maps running at once. It is one of the two
-//! places a data-parallel phase gets its threads (`simmpi::World::run` is
-//! the other), so a persistent pool would be a change here, not in each
-//! caller.
+//! frame in `photon-serve`, both phases of every `ParEngine` step, the
+//! trace and tally supersteps of every `DistEngine` step) pays its own
+//! spawns, no thread waits parked between maps, and nothing arbitrates
+//! between two maps running at once. It is the only place a data-parallel
+//! phase gets its threads, so a persistent pool would be a change here,
+//! not in each caller.
 //!
 //! The shared-memory engine maps over one job per worker, each job a
 //! static leapfrog stripe of the photon batch (the RNG demands it — the

@@ -7,30 +7,32 @@
 //! MPI bindings as thin — so this crate supplies the substrate
 //! (README.md, *Deviations*):
 //!
-//! * **Real message passing.** A [`World`] holds every rank's [`Comm`]
-//!   (clock, collective sequence, inbox) between runs; [`World::run`] runs
-//!   every rank at once, rank 0 on the calling thread and each other rank
-//!   on a scoped thread that lives only as long as the run. Ranks exchange
-//!   real byte buffers over a channel mesh ([`Comm::alltoallv`],
-//!   reductions, barriers). The distributed algorithm above runs
-//!   unmodified, queues and all.
+//! * **Bulk-synchronous collectives.** A [`World`] is plain data: the
+//!   [`Platform`] and one virtual clock per rank. Its collectives take
+//!   every rank's side at once: [`World::alltoallv`] moves each rank's
+//!   per-destination byte buffers to their owners, [`World::barrier`] is
+//!   the all-empty exchange, and [`World::sync_clocks`] is a max
+//!   all-reduce of the clocks. A caller runs the ranks' local work between
+//!   collectives however it likes (`photon-dist` maps it over the host's
+//!   cores), so a world of any size needs no thread of its own.
 //! * **Virtual time.** Each rank carries a clock advanced by a deterministic
-//!   cost model: compute via [`Comm::advance`], communication inside the
-//!   collectives using the [`Platform`] parameters (per-message latency,
-//!   per-byte cost, and the SP-2's per-message *buffer copy* that cannot be
-//!   overlapped once a rank sends more than one message per batch — the
-//!   paper's explanation for the 2→4 processor performance dip). Blocking
-//!   collectives synchronize clocks to the maximum, exactly as wall clocks
-//!   synchronize at a real barrier.
+//!   cost model: compute via [`World::advance`] and
+//!   [`World::charge_compute`], communication inside the collectives using
+//!   the [`Platform`] parameters (per-message latency, per-byte cost, and
+//!   the SP-2's per-message *buffer copy* that cannot be overlapped once a
+//!   rank sends more than one message per batch — the paper's explanation
+//!   for the 2→4 processor performance dip). Blocking collectives
+//!   synchronize clocks to the maximum, exactly as wall clocks synchronize
+//!   at a real barrier.
 //!
 //! Speedup *shapes* measured on the virtual clock are therefore
-//! deterministic and host-independent, while every byte still crosses a real
-//! channel (bugs in the messaging layer fail tests, not just models).
+//! deterministic and host-independent: a clock depends only on segment
+//! counts and message sizes, never on how the ranks' work was scheduled.
 
 #![deny(missing_docs)]
 
 pub mod comm;
 pub mod platform;
 
-pub use comm::{Comm, World};
+pub use comm::World;
 pub use platform::Platform;

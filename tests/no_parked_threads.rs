@@ -1,7 +1,7 @@
-//! An engine between steps holds no thread: `ParEngine` borrows its workers
-//! from `parallel_map` and `DistEngine` its ranks from `simmpi::World::run`,
-//! each for the length of one phase. So a live engine of either kind,
-//! built and stepped, leaves the process with the threads it had before.
+//! An engine between steps holds no thread: `ParEngine` and `DistEngine`
+//! both borrow their workers from `parallel_map`, each for the length of
+//! one phase or superstep. So a live engine of either kind, built and
+//! stepped, leaves the process with the threads it had before.
 //!
 //! Its own test binary, so no other test's threads come and go while it
 //! counts. Linux only: the count is the `Threads:` line of
