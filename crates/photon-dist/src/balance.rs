@@ -17,15 +17,39 @@
 /// Patch-to-rank ownership map.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Ownership {
-    owner: Vec<u32>,
+    /// Per patch, its owner rank and its slot among that rank's patches.
+    place: Vec<(u32, u32)>,
     nranks: usize,
 }
 
 impl Ownership {
+    /// The map that gives patch `i` to `owners[i]`; each rank's slots
+    /// number its patches 0, 1, … in increasing patch id.
+    fn new(owners: impl IntoIterator<Item = u32>, nranks: usize) -> Ownership {
+        let mut next_slot = vec![0u32; nranks];
+        let place = owners
+            .into_iter()
+            .map(|o| {
+                let slot = next_slot[o as usize];
+                next_slot[o as usize] += 1;
+                (o, slot)
+            })
+            .collect();
+        Ownership { place, nranks }
+    }
+
     /// Owner rank of a patch.
     #[inline]
     pub fn owner_of(&self, patch_id: u32) -> usize {
-        self.owner[patch_id as usize] as usize
+        self.locate(patch_id).0
+    }
+
+    /// Owner rank of a patch and the patch's slot on that rank: its index
+    /// in the owner's [`patches_of`](Ownership::patches_of).
+    #[inline]
+    pub fn locate(&self, patch_id: u32) -> (usize, usize) {
+        let (owner, slot) = self.place[patch_id as usize];
+        (owner as usize, slot as usize)
     }
 
     /// Number of ranks.
@@ -35,25 +59,22 @@ impl Ownership {
 
     /// Number of patches.
     pub fn patch_count(&self) -> usize {
-        self.owner.len()
+        self.place.len()
     }
 
     /// Patch ids owned by `rank`.
     pub fn patches_of(&self, rank: usize) -> Vec<u32> {
-        self.owner
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o as usize == rank)
-            .map(|(i, _)| i as u32)
+        (0..self.place.len() as u32)
+            .filter(|&p| self.owner_of(p) == rank)
             .collect()
     }
 
     /// Predicted per-rank load under a per-patch weight vector.
     pub fn loads(&self, weights: &[u64]) -> Vec<u64> {
-        assert_eq!(weights.len(), self.owner.len());
+        assert_eq!(weights.len(), self.place.len());
         let mut loads = vec![0u64; self.nranks];
-        for (i, &o) in self.owner.iter().enumerate() {
-            loads[o as usize] += weights[i];
+        for (&(o, _), &w) in self.place.iter().zip(weights) {
+            loads[o as usize] += w;
         }
         loads
     }
@@ -74,10 +95,8 @@ impl Ownership {
 pub fn naive(patch_count: usize, nranks: usize) -> Ownership {
     assert!(nranks >= 1);
     let per = patch_count.div_ceil(nranks);
-    let owner = (0..patch_count)
-        .map(|i| ((i / per.max(1)).min(nranks - 1)) as u32)
-        .collect();
-    Ownership { owner, nranks }
+    let owners = (0..patch_count).map(|i| ((i / per.max(1)).min(nranks - 1)) as u32);
+    Ownership::new(owners, nranks)
 }
 
 /// Best-Fit-Decreasing bin packing on observed pilot-photon counts:
@@ -100,7 +119,7 @@ pub fn best_fit(pilot_counts: &[u64], nranks: usize) -> Ownership {
         owner[i] = lightest as u32;
         loads[lightest] += pilot_counts[i].max(1); // empty patches still cost a tree
     }
-    Ownership { owner, nranks }
+    Ownership::new(owner, nranks)
 }
 
 #[cfg(test)]

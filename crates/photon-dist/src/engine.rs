@@ -2,18 +2,21 @@
 //!
 //! [`DistEngine`] wraps the Fig 5.3 loop behind
 //! [`photon_core::SolverEngine`]: it owns a [`simmpi::World`] (one virtual
-//! clock per rank) and every rank's state (forest shard, owned patches,
-//! processed count), so clocks and trees persist between batches while no
-//! thread does. Each [`step`](photon_core::SolverEngine::step) is one
-//! round of three bulk-synchronous supersteps:
+//! clock per rank, the engine's only clock) and every rank's state (the
+//! trees it owns and no other, its exchange queues, its processed count),
+//! so clocks and trees persist between batches while no thread does. Each
+//! [`step`](photon_core::SolverEngine::step) is one round of three
+//! bulk-synchronous supersteps:
 //!
 //! 1. **Trace** — one [`parallel_map`] over the ranks: rank `r` traces its
 //!    stride of the batch, tallying the patches it owns and queueing
 //!    records for the rest per owner.
 //! 2. **Exchange** — on the calling thread: each rank is charged its
-//!    compute, and [`World::alltoallv`] moves every queue to its owner.
+//!    compute, and [`World::alltoallv`] moves every queue of
+//!    [`PhotonRecord`]s to its owner.
 //! 3. **Tally** — a second [`parallel_map`]: each rank tallies what it
-//!    received, in source-rank order.
+//!    received, in source-rank order. Each buffer then goes back to its
+//!    sender, emptied, as next round's queue.
 //!
 //! The clocks then meet ([`World::sync_clocks`]) and the engine's one
 //! batch controller observes the round's rate. A world of any size runs
@@ -53,34 +56,40 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One rank's solve state, kept in the engine between steps.
 struct Rank {
-    /// Every tree; the rank refines those it owns, and the rest keep the
-    /// pilot-phase state the engine built once at boot.
-    forest: BinForest,
-    /// The patches this rank owns (set by the balancing phase).
-    owned: Vec<u32>,
+    /// The trees of the patches this rank owns, in increasing patch id:
+    /// a patch's tree sits at its [`Ownership::locate`] slot.
+    trees: Vec<BinTree>,
+    /// Outgoing records per destination rank, empty between steps and
+    /// reused across them.
+    queues: Vec<Vec<PhotonRecord>>,
     /// Photon interactions processed (local + received): Table 5.2's
     /// metric.
     processed: u64,
 }
 
 impl Rank {
-    /// Arena footprint of the trees this rank owns (each patch counted on
-    /// exactly one rank, so the sum over ranks covers the answer).
-    fn owned_footprint(&self) -> ForestFootprint {
+    /// Arena footprint of this rank's trees (each patch counted on exactly
+    /// one rank, so the sum over ranks covers the answer).
+    fn footprint(&self) -> ForestFootprint {
         let mut fp = ForestFootprint::default();
-        for &p in &self.owned {
-            fp.add_tree(self.forest.tree(p));
+        for tree in &self.trees {
+            fp.add_tree(tree);
         }
         fp
     }
 }
 
 /// A superstep's job locks its own rank and the engine's `&self` readers
-/// lock one rank at a time, so the lock is never contended. Lock poisoning
+/// run between steps, so the lock is never contended. Lock poisoning
 /// is ignored, as in `photon_par::SharedForest`: a job that panicked has
 /// already panicked its map.
 fn lock(rank: &Mutex<Rank>) -> MutexGuard<'_, Rank> {
     rank.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A rank through `&mut` access to the engine: no lock taken.
+fn rank_mut(rank: &mut Mutex<Rank>) -> &mut Rank {
+    rank.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The distributed engine: a rank world driven batch by batch.
@@ -99,12 +108,9 @@ pub struct DistEngine {
     controller: Option<BatchController>,
     /// Next main-loop photon index to trace.
     main_start: u64,
-    /// Synchronized virtual clock at the start of the current batch.
-    batch_start: f64,
     stats: SimStats,
     speed: SpeedTrace,
     main_emitted: u64,
-    clock: f64,
     bytes_forwarded: u64,
 }
 
@@ -112,8 +118,8 @@ impl DistEngine {
     /// Boots an `config.nranks`-rank world over `scene` and runs the
     /// load-balancing phase (ch. 5): every rank would trace the same pilot
     /// photons with the same seed into the same forest, so the engine
-    /// traces them once, charges them to every rank, and gives each rank a
-    /// copy of the pilot forest.
+    /// traces them once, charges them to every rank, and moves each pilot
+    /// tree to its owner, the only rank that holds it.
     pub fn new(scene: Scene, config: DistConfig) -> Self {
         let nranks = config.nranks;
         assert!(nranks >= 1);
@@ -139,14 +145,18 @@ impl DistEngine {
                 balance::best_fit(&counts, nranks)
             }
         };
-        world.barrier(); // end of the balancing phase; clocks sync
-        let clock = world.clocks().iter().copied().fold(0.0, f64::max);
-        let batch_start = world.sync_clocks();
-        let ranks = (0..nranks)
-            .map(|r| {
+        world.sync_clocks(); // end of the balancing phase
+                             // Patch ids ascend, so each rank's trees land in slot order.
+        let mut trees: Vec<Vec<BinTree>> = vec![Vec::new(); nranks];
+        for (p, tree) in pilot.into_trees().into_iter().enumerate() {
+            trees[ownership.owner_of(p as u32)].push(tree);
+        }
+        let ranks = trees
+            .into_iter()
+            .map(|trees| {
                 Mutex::new(Rank {
-                    forest: pilot.clone(),
-                    owned: ownership.patches_of(r),
+                    trees,
+                    queues: vec![Vec::new(); nranks],
                     processed: 0,
                 })
             })
@@ -165,11 +175,9 @@ impl DistEngine {
                 BatchMode::Fixed(_) => None,
             },
             main_start: 0,
-            batch_start,
             stats,
             speed: SpeedTrace::new(),
             main_emitted: 0,
-            clock,
             bytes_forwarded: 0,
         }
     }
@@ -179,9 +187,10 @@ impl DistEngine {
         self.main_emitted
     }
 
-    /// Synchronized virtual clock, seconds.
+    /// Synchronized virtual clock, seconds: every collective the engine
+    /// ends a phase with leaves all rank clocks equal.
     pub fn virtual_clock(&self) -> f64 {
-        self.clock
+        self.world.clocks()[0]
     }
 
     /// The ownership map in force.
@@ -213,34 +222,20 @@ impl DistEngine {
             .unwrap_or_default()
     }
 
-    /// The latest virtual clock on any rank.
-    pub(crate) fn final_clock(&self) -> f64 {
-        self.world.clocks().iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Clones every rank's owned trees and merges them into one forest
-    /// (each patch exactly once).
+    /// Clones every patch's tree from its owner into one forest.
     fn collect_forest(&self) -> BinForest {
-        let mut trees: Vec<Option<BinTree>> =
-            (0..self.scene.polygon_count()).map(|_| None).collect();
-        for rank in &self.ranks {
-            let rank = &mut *lock(rank);
-            for &p in &rank.owned {
-                // A snapshot is a batch boundary for this rank, so compact
-                // the owned arenas first: both the continuing solve and the
-                // clones come out subtree-clustered, and the canonical
-                // export order keeps the bytes identical.
-                rank.forest.tree_mut(p).compact();
-                debug_assert!(trees[p as usize].is_none(), "patch {p} owned twice");
-                trees[p as usize] = Some(rank.forest.tree(p).clone());
-            }
-        }
-        BinForest::from_trees(
-            trees
-                .into_iter()
-                .map(|t| t.expect("all patches owned"))
-                .collect(),
-        )
+        let mut ranks: Vec<_> = self.ranks.iter().map(lock).collect();
+        let trees = (0..self.scene.polygon_count() as u32).map(|p| {
+            let (owner, slot) = self.ownership.locate(p);
+            let tree = &mut ranks[owner].trees[slot];
+            // A snapshot is a batch boundary, so compact the arena first:
+            // both the continuing solve and the clone come out
+            // subtree-clustered, and the canonical export order keeps the
+            // bytes identical.
+            tree.compact();
+            tree.clone()
+        });
+        BinForest::from_trees(trees.collect())
     }
 
     /// One trace→exchange→tally round with `per_rank_hint` photons per
@@ -254,6 +249,7 @@ impl DistEngine {
             None => per_rank_hint.max(1),
         };
         let global_batch = per_rank * nranks as u64;
+        let batch_start = self.virtual_clock();
         let (scene, generator, seed) = (&self.scene, &self.generator, self.config.seed);
         let (ownership, ranks, main_start) = (&self.ownership, &self.ranks, self.main_start);
 
@@ -261,7 +257,7 @@ impl DistEngine {
         // photons, the union over ranks exactly the serial set.
         let traced = parallel_map(self.workers, nranks, |r| {
             let rank = &mut *lock(&ranks[r]);
-            let mut queues: Vec<Vec<u8>> = vec![Vec::new(); nranks];
+            let mut queues = std::mem::take(&mut rank.queues);
             // Counted in a local: neighbouring ranks' counters can share a
             // cache line, and a per-tally write there costs ~9 %.
             let mut processed = 0;
@@ -274,7 +270,7 @@ impl DistEngine {
             let mut sink = DistSink {
                 ownership,
                 my_rank: r,
-                forest: &mut rank.forest,
+                trees: &mut rank.trees,
                 queues: &mut queues,
                 processed: &mut processed,
             };
@@ -292,7 +288,8 @@ impl DistEngine {
             self.world
                 .charge_compute(r, stats.emitted + stats.reflections, npolys);
             self.world.advance(r, platform.batch_overhead_s);
-            self.bytes_forwarded += queues.iter().map(|q| q.len() as u64).sum::<u64>();
+            let records: usize = queues.iter().map(Vec::len).sum();
+            self.bytes_forwarded += (records * std::mem::size_of::<PhotonRecord>()) as u64;
             self.stats.merge(&stats);
             batch_photons += stats.emitted;
             outgoing.push(queues);
@@ -304,34 +301,38 @@ impl DistEngine {
         let tallied = parallel_map(self.workers, nranks, |r| {
             let rank = &mut *lock(&ranks[r]);
             let mut received = 0u64;
-            for buf in &incoming[r] {
-                for rec in PhotonRecord::decode_all(buf) {
-                    debug_assert_eq!(ownership.owner_of(rec.patch_id), r);
-                    rank.forest.tally(rec.patch_id, &rec.point, rec.energy);
-                    received += 1;
-                }
+            for rec in incoming[r].iter().flatten() {
+                let (owner, slot) = ownership.locate(rec.patch_id);
+                debug_assert_eq!(owner, r);
+                rank.trees[slot].tally(&rec.point(), rec.energy());
+                received += 1;
             }
             rank.processed += received;
-            (received, rank.owned_footprint())
+            (received, rank.footprint())
         });
         let mut footprint = ForestFootprint::default();
         for (r, (received, fp)) in tallied.iter().enumerate() {
             self.world.advance(r, platform.tally_cost(*received));
             footprint.merge(fp);
         }
+        // Hand every buffer back to its sender, emptied, for the next round.
+        for from in incoming {
+            for (s, mut buf) in from.into_iter().enumerate() {
+                buf.clear();
+                rank_mut(&mut self.ranks[s]).queues.push(buf);
+            }
+        }
 
         // Batch accounting on the synchronized clock.
         let t_batch_end = self.world.sync_clocks();
         self.main_start += global_batch;
-        let batch_seconds = (t_batch_end - self.batch_start).max(1e-12);
+        let batch_seconds = (t_batch_end - batch_start).max(1e-12);
         if let Some(c) = self.controller.as_mut() {
             c.observe(global_batch as f64 / batch_seconds);
         }
-        self.batch_start = t_batch_end;
-        self.clock = self.clock.max(t_batch_end);
         self.main_emitted += batch_photons;
         self.speed
-            .push_batch(self.clock, batch_photons, batch_seconds);
+            .push_batch(t_batch_end, batch_photons, batch_seconds);
         BatchReport {
             batch_photons,
             emitted_total: self.stats.emitted,
@@ -341,7 +342,7 @@ impl DistEngine {
             // exchange), so the whole round counts as trace time.
             trace_seconds: batch_seconds,
             apply_seconds: 0.0,
-            elapsed_seconds: self.clock,
+            elapsed_seconds: t_batch_end,
             stats: self.stats,
             footprint,
         }
@@ -380,15 +381,10 @@ impl SolverEngine for DistEngine {
             self.config.seed,
             self.config.split,
         )?;
-        let trees = checkpoint.forest().into_trees();
-        for rank in &self.ranks {
-            // Adopt the checkpoint's state for the trees this rank owns;
-            // unowned trees keep the pilot-phase state the engine
-            // regenerated at boot, exactly as in an uninterrupted run.
-            let rank = &mut *lock(rank);
-            for &p in &rank.owned {
-                *rank.forest.tree_mut(p) = trees[p as usize].clone();
-            }
+        // Each owner adopts the checkpoint's tree in place of its own.
+        for (p, tree) in checkpoint.forest().into_trees().into_iter().enumerate() {
+            let (owner, slot) = self.ownership.locate(p as u32);
+            rank_mut(&mut self.ranks[owner]).trees[slot] = tree;
         }
         self.main_start = checkpoint.cursor();
         self.stats = checkpoint.stats();

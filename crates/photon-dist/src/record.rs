@@ -1,113 +1,50 @@
-//! The wire format of forwarded photon interactions.
+//! The forwarded photon interaction.
 //!
 //! In distributed Photon every reflected photon whose bin lives on another
 //! processor is queued and shipped in the all-to-all phase (Fig 5.3). A
 //! record carries everything `DetermineBin` needs on the owner: the patch,
-//! the 4-D bin coordinates and the RGB energy — 32 bytes, a small fraction
-//! of the "100 bytes per photon" the paper attributes to ray-history
-//! approaches.
+//! the 4-D bin coordinates and the RGB energy, the floats rounded to `f32`
+//! as they would be on a real wire. That is 32 bytes, a small fraction of
+//! the "100 bytes per photon" the paper attributes to ray-history
+//! approaches. The ranks share one address space, so a record travels as
+//! itself: [`simmpi::World::alltoallv`] charges its in-memory size.
 
 use photon_hist::BinPoint;
 use photon_math::Rgb;
 
-/// Byte length of one encoded record.
-pub const RECORD_BYTES: usize = 32;
-
-/// One forwarded photon interaction.
+/// One forwarded photon interaction, 32 bytes in memory and on the wire.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhotonRecord {
     /// Owning patch.
     pub patch_id: u32,
-    /// 4-D bin coordinates.
-    pub point: BinPoint,
-    /// Outgoing energy.
-    pub energy: Rgb,
+    /// 4-D bin coordinates `(s, t, theta, r_sq)`.
+    point: [f32; 4],
+    /// Outgoing energy `(r, g, b)`.
+    energy: [f32; 3],
 }
+
+const _: () = assert!(std::mem::size_of::<PhotonRecord>() == 32);
 
 impl PhotonRecord {
-    /// Appends the 32-byte encoding to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.patch_id.to_le_bytes());
-        for v in [
-            self.point.s as f32,
-            self.point.t as f32,
-            self.point.theta as f32,
-            self.point.r_sq as f32,
-            self.energy.r as f32,
-            self.energy.g as f32,
-            self.energy.b as f32,
-        ] {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decodes one record from a 32-byte chunk.
-    pub fn decode(chunk: &[u8]) -> PhotonRecord {
-        assert_eq!(
-            chunk.len(),
-            RECORD_BYTES,
-            "record must be {RECORD_BYTES} bytes"
-        );
-        let u32_at = |i: usize| u32::from_le_bytes(chunk[i..i + 4].try_into().unwrap());
-        let f32_at = |i: usize| f32::from_le_bytes(chunk[i..i + 4].try_into().unwrap()) as f64;
+    /// The record of one tally, its floats rounded to `f32`.
+    pub fn new(patch_id: u32, point: &BinPoint, energy: Rgb) -> PhotonRecord {
+        let f = |v: f64| v as f32;
         PhotonRecord {
-            patch_id: u32_at(0),
-            point: BinPoint::new(f32_at(4), f32_at(8), f32_at(12), f32_at(16)),
-            energy: Rgb::new(f32_at(20), f32_at(24), f32_at(28)),
+            patch_id,
+            point: [f(point.s), f(point.t), f(point.theta), f(point.r_sq)],
+            energy: [f(energy.r), f(energy.g), f(energy.b)],
         }
     }
 
-    /// Decodes a buffer of concatenated records.
-    pub fn decode_all(buf: &[u8]) -> impl Iterator<Item = PhotonRecord> + '_ {
-        assert_eq!(buf.len() % RECORD_BYTES, 0, "truncated record buffer");
-        buf.chunks_exact(RECORD_BYTES).map(PhotonRecord::decode)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn sample() -> PhotonRecord {
-        PhotonRecord {
-            patch_id: 1234,
-            point: BinPoint::new(0.25, 0.75, 3.0, 0.5),
-            energy: Rgb::new(1.5, 0.5, 0.125),
-        }
+    /// The bin coordinates the owner tallies.
+    pub fn point(&self) -> BinPoint {
+        let [s, t, theta, r_sq] = self.point.map(f64::from);
+        BinPoint::new(s, t, theta, r_sq)
     }
 
-    #[test]
-    fn round_trip() {
-        let r = sample();
-        let mut buf = Vec::new();
-        r.encode_into(&mut buf);
-        assert_eq!(buf.len(), RECORD_BYTES);
-        let back = PhotonRecord::decode(&buf);
-        assert_eq!(back.patch_id, r.patch_id);
-        // f32 round trip loses precision below 1e-7 relative.
-        assert!((back.point.s - r.point.s).abs() < 1e-6);
-        assert!((back.point.theta - r.point.theta).abs() < 1e-6);
-        assert!((back.energy.r - r.energy.r).abs() < 1e-6);
-    }
-
-    #[test]
-    fn decode_all_iterates_packed_records() {
-        let mut buf = Vec::new();
-        for i in 0..10u32 {
-            let mut r = sample();
-            r.patch_id = i;
-            r.encode_into(&mut buf);
-        }
-        let ids: Vec<u32> = PhotonRecord::decode_all(&buf).map(|r| r.patch_id).collect();
-        assert_eq!(ids, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic]
-    fn truncated_buffer_panics() {
-        let mut buf = Vec::new();
-        sample().encode_into(&mut buf);
-        buf.pop();
-        let _: Vec<_> = PhotonRecord::decode_all(&buf).collect();
+    /// The energy the owner tallies.
+    pub fn energy(&self) -> Rgb {
+        let [r, g, b] = self.energy.map(f64::from);
+        Rgb::new(r, g, b)
     }
 }

@@ -46,16 +46,19 @@ impl World {
     /// The all-to-all personalized exchange at the heart of distributed
     /// Photon (Fig 5.3): `outgoing[s][d]` is what rank `s` sends rank `d`;
     /// returns `incoming[d][s]`, every payload moved, not copied (a rank's
-    /// payload to itself passes through free).
+    /// payload to itself passes through free). A payload of `len` items
+    /// is charged as `len × size_of::<T>()` bytes on the wire.
     ///
     /// Blocking and clock-synchronizing: afterwards rank `d`'s clock is
     /// `max over s (clock_s + s's send cost) + d's receive cost`, where a
-    /// cost counts only remote, nonempty messages.
+    /// cost counts only remote, nonempty messages. The all-empty exchange
+    /// is a barrier: it sets every clock to the maximum.
     ///
     /// # Panics
     /// Panics unless there is one payload per rank pair.
-    pub fn alltoallv(&mut self, outgoing: Vec<Vec<Vec<u8>>>) -> Vec<Vec<Vec<u8>>> {
+    pub fn alltoallv<T>(&mut self, outgoing: Vec<Vec<Vec<T>>>) -> Vec<Vec<Vec<T>>> {
         let n = self.size();
+        let item_bytes = std::mem::size_of::<T>();
         assert_eq!(outgoing.len(), n, "one payload list per rank required");
         let mut max_ready = f64::NEG_INFINITY;
         for (s, row) in outgoing.iter().enumerate() {
@@ -64,11 +67,11 @@ impl World {
                 .iter()
                 .enumerate()
                 .filter(|(d, m)| *d != s && !m.is_empty())
-                .map(|(_, m)| m.len())
+                .map(|(_, m)| m.len() * item_bytes)
                 .collect();
             max_ready = max_ready.max(self.clocks[s] + self.platform.send_cost(&remote_sizes));
         }
-        let mut incoming: Vec<Vec<Vec<u8>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
+        let mut incoming: Vec<Vec<Vec<T>>> = (0..n).map(|_| Vec::with_capacity(n)).collect();
         for row in outgoing {
             for (d, payload) in row.into_iter().enumerate() {
                 incoming[d].push(payload);
@@ -79,19 +82,12 @@ impl World {
             for (s, m) in from.iter().enumerate() {
                 if s != d && !m.is_empty() {
                     msgs += 1;
-                    bytes += m.len();
+                    bytes += m.len() * item_bytes;
                 }
             }
             *clock = max_ready + self.platform.recv_cost(msgs, bytes);
         }
         incoming
-    }
-
-    /// Barrier: the all-empty exchange, which sets every clock to the
-    /// maximum.
-    pub fn barrier(&mut self) {
-        let n = self.size();
-        self.alltoallv(vec![vec![Vec::new(); n]; n]);
     }
 
     /// Synchronizes every clock to the slowest rank's through a max
@@ -125,7 +121,7 @@ mod tests {
     }
 
     /// Every rank's `size` payloads, rank `s`'s to `d` from `payload(s, d)`.
-    fn outgoing(size: usize, payload: impl Fn(usize, usize) -> Vec<u8>) -> Vec<Vec<Vec<u8>>> {
+    fn outgoing<T>(size: usize, payload: impl Fn(usize, usize) -> Vec<T>) -> Vec<Vec<Vec<T>>> {
         (0..size)
             .map(|s| (0..size).map(|d| payload(s, d)).collect())
             .collect()
@@ -147,7 +143,7 @@ mod tests {
     fn clocks_synchronize_to_slowest_rank() {
         let mut world = World::new(4, onyx());
         world.advance(2, 5.0); // rank 2 is slow
-        world.barrier();
+        world.sync_clocks();
         for (r, &t) in world.clocks().iter().enumerate() {
             assert!(t >= 5.0, "rank {r} clock {t} below slowest");
             assert!(t < 5.1, "rank {r} clock {t} inflated");
@@ -184,12 +180,19 @@ mod tests {
         // 100 kB over ~1 MB/s Ethernet ≈ 0.1 s.
         assert!(clocks[0] > 0.05, "{clocks:?}");
         assert_eq!(clocks[0], clocks[1] /* symmetric exchange */);
+
+        // Typed items cost what their bytes cost: 12 500 × 8 B = 100 kB.
+        let mut typed = World::new(2, Platform::indy_cluster());
+        typed.alltoallv(outgoing(2, |s, d| {
+            vec![0u64; if s == d { 0 } else { 12_500 }]
+        }));
+        assert_eq!(typed.clocks(), clocks);
     }
 
     #[test]
     fn empty_exchange_is_nearly_free() {
         let mut world = World::new(4, onyx());
-        world.barrier();
+        world.alltoallv(outgoing(4, |_, _| Vec::<u8>::new()));
         assert!(
             world.clocks().iter().all(|&t| t < 1e-3),
             "{:?}",
@@ -212,6 +215,6 @@ mod tests {
     #[should_panic]
     fn wrong_payload_count_panics() {
         let mut world = World::new(2, onyx());
-        world.alltoallv(vec![vec![Vec::new()], vec![Vec::new(); 2]]); // rank 0 needs 2 entries
+        world.alltoallv(vec![vec![Vec::<u8>::new()], vec![Vec::new(); 2]]); // rank 0 needs 2 entries
     }
 }

@@ -10,9 +10,10 @@
 //! * **Bulk-synchronous collectives.** A [`World`] is plain data: the
 //!   [`Platform`] and one virtual clock per rank. Its collectives take
 //!   every rank's side at once: [`World::alltoallv`] moves each rank's
-//!   per-destination byte buffers to their owners, [`World::barrier`] is
-//!   the all-empty exchange, and [`World::sync_clocks`] is a max
-//!   all-reduce of the clocks. A caller runs the ranks' local work between
+//!   per-destination buffers of typed items to their owners, charging each
+//!   item's in-memory size as its wire bytes, and [`World::sync_clocks`]
+//!   is a max all-reduce of the clocks (a barrier is the all-empty
+//!   exchange). A caller runs the ranks' local work between
 //!   collectives however it likes (`photon-dist` maps it over the host's
 //!   cores), so a world of any size needs no thread of its own.
 //! * **Virtual time.** Each rank carries a clock advanced by a deterministic

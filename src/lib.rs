@@ -19,7 +19,7 @@
 //! | [`core`] | `photon-core` | the serial Photon simulator, answer files, viewer, and the `SolverEngine` trait every backend implements |
 //! | [`scenes`] | `photon-scenes` | Cornell Box, Harpsichord Practice Room, Computer Laboratory |
 //! | [`par`] | `photon-par` | shared-memory parallel simulator (resumable `ParEngine`) |
-//! | [`mpi`] | `simmpi` | bulk-synchronous MPI subset (per-rank virtual clocks, all-to-all, barrier, clock all-reduce) with 1997 platform models |
+//! | [`mpi`] | `simmpi` | bulk-synchronous MPI subset (per-rank virtual clocks, typed all-to-all, clock all-reduce) with 1997 platform models |
 //! | [`dist`] | `photon-dist` | distributed-memory simulator (resumable `DistEngine`), load balancing, batch sizing |
 //! | [`serve`] | `photon-serve` | solve→store→render pipeline: background solver pool, epoch-versioned answer store with a publish watch, tile-parallel render service with an epoch-keyed view cache, and streaming tile-delta subscriptions |
 //! | [`baselines`] | `photon-baselines` | Whitted ray tracing, radiosity, density estimation, spherical harmonics |

@@ -1,9 +1,8 @@
 //! Cross-crate property tests on the core invariants.
 
 use photon_gi::core::Camera;
-use photon_gi::dist::{balance, PhotonRecord};
+use photon_gi::dist::balance;
 use photon_gi::geom::{Material, Scene, SurfacePatch};
-use photon_gi::hist::BinPoint;
 use photon_gi::math::{Patch, Ray, Rgb, Vec3};
 use proptest::prelude::*;
 
@@ -96,32 +95,9 @@ proptest! {
         }
     }
 
-    /// Photon records survive the wire format (f32 precision).
-    #[test]
-    fn record_codec_round_trips(
-        patch_id in 0u32..100_000,
-        s in 0.0f64..1.0,
-        t in 0.0f64..1.0,
-        theta in 0.0f64..std::f64::consts::TAU,
-        r_sq in 0.0f64..1.0,
-        e in 0.0f64..1000.0,
-    ) {
-        let rec = PhotonRecord {
-            patch_id,
-            point: BinPoint::new(s, t, theta, r_sq),
-            energy: Rgb::new(e, e * 0.5, e * 0.25),
-        };
-        let mut buf = Vec::new();
-        rec.encode_into(&mut buf);
-        let back = PhotonRecord::decode(&buf);
-        prop_assert_eq!(back.patch_id, patch_id);
-        prop_assert!((back.point.s - s).abs() < 1e-6);
-        prop_assert!((back.point.theta - theta).abs() < 1e-5);
-        prop_assert!((back.energy.r - e).abs() / e.max(1.0) < 1e-6);
-    }
-
-    /// Every patch gets exactly one owner, and Best-Fit never loses to the
-    /// naive contiguous split.
+    /// Every patch gets exactly one owner, each rank's slots run 0..k in
+    /// `patches_of` order, and Best-Fit never loses to the naive
+    /// contiguous split.
     #[test]
     fn ownership_covers_and_best_fit_wins(
         weights in proptest::collection::vec(0u64..50_000, 1..200),
@@ -131,9 +107,13 @@ proptest! {
         let packed = balance::best_fit(&weights, nranks);
         let mut seen = vec![false; weights.len()];
         for r in 0..nranks {
-            for pid in packed.patches_of(r) {
+            for (slot, pid) in packed.patches_of(r).into_iter().enumerate() {
                 prop_assert!(!seen[pid as usize], "patch owned twice");
                 seen[pid as usize] = true;
+                prop_assert_eq!(packed.locate(pid), (r, slot));
+            }
+            for (slot, pid) in naive.patches_of(r).into_iter().enumerate() {
+                prop_assert_eq!(naive.locate(pid), (r, slot));
             }
         }
         prop_assert!(seen.iter().all(|&s| s), "unowned patch");
