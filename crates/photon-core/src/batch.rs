@@ -170,11 +170,11 @@ impl PartitionScratch {
     /// records sit in ascending `(photon, bounce)` order: the serial tally
     /// subsequence for that patch. This is a counting sort — O(records +
     /// patches), no comparisons.
-    pub fn partition(&mut self, lists: &[&[TallyRecord]], start: u64, count: u64) {
-        let total: usize = lists.iter().map(|l| l.len()).sum();
+    pub fn partition<L: AsRef<[TallyRecord]>>(&mut self, lists: &[L], start: u64, count: u64) {
+        let total: usize = lists.iter().map(|l| l.as_ref().len()).sum();
         self.counts.fill(0);
         for list in lists {
-            for rec in *list {
+            for rec in list.as_ref() {
                 self.counts[rec.patch_id as usize] += 1;
             }
         }
@@ -212,7 +212,7 @@ impl PartitionScratch {
         let stride = lists.len() as u64;
         for j in start..start + count {
             let t = ((j - start) % stride) as usize;
-            let list = lists[t];
+            let list = lists[t].as_ref();
             let cur = &mut self.cursors[t];
             while *cur < list.len() && list[*cur].photon == j {
                 let rec = list[*cur];
@@ -223,7 +223,10 @@ impl PartitionScratch {
             }
         }
         debug_assert!(
-            self.cursors.iter().zip(lists).all(|(c, l)| *c == l.len()),
+            self.cursors
+                .iter()
+                .zip(lists)
+                .all(|(c, l)| *c == l.as_ref().len()),
             "partition consumed every record"
         );
     }
@@ -446,7 +449,7 @@ mod tests {
     #[test]
     fn partition_handles_empty_and_tiny_batches() {
         let mut scratch = PartitionScratch::new(4);
-        scratch.partition(&[&[], &[]], 0, 0);
+        scratch.partition::<&[TallyRecord]>(&[&[], &[]], 0, 0);
         assert!(scratch.runs.is_empty());
         assert!(scratch.sorted.is_empty());
         // A single record lands in a single run.
@@ -457,7 +460,7 @@ mod tests {
             point: BinPoint::new(0.5, 0.5, 1.0, 0.5),
             energy: Rgb::WHITE,
         };
-        scratch.partition(&[&[rec], &[]], 9, 1);
+        scratch.partition(&[&[rec][..], &[]], 9, 1);
         assert_eq!(
             scratch.runs,
             vec![PatchRun {

@@ -136,7 +136,8 @@ impl BinForest {
         &self.trees[self.tree_slot(patch_id)]
     }
 
-    /// Mutable tree access (used by the distributed receiver path).
+    /// Mutable access to one patch's tree. Only the ledger's probes call
+    /// it; `ParEngine` reaches its trees through [`BinForest::trees_mut`].
     ///
     /// # Panics
     ///
@@ -146,6 +147,12 @@ impl BinForest {
     pub fn tree_mut(&mut self, patch_id: u32) -> &mut BinTree {
         let idx = self.tree_slot(patch_id);
         &mut self.trees[idx]
+    }
+
+    /// Every tree, indexed by patch id, for callers that hand disjoint
+    /// blocks of consecutive patches to different workers.
+    pub fn trees_mut(&mut self) -> &mut [BinTree] {
+        &mut self.trees
     }
 
     /// Iterates over `(patch_id, tree)`.

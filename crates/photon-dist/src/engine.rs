@@ -8,9 +8,10 @@
 //! [`step`](photon_core::SolverEngine::step) is one round of three
 //! bulk-synchronous supersteps:
 //!
-//! 1. **Trace** — one [`parallel_map`] over the ranks: rank `r` traces its
-//!    stride of the batch, tallying the patches it owns and queueing
-//!    records for the rest per owner.
+//! 1. **Trace** — one [`parallel_map`] over the ranks, job `r` handed
+//!    `&mut` to rank `r`'s state and nothing else writable (no rank sits
+//!    behind a lock): rank `r` traces its stride of the batch, tallying the
+//!    patches it owns and queueing records for the rest per owner.
 //! 2. **Exchange** — on the calling thread: each rank is charged its
 //!    compute, and [`World::alltoallv`] moves every queue of
 //!    [`PhotonRecord`]s to its owner.
@@ -52,7 +53,6 @@ use photon_par::parallel_map;
 use photon_rng::Lcg48;
 use simmpi::World;
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One rank's solve state, kept in the engine between steps.
 struct Rank {
@@ -79,26 +79,14 @@ impl Rank {
     }
 }
 
-/// A superstep's job locks its own rank and the engine's `&self` readers
-/// run between steps, so the lock is never contended. Lock poisoning
-/// is ignored, as in `photon_par::SharedForest`: a job that panicked has
-/// already panicked its map.
-fn lock(rank: &Mutex<Rank>) -> MutexGuard<'_, Rank> {
-    rank.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A rank through `&mut` access to the engine: no lock taken.
-fn rank_mut(rank: &mut Mutex<Rank>) -> &mut Rank {
-    rank.get_mut().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// The distributed engine: a rank world driven batch by batch.
 pub struct DistEngine {
     scene: Scene,
     generator: PhotonGenerator,
     config: DistConfig,
     world: World,
-    ranks: Vec<Mutex<Rank>>,
+    /// Every rank's state; superstep job `r` gets `&mut ranks[r]`.
+    ranks: Vec<Rank>,
     /// Threads a superstep maps its ranks over: the host's cores, at most
     /// one per rank.
     workers: usize,
@@ -153,12 +141,10 @@ impl DistEngine {
         }
         let ranks = trees
             .into_iter()
-            .map(|trees| {
-                Mutex::new(Rank {
-                    trees,
-                    queues: vec![Vec::new(); nranks],
-                    processed: 0,
-                })
+            .map(|trees| Rank {
+                trees,
+                queues: vec![Vec::new(); nranks],
+                processed: 0,
             })
             .collect();
         let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
@@ -210,7 +196,7 @@ impl DistEngine {
 
     /// Photon interactions processed per rank (local + received).
     pub(crate) fn per_rank_tallies(&self) -> Vec<u64> {
-        self.ranks.iter().map(|r| lock(r).processed).collect()
+        self.ranks.iter().map(|r| r.processed).collect()
     }
 
     /// The batch sizes the adaptive controller chose, in order (empty for
@@ -224,16 +210,9 @@ impl DistEngine {
 
     /// Clones every patch's tree from its owner into one forest.
     fn collect_forest(&self) -> BinForest {
-        let mut ranks: Vec<_> = self.ranks.iter().map(lock).collect();
         let trees = (0..self.scene.polygon_count() as u32).map(|p| {
             let (owner, slot) = self.ownership.locate(p);
-            let tree = &mut ranks[owner].trees[slot];
-            // A snapshot is a batch boundary, so compact the arena first:
-            // both the continuing solve and the clone come out
-            // subtree-clustered, and the canonical export order keeps the
-            // bytes identical.
-            tree.compact();
-            tree.clone()
+            self.ranks[owner].trees[slot].clone()
         });
         BinForest::from_trees(trees.collect())
     }
@@ -251,12 +230,11 @@ impl DistEngine {
         let global_batch = per_rank * nranks as u64;
         let batch_start = self.virtual_clock();
         let (scene, generator, seed) = (&self.scene, &self.generator, self.config.seed);
-        let (ownership, ranks, main_start) = (&self.ownership, &self.ranks, self.main_start);
+        let (ownership, main_start) = (&self.ownership, self.main_start);
 
         // Superstep 1: rank r leapfrogs over the batch window, `per_rank`
         // photons, the union over ranks exactly the serial set.
-        let traced = parallel_map(self.workers, nranks, |r| {
-            let rank = &mut *lock(&ranks[r]);
+        let traced = parallel_map(self.workers, &mut self.ranks, |r, rank| {
             let mut queues = std::mem::take(&mut rank.queues);
             // Counted in a local: neighbouring ranks' counters can share a
             // cache line, and a per-tally write there costs ~9 %.
@@ -298,8 +276,7 @@ impl DistEngine {
 
         // Superstep 3: every owner tallies what it received, in source
         // order.
-        let tallied = parallel_map(self.workers, nranks, |r| {
-            let rank = &mut *lock(&ranks[r]);
+        let tallied = parallel_map(self.workers, &mut self.ranks, |r, rank| {
             let mut received = 0u64;
             for rec in incoming[r].iter().flatten() {
                 let (owner, slot) = ownership.locate(rec.patch_id);
@@ -319,7 +296,7 @@ impl DistEngine {
         for from in incoming {
             for (s, mut buf) in from.into_iter().enumerate() {
                 buf.clear();
-                rank_mut(&mut self.ranks[s]).queues.push(buf);
+                self.ranks[s].queues.push(buf);
             }
         }
 
@@ -384,7 +361,7 @@ impl SolverEngine for DistEngine {
         // Each owner adopts the checkpoint's tree in place of its own.
         for (p, tree) in checkpoint.forest().into_trees().into_iter().enumerate() {
             let (owner, slot) = self.ownership.locate(p as u32);
-            rank_mut(&mut self.ranks[owner]).trees[slot] = tree;
+            self.ranks[owner].trees[slot] = tree;
         }
         self.main_start = checkpoint.cursor();
         self.stats = checkpoint.stats();

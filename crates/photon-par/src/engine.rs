@@ -1,13 +1,16 @@
 //! The resumable shared-memory solver engine.
 //!
 //! [`ParEngine`] is `photon_par`'s implementation of
-//! [`photon_core::SolverEngine`]: it owns its scene, its [`SharedForest`]
-//! and its step buffers, so the solve advances batch by batch across
+//! [`photon_core::SolverEngine`]: it owns its scene, its [`BinForest`]
+//! (the same type the serial simulator holds) and its step buffers, so the
+//! solve advances batch by batch across
 //! [`step`](photon_core::SolverEngine::step) calls instead of running once
-//! and exiting. It owns no thread: each parallel phase of a step is one
-//! [`parallel_map`] over the workers, which borrows `T − 1` threads beside
-//! the calling one for that phase alone, so nothing is parked between
-//! steps. `photon_par::run` is a thin driver over this engine.
+//! and exiting. It owns no thread and no lock: each parallel phase of a
+//! step is one [`parallel_map`] over the workers, which borrows `T − 1`
+//! threads beside the calling one for that phase alone and hands each job
+//! `&mut` to the one item it writes, so nothing is parked between steps
+//! and nothing is shared while a phase runs. `photon_par::run` is a thin
+//! driver over this engine.
 //!
 //! **Photon assignment.** Step `k` covers global photon indices
 //! `[cursor, cursor + batch)`; worker `t` of `T` leapfrogs through them,
@@ -19,16 +22,18 @@
 //! generate → trace → partition → apply → compact → report:
 //!
 //! 1. *Trace* — every worker runs the workspace's one photon loop
-//!    ([`photon_core::trace_span`]) over its stride, lock-free, its sink a
-//!    [`RecordSink`] over its own scratch buffer (reused across steps), and
-//!    returns its photon counters only.
+//!    ([`photon_core::trace_span`]) over its stride, its item of the map
+//!    its own scratch buffer (reused across steps) behind a
+//!    [`RecordSink`], and returns its photon counters only.
 //! 2. *Partition* — the calling thread counting-sorts all records by patch,
-//!    scattering in global `(photon, bounce)` order into one reused buffer:
-//!    each patch's run is exactly the serial tally subsequence for that
-//!    tree.
-//! 3. *Apply* — workers claim whole patch runs from an atomic cursor and
-//!    fold each into its tree under a single write-lock acquisition, with
-//!    the leaf-descent cache skipping root re-descents inside a run.
+//!    reading the trace buffers in place and scattering in global
+//!    `(photon, bounce)` order into one reused buffer: each patch's run is
+//!    exactly the serial tally subsequence for that tree.
+//! 3. *Apply* — the forest's trees are cut into at most `T` blocks of
+//!    consecutive patches, each holding about a `T`-th of the batch's
+//!    records. Each worker owns one block and folds its runs into its
+//!    trees, with the leaf-descent cache skipping root re-descents inside
+//!    a run.
 //! 4. *Compact, report* — the bookkeeping [`StepBook`] shared with the
 //!    serial simulator.
 //!
@@ -36,39 +41,81 @@
 //! applied by exactly one worker, the resulting [`Answer`] is
 //! **bit-identical** to `Simulator`'s for the same seed and photon count,
 //! at any thread count — one worker included, which runs the same three
-//! phases — while runs on distinct trees apply concurrently. Steady-state
-//! steps reuse every buffer: trace buffers, the sorted buffer, the run
-//! list, and the per-patch counters. What a step still allocates is its
-//! two phases' spawns and T-entry vectors (`tests/steady_state_alloc.rs`).
+//! phases — while blocks of distinct trees apply concurrently. Between
+//! steps the engine is the serial simulator's state, so snapshot,
+//! checkpoint and restore are `Simulator`'s. Steady-state steps reuse
+//! every buffer: trace buffers, the sorted buffer, the run list, and the
+//! per-patch counters. What a step still allocates is its two phases'
+//! spawns and slots and the T-entry block list
+//! (`tests/steady_state_alloc.rs`).
 
-use crate::{parallel_map, ParConfig, SharedForest};
-use photon_core::batch::{PartitionScratch, RecordSink, TallyRecord};
+use crate::{parallel_map, ParConfig};
+use photon_core::batch::{PartitionScratch, PatchRun, RecordSink, TallyRecord};
 use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
 use photon_core::{
-    trace_span, Answer, BatchReport, EngineCheckpoint, RestoreError, SolverEngine, Span,
+    trace_span, Answer, BatchReport, BinForest, EngineCheckpoint, RestoreError, SolverEngine, Span,
     SpeedTrace, StepBook,
 };
 use photon_geom::Scene;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use photon_hist::BinTree;
 
-/// The resumable shared-memory engine: a shared, reader/writer-locked bin
-/// forest, stepped batch by batch through the trace→partition→apply
-/// pipeline, each parallel phase one [`parallel_map`] over the workers.
+/// The resumable shared-memory engine: a bin forest stepped batch by
+/// batch through the trace→partition→apply pipeline, each parallel phase
+/// one [`parallel_map`] over the workers.
 pub struct ParEngine {
     config: ParConfig,
     scene: Scene,
     generator: PhotonGenerator,
-    forest: SharedForest,
+    forest: BinForest,
     /// Per-worker trace records, reused across steps; slot `t` holds the
-    /// records of worker `t`'s stride. The locks are uncontended: a trace
-    /// job touches only its own slot, and the partition reads them all
-    /// after the phase has joined.
-    traces: Vec<Mutex<Vec<TallyRecord>>>,
+    /// records of worker `t`'s stride and is trace job `t`'s item.
+    traces: Vec<Vec<TallyRecord>>,
     /// The partition output the apply phase consumes.
     partition: PartitionScratch,
     steps: StepBook,
+}
+
+/// One apply job's item: a block of consecutive patch trees and the
+/// partition runs that land in it.
+struct Block<'a> {
+    /// Patch id of `trees[0]`.
+    first: usize,
+    trees: &'a mut [BinTree],
+    runs: &'a [PatchRun],
+}
+
+/// Cuts `trees` into at most `threads` blocks of consecutive patches,
+/// closing a block at the run that brings it to ⌈records / `threads`⌉ of
+/// `runs`' records, so no block holds more than that plus its last run.
+/// The last block takes every tree left.
+fn blocks<'a>(
+    mut trees: &'a mut [BinTree],
+    runs: &'a [PatchRun],
+    threads: usize,
+) -> Vec<Block<'a>> {
+    let share = runs.iter().map(|r| r.len).sum::<usize>().div_ceil(threads);
+    let mut blocks = Vec::with_capacity(threads);
+    let (mut first, mut from, mut records) = (0, 0, 0);
+    for (i, run) in runs.iter().enumerate() {
+        records += run.len;
+        if records >= share && i + 1 < runs.len() {
+            let end = run.patch_id as usize + 1;
+            let (mine, rest) = std::mem::take(&mut trees).split_at_mut(end - first);
+            blocks.push(Block {
+                first,
+                trees: mine,
+                runs: &runs[from..=i],
+            });
+            (trees, first, from, records) = (rest, end, i + 1, 0);
+        }
+    }
+    blocks.push(Block {
+        first,
+        trees,
+        runs: &runs[from..],
+    });
+    blocks
 }
 
 impl ParEngine {
@@ -76,11 +123,11 @@ impl ParEngine {
     /// `config.threads` workers.
     pub fn new(scene: Scene, config: ParConfig) -> Self {
         assert!(config.threads >= 1);
-        let forest = SharedForest::new(scene.polygon_count(), config.split);
+        let forest = BinForest::new(scene.polygon_count(), config.split);
         ParEngine {
             config,
             generator: PhotonGenerator::new(&scene),
-            traces: (0..config.threads).map(|_| Mutex::default()).collect(),
+            traces: vec![Vec::new(); config.threads],
             partition: PartitionScratch::new(scene.polygon_count()),
             steps: StepBook::new(forest.total_nodes()),
             scene,
@@ -88,8 +135,8 @@ impl ParEngine {
         }
     }
 
-    /// The shared forest being refined.
-    pub fn forest(&self) -> &SharedForest {
+    /// The bin forest accumulated so far.
+    pub fn forest(&self) -> &BinForest {
         &self.forest
     }
 
@@ -98,56 +145,9 @@ impl ParEngine {
         &self.steps.speed
     }
 
-    /// The configuration the engine was built with.
-    pub fn config(&self) -> &ParConfig {
-        &self.config
-    }
-
-    /// Finishes the run, moving the forest into the answer (no tree
-    /// clones, unlike a mid-solve [`SolverEngine::snapshot`]).
+    /// Finishes the run, producing the answer.
     pub fn into_answer(self) -> Answer {
-        Answer::from_forest(&self.forest.into_forest(), self.steps.stats.emitted)
-    }
-
-    /// Worker `t`'s leapfrogged share of photons `[start, start + count)`,
-    /// traced into its slot of `traces`.
-    fn trace(&self, t: usize, start: u64, count: u64) -> SimStats {
-        // Trace into the buffer from this worker's own stack, not in its
-        // slot: a `Vec`'s length is stored at every push, the slots are 32
-        // bytes apart, and whether two of them share a cache line is the
-        // allocator's whim — so pushing in place cost 0–15 % of the trace
-        // phase, differently every run.
-        let slot = &self.traces[t];
-        let mut out = std::mem::take(&mut *slot.lock().unwrap_or_else(PoisonError::into_inner));
-        out.clear(); // keep capacity: steady state reallocates nothing
-        let span = Span {
-            start,
-            count,
-            offset: t as u64,
-            stride: self.config.threads as u64,
-        };
-        let stats = trace_span(
-            &self.scene,
-            &self.generator,
-            self.config.seed,
-            span,
-            &mut RecordSink::new(&mut out),
-        );
-        *slot.lock().unwrap_or_else(PoisonError::into_inner) = out;
-        stats
-    }
-
-    /// Claims patch runs from `next_run` until none are left, folding each
-    /// into its tree.
-    fn apply(&self, next_run: &AtomicUsize) {
-        loop {
-            let i = next_run.fetch_add(1, Ordering::Relaxed);
-            let Some(run) = self.partition.runs.get(i) else {
-                break;
-            };
-            self.forest
-                .tally_run(run.patch_id, self.partition.run_records(run));
-        }
+        self.snapshot()
     }
 }
 
@@ -156,36 +156,52 @@ impl SolverEngine for ParEngine {
         let batch_start = self.steps.begin();
         let start = self.steps.cursor;
         let threads = self.config.threads;
+        let (scene, generator, seed) = (&self.scene, &self.generator, self.config.seed);
 
-        // Generate + trace: lock-free, each worker into its own buffer.
+        // Generate + trace: each worker into its own buffer.
         let mut traced = SimStats::default();
-        for stats in parallel_map(threads, threads, |t| self.trace(t, start, batch)) {
+        for stats in parallel_map(threads, &mut self.traces, |t, slot| {
+            // Trace into the buffer from this worker's own stack, not in
+            // its slot: a `Vec`'s length is stored at every push, the slots
+            // are 24 bytes apart, and whether two of them share a cache line
+            // is the allocator's whim — so pushing in place cost 0–15 % of
+            // the trace phase, differently every run.
+            let mut out = std::mem::take(slot);
+            out.clear(); // keep capacity: steady state reallocates nothing
+            let span = Span {
+                start,
+                count: batch,
+                offset: t as u64,
+                stride: threads as u64,
+            };
+            let stats = trace_span(scene, generator, seed, span, &mut RecordSink::new(&mut out));
+            *slot = out;
+            stats
+        }) {
             traced.merge(&stats);
         }
         self.steps.advance(batch, &traced);
         let trace_seconds = batch_start.elapsed().as_secs_f64();
 
         // Partition, on the calling thread.
-        let lists: Vec<&[TallyRecord]> = self
-            .traces
-            .iter_mut()
-            .map(|m| {
-                m.get_mut()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .as_slice()
-            })
-            .collect();
-        self.partition.partition(&lists, start, batch);
+        self.partition.partition(&self.traces, start, batch);
 
-        // Apply: workers claim whole patch runs.
-        let next_run = AtomicUsize::new(0);
-        parallel_map(threads, threads, |_| self.apply(&next_run));
+        // Apply: each worker folds the runs of its own block of trees.
+        let partition = &self.partition;
+        let mut blocks = blocks(self.forest.trees_mut(), &partition.runs, threads);
+        parallel_map(threads, &mut blocks, |_, block| {
+            for run in block.runs {
+                let records = partition.run_records(run).iter();
+                block.trees[run.patch_id as usize - block.first]
+                    .tally_run(records.map(|r| (&r.point, r.energy)));
+            }
+        });
 
-        // Compact: no worker holds a guard between phases, so this batch
+        // Compact: between phases no worker holds a tree, so this batch
         // boundary is the one safe place. Invisible in the answer
         // (canonical export).
         if self.steps.wants_compaction(self.forest.total_nodes()) {
-            self.forest.compact_all();
+            self.forest.compact();
         }
 
         self.steps.finish(
@@ -197,7 +213,7 @@ impl SolverEngine for ParEngine {
     }
 
     fn snapshot(&self) -> Answer {
-        Answer::from_forest(&self.forest.snapshot_forest(), self.steps.stats.emitted)
+        Answer::from_forest(&self.forest, self.steps.stats.emitted)
     }
 
     fn stats(&self) -> SimStats {
@@ -205,27 +221,18 @@ impl SolverEngine for ParEngine {
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
-        // A checkpoint is a batch boundary too: compact the live arenas so
-        // both the resumed solve and the cloned trees are subtree-clustered.
-        self.forest.compact_all();
         EngineCheckpoint::new(
             self.config.seed,
             self.steps.cursor,
             self.steps.stats,
             self.config.split,
-            self.forest.snapshot_forest().into_trees(),
+            self.forest.clone().into_trees(),
         )
     }
 
     fn restore(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), RestoreError> {
-        checkpoint.compatible_with(
-            self.forest.patch_count(),
-            self.config.seed,
-            self.config.split,
-        )?;
-        // The forest is the engine's only solve state besides the book, so
-        // swapping the trees in place restores the solve.
-        self.forest.replace(checkpoint.forest());
+        checkpoint.compatible_with(self.forest.len(), self.config.seed, self.config.split)?;
+        self.forest = checkpoint.forest();
         self.steps.restore(checkpoint, self.forest.total_nodes());
         Ok(())
     }
@@ -341,6 +348,42 @@ mod tests {
         );
         assert!(other.restore(&ck).is_err());
         assert_eq!(other.stats().emitted, 0);
+    }
+
+    #[test]
+    fn apply_blocks_cover_the_forest_and_share_the_records() {
+        for threads in [1, 2, 3, 8] {
+            let mut e = engine(threads);
+            e.step(3000);
+            let runs = e.partition.runs.clone();
+            let patches = e.forest.len();
+            let total: usize = runs.iter().map(|r| r.len).sum();
+            let largest = runs.iter().map(|r| r.len).max().unwrap_or(0);
+            let blocks = blocks(e.forest.trees_mut(), &runs, threads);
+            assert!(blocks.len() <= threads, "threads={threads}");
+            let (mut next_patch, mut next_run) = (0, 0);
+            for b in &blocks {
+                assert_eq!(b.first, next_patch, "threads={threads}: blocks abut");
+                assert!(!b.trees.is_empty(), "threads={threads}: empty block");
+                next_patch += b.trees.len();
+                for run in b.runs {
+                    let patch = run.patch_id as usize;
+                    assert!(
+                        (b.first..next_patch).contains(&patch),
+                        "threads={threads}: run {patch} outside its block"
+                    );
+                }
+                assert_eq!(b.runs, &runs[next_run..next_run + b.runs.len()]);
+                next_run += b.runs.len();
+                let records: usize = b.runs.iter().map(|r| r.len).sum();
+                assert!(
+                    records <= total.div_ceil(threads) + largest,
+                    "threads={threads}: block of {records} records"
+                );
+            }
+            assert_eq!(next_patch, patches, "threads={threads}: every tree once");
+            assert_eq!(next_run, runs.len(), "threads={threads}: every run once");
+        }
     }
 
     #[test]

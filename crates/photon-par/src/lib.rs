@@ -6,14 +6,16 @@
 //! forest, and follows a multiple reader, single writer protocol."
 //!
 //! The crate is built around [`ParEngine`] (see [`engine`]): a *resumable*
-//! solver implementing [`photon_core::SolverEngine`], holding its
-//! [`SharedForest`] — one `RwLock` per patch tree — across batches, and
-//! borrowing its workers from [`parallel_map`] one phase at a time. Every
-//! worker runs the one photon loop, [`photon_core::trace_span`], over its
-//! leapfrogged share of each batch (worker `t` of `T` takes every `T`-th
-//! photon), and each photon draws from its own block substream of the
-//! seeded base stream, so the photon set is exactly the serial simulator's
-//! regardless of thread count.
+//! solver implementing [`photon_core::SolverEngine`], holding the same
+//! [`photon_core::BinForest`] the serial simulator holds across batches,
+//! and borrowing its workers from [`parallel_map`] one phase at a time.
+//! The paper's semaphores have nothing left to guard: between two joins
+//! every tree has exactly one writer, which owns it as its `&mut` item of
+//! the map. Every worker runs the one photon loop,
+//! [`photon_core::trace_span`], over its leapfrogged share of each batch
+//! (worker `t` of `T` takes every `T`-th photon), and each photon draws
+//! from its own block substream of the seeded base stream, so the photon
+//! set is exactly the serial simulator's regardless of thread count.
 //!
 //! **The pipeline.** Each step is trace → partition → apply (the kernel of
 //! [`photon_core::batch`]; [`engine`] walks through it): per-tree tally
@@ -34,12 +36,10 @@ pub mod pool;
 pub use engine::ParEngine;
 pub use pool::parallel_map;
 
-use photon_core::batch::TallyRecord;
 use photon_core::sim::SimStats;
-use photon_core::{Answer, ForestFootprint, SolverEngine, SpeedTrace};
+use photon_core::{Answer, SolverEngine, SpeedTrace};
 use photon_geom::Scene;
-use photon_hist::{BinTree, SplitConfig};
-use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use photon_hist::SplitConfig;
 
 /// Configuration of a shared-memory run.
 #[derive(Clone, Copy, Debug)]
@@ -67,113 +67,6 @@ impl Default for ParConfig {
     }
 }
 
-/// The shared bin forest: one reader/writer lock per patch tree.
-pub struct SharedForest {
-    trees: Vec<RwLock<BinTree>>,
-}
-
-/// The forest's locks ignore poisoning: a worker that panics is reported
-/// where the engine waits on it, not by the next thread to touch a tree.
-fn read(tree: &RwLock<BinTree>) -> RwLockReadGuard<'_, BinTree> {
-    tree.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write(tree: &RwLock<BinTree>) -> RwLockWriteGuard<'_, BinTree> {
-    tree.write().unwrap_or_else(PoisonError::into_inner)
-}
-
-impl SharedForest {
-    /// One tree per patch.
-    pub fn new(patch_count: usize, split: SplitConfig) -> Self {
-        SharedForest {
-            trees: (0..patch_count)
-                .map(|_| RwLock::new(BinTree::new(split)))
-                .collect(),
-        }
-    }
-
-    /// Applies one patch's run of records under a single write-lock
-    /// acquisition, in record order, reusing the previous record's leaf
-    /// descent when the next lands in the same leaf
-    /// ([`photon_hist::LeafCursor`]) — bit-identical to tallying the records
-    /// one at a time in order.
-    pub fn tally_run(&self, patch_id: u32, records: &[TallyRecord]) {
-        if records.is_empty() {
-            return;
-        }
-        write(&self.trees[patch_id as usize])
-            .tally_run(records.iter().map(|r| (&r.point, r.energy)));
-    }
-
-    /// Number of patches (trees).
-    pub fn patch_count(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Replaces every tree with `forest`'s — the restore path of an engine
-    /// checkpoint.
-    ///
-    /// # Panics
-    /// Panics if the patch counts differ (callers validate via
-    /// [`photon_core::EngineCheckpoint::compatible_with`] first).
-    pub fn replace(&self, forest: photon_core::BinForest) {
-        assert_eq!(forest.len(), self.trees.len(), "patch count mismatch");
-        for (slot, tree) in self.trees.iter().zip(forest.into_trees()) {
-            *write(slot) = tree;
-        }
-    }
-
-    /// Total leaf bins across trees.
-    pub fn total_leaf_bins(&self) -> u64 {
-        self.trees.iter().map(|t| read(t).leaf_count() as u64).sum()
-    }
-
-    /// Arena nodes across the forest, derived from the leaf count: the
-    /// packed arenas carry no orphan slots, so every tree holds exactly
-    /// `2·leaves − 1` nodes.
-    pub(crate) fn total_nodes(&self) -> u64 {
-        2 * self.total_leaf_bins() - self.trees.len() as u64
-    }
-
-    /// Per-arena footprint gauges summed over the trees, each under a brief
-    /// read lock.
-    pub fn footprint(&self) -> ForestFootprint {
-        let mut fp = ForestFootprint::default();
-        for t in &self.trees {
-            fp.add_tree(&read(t));
-        }
-        fp
-    }
-
-    /// Rebuilds every tree's arenas into the canonical subtree-clustered
-    /// order (see [`BinTree::compact`]). Layout-only: exports, lookups, and
-    /// future splits are unchanged, so any snapshot or checkpoint taken
-    /// around the compaction is byte-identical. Callers must only compact
-    /// at batch boundaries — a compaction invalidates the leaf cursor of a
-    /// run being applied.
-    pub fn compact_all(&self) {
-        for t in &self.trees {
-            write(t).compact();
-        }
-    }
-
-    /// Clones the current trees into a serial forest — the snapshot behind
-    /// a progressive answer publish; the engine keeps refining afterwards.
-    pub fn snapshot_forest(&self) -> photon_core::BinForest {
-        photon_core::BinForest::from_trees(self.trees.iter().map(|t| read(t).clone()).collect())
-    }
-
-    /// Collapses into a serial forest.
-    pub fn into_forest(self) -> photon_core::BinForest {
-        photon_core::BinForest::from_trees(
-            self.trees
-                .into_iter()
-                .map(|t| t.into_inner().unwrap_or_else(PoisonError::into_inner))
-                .collect(),
-        )
-    }
-}
-
 /// Result of a shared-memory run.
 pub struct ParRunResult {
     /// Aggregate photon counters.
@@ -189,7 +82,6 @@ pub struct ParRunResult {
 /// Runs `total_photons` through a [`ParEngine`] batch by batch (Fig 5.2's
 /// `forall` loop with per-batch speed samples).
 pub fn run(scene: &Scene, config: &ParConfig, total_photons: u64) -> ParRunResult {
-    assert!(config.threads >= 1);
     assert!(config.batch_size >= 1);
     let mut engine = ParEngine::new(scene.clone(), *config);
     let mut remaining = total_photons;

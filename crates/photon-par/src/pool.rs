@@ -1,4 +1,4 @@
-//! A scoped parallel map over index-addressed jobs.
+//! A scoped parallel map over the items of a slice.
 //!
 //! Not a pool that outlives a call: [`parallel_map`] opens one
 //! `std::thread::scope`, spawns `threads − 1` workers beside the calling
@@ -10,49 +10,66 @@
 //! phase gets its threads, so a persistent pool would be a change here,
 //! not in each caller.
 //!
-//! The shared-memory engine maps over one job per worker, each job a
-//! static leapfrog stripe of the photon batch (the RNG demands it — the
-//! union of the stripes' draws must be the serial stream). Jobs in general
-//! need no such striping, so a map hands out job indices dynamically from
-//! a shared counter: fast
-//! workers keep pulling while a slow tile (deep octree region, refined bin
-//! trees) occupies one thread. Results come back in job order regardless of
-//! completion order, which is what makes the tile-parallel viewer in
-//! `photon-serve` bit-identical to the serial one.
+//! Job `i` gets `&mut items[i]` and nothing else writable: whatever a job
+//! writes belongs to it alone, so a caller needs no lock of its own (the
+//! engines' trace buffers, apply blocks and rank states are all items).
+//! Each item rides in the slot its result comes back in, under that
+//! slot's mutex; the one worker that claims an index is the only one to
+//! take it, so the lock is never contended.
+//!
+//! The shared-memory engine's trace maps over one item per worker, each
+//! a static leapfrog stripe of the photon batch (the RNG demands it — the
+//! union of the stripes' draws must be the serial stream). Jobs in
+//! general need no such striping, so a map hands out indices dynamically
+//! from a shared counter: fast workers keep pulling while a slow tile
+//! (deep octree region, refined bin trees) occupies one thread. Results
+//! come back in job order regardless of completion order, which is what
+//! makes the tile-parallel viewer in `photon-serve` bit-identical to the
+//! serial one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Maps `job` over `0..jobs` on `threads` workers, returning results in
-/// index order.
+/// Maps `job` over `items` on `threads` workers, job `i` getting
+/// `&mut items[i]`, and returns the results in index order.
 ///
 /// Scheduling is dynamic: each worker repeatedly claims the next unclaimed
 /// index. The calling thread is one of the `threads` workers — a caller
 /// parked behind `threads` spawned ones would be one runnable thread too
 /// many when `threads` is sized to the host, and a spawn more than a short
-/// map needs. With `threads == 1` (or one job) everything runs on the
+/// map needs. With `threads == 1` (or one item) everything runs on the
 /// calling thread with no synchronization, so a single-threaded map is
 /// exactly the serial loop.
 ///
 /// # Panics
 /// Panics if `threads == 0`, and propagates a panic from any job.
-pub fn parallel_map<T, F>(threads: usize, jobs: usize, job: F) -> Vec<T>
+pub fn parallel_map<S, T, F>(threads: usize, items: &mut [S], job: F) -> Vec<T>
 where
+    S: Send,
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize, &mut S) -> T + Sync,
 {
     assert!(threads >= 1, "a pool needs at least one worker");
+    let jobs = items.len();
     if threads == 1 || jobs <= 1 {
-        return (0..jobs).map(job).collect();
+        return items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, s)| job(i, s))
+            .collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<(&mut S, Option<T>)>> =
+        items.iter_mut().map(|s| Mutex::new((s, None))).collect();
     let work = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= jobs {
+        let Some(slot) = slots.get(i) else {
             break;
-        }
-        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(job(i));
+        };
+        // Poisoning is ignored: a job that panicked panics the map when
+        // the scope joins, so no slot it held is ever read.
+        let (item, done) = &mut *slot.lock().unwrap_or_else(PoisonError::into_inner);
+        *done = Some(job(i, item));
     };
     std::thread::scope(|scope| {
         for _ in 1..threads.min(jobs) {
@@ -62,7 +79,7 @@ where
     });
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).1)
         .map(|done| done.expect("every job index was claimed"))
         .collect()
 }
@@ -75,7 +92,7 @@ mod tests {
     #[test]
     fn results_arrive_in_index_order() {
         for threads in [1, 2, 4, 7] {
-            let out = parallel_map(threads, 37, |i| i * i);
+            let out = parallel_map(threads, &mut [(); 37], |i, _| i * i);
             assert_eq!(
                 out,
                 (0..37).map(|i| i * i).collect::<Vec<_>>(),
@@ -87,7 +104,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let counter = AtomicU64::new(0);
-        let out = parallel_map(4, 100, |i| {
+        let out = parallel_map(4, &mut [(); 100], |i, _| {
             counter.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -96,11 +113,22 @@ mod tests {
     }
 
     #[test]
+    fn each_job_owns_its_item() {
+        let mut counters = [0u64; 50];
+        let out = parallel_map(3, &mut counters, |i, c| {
+            *c += i as u64;
+            *c * 2
+        });
+        assert_eq!(out, (0..50).map(|i| i * 2).collect::<Vec<u64>>());
+        assert_eq!(counters.to_vec(), (0..50).collect::<Vec<u64>>());
+    }
+
+    #[test]
     fn the_caller_is_one_of_the_workers() {
         // Both jobs wait for each other, so they run on two threads at
         // once; a pool of two has no second thread but the caller's.
         let both = std::sync::Barrier::new(2);
-        let ran_on = parallel_map(2, 2, |_| {
+        let ran_on = parallel_map(2, &mut [(); 2], |_, _| {
             both.wait();
             std::thread::current().id()
         });
@@ -112,7 +140,7 @@ mod tests {
     fn a_panicking_job_panics_the_map() {
         for bad in [0, 5] {
             let caught = std::panic::catch_unwind(|| {
-                parallel_map(2, 6, |i| assert_ne!(i, bad));
+                parallel_map(2, &mut [(); 6], |i, _| assert_ne!(i, bad));
             });
             assert!(caught.is_err(), "job {bad}");
         }
@@ -120,7 +148,7 @@ mod tests {
 
     #[test]
     fn zero_jobs_is_fine() {
-        let out: Vec<usize> = parallel_map(4, 0, |i| i);
+        let out: Vec<usize> = parallel_map(4, &mut [(); 0], |i, _| i);
         assert!(out.is_empty());
     }
 
@@ -128,7 +156,7 @@ mod tests {
     fn uneven_job_costs_balance() {
         // A few heavy jobs up front must not serialize the rest: just check
         // correctness under skew (scheduling is dynamic by construction).
-        let out = parallel_map(3, 20, |i| {
+        let out = parallel_map(3, &mut [(); 20], |i, _| {
             if i < 2 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }

@@ -5,11 +5,12 @@
 //! the trees themselves once splitting has converged. After warm-up, what
 //! the pipeline allocates per `step()` is what its two `parallel_map`
 //! phases cost: one thread spawn per extra worker per phase (about 300
-//! bytes each), the T-entry vectors the trace phase gathers its counters
-//! in, and the T-entry list of trace buffers the partition reads — 608
-//! bytes a step at two workers, 56 at one. Measured on Linux x86-64, the
-//! whole window of two steps allocates 2 940 bytes at two workers and
-//! 1 836 at one; the rest is the bin trees' own small allocations. So the
+//! bytes each), the per-job slots each map carries its items and results
+//! in, the T-entry vector the trace phase's counters come back in, and
+//! the list of at most T apply blocks — 728 bytes a step at two workers,
+//! 80 at one. Measured on Linux x86-64, the whole window of two steps
+//! allocates 3 180 bytes at two workers and 1 884 at one; the rest is the
+//! bin trees' own small allocations. So the
 //! test asserts a small constant byte bound per measured window — not
 //! literal zero — independent of batch size. The old per-tally path
 //! allocated fresh batch bookkeeping every step; a regression back to that

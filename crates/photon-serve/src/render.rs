@@ -68,9 +68,9 @@ fn render_tiles(
     threads: usize,
     tile_size: usize,
 ) -> Image {
-    let tile_list = tiles(camera.width, camera.height, tile_size);
-    let buffers = parallel_map(threads, tile_list.len(), |i| {
-        render_tile_memo(scene, answer, camera, frame, tile_list[i], exposure)
+    let mut tile_list = tiles(camera.width, camera.height, tile_size);
+    let buffers = parallel_map(threads, &mut tile_list, |_, tile| {
+        render_tile_memo(scene, answer, camera, frame, *tile, exposure)
     });
     let mut img = Image::new(camera.width, camera.height);
     for (tile, buf) in tile_list.iter().zip(&buffers) {
