@@ -92,11 +92,36 @@ pub struct StepBook {
     /// Speed-vs-time trace, one sample per finished step.
     pub speed: SpeedTrace,
     started: Option<Instant>,
-    /// Forest node count at the last arena compaction. Steps re-compact
-    /// once the arenas have grown ~50% past it, so splits stay cheap
-    /// appends while steady-state traversal converges to the canonical
-    /// cache-resident order. Layout only — never affects answers.
-    compact_watermark: u64,
+    /// The forest's compaction gate: the engine compacts when it is due.
+    pub compaction: CompactionWatermark,
+}
+
+/// Arena node count of a set of bin trees at their last compaction. The
+/// trees re-compact once their arenas have grown by half past it, so splits
+/// stay cheap appends while steady-state traversal converges to the
+/// canonical cache-resident order. Layout only — never affects answers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CompactionWatermark(u64);
+
+impl CompactionWatermark {
+    /// A watermark at `nodes`, the node count of fresh or just-restored
+    /// trees.
+    pub fn new(nodes: u64) -> Self {
+        CompactionWatermark(nodes)
+    }
+
+    /// True when the trees, now holding `nodes` arena nodes, have outgrown
+    /// the last compaction by half, in which case the caller compacts them
+    /// and the watermark moves to `nodes`. Ask only at a batch boundary,
+    /// where no leaf cursor or tree guard is outstanding; gating on growth
+    /// amortizes the rebuild.
+    pub fn due(&mut self, nodes: u64) -> bool {
+        let due = nodes > self.0 + self.0 / 2;
+        if due {
+            self.0 = nodes;
+        }
+        due
+    }
 }
 
 impl StepBook {
@@ -107,7 +132,7 @@ impl StepBook {
             stats: SimStats::default(),
             speed: SpeedTrace::new(),
             started: None,
-            compact_watermark: nodes,
+            compaction: CompactionWatermark::new(nodes),
         }
     }
 
@@ -122,18 +147,6 @@ impl StepBook {
     pub fn begin(&mut self) -> Instant {
         self.started.get_or_insert_with(Instant::now);
         Instant::now()
-    }
-
-    /// True when a forest now holding `nodes` arena nodes has outgrown the
-    /// last compaction by half, in which case the caller compacts it. Ask
-    /// only at a batch boundary, where no leaf cursor or tree guard is
-    /// outstanding; gating on growth amortizes the rebuild.
-    pub fn wants_compaction(&mut self, nodes: u64) -> bool {
-        let due = nodes > self.compact_watermark + self.compact_watermark / 2;
-        if due {
-            self.compact_watermark = nodes;
-        }
-        due
     }
 
     /// Ends the step of `batch` photons that began at `batch_start`: pushes

@@ -49,7 +49,9 @@ pub mod wire;
 pub use answer::Answer;
 pub use batch::{trace_strided, PartitionScratch, PatchRun, RecordSink, TallyRecord};
 pub use checkpoint::{EngineCheckpoint, RestoreError};
-pub use engine::{photon_stream, BatchReport, SolverEngine, StepBook, PHOTON_DRAW_STRIDE};
+pub use engine::{
+    photon_stream, BatchReport, CompactionWatermark, SolverEngine, StepBook, PHOTON_DRAW_STRIDE,
+};
 pub use forest::{BinForest, ForestFootprint};
 pub use generate::{EmittedPhoton, PhotonGenerator};
 pub use img::Image;

@@ -174,7 +174,7 @@ impl SolverEngine for Simulator {
     fn step(&mut self, batch: u64) -> BatchReport {
         let batch_start = self.steps.begin();
         self.run_photons(batch);
-        if self.steps.wants_compaction(self.forest.total_nodes()) {
+        if self.steps.compaction.due(self.forest.total_nodes()) {
             self.forest.compact();
         }
         let report = self

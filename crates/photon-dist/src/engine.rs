@@ -16,8 +16,10 @@
 //!    compute, and [`World::alltoallv`] moves every queue of
 //!    [`PhotonRecord`]s to its owner.
 //! 3. **Tally** — a second [`parallel_map`]: each rank tallies what it
-//!    received, in source-rank order. Each buffer then goes back to its
-//!    sender, emptied, as next round's queue.
+//!    received, in source-rank order, and compacts its trees once they
+//!    have grown by half since their last compaction (layout only, as in
+//!    the wall-clock engines). Each buffer then goes back to its sender,
+//!    emptied, as next round's queue.
 //!
 //! The clocks then meet ([`World::sync_clocks`]) and the engine's one
 //! batch controller observes the round's rate. A world of any size runs
@@ -44,8 +46,8 @@ use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
 use photon_core::trace::trace_photon;
 use photon_core::{
-    trace_span, Answer, BatchReport, BinForest, EngineCheckpoint, ForestFootprint, RestoreError,
-    SolverEngine, Span, SpeedTrace,
+    trace_span, Answer, BatchReport, BinForest, CompactionWatermark, EngineCheckpoint,
+    ForestFootprint, RestoreError, SolverEngine, Span, SpeedTrace,
 };
 use photon_geom::Scene;
 use photon_hist::BinTree;
@@ -65,6 +67,9 @@ struct Rank {
     /// Photon interactions processed (local + received): Table 5.2's
     /// metric.
     processed: u64,
+    /// Node count of `trees` at their last compaction (or boot, or
+    /// restore).
+    compaction: CompactionWatermark,
 }
 
 impl Rank {
@@ -77,6 +82,11 @@ impl Rank {
         }
         fp
     }
+}
+
+/// Arena nodes across `trees`.
+fn node_count(trees: &[BinTree]) -> u64 {
+    trees.iter().map(|t| t.node_count() as u64).sum()
 }
 
 /// The distributed engine: a rank world driven batch by batch.
@@ -142,6 +152,7 @@ impl DistEngine {
         let ranks = trees
             .into_iter()
             .map(|trees| Rank {
+                compaction: CompactionWatermark::new(node_count(&trees)),
                 trees,
                 queues: vec![Vec::new(); nranks],
                 processed: 0,
@@ -275,7 +286,7 @@ impl DistEngine {
         let incoming = self.world.alltoallv(outgoing);
 
         // Superstep 3: every owner tallies what it received, in source
-        // order.
+        // order, then compacts its trees if they have grown enough.
         let tallied = parallel_map(self.workers, &mut self.ranks, |r, rank| {
             let mut received = 0u64;
             for rec in incoming[r].iter().flatten() {
@@ -285,6 +296,10 @@ impl DistEngine {
                 received += 1;
             }
             rank.processed += received;
+            // Layout only: neither the answer's bytes nor a clock sees it.
+            if rank.compaction.due(node_count(&rank.trees)) {
+                rank.trees.iter_mut().for_each(BinTree::compact);
+            }
             (received, rank.footprint())
         });
         let mut footprint = ForestFootprint::default();
@@ -363,6 +378,9 @@ impl SolverEngine for DistEngine {
             let (owner, slot) = self.ownership.locate(p as u32);
             self.ranks[owner].trees[slot] = tree;
         }
+        for rank in &mut self.ranks {
+            rank.compaction = CompactionWatermark::new(node_count(&rank.trees));
+        }
         self.main_start = checkpoint.cursor();
         self.stats = checkpoint.stats();
         self.main_emitted = self.main_start;
@@ -378,5 +396,38 @@ impl SolverEngine for DistEngine {
 
     fn virtual_time(&self) -> bool {
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use photon_scenes::cornell_box;
+
+    #[test]
+    fn a_long_solve_compacts_every_rank() {
+        let mut engine = DistEngine::new(cornell_box(), DistConfig::default());
+        let mut compacted = [false; 2];
+        for _ in 0..20 {
+            let before: Vec<CompactionWatermark> =
+                engine.ranks.iter().map(|r| r.compaction).collect();
+            engine.step(2000);
+            for (r, rank) in engine.ranks.iter().enumerate() {
+                if rank.compaction == before[r] {
+                    continue;
+                }
+                compacted[r] = true;
+                // A compacted arena holds no spare capacity.
+                for tree in &rank.trees {
+                    let tight = tree.compacted_clone();
+                    assert_eq!(
+                        (tree.node_bytes(), tree.leaf_bytes()),
+                        (tight.node_bytes(), tight.leaf_bytes()),
+                        "rank {r}"
+                    );
+                }
+            }
+        }
+        assert_eq!(compacted, [true; 2], "every rank compacts");
     }
 }

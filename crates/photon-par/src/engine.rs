@@ -29,11 +29,12 @@
 //!    reading the trace buffers in place and scattering in global
 //!    `(photon, bounce)` order into one reused buffer: each patch's run is
 //!    exactly the serial tally subsequence for that tree.
-//! 3. *Apply* — the forest's trees are cut into at most `T` blocks of
-//!    consecutive patches, each holding about a `T`-th of the batch's
-//!    records. Each worker owns one block and folds its runs into its
-//!    trees, with the leaf-descent cache skipping root re-descents inside
-//!    a run.
+//! 3. *Apply* — the forest's trees are cut into blocks of consecutive
+//!    patches, each holding about a `4T`-th of the batch's records, a run
+//!    that long alone in its block, and the blocks go to the workers
+//!    longest first, each claimed by whichever worker is free. A worker
+//!    owns its block outright and folds its runs into its trees, with the
+//!    leaf-descent cache skipping root re-descents inside a run.
 //! 4. *Compact, report* — the bookkeeping [`StepBook`] shared with the
 //!    serial simulator.
 //!
@@ -46,8 +47,8 @@
 //! checkpoint and restore are `Simulator`'s. Steady-state steps reuse
 //! every buffer: trace buffers, the sorted buffer, the run list, and the
 //! per-patch counters. What a step still allocates is its two phases'
-//! spawns and slots and the T-entry block list
-//! (`tests/steady_state_alloc.rs`).
+//! spawns and slots and the block list, at most 8T + 1 entries whatever
+//! the patch count (`tests/steady_state_alloc.rs`).
 
 use crate::{parallel_map, ParConfig};
 use photon_core::batch::{PartitionScratch, PatchRun, RecordSink, TallyRecord};
@@ -83,38 +84,58 @@ struct Block<'a> {
     first: usize,
     trees: &'a mut [BinTree],
     runs: &'a [PatchRun],
+    /// Records in `runs`: the block's share of the apply work.
+    records: usize,
 }
 
-/// Cuts `trees` into at most `threads` blocks of consecutive patches,
-/// closing a block at the run that brings it to ⌈records / `threads`⌉ of
-/// `runs`' records, so no block holds more than that plus its last run.
-/// The last block takes every tree left.
+/// Apply blocks per worker. One block per worker balanced badly: on
+/// `cornell` at two workers the block holding the light's 10 000-record
+/// run also took six more patches, 20 069 records against 3 622 (2.5 ms
+/// against 0.45 ms), so apply ran only 1.15× faster than on one thread.
+/// At four per worker, longest first, apply on a 1 M-photon forest fell
+/// from 2.82–3.18 ms to 1.91–2.36 ms a 10 000-photon step on `cornell`
+/// and from 1.72–1.97 ms to 1.47–1.63 ms on `lab`; one job per run (≈1 000
+/// jobs on `lab`) read 1.75–2.05 ms, its tiny jobs costing more than they
+/// balance.
+const BLOCKS_PER_WORKER: usize = 4;
+
+/// Cuts `trees` into blocks of consecutive patches holding about
+/// `share` = ⌈records / 4`threads`⌉ of `runs`' records each, sorted by
+/// record count, longest first, so the map's dynamic claiming hands the
+/// largest block left to whichever worker is free.
+///
+/// A block closes at the run that brings it to `share`, and a run of at
+/// least `share` records closes the block before it and sits alone, so a
+/// block of several runs holds fewer than 2·`share` records. Each block
+/// takes the trees up to the next block's first run, and the last every
+/// tree left. Blocks of `share` or more records number at most 4T and the
+/// others one per long run plus the last, so the list never exceeds
+/// 8T + 1 entries, whatever the patch count. No runs, no blocks.
 fn blocks<'a>(
     mut trees: &'a mut [BinTree],
     runs: &'a [PatchRun],
     threads: usize,
 ) -> Vec<Block<'a>> {
-    let share = runs.iter().map(|r| r.len).sum::<usize>().div_ceil(threads);
-    let mut blocks = Vec::with_capacity(threads);
+    let jobs = BLOCKS_PER_WORKER * threads;
+    let share = runs.iter().map(|r| r.len).sum::<usize>().div_ceil(jobs);
+    let mut blocks = Vec::with_capacity(2 * jobs + 1);
     let (mut first, mut from, mut records) = (0, 0, 0);
     for (i, run) in runs.iter().enumerate() {
         records += run.len;
-        if records >= share && i + 1 < runs.len() {
-            let end = run.patch_id as usize + 1;
+        let next = runs.get(i + 1);
+        if records >= share || next.is_none_or(|n| n.len >= share) {
+            let end = next.map_or(first + trees.len(), |n| n.patch_id as usize);
             let (mine, rest) = std::mem::take(&mut trees).split_at_mut(end - first);
             blocks.push(Block {
                 first,
                 trees: mine,
                 runs: &runs[from..=i],
+                records,
             });
             (trees, first, from, records) = (rest, end, i + 1, 0);
         }
     }
-    blocks.push(Block {
-        first,
-        trees,
-        runs: &runs[from..],
-    });
+    blocks.sort_unstable_by_key(|b| std::cmp::Reverse(b.records));
     blocks
 }
 
@@ -186,7 +207,8 @@ impl SolverEngine for ParEngine {
         // Partition, on the calling thread.
         self.partition.partition(&self.traces, start, batch);
 
-        // Apply: each worker folds the runs of its own block of trees.
+        // Apply: workers claim blocks of trees, longest first, and fold
+        // each block's runs into its trees.
         let partition = &self.partition;
         let mut blocks = blocks(self.forest.trees_mut(), &partition.runs, threads);
         parallel_map(threads, &mut blocks, |_, block| {
@@ -200,7 +222,7 @@ impl SolverEngine for ParEngine {
         // Compact: between phases no worker holds a tree, so this batch
         // boundary is the one safe place. Invisible in the answer
         // (canonical export).
-        if self.steps.wants_compaction(self.forest.total_nodes()) {
+        if self.steps.compaction.due(self.forest.total_nodes()) {
             self.forest.compact();
         }
 
@@ -246,17 +268,21 @@ impl SolverEngine for ParEngine {
 mod tests {
     use super::*;
     use photon_core::{SimConfig, Simulator};
-    use photon_scenes::cornell_box;
+    use photon_scenes::{computer_lab, cornell_box};
 
-    fn engine(threads: usize) -> ParEngine {
+    fn engine_on(scene: Scene, threads: usize) -> ParEngine {
         ParEngine::new(
-            cornell_box(),
+            scene,
             ParConfig {
                 seed: 2024,
                 threads,
                 ..Default::default()
             },
         )
+    }
+
+    fn engine(threads: usize) -> ParEngine {
+        engine_on(cornell_box(), threads)
     }
 
     fn answer_bytes(a: &Answer) -> Vec<u8> {
@@ -351,38 +377,85 @@ mod tests {
     }
 
     #[test]
-    fn apply_blocks_cover_the_forest_and_share_the_records() {
-        for threads in [1, 2, 3, 8] {
-            let mut e = engine(threads);
-            e.step(3000);
-            let runs = e.partition.runs.clone();
-            let patches = e.forest.len();
-            let total: usize = runs.iter().map(|r| r.len).sum();
-            let largest = runs.iter().map(|r| r.len).max().unwrap_or(0);
-            let blocks = blocks(e.forest.trees_mut(), &runs, threads);
-            assert!(blocks.len() <= threads, "threads={threads}");
-            let (mut next_patch, mut next_run) = (0, 0);
-            for b in &blocks {
-                assert_eq!(b.first, next_patch, "threads={threads}: blocks abut");
-                assert!(!b.trees.is_empty(), "threads={threads}: empty block");
-                next_patch += b.trees.len();
-                for run in b.runs {
-                    let patch = run.patch_id as usize;
+    fn apply_blocks_cover_the_forest_longest_first() {
+        for (name, scene) in [("cornell", cornell_box()), ("lab", computer_lab())] {
+            for threads in [1, 2, 3, 8] {
+                let at = format!("{name}, threads={threads}");
+                let mut e = engine_on(scene.clone(), threads);
+                e.step(3000);
+                let runs = e.partition.runs.clone();
+                let patches = e.forest.len();
+                let total: usize = runs.iter().map(|r| r.len).sum();
+                let share = total.div_ceil(4 * threads);
+                let blocks = blocks(e.forest.trees_mut(), &runs, threads);
+                assert!(
+                    blocks.len() <= 8 * threads + 1,
+                    "{at}: {} blocks",
+                    blocks.len()
+                );
+                for pair in blocks.windows(2) {
                     assert!(
-                        (b.first..next_patch).contains(&patch),
-                        "threads={threads}: run {patch} outside its block"
+                        pair[0].records >= pair[1].records,
+                        "{at}: not longest first"
                     );
                 }
-                assert_eq!(b.runs, &runs[next_run..next_run + b.runs.len()]);
-                next_run += b.runs.len();
-                let records: usize = b.runs.iter().map(|r| r.len).sum();
-                assert!(
-                    records <= total.div_ceil(threads) + largest,
-                    "threads={threads}: block of {records} records"
-                );
+                for b in &blocks {
+                    assert_eq!(b.records, b.runs.iter().map(|r| r.len).sum::<usize>());
+                    if b.runs.len() > 1 {
+                        assert!(b.records < 2 * share, "{at}: block of {}", b.records);
+                    }
+                }
+                for run in runs.iter().filter(|r| r.len >= share) {
+                    assert!(
+                        blocks.iter().any(|b| b.runs == std::slice::from_ref(run)),
+                        "{at}: run of {} records on patch {} not alone",
+                        run.len,
+                        run.patch_id
+                    );
+                }
+                let mut in_patch_order: Vec<&Block> = blocks.iter().collect();
+                in_patch_order.sort_by_key(|b| b.first);
+                let (mut next_patch, mut next_run) = (0, 0);
+                for b in in_patch_order {
+                    assert_eq!(b.first, next_patch, "{at}: blocks abut");
+                    assert!(!b.trees.is_empty(), "{at}: empty block");
+                    next_patch += b.trees.len();
+                    for run in b.runs {
+                        let patch = run.patch_id as usize;
+                        assert!(
+                            (b.first..next_patch).contains(&patch),
+                            "{at}: run {patch} outside its block"
+                        );
+                    }
+                    assert_eq!(b.runs, &runs[next_run..next_run + b.runs.len()], "{at}");
+                    next_run += b.runs.len();
+                }
+                assert_eq!(next_patch, patches, "{at}: every tree once");
+                assert_eq!(next_run, runs.len(), "{at}: every run once");
             }
-            assert_eq!(next_patch, patches, "threads={threads}: every tree once");
-            assert_eq!(next_run, runs.len(), "threads={threads}: every run once");
+        }
+    }
+
+    #[test]
+    fn deep_scene_matches_serial_bit_for_bit() {
+        let mut serial = Simulator::new(
+            computer_lab(),
+            SimConfig {
+                seed: 2024,
+                ..Default::default()
+            },
+        );
+        serial.run_photons(3000);
+        let want = answer_bytes(&serial.answer_snapshot());
+        for threads in [2, 3] {
+            let mut e = engine_on(computer_lab(), threads);
+            e.step(1100);
+            e.step(1900);
+            assert_eq!(
+                answer_bytes(&e.snapshot()),
+                want,
+                "threads={threads} diverged from serial on lab"
+            );
         }
     }
 

@@ -10,8 +10,9 @@
 //! [`photon_core::BinForest`] the serial simulator holds across batches,
 //! and borrowing its workers from [`parallel_map`] one phase at a time.
 //! The paper's semaphores have nothing left to guard: between two joins
-//! every tree has exactly one writer, which owns it as its `&mut` item of
-//! the map. Every worker runs the one photon loop,
+//! every tree has exactly one writer, the job whose `&mut` item of the map
+//! is the block of consecutive trees holding it (the apply phase hands out
+//! about four blocks per worker, longest first). Every worker runs the one photon loop,
 //! [`photon_core::trace_span`], over its leapfrogged share of each batch
 //! (worker `t` of `T` takes every `T`-th photon), and each photon draws
 //! from its own block substream of the seeded base stream, so the photon

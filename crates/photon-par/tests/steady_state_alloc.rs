@@ -7,17 +7,20 @@
 //! phases cost: one thread spawn per extra worker per phase (about 300
 //! bytes each), the per-job slots each map carries its items and results
 //! in, the T-entry vector the trace phase's counters come back in, and
-//! the list of at most T apply blocks — 728 bytes a step at two workers,
-//! 80 at one. Measured on Linux x86-64, the whole window of two steps
-//! allocates 3 180 bytes at two workers and 1 884 at one; the rest is the
-//! bin trees' own small allocations. So the
-//! test asserts a small constant byte bound per measured window — not
-//! literal zero — independent of batch size. The old per-tally path
-//! allocated fresh batch bookkeeping every step; a regression back to that
-//! blows the bound by orders of magnitude.
+//! the list of at most 8T + 1 apply blocks — about 1 560 bytes a step at
+//! two workers, 470 at one. Measured on Linux x86-64, the whole window of
+//! two steps allocates 4 844 bytes at two workers and 2 668 at one on
+//! `cornell`, and 5 801 at two workers on `lab`; the rest is the bin
+//! trees' own small allocations (a few splits still land in the window).
+//! So the test asserts a small constant byte bound per measured window —
+//! not literal zero — independent of batch size and patch count. The old
+//! per-tally path allocated fresh batch bookkeeping every step, and one
+//! apply job per run reads 250 745 bytes on `lab`; a regression back to
+//! either blows the bound.
 //!
 //! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide; the tests take one lock so that
+//! none measures another's allocations.
 
 use photon_core::SolverEngine;
 use photon_hist::SplitConfig;
@@ -25,6 +28,7 @@ use photon_par::{ParConfig, ParEngine};
 use photon_scenes::TestScene;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 static ALLOCATED: AtomicU64 = AtomicU64::new(0);
 
@@ -45,16 +49,25 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Generous ceiling for two steady-state steps: a few spawns and T-entry
+/// Held by each test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Generous ceiling for two steady-state steps: a few spawns and O(T)
 /// vectors per phase, nowhere near the megabytes a fresh-buffers-per-step
 /// pipeline would burn.
 const BUDGET_BYTES: u64 = 64 * 1024;
 
-fn measured_steps(mut engine: ParEngine, batch: u64) -> u64 {
+fn measured_steps(engine: ParEngine, batch: u64) -> u64 {
+    measured_after(engine, 6, batch, batch)
+}
+
+/// Bytes two steps of `batch` photons allocate after `warmups` steps of
+/// `warmup` photons.
+fn measured_after(mut engine: ParEngine, warmups: usize, warmup: u64, batch: u64) -> u64 {
     // Warm up: grow every scratch vector to its steady-state capacity and
-    // drive the depth-capped trees to their final shape.
-    for _ in 0..6 {
-        engine.step(batch);
+    // drive the depth-capped trees close to their final shape.
+    for _ in 0..warmups {
+        engine.step(warmup);
     }
     let before = ALLOCATED.load(Ordering::Relaxed);
     engine.step(batch);
@@ -64,6 +77,7 @@ fn measured_steps(mut engine: ParEngine, batch: u64) -> u64 {
 
 #[test]
 fn steady_state_step_reuses_all_scratch() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let batch = 4096u64;
     let engine = ParEngine::new(
         TestScene::CornellBox.build(),
@@ -89,6 +103,7 @@ fn steady_state_step_reuses_all_scratch() {
 
 #[test]
 fn single_worker_step_reuses_all_scratch() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     // threads: 1 runs the same trace→partition→apply phases as any other
     // count, over one record buffer: same budget.
     let batch = 4096u64;
@@ -108,5 +123,33 @@ fn single_worker_step_reuses_all_scratch() {
     assert!(
         delta < BUDGET_BYTES,
         "two one-worker steady-state steps allocated {delta} bytes (budget {BUDGET_BYTES})"
+    );
+}
+
+#[test]
+fn deep_scene_step_allocates_no_job_per_patch() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    // `lab`'s 1 931 patches put about a thousand runs in a step: a job
+    // list that grew with the runs or the patches would blow the budget,
+    // the block list does not. Its sparsely hit trees never quite stop
+    // splitting under the 3σ rule, so the warm-up runs 655 360 photons,
+    // after which the window adds 14 nodes to 3 179.
+    let batch = 4096u64;
+    let engine = ParEngine::new(
+        TestScene::ComputerLab.build(),
+        ParConfig {
+            seed: 7,
+            threads: 2,
+            batch_size: batch,
+            split: SplitConfig {
+                max_depth: 3,
+                ..Default::default()
+            },
+        },
+    );
+    let delta = measured_after(engine, 10, 65_536, batch);
+    assert!(
+        delta < BUDGET_BYTES,
+        "two steady-state lab steps allocated {delta} bytes (budget {BUDGET_BYTES})"
     );
 }
