@@ -3,8 +3,9 @@
 //! Three phases: *particle tracing* writes every photon-surface interaction
 //! to a hit-point file; *density estimation* turns each surface's hit points
 //! into an irradiance function (kernel smoothing); *meshing* produces
-//! Gouraud-shadable vertices. The paper's two criticisms, both measurable
-//! here:
+//! Gouraud-shadable vertices. Only the first runs here ([`particle_trace`]);
+//! the other two enter as the per-surface work they would do. The paper's
+//! two criticisms, both measurable here:
 //!
 //! 1. **Storage**: the hit file is `O(photons)` — "if each photon requires
 //!    100 bytes of storage, a realistic scene might consume a terabyte" —
@@ -92,59 +93,6 @@ pub fn particle_trace(scene: &Scene, photons: u64, seed: u64) -> HitFile {
     file
 }
 
-/// Phase 2: per-surface kernel density estimation on a `res x res` grid of
-/// the patch's `(s, t)` square (box kernel of radius `bandwidth`).
-pub fn estimate_density(
-    file: &HitFile,
-    patch_id: u32,
-    res: usize,
-    bandwidth: f64,
-) -> Vec<Vec<f64>> {
-    let mut grid = vec![vec![0.0f64; res]; res];
-    let mut count = 0u64;
-    for h in file.hits().iter().filter(|h| h.patch_id == patch_id) {
-        count += 1;
-        let si = ((h.s * res as f64) as usize).min(res - 1);
-        let ti = ((h.t * res as f64) as usize).min(res - 1);
-        let r = (bandwidth * res as f64).ceil() as isize;
-        for di in -r..=r {
-            for dj in -r..=r {
-                let i = si as isize + di;
-                let j = ti as isize + dj;
-                if i >= 0 && j >= 0 && (i as usize) < res && (j as usize) < res {
-                    grid[i as usize][j as usize] += h.energy.luminance();
-                }
-            }
-        }
-    }
-    if count > 0 {
-        let norm = 1.0 / count as f64;
-        for row in grid.iter_mut() {
-            for v in row.iter_mut() {
-                *v *= norm;
-            }
-        }
-    }
-    grid
-}
-
-/// Phase 3: meshing — Gouraud vertices from the density grid:
-/// `(s, t, intensity)` triples.
-pub fn mesh_vertices(grid: &[Vec<f64>]) -> Vec<(f64, f64, f64)> {
-    let res = grid.len();
-    let mut verts = Vec::with_capacity(res * res);
-    for (i, row) in grid.iter().enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            verts.push((
-                (i as f64 + 0.5) / res as f64,
-                (j as f64 + 0.5) / res as f64,
-                v,
-            ));
-        }
-    }
-    verts
-}
-
 /// The two-program parallel structure of Zareski's implementation, modeled
 /// from an actual hit distribution.
 #[derive(Clone, Copy, Debug)]
@@ -224,28 +172,6 @@ mod tests {
         let f2 = particle_trace(&scene, 4_000, 5);
         let ratio = f2.bytes() as f64 / f1.bytes().max(1) as f64;
         assert!((ratio - 2.0).abs() < 0.2, "bytes ratio {ratio}");
-    }
-
-    #[test]
-    fn density_concentrates_under_the_light() {
-        let scene = lit_floor();
-        let file = particle_trace(&scene, 30_000, 6);
-        let grid = estimate_density(&file, 0, 16, 0.03);
-        // The light panel hovers over one region of the floor; density
-        // there must dominate the far corner.
-        let peak = grid.iter().flatten().cloned().fold(0.0f64, f64::max);
-        let corner = grid[0][0].min(grid[15][15]);
-        assert!(peak > 4.0 * (corner + 1e-12), "peak {peak} corner {corner}");
-    }
-
-    #[test]
-    fn mesh_has_res_squared_vertices_in_unit_square() {
-        let grid = vec![vec![1.0; 8]; 8];
-        let verts = mesh_vertices(&grid);
-        assert_eq!(verts.len(), 64);
-        assert!(verts
-            .iter()
-            .all(|&(s, t, _)| (0.0..=1.0).contains(&s) && (0.0..=1.0).contains(&t)));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use photon_baselines::density::HIT_BYTES;
 use photon_bench::{fmt, heading, write_csv};
-use photon_core::{SimConfig, Simulator};
+use photon_core::{SimConfig, Simulator, SolverEngine};
 use photon_scenes::TestScene;
 
 fn main() {
@@ -24,20 +24,23 @@ fn main() {
     );
     let batches = 40;
     let per_batch = 15_000;
-    for _ in 0..batches {
-        sim.run_batch(per_batch);
-    }
-    let mem = sim.memory_trace();
-    let rows: Vec<String> = mem
-        .samples()
-        .iter()
-        .map(|(p, b)| format!("{p},{b}"))
+    let samples: Vec<(u64, usize)> = (0..batches)
+        .map(|_| {
+            let photons = sim.step(per_batch).emitted_total;
+            (photons, sim.forest().memory_bytes())
+        })
         .collect();
+    let rows: Vec<String> = samples.iter().map(|(p, b)| format!("{p},{b}")).collect();
     let path = write_csv("fig5_4.csv", "photons,bin_forest_bytes", &rows);
 
-    let (p0, b0) = mem.samples()[mem.samples().len() / 4];
-    let (p1, b1) = *mem.samples().last().unwrap();
-    let exponent = ((b1 as f64 / b0 as f64).ln()) / ((p1 as f64 / p0 as f64).ln());
+    // Growth ratio of bytes against photons from sample `from` to the last.
+    let growth = |from: usize| {
+        let ((p0, b0), (p1, b1)) = (samples[from], samples[samples.len() - 1]);
+        (b1 as f64 / b0 as f64, p1 as f64 / p0 as f64)
+    };
+    let (bytes_grew, photons_grew) = growth(samples.len() / 4);
+    let exponent = bytes_grew.ln() / photons_grew.ln();
+    let b1 = samples[samples.len() - 1].1;
     let total_photons = sim.stats().emitted;
     let interactions = total_photons + sim.stats().reflections;
     let hit_file_bytes = interactions as usize * HIT_BYTES;
@@ -45,7 +48,9 @@ fn main() {
         "growth exponent after buildup: {} (1.0 = linear; paper: sublinear)",
         fmt(exponent)
     );
-    println!("sublinear: {}", mem.is_sublinear());
+    // Sublinear: over the second half, bytes grew by less than photons.
+    let (bytes_grew, photons_grew) = growth(samples.len() / 2);
+    println!("sublinear: {}", bytes_grew < photons_grew);
     println!(
         "bin forest: {} bytes vs density-estimation hit file: {} bytes ({}x larger)",
         b1,

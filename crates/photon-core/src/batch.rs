@@ -118,8 +118,9 @@ pub fn trace_strided(
     ));
 }
 
-/// A contiguous span of one patch's records inside
-/// [`PartitionScratch::sorted`], in serial `(photon, bounce)` order.
+/// A contiguous span of one patch's records inside a [`PartitionScratch`]'s
+/// sorted buffer ([`PartitionScratch::run_records`]), in serial
+/// `(photon, bounce)` order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PatchRun {
     /// Patch whose tree the run applies to.
@@ -141,7 +142,7 @@ pub struct PartitionScratch {
     cursors: Vec<usize>,
     /// All records of the batch, grouped by patch, each group in serial
     /// `(photon, bounce)` order.
-    pub sorted: Vec<TallyRecord>,
+    sorted: Vec<TallyRecord>,
     /// One entry per patch that received records this batch, ascending by
     /// `patch_id`.
     pub runs: Vec<PatchRun>,
@@ -158,7 +159,7 @@ impl PartitionScratch {
         }
     }
 
-    /// Groups the workers' trace lists by patch into [`PartitionScratch::sorted`] /
+    /// Groups the workers' trace lists by patch into the sorted buffer and
     /// [`PartitionScratch::runs`].
     ///
     /// `lists[t]` must hold the records of photons `start + t`,

@@ -16,16 +16,16 @@
 //! worker count, or how batches were sized — which is what makes a serial
 //! run and a threaded run of the same seed produce *bit-identical* answers
 //! (`photon-par` partitions each batch's tallies back into serial order).
-//! All engines also run the same photon loop, [`crate::trace::trace_span`];
-//! the two wall-clock engines share their step bookkeeping, [`StepBook`].
+//! All engines also run the same photon loop, [`crate::trace::trace_span`],
+//! and the two wall-clock engines the same step body,
+//! [`crate::Simulator::step_with`]: `photon_par::ParEngine` is a
+//! [`crate::Simulator`] whose batches its workers tally.
 
 use crate::answer::Answer;
 use crate::checkpoint::{EngineCheckpoint, RestoreError};
 use crate::forest::ForestFootprint;
-use crate::perf::SpeedTrace;
 use crate::sim::SimStats;
 use photon_rng::Lcg48;
-use std::time::Instant;
 
 /// Draws reserved per photon in the block-split stream.
 ///
@@ -75,27 +75,6 @@ pub struct BatchReport {
     pub footprint: ForestFootprint,
 }
 
-/// Step bookkeeping of the two wall-clock engines, [`crate::Simulator`] and
-/// `photon_par::ParEngine`, which differ only in what they do between
-/// [`StepBook::begin`] and [`StepBook::finish`]. (The distributed engine's
-/// clock is virtual and its counters arrive per rank, so it assembles its
-/// own reports.)
-#[derive(Clone, Debug)]
-pub struct StepBook {
-    /// Next global photon index to trace. Tracks `stats.emitted` for a
-    /// fresh run; they diverge only after restoring a checkpoint whose
-    /// counters include photons outside the main stream (the distributed
-    /// backend's pilot phase).
-    pub cursor: u64,
-    /// Counters so far.
-    pub stats: SimStats,
-    /// Speed-vs-time trace, one sample per finished step.
-    pub speed: SpeedTrace,
-    started: Option<Instant>,
-    /// The forest's compaction gate: the engine compacts when it is due.
-    pub compaction: CompactionWatermark,
-}
-
 /// Arena node count of a set of bin trees at their last compaction. The
 /// trees re-compact once their arenas have grown by half past it, so splits
 /// stay cheap appends while steady-state traversal converges to the
@@ -121,74 +100,6 @@ impl CompactionWatermark {
             self.0 = nodes;
         }
         due
-    }
-}
-
-impl StepBook {
-    /// Bookkeeping for a fresh run over a forest of `nodes` arena nodes.
-    pub fn new(nodes: u64) -> Self {
-        StepBook {
-            cursor: 0,
-            stats: SimStats::default(),
-            speed: SpeedTrace::new(),
-            started: None,
-            compaction: CompactionWatermark::new(nodes),
-        }
-    }
-
-    /// Accounts `count` traced photons of the stream and their counters.
-    pub fn advance(&mut self, count: u64, stats: &SimStats) {
-        self.cursor += count;
-        self.stats.merge(stats);
-    }
-
-    /// Starts a step's clock — and the run's, on the first step since
-    /// new/restore.
-    pub fn begin(&mut self) -> Instant {
-        self.started.get_or_insert_with(Instant::now);
-        Instant::now()
-    }
-
-    /// Ends the step of `batch` photons that began at `batch_start`: pushes
-    /// the speed sample and assembles the report around the forest's
-    /// `footprint`. `trace_seconds` is the trace phase's share of the step,
-    /// the rest being apply time; an engine that tallies while it traces
-    /// passes `None` and reports the whole step as trace time.
-    pub fn finish(
-        &mut self,
-        batch_start: Instant,
-        batch: u64,
-        trace_seconds: Option<f64>,
-        footprint: ForestFootprint,
-    ) -> BatchReport {
-        let batch_seconds = batch_start.elapsed().as_secs_f64();
-        let trace_seconds = trace_seconds.unwrap_or(batch_seconds);
-        let run_start = self.started.expect("finish follows begin");
-        let elapsed_seconds = run_start.elapsed().as_secs_f64();
-        self.speed.push_batch(elapsed_seconds, batch, batch_seconds);
-        BatchReport {
-            batch_photons: batch,
-            emitted_total: self.stats.emitted,
-            leaf_bins: footprint.leaf_bins,
-            batch_seconds,
-            trace_seconds,
-            apply_seconds: batch_seconds - trace_seconds,
-            elapsed_seconds,
-            stats: self.stats,
-            footprint,
-        }
-    }
-
-    /// Adopts a checkpoint's cursor and counters over a restored forest of
-    /// `nodes` arena nodes. The discarded run's speed trace and clock go
-    /// with it — rates reported after a resume describe the resumed solve
-    /// only.
-    pub fn restore(&mut self, checkpoint: &EngineCheckpoint, nodes: u64) {
-        *self = StepBook {
-            cursor: checkpoint.cursor(),
-            stats: checkpoint.stats(),
-            ..StepBook::new(nodes)
-        };
     }
 }
 

@@ -17,7 +17,7 @@
 //! | `Reflect` | [`reflect`] |
 //! | `DetermineBin` / `UpdateBinCount` / `Split` | [`forest`] (over `photon_hist`) |
 //! | batched trace→partition→apply kernel | [`batch`] |
-//! | simulation driver | [`sim`] |
+//! | simulation driver, the wall-clock engines' one step body | [`sim`] |
 //! | incremental solve loop (all backends) | [`engine`] |
 //! | answer files | [`answer`] |
 //! | solve checkpoints (freeze/resume) | [`checkpoint`] |
@@ -50,7 +50,7 @@ pub use answer::Answer;
 pub use batch::{trace_strided, PartitionScratch, PatchRun, RecordSink, TallyRecord};
 pub use checkpoint::{EngineCheckpoint, RestoreError};
 pub use engine::{
-    photon_stream, BatchReport, CompactionWatermark, SolverEngine, StepBook, PHOTON_DRAW_STRIDE,
+    photon_stream, BatchReport, CompactionWatermark, SolverEngine, PHOTON_DRAW_STRIDE,
 };
 pub use forest::{BinForest, ForestFootprint};
 pub use generate::{EmittedPhoton, PhotonGenerator};
@@ -59,7 +59,7 @@ pub use obs::{
     Counter, FlightRecorder, Histogram, HistogramSnapshot, ObsCtx, ObsEvent, ObsHub, ObsKind,
     ObsTier, Stage, StageTimings, StageTimingsSnapshot,
 };
-pub use perf::{MemoryTrace, SpeedTrace, SPEED_TRACE_CAP};
+pub use perf::SpeedTrace;
 pub use sim::{SimConfig, SimStats, Simulator};
 pub use trace::{path_rays, trace_photon, trace_span, Span, TallySink, TraceOutcome};
 pub use view::{

@@ -1,4 +1,4 @@
-//! Performance traces: speed-vs-time and memory-vs-photons.
+//! Performance traces: speed-vs-time.
 //!
 //! The dissertation presents "the full speedup picture as a function of
 //! execution time" (ch. 5): a run is divided into batches; after each batch
@@ -7,13 +7,10 @@
 //! *serial* version. [`SpeedTrace`] records exactly those points; the bench
 //! binaries print them as CSV series for every speedup figure (5.6–5.15).
 //!
-//! [`MemoryTrace`] records bin-forest bytes against photons simulated
-//! (Fig 5.4).
-//!
-//! A [`SpeedTrace`] is bounded: past [`SPEED_TRACE_CAP`] samples it
-//! coalesces adjacent pairs, halving its resolution but never its span, so
-//! a week-long solve cannot grow it without limit. `total_photons` stays
-//! exact through coalescing.
+//! A [`SpeedTrace`] is bounded: past 4 096 samples it coalesces adjacent
+//! pairs, halving its resolution but never its span, so a week-long solve
+//! cannot grow it without limit. The samples' photon total stays exact
+//! through coalescing.
 
 /// One batch sample of a run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,13 +24,12 @@ pub struct SpeedSample {
 }
 
 /// Samples a [`SpeedTrace`] retains before coalescing adjacent pairs.
-pub const SPEED_TRACE_CAP: usize = 4096;
+const SPEED_TRACE_CAP: usize = 4096;
 
 /// Speed-vs-time trace of one run.
 #[derive(Clone, Debug, Default)]
 pub struct SpeedTrace {
     samples: Vec<SpeedSample>,
-    total_photons: u64,
 }
 
 impl SpeedTrace {
@@ -45,10 +41,10 @@ impl SpeedTrace {
     /// Records a batch that finished at `elapsed` seconds, having simulated
     /// `photons` photons in `batch_seconds`.
     ///
-    /// When the trace reaches [`SPEED_TRACE_CAP`] samples, adjacent pairs
-    /// are merged (summed photons and durations, the later endpoint),
-    /// halving resolution while keeping the full time span and the exact
-    /// photon total — a long-lived solve's trace stays a fixed size.
+    /// When the trace reaches 4 096 samples, adjacent pairs are merged
+    /// (summed photons and durations, the later endpoint), halving
+    /// resolution while keeping the full time span and the exact photon
+    /// total — a long-lived solve's trace stays a fixed size.
     pub fn push_batch(&mut self, elapsed: f64, photons: u64, batch_seconds: f64) {
         let rate = if batch_seconds > 0.0 {
             photons as f64 / batch_seconds
@@ -63,7 +59,6 @@ impl SpeedTrace {
             photons,
             rate,
         });
-        self.total_photons += photons;
     }
 
     /// Merges adjacent sample pairs in place, halving the sample count.
@@ -108,11 +103,6 @@ impl SpeedTrace {
         &self.samples
     }
 
-    /// Total photons across batches.
-    pub fn total_photons(&self) -> u64 {
-        self.total_photons
-    }
-
     /// Total elapsed time (end of last batch), or 0 for an empty trace.
     pub fn total_elapsed(&self) -> f64 {
         self.samples.last().map_or(0.0, |s| s.elapsed)
@@ -138,46 +128,6 @@ impl SpeedTrace {
     }
 }
 
-/// Memory-vs-photons trace (Fig 5.4).
-#[derive(Clone, Debug, Default)]
-pub struct MemoryTrace {
-    samples: Vec<(u64, usize)>,
-}
-
-impl MemoryTrace {
-    /// Empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records that after `photons` photons the structure held `bytes`.
-    pub fn push(&mut self, photons: u64, bytes: usize) {
-        self.samples.push((photons, bytes));
-    }
-
-    /// All `(photons, bytes)` samples.
-    pub fn samples(&self) -> &[(u64, usize)] {
-        &self.samples
-    }
-
-    /// True when growth over the second half of the trace is sublinear in
-    /// photons (the paper's qualitative claim for the bin forest).
-    pub fn is_sublinear(&self) -> bool {
-        if self.samples.len() < 4 {
-            return false;
-        }
-        let mid = self.samples.len() / 2;
-        let (p0, b0) = self.samples[mid];
-        let (p1, b1) = *self.samples.last().unwrap();
-        if p1 <= p0 || b0 == 0 {
-            return false;
-        }
-        let photon_growth = p1 as f64 / p0 as f64;
-        let byte_growth = b1 as f64 / b0 as f64;
-        byte_growth < photon_growth
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +145,6 @@ mod tests {
         let t = trace(&[(1.0, 500, 1.0), (3.0, 500, 2.0)]);
         assert_eq!(t.samples()[0].rate, 500.0);
         assert_eq!(t.samples()[1].rate, 250.0);
-        assert_eq!(t.total_photons(), 1000);
         assert_eq!(t.total_elapsed(), 3.0);
     }
 
@@ -211,21 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn memory_sublinearity_detection() {
-        let mut m = MemoryTrace::new();
-        // Bytes grow like sqrt(photons): sublinear.
-        for i in 1..=16u64 {
-            m.push(i * 1000, ((i as f64).sqrt() * 1000.0) as usize);
-        }
-        assert!(m.is_sublinear());
-        let mut lin = MemoryTrace::new();
-        for i in 1..=16u64 {
-            lin.push(i * 1000, (i * 1000) as usize);
-        }
-        assert!(!lin.is_sublinear());
-    }
-
-    #[test]
     fn cap_coalesces_but_keeps_totals_exact() {
         let mut t = SpeedTrace::new();
         let n = (SPEED_TRACE_CAP * 3) as u64;
@@ -235,8 +169,7 @@ mod tests {
         }
         assert!(t.samples().len() <= SPEED_TRACE_CAP);
         let exact: u64 = (0..n).map(|i| 3 * i + 1).sum();
-        assert_eq!(t.total_photons(), exact);
-        // Sum of per-sample photons also stays exact (merging adds).
+        // The sum of per-sample photons stays exact (merging adds).
         assert_eq!(t.samples().iter().map(|s| s.photons).sum::<u64>(), exact);
         // The span survives: last endpoint is the last batch's.
         assert_eq!(t.total_elapsed(), n as f64 * 0.5);

@@ -3,13 +3,14 @@
 
 use crate::answer::Answer;
 use crate::checkpoint::{EngineCheckpoint, RestoreError};
-use crate::engine::{BatchReport, SolverEngine, StepBook};
+use crate::engine::{BatchReport, CompactionWatermark, SolverEngine};
 use crate::forest::BinForest;
 use crate::generate::PhotonGenerator;
-use crate::perf::{MemoryTrace, SpeedTrace};
+use crate::perf::SpeedTrace;
 use crate::trace::{trace_span, Span, Termination};
 use photon_geom::Scene;
 use photon_hist::SplitConfig;
+use std::time::Instant;
 
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug)]
@@ -83,15 +84,29 @@ impl SimStats {
 /// ([`crate::photon_stream`]), so the photon set depends only on
 /// `(seed, count)` — the property the parallel backends rely on to
 /// reproduce a serial run exactly.
+///
+/// It is also the solve state of both wall-clock engines:
+/// `photon_par::ParEngine` holds one and steps it through
+/// [`Simulator::step_with`], tallying each batch on its workers instead of
+/// inline.
 #[derive(Clone, Debug)]
 pub struct Simulator {
     scene: Scene,
     generator: PhotonGenerator,
     forest: BinForest,
     seed: u64,
-    split: photon_hist::SplitConfig,
-    steps: StepBook,
-    memory: MemoryTrace,
+    split: SplitConfig,
+    /// Next global photon index to trace. Tracks `stats.emitted` for a
+    /// fresh run; they diverge only after restoring a checkpoint whose
+    /// counters include photons outside the main stream (the distributed
+    /// backend's pilot phase).
+    cursor: u64,
+    stats: SimStats,
+    /// Speed-vs-time trace, one sample per step.
+    speed: SpeedTrace,
+    /// When the first step since new/restore began.
+    started: Option<Instant>,
+    compaction: CompactionWatermark,
 }
 
 impl Simulator {
@@ -101,12 +116,15 @@ impl Simulator {
         let forest = BinForest::new(scene.polygon_count(), config.split);
         Simulator {
             generator,
-            steps: StepBook::new(forest.total_nodes()),
+            compaction: CompactionWatermark::new(forest.total_nodes()),
             forest,
             seed: config.seed,
             split: config.split,
             scene,
-            memory: MemoryTrace::new(),
+            cursor: 0,
+            stats: SimStats::default(),
+            speed: SpeedTrace::new(),
+            started: None,
         }
     }
 
@@ -122,27 +140,33 @@ impl Simulator {
 
     /// Counters so far.
     pub fn stats(&self) -> &SimStats {
-        &self.steps.stats
+        &self.stats
     }
 
-    /// Speed-vs-time trace (one sample per `run_batch` call).
+    /// Speed-vs-time trace (one sample per [`SolverEngine::step`]).
     pub fn speed_trace(&self) -> &SpeedTrace {
-        &self.steps.speed
+        &self.speed
     }
 
-    /// Memory-vs-photons trace (one sample per `run_batch` call).
-    pub fn memory_trace(&self) -> &MemoryTrace {
-        &self.memory
+    /// The next `count` photons of the stream, as one serial span.
+    fn next_span(&self, count: u64) -> Span {
+        Span {
+            start: self.cursor,
+            count,
+            offset: 0,
+            stride: 1,
+        }
+    }
+
+    /// Accounts `count` traced photons of the stream and their counters.
+    fn advance(&mut self, count: u64, stats: &SimStats) {
+        self.cursor += count;
+        self.stats.merge(stats);
     }
 
     /// Simulates `n` photons (no batch bookkeeping).
     pub fn run_photons(&mut self, n: u64) {
-        let span = Span {
-            start: self.steps.cursor,
-            count: n,
-            offset: 0,
-            stride: 1,
-        };
+        let span = self.next_span(n);
         let stats = trace_span(
             &self.scene,
             &self.generator,
@@ -150,13 +174,63 @@ impl Simulator {
             span,
             &mut self.forest,
         );
-        self.steps.advance(n, &stats);
+        self.advance(n, &stats);
     }
 
-    /// Simulates a batch of `n` photons, recording speed and memory samples
-    /// (the paper's per-batch rate trace).
-    pub fn run_batch(&mut self, n: u64) {
-        let _ = self.step(n);
+    /// One step of `batch` photons whose tallies `tally` folds into the
+    /// forest: the step body of both wall-clock engines.
+    ///
+    /// `tally` receives the scene, the generator, the stream seed, the
+    /// batch's serial [`Span`] and the forest, and returns the batch's
+    /// counters plus, for an engine that buffers its tallies, the seconds
+    /// it spent tracing (`None` reports the whole step as trace time).
+    /// Around it the step advances the stream cursor and counters,
+    /// compacts the forest when its [`CompactionWatermark`] is due, pushes
+    /// the speed sample and assembles the [`BatchReport`].
+    pub fn step_with(
+        &mut self,
+        batch: u64,
+        tally: impl FnOnce(
+            &Scene,
+            &PhotonGenerator,
+            u64,
+            Span,
+            &mut BinForest,
+        ) -> (SimStats, Option<f64>),
+    ) -> BatchReport {
+        let run_start = *self.started.get_or_insert_with(Instant::now);
+        let batch_start = Instant::now();
+        let span = self.next_span(batch);
+        let (stats, trace_seconds) = tally(
+            &self.scene,
+            &self.generator,
+            self.seed,
+            span,
+            &mut self.forest,
+        );
+        self.advance(batch, &stats);
+        // Compact: at a batch boundary no worker or leaf cursor holds a
+        // tree, so this is the one safe place. Invisible in the answer
+        // (canonical export).
+        if self.compaction.due(self.forest.total_nodes()) {
+            self.forest.compact();
+        }
+        let footprint = self.forest.footprint();
+        let batch_seconds = batch_start.elapsed().as_secs_f64();
+        let trace_seconds = trace_seconds.unwrap_or(batch_seconds);
+        let elapsed_seconds = run_start.elapsed().as_secs_f64();
+        self.speed.push_batch(elapsed_seconds, batch, batch_seconds);
+        BatchReport {
+            batch_photons: batch,
+            emitted_total: self.stats.emitted,
+            leaf_bins: footprint.leaf_bins,
+            batch_seconds,
+            trace_seconds,
+            apply_seconds: batch_seconds - trace_seconds,
+            elapsed_seconds,
+            stats: self.stats,
+            footprint,
+        }
     }
 
     /// Finishes the run, producing the answer database.
@@ -166,23 +240,15 @@ impl Simulator {
 
     /// Borrow-based snapshot of the answer (keeps simulating afterwards).
     pub fn answer_snapshot(&self) -> Answer {
-        Answer::from_forest(&self.forest, self.stats().emitted)
+        Answer::from_forest(&self.forest, self.stats.emitted)
     }
 }
 
 impl SolverEngine for Simulator {
     fn step(&mut self, batch: u64) -> BatchReport {
-        let batch_start = self.steps.begin();
-        self.run_photons(batch);
-        if self.steps.compaction.due(self.forest.total_nodes()) {
-            self.forest.compact();
-        }
-        let report = self
-            .steps
-            .finish(batch_start, batch, None, self.forest.footprint());
-        self.memory
-            .push(report.emitted_total, self.forest.memory_bytes());
-        report
+        self.step_with(batch, |scene, generator, seed, span, forest| {
+            (trace_span(scene, generator, seed, span, forest), None)
+        })
     }
 
     fn snapshot(&self) -> Answer {
@@ -190,14 +256,14 @@ impl SolverEngine for Simulator {
     }
 
     fn stats(&self) -> SimStats {
-        self.steps.stats
+        self.stats
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
         EngineCheckpoint::new(
             self.seed,
-            self.steps.cursor,
-            self.steps.stats,
+            self.cursor,
+            self.stats,
             self.split,
             self.forest.clone().into_trees(),
         )
@@ -206,8 +272,13 @@ impl SolverEngine for Simulator {
     fn restore(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), RestoreError> {
         checkpoint.compatible_with(self.scene.polygon_count(), self.seed, self.split)?;
         self.forest = checkpoint.forest();
-        self.steps.restore(checkpoint, self.forest.total_nodes());
-        self.memory = MemoryTrace::new();
+        // The discarded run's speed trace and clock go with it: rates
+        // reported after a resume describe the resumed solve only.
+        self.cursor = checkpoint.cursor();
+        self.stats = checkpoint.stats();
+        self.speed = SpeedTrace::new();
+        self.started = None;
+        self.compaction = CompactionWatermark::new(self.forest.total_nodes());
         Ok(())
     }
 
@@ -337,11 +408,12 @@ mod tests {
     #[test]
     fn batches_record_traces() {
         let mut sim = Simulator::new(tiny_box(), SimConfig::default());
-        for _ in 0..5 {
-            sim.run_batch(1000);
+        for i in 1..=5 {
+            assert_eq!(sim.step(1000).emitted_total, i * 1000);
         }
-        assert_eq!(sim.speed_trace().samples().len(), 5);
-        assert_eq!(sim.memory_trace().samples().len(), 5);
+        let samples = sim.speed_trace().samples();
+        assert_eq!(samples.len(), 5);
+        assert!(samples.iter().all(|s| s.photons == 1000));
         assert_eq!(sim.stats().emitted, 5000);
     }
 

@@ -1,9 +1,9 @@
 //! The resumable shared-memory solver engine.
 //!
 //! [`ParEngine`] is `photon_par`'s implementation of
-//! [`photon_core::SolverEngine`]: it owns its scene, its [`BinForest`]
-//! (the same type the serial simulator holds) and its step buffers, so the
-//! solve advances batch by batch across
+//! [`photon_core::SolverEngine`]: a serial [`Simulator`] (scene, stream
+//! cursor, counters and the [`BinForest`]) plus the step buffers of its
+//! workers, so the solve advances batch by batch across
 //! [`step`](photon_core::SolverEngine::step) calls instead of running once
 //! and exiting. It owns no thread and no lock: each parallel phase of a
 //! step is one [`parallel_map`] over the workers, which borrows `T − 1`
@@ -18,8 +18,9 @@
 //! substream ([`photon_core::photon_stream`]), so the photon *set* is
 //! independent of the worker count.
 //!
-//! **The step** is one function body, [`ParEngine::step`], reading
-//! generate → trace → partition → apply → compact → report:
+//! **The step** is [`Simulator::step_with`] with the tally phases of
+//! [`ParEngine::step`] inside it, reading generate → trace → partition →
+//! apply → compact → report:
 //!
 //! 1. *Trace* — every worker runs the workspace's one photon loop
 //!    ([`photon_core::trace_span`]) over its stride, its item of the map
@@ -35,46 +36,44 @@
 //!    longest first, each claimed by whichever worker is free. A worker
 //!    owns its block outright and folds its runs into its trees, with the
 //!    leaf-descent cache skipping root re-descents inside a run.
-//! 4. *Compact, report* — the bookkeeping [`StepBook`] shared with the
-//!    serial simulator.
+//! 4. *Compact, report* — `step_with`'s own, the same lines a serial step
+//!    runs.
 //!
 //! Because every tree sees exactly the serial tally order and each run is
 //! applied by exactly one worker, the resulting [`Answer`] is
 //! **bit-identical** to `Simulator`'s for the same seed and photon count,
 //! at any thread count — one worker included, which runs the same three
 //! phases — while blocks of distinct trees apply concurrently. Between
-//! steps the engine is the serial simulator's state, so snapshot,
-//! checkpoint and restore are `Simulator`'s. Steady-state steps reuse
-//! every buffer: trace buffers, the sorted buffer, the run list, and the
-//! per-patch counters. What a step still allocates is its two phases'
-//! spawns and slots and the block list, at most 8T + 1 entries whatever
-//! the patch count (`tests/steady_state_alloc.rs`).
+//! steps the engine *is* the serial simulator, so snapshot, checkpoint and
+//! restore are `Simulator`'s. Steady-state steps reuse every buffer: trace
+//! buffers, the sorted buffer, the run list, and the per-patch counters.
+//! What a step still allocates is its two phases' spawns and slots and the
+//! block list, at most 8T + 1 entries whatever the patch count
+//! (`tests/steady_state_alloc.rs`).
 
 use crate::{parallel_map, ParConfig};
 use photon_core::batch::{PartitionScratch, PatchRun, RecordSink, TallyRecord};
-use photon_core::generate::PhotonGenerator;
 use photon_core::sim::SimStats;
 use photon_core::{
-    trace_span, Answer, BatchReport, BinForest, EngineCheckpoint, RestoreError, SolverEngine, Span,
-    SpeedTrace, StepBook,
+    trace_span, Answer, BatchReport, BinForest, EngineCheckpoint, RestoreError, SimConfig,
+    Simulator, SolverEngine, Span, SpeedTrace,
 };
 use photon_geom::Scene;
 use photon_hist::BinTree;
+use std::time::Instant;
 
-/// The resumable shared-memory engine: a bin forest stepped batch by
+/// The resumable shared-memory engine: a [`Simulator`] stepped batch by
 /// batch through the trace→partition→apply pipeline, each parallel phase
 /// one [`parallel_map`] over the workers.
 pub struct ParEngine {
-    config: ParConfig,
-    scene: Scene,
-    generator: PhotonGenerator,
-    forest: BinForest,
+    threads: usize,
+    /// The solve state: scene, stream cursor, counters and forest.
+    sim: Simulator,
     /// Per-worker trace records, reused across steps; slot `t` holds the
     /// records of worker `t`'s stride and is trace job `t`'s item.
     traces: Vec<Vec<TallyRecord>>,
     /// The partition output the apply phase consumes.
     partition: PartitionScratch,
-    steps: StepBook,
 }
 
 /// One apply job's item: a block of consecutive patch trees and the
@@ -144,119 +143,104 @@ impl ParEngine {
     /// `config.threads` workers.
     pub fn new(scene: Scene, config: ParConfig) -> Self {
         assert!(config.threads >= 1);
-        let forest = BinForest::new(scene.polygon_count(), config.split);
         ParEngine {
-            config,
-            generator: PhotonGenerator::new(&scene),
+            threads: config.threads,
             traces: vec![Vec::new(); config.threads],
             partition: PartitionScratch::new(scene.polygon_count()),
-            steps: StepBook::new(forest.total_nodes()),
-            scene,
-            forest,
+            sim: Simulator::new(
+                scene,
+                SimConfig {
+                    seed: config.seed,
+                    split: config.split,
+                },
+            ),
         }
     }
 
     /// The bin forest accumulated so far.
     pub fn forest(&self) -> &BinForest {
-        &self.forest
+        self.sim.forest()
     }
 
     /// Speed-vs-time trace, one sample per step.
     pub fn speed_trace(&self) -> &SpeedTrace {
-        &self.steps.speed
+        self.sim.speed_trace()
     }
 
     /// Finishes the run, producing the answer.
     pub fn into_answer(self) -> Answer {
-        self.snapshot()
+        self.sim.into_answer()
     }
 }
 
 impl SolverEngine for ParEngine {
     fn step(&mut self, batch: u64) -> BatchReport {
-        let batch_start = self.steps.begin();
-        let start = self.steps.cursor;
-        let threads = self.config.threads;
-        let (scene, generator, seed) = (&self.scene, &self.generator, self.config.seed);
+        let ParEngine {
+            threads,
+            sim,
+            traces,
+            partition,
+        } = self;
+        let threads = *threads;
+        sim.step_with(batch, |scene, generator, seed, span, forest| {
+            let trace_start = Instant::now();
 
-        // Generate + trace: each worker into its own buffer.
-        let mut traced = SimStats::default();
-        for stats in parallel_map(threads, &mut self.traces, |t, slot| {
-            // Trace into the buffer from this worker's own stack, not in
-            // its slot: a `Vec`'s length is stored at every push, the slots
-            // are 24 bytes apart, and whether two of them share a cache line
-            // is the allocator's whim — so pushing in place cost 0–15 % of
-            // the trace phase, differently every run.
-            let mut out = std::mem::take(slot);
-            out.clear(); // keep capacity: steady state reallocates nothing
-            let span = Span {
-                start,
-                count: batch,
-                offset: t as u64,
-                stride: threads as u64,
-            };
-            let stats = trace_span(scene, generator, seed, span, &mut RecordSink::new(&mut out));
-            *slot = out;
-            stats
-        }) {
-            traced.merge(&stats);
-        }
-        self.steps.advance(batch, &traced);
-        let trace_seconds = batch_start.elapsed().as_secs_f64();
-
-        // Partition, on the calling thread.
-        self.partition.partition(&self.traces, start, batch);
-
-        // Apply: workers claim blocks of trees, longest first, and fold
-        // each block's runs into its trees.
-        let partition = &self.partition;
-        let mut blocks = blocks(self.forest.trees_mut(), &partition.runs, threads);
-        parallel_map(threads, &mut blocks, |_, block| {
-            for run in block.runs {
-                let records = partition.run_records(run).iter();
-                block.trees[run.patch_id as usize - block.first]
-                    .tally_run(records.map(|r| (&r.point, r.energy)));
+            // Generate + trace: each worker into its own buffer.
+            let mut traced = SimStats::default();
+            for stats in parallel_map(threads, traces, |t, slot| {
+                // Trace into the buffer from this worker's own stack, not
+                // in its slot: a `Vec`'s length is stored at every push, the
+                // slots are 24 bytes apart, and whether two of them share a
+                // cache line is the allocator's whim — so pushing in place
+                // cost 0–15 % of the trace phase, differently every run.
+                let mut out = std::mem::take(slot);
+                out.clear(); // keep capacity: steady state reallocates nothing
+                let span = Span {
+                    offset: t as u64,
+                    stride: threads as u64,
+                    ..span
+                };
+                let mut sink = RecordSink::new(&mut out);
+                let stats = trace_span(scene, generator, seed, span, &mut sink);
+                *slot = out;
+                stats
+            }) {
+                traced.merge(&stats);
             }
-        });
+            let trace_seconds = trace_start.elapsed().as_secs_f64();
 
-        // Compact: between phases no worker holds a tree, so this batch
-        // boundary is the one safe place. Invisible in the answer
-        // (canonical export).
-        if self.steps.compaction.due(self.forest.total_nodes()) {
-            self.forest.compact();
-        }
+            // Partition, on the calling thread.
+            partition.partition(traces, span.start, span.count);
 
-        self.steps.finish(
-            batch_start,
-            batch,
-            Some(trace_seconds),
-            self.forest.footprint(),
-        )
+            // Apply: workers claim blocks of trees, longest first, and fold
+            // each block's runs into its trees.
+            let partition = &*partition;
+            let mut blocks = blocks(forest.trees_mut(), &partition.runs, threads);
+            parallel_map(threads, &mut blocks, |_, block| {
+                for run in block.runs {
+                    let records = partition.run_records(run).iter();
+                    block.trees[run.patch_id as usize - block.first]
+                        .tally_run(records.map(|r| (&r.point, r.energy)));
+                }
+            });
+            (traced, Some(trace_seconds))
+        })
     }
 
     fn snapshot(&self) -> Answer {
-        Answer::from_forest(&self.forest, self.steps.stats.emitted)
+        self.sim.snapshot()
     }
 
     fn stats(&self) -> SimStats {
-        self.steps.stats
+        *self.sim.stats()
     }
 
     fn checkpoint(&self) -> EngineCheckpoint {
-        EngineCheckpoint::new(
-            self.config.seed,
-            self.steps.cursor,
-            self.steps.stats,
-            self.config.split,
-            self.forest.clone().into_trees(),
-        )
+        self.sim.checkpoint()
     }
 
     fn restore(&mut self, checkpoint: &EngineCheckpoint) -> Result<(), RestoreError> {
-        checkpoint.compatible_with(self.forest.len(), self.config.seed, self.config.split)?;
-        self.forest = checkpoint.forest();
-        self.steps.restore(checkpoint, self.forest.total_nodes());
-        Ok(())
+        self.sim.restore(checkpoint)
     }
 
     fn backend(&self) -> &'static str {
@@ -267,7 +251,6 @@ impl SolverEngine for ParEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use photon_core::{SimConfig, Simulator};
     use photon_scenes::{computer_lab, cornell_box};
 
     fn engine_on(scene: Scene, threads: usize) -> ParEngine {
@@ -384,10 +367,11 @@ mod tests {
                 let mut e = engine_on(scene.clone(), threads);
                 e.step(3000);
                 let runs = e.partition.runs.clone();
-                let patches = e.forest.len();
+                let mut forest = e.forest().clone();
+                let patches = forest.len();
                 let total: usize = runs.iter().map(|r| r.len).sum();
                 let share = total.div_ceil(4 * threads);
-                let blocks = blocks(e.forest.trees_mut(), &runs, threads);
+                let blocks = blocks(forest.trees_mut(), &runs, threads);
                 assert!(
                     blocks.len() <= 8 * threads + 1,
                     "{at}: {} blocks",
@@ -456,6 +440,39 @@ mod tests {
                 want,
                 "threads={threads} diverged from serial on lab"
             );
+        }
+    }
+
+    #[test]
+    fn serial_and_threaded_keep_the_same_books() {
+        // Uneven batches, 19 600 photons in all: `cornell`'s forest grows
+        // 30 → 144 nodes and compacts after the second, third and fifth
+        // step; `lab`'s 1 931 trees split too little to compact at all.
+        let batches = [700, 1_900, 3_000, 5_000, 9_000];
+        for (name, scene) in [("cornell", cornell_box()), ("lab", computer_lab())] {
+            for threads in [1, 2, 3] {
+                let at = format!("{name}, threads={threads}");
+                let mut serial = Simulator::new(
+                    scene.clone(),
+                    SimConfig {
+                        seed: 2024,
+                        ..Default::default()
+                    },
+                );
+                let mut e = engine_on(scene.clone(), threads);
+                for batch in batches {
+                    let (want, got) = (serial.step(batch), e.step(batch));
+                    assert_eq!(got.emitted_total, want.emitted_total, "{at}");
+                    assert_eq!(got.stats, want.stats, "{at}");
+                    assert_eq!(got.leaf_bins, want.leaf_bins, "{at}");
+                    assert_eq!(got.footprint, want.footprint, "{at}");
+                }
+                assert_eq!(
+                    e.checkpoint().to_bytes(),
+                    serial.checkpoint().to_bytes(),
+                    "{at}"
+                );
+            }
         }
     }
 

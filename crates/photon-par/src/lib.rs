@@ -6,9 +6,10 @@
 //! forest, and follows a multiple reader, single writer protocol."
 //!
 //! The crate is built around [`ParEngine`] (see [`engine`]): a *resumable*
-//! solver implementing [`photon_core::SolverEngine`], holding the same
-//! [`photon_core::BinForest`] the serial simulator holds across batches,
-//! and borrowing its workers from [`parallel_map`] one phase at a time.
+//! solver implementing [`photon_core::SolverEngine`], holding a serial
+//! [`photon_core::Simulator`] as its solve state across batches, stepping
+//! it through [`photon_core::Simulator::step_with`], and borrowing its
+//! workers from [`parallel_map`] one phase at a time.
 //! The paper's semaphores have nothing left to guard: between two joins
 //! every tree has exactly one writer, the job whose `&mut` item of the map
 //! is the block of consecutive trees holding it (the apply phase hands out
@@ -157,7 +158,8 @@ mod tests {
     fn speed_trace_has_one_sample_per_batch() {
         let r = small_run(2);
         assert_eq!(r.speed.samples().len(), 5);
-        assert_eq!(r.speed.total_photons(), 10_000);
+        let photons: u64 = r.speed.samples().iter().map(|s| s.photons).sum();
+        assert_eq!(photons, 10_000);
         assert!(r.speed.total_elapsed() > 0.0);
     }
 
