@@ -48,11 +48,6 @@ pub struct HitFile {
 }
 
 impl HitFile {
-    /// All hits.
-    pub fn hits(&self) -> &[HitPoint] {
-        &self.hits
-    }
-
     /// O(photons) storage footprint — criticism #1.
     pub fn bytes(&self) -> usize {
         self.hits.len() * HIT_BYTES

@@ -258,22 +258,22 @@ impl HierarchicalRadiosity {
             self.elements[i].b
         }
     }
-
-    /// Leaf elements of one root patch with their radiosity, for inspection:
-    /// `(center, area, radiosity)`.
-    pub fn leaves_of(&self, root: u32) -> Vec<(Vec3, f64, Rgb)> {
-        self.elements
-            .iter()
-            .filter(|e| e.root == root && e.children.is_none())
-            .map(|e| (e.center, e.area, e.b))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use photon_geom::{Luminaire, Material, SurfacePatch};
+
+    /// Leaf elements of one root patch with their radiosity:
+    /// `(center, area, radiosity)`.
+    fn leaves_of(h: &HierarchicalRadiosity, root: u32) -> Vec<(Vec3, f64, Rgb)> {
+        h.elements
+            .iter()
+            .filter(|e| e.root == root && e.children.is_none())
+            .map(|e| (e.center, e.area, e.b))
+            .collect()
+    }
 
     /// A lit room slice: bright emitter facing a floor, plus a far dark
     /// panel tucked behind an occluder (the "corner under the desk").
@@ -329,7 +329,7 @@ mod tests {
         let scene = demo_scene();
         let mut h = HierarchicalRadiosity::new(&scene, 0.05, 0.05);
         h.solve(&scene, 6, 1e-3);
-        let floor_leaves = h.leaves_of(0);
+        let floor_leaves = leaves_of(&h, 0);
         let bright = floor_leaves
             .iter()
             .filter(|(_, _, b)| b.luminance() > 1e-3)
@@ -351,8 +351,8 @@ mod tests {
         let mean_lum = |leaves: &[(Vec3, f64, Rgb)]| {
             leaves.iter().map(|(_, _, b)| b.luminance()).sum::<f64>() / leaves.len().max(1) as f64
         };
-        let floor = h.leaves_of(0);
-        let panel = h.leaves_of(2);
+        let floor = leaves_of(&h, 0);
+        let panel = leaves_of(&h, 2);
         assert!(panel.len() > 1, "dark panel was never refined");
         let (fl, pl) = (mean_lum(&floor), mean_lum(&panel));
         assert!(
@@ -378,7 +378,7 @@ mod tests {
         let mut h = HierarchicalRadiosity::new(&scene, 0.05, 0.05);
         h.solve(&scene, 2, 1e-3);
         for root in 0..scene.polygon_count() as u32 {
-            let total: f64 = h.leaves_of(root).iter().map(|(_, a, _)| a).sum();
+            let total: f64 = leaves_of(&h, root).iter().map(|(_, a, _)| a).sum();
             let expect = scene.patch(root).area;
             assert!(
                 (total - expect).abs() / expect < 1e-9,

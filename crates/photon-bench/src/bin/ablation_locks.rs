@@ -34,11 +34,11 @@
 //! probe stream, answers asserted equal — only the memory layout differs.
 
 use photon_bench::{fmt, heading, md_table};
-use photon_core::{trace_span, PhotonGenerator, Span, SpeedTrace, TallySink};
+use photon_core::{trace_span, PhotonGenerator, SolverEngine, Span, SpeedTrace, TallySink};
 use photon_geom::Scene;
 use photon_hist::{BinPoint, BinRange, BinTree, ExportNode, SplitConfig};
 use photon_math::Rgb;
-use photon_par::{run, ParConfig};
+use photon_par::{ParConfig, ParEngine};
 use photon_rng::{Lcg48, PhotonRng};
 use photon_scenes::TestScene;
 use std::f64::consts::TAU;
@@ -194,10 +194,13 @@ fn main() {
             let config = ParConfig {
                 seed: SEED,
                 threads,
-                batch_size: BATCH,
                 ..Default::default()
             };
-            let batched = run(&scene, &config, PHOTONS).speed.steady_rate();
+            let mut engine = ParEngine::new(scene.clone(), config);
+            for _ in 0..PHOTONS / BATCH {
+                engine.step(BATCH);
+            }
+            let batched = engine.speed_trace().steady_rate();
             rows.push(vec![
                 scene_kind.name().to_string(),
                 threads.to_string(),

@@ -11,15 +11,15 @@
 //! reproduction target (README.md, *Deviations*).
 
 use photon_bench::{fmt, heading, md_table, write_trace};
-use photon_core::SpeedTrace;
-use photon_par::{run, ParConfig};
+use photon_core::{SolverEngine, SpeedTrace};
+use photon_par::{ParConfig, ParEngine};
 use photon_scenes::TestScene;
 
 fn main() {
     heading("Figs 5.6-5.8 — shared-memory speed traces (real threads)");
     let host_threads = std::thread::available_parallelism().map_or(2, |n| n.get());
     println!("host parallelism: {host_threads} (speedups saturate there)\n");
-    let photons = 60_000u64;
+    let (batches, batch) = (10, 6_000);
     let counts = [1usize, 2, 4, 8];
     for scene_kind in TestScene::ALL {
         let scene = scene_kind.build();
@@ -28,17 +28,20 @@ fn main() {
             let config = ParConfig {
                 seed: 56,
                 threads,
-                batch_size: 6_000,
                 ..Default::default()
             };
-            let r = run(&scene, &config, photons);
+            let mut engine = ParEngine::new(scene.clone(), config);
+            for _ in 0..batches {
+                engine.step(batch);
+            }
+            let speed = engine.speed_trace().clone();
             let name = format!(
                 "fig5_6_{}_p{}.csv",
                 scene_kind.name().replace(' ', "_").to_lowercase(),
                 threads
             );
-            write_trace(&name, &r.speed);
-            traces.push((threads, r.speed));
+            write_trace(&name, &speed);
+            traces.push((threads, speed));
         }
         let serial = traces[0].1.clone();
         let rows: Vec<Vec<String>> = traces

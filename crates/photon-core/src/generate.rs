@@ -169,7 +169,7 @@ mod tests {
         let mut rng = Lcg48::new(1);
         for _ in 0..5000 {
             let d = sample_rejection(&mut rng, 1.0);
-            assert!(d.is_unit(1e-9), "{d:?}");
+            assert!((d.length_sq() - 1.0).abs() <= 1e-9, "{d:?}");
             assert!(d.z >= 0.0);
         }
     }
@@ -179,7 +179,7 @@ mod tests {
         let mut rng = Lcg48::new(2);
         for _ in 0..5000 {
             let d = sample_direct(&mut rng);
-            assert!(d.is_unit(1e-9), "{d:?}");
+            assert!((d.length_sq() - 1.0).abs() <= 1e-9, "{d:?}");
             assert!(d.z >= 0.0);
         }
     }
@@ -274,7 +274,7 @@ mod tests {
             let p = g.emit(&scene, &mut rng);
             assert_eq!(p.patch_id, 0);
             assert!((0.0..=1.0).contains(&p.s) && (0.0..=1.0).contains(&p.t));
-            assert!(p.dir.is_unit(1e-9));
+            assert!((p.dir.length_sq() - 1.0).abs() <= 1e-9);
             // Direction is on the light's front side.
             assert!(p.dir.dot(scene.patch(0).frame.w) >= 0.0);
         }

@@ -148,33 +148,9 @@ impl Simulator {
         &self.speed
     }
 
-    /// The next `count` photons of the stream, as one serial span.
-    fn next_span(&self, count: u64) -> Span {
-        Span {
-            start: self.cursor,
-            count,
-            offset: 0,
-            stride: 1,
-        }
-    }
-
-    /// Accounts `count` traced photons of the stream and their counters.
-    fn advance(&mut self, count: u64, stats: &SimStats) {
-        self.cursor += count;
-        self.stats.merge(stats);
-    }
-
-    /// Simulates `n` photons (no batch bookkeeping).
+    /// Simulates `n` photons as one [`SolverEngine::step`], report dropped.
     pub fn run_photons(&mut self, n: u64) {
-        let span = self.next_span(n);
-        let stats = trace_span(
-            &self.scene,
-            &self.generator,
-            self.seed,
-            span,
-            &mut self.forest,
-        );
-        self.advance(n, &stats);
+        self.step(n);
     }
 
     /// One step of `batch` photons whose tallies `tally` folds into the
@@ -200,7 +176,12 @@ impl Simulator {
     ) -> BatchReport {
         let run_start = *self.started.get_or_insert_with(Instant::now);
         let batch_start = Instant::now();
-        let span = self.next_span(batch);
+        let span = Span {
+            start: self.cursor,
+            count: batch,
+            offset: 0,
+            stride: 1,
+        };
         let (stats, trace_seconds) = tally(
             &self.scene,
             &self.generator,
@@ -208,7 +189,8 @@ impl Simulator {
             span,
             &mut self.forest,
         );
-        self.advance(batch, &stats);
+        self.cursor += batch;
+        self.stats.merge(&stats);
         // Compact: at a batch boundary no worker or leaf cursor holds a
         // tree, so this is the one safe place. Invisible in the answer
         // (canonical export).
@@ -415,6 +397,17 @@ mod tests {
         assert_eq!(samples.len(), 5);
         assert!(samples.iter().all(|s| s.photons == 1000));
         assert_eq!(sim.stats().emitted, 5000);
+
+        // `run_photons` is one step: it compacts, checkpoints and samples
+        // exactly as `step` does.
+        let mut run = Simulator::new(tiny_box(), SimConfig::default());
+        let mut stepped = Simulator::new(tiny_box(), SimConfig::default());
+        run.run_photons(5000);
+        let report = stepped.step(5000);
+        assert_eq!(run.forest().footprint(), report.footprint);
+        assert_eq!(run.checkpoint().to_bytes(), stepped.checkpoint().to_bytes());
+        assert_eq!(run.speed_trace().samples().len(), 1);
+        assert_eq!(stepped.speed_trace().samples().len(), 1);
     }
 
     #[test]

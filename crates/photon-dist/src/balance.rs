@@ -52,11 +52,6 @@ impl Ownership {
         (owner as usize, slot as usize)
     }
 
-    /// Number of ranks.
-    pub fn nranks(&self) -> usize {
-        self.nranks
-    }
-
     /// Number of patches.
     pub fn patch_count(&self) -> usize {
         self.place.len()

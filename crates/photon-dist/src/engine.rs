@@ -190,11 +190,6 @@ impl DistEngine {
         self.world.clocks()[0]
     }
 
-    /// The ownership map in force.
-    pub fn ownership(&self) -> &Ownership {
-        &self.ownership
-    }
-
     /// Virtual-time speed trace, one sample per step.
     pub fn speed_trace(&self) -> &SpeedTrace {
         &self.speed

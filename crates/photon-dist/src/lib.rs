@@ -119,8 +119,6 @@ pub struct DistRunResult {
     pub answer: Answer,
     /// Final synchronized virtual clock.
     pub virtual_elapsed: f64,
-    /// The ownership map used.
-    pub ownership: Ownership,
     /// Bytes shipped through the all-to-all, total.
     pub bytes_forwarded: u64,
 }
@@ -182,7 +180,6 @@ pub fn run_distributed(scene: &Scene, config: &DistConfig) -> DistRunResult {
         // Every patch's tree from its unique owner.
         answer: engine.snapshot(),
         virtual_elapsed: engine.virtual_clock(),
-        ownership: engine.ownership().clone(),
         bytes_forwarded: engine.bytes_forwarded(),
     }
 }

@@ -696,11 +696,6 @@ impl Octree {
         }
     }
 
-    /// Root bounds.
-    pub fn bounds(&self) -> Aabb {
-        self.bounds
-    }
-
     /// Structural statistics.
     pub fn stats(&self) -> OctreeStats {
         let mut s = OctreeStats {

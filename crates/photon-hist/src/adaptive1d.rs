@@ -41,16 +41,6 @@ impl FixedHistogram1D {
         self.total += 1;
     }
 
-    /// Raw counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Total tallied samples.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Estimated probability density at bin centers: `(center, density)`.
     pub fn density(&self) -> Vec<(f64, f64)> {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
@@ -193,11 +183,6 @@ impl AdaptiveHistogram1D {
         self.bins.len() == 1 && self.total == 0
     }
 
-    /// Total tallied samples (conserved across splits).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Number of splits performed.
     pub fn splits(&self) -> u64 {
         self.splits
@@ -256,7 +241,7 @@ mod tests {
         let mut h = FixedHistogram1D::new(0.0, 1.0, 4);
         h.tally(-0.1);
         h.tally(1.0);
-        assert_eq!(h.total(), 0);
+        assert_eq!(h.total, 0);
     }
 
     #[test]
@@ -302,7 +287,7 @@ mod tests {
             let x = rng.next_f64();
             h.tally(x * x); // quadratic warp -> gradient near 0
         }
-        assert_eq!(h.total(), n);
+        assert_eq!(h.total, n);
         let sum: u64 = h.bins().iter().map(|b| b.2).sum();
         assert_eq!(sum, n);
         assert!(h.splits() > 0);

@@ -317,11 +317,6 @@ impl BinTree {
         self.node_bytes() + self.leaf_bytes() + std::mem::size_of::<Self>()
     }
 
-    /// The split policy in force.
-    pub fn config(&self) -> &SplitConfig {
-        &self.config
-    }
-
     /// Descends to the leaf containing `p`; returns `(arena index, range,
     /// depth)`.
     fn descend(&self, p: &BinPoint) -> (usize, BinRange, u16) {

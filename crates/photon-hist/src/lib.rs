@@ -31,4 +31,4 @@ pub use adaptive1d::{AdaptiveHistogram1D, FixedHistogram1D};
 pub use bintree::{
     Axis, BinPoint, BinRange, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig,
 };
-pub use stats::{split_excess, SplitRule};
+pub use stats::SplitRule;

@@ -70,7 +70,7 @@ impl SplitRule {
 ///
 /// When one half is empty σ is 0; any imbalance with `n ≥ min_count` is then
 /// treated as infinitely decisive (the steepest possible gradient).
-pub fn split_excess(left: u32, right: u32, sigmas: f64, min_count: u32) -> f64 {
+fn split_excess(left: u32, right: u32, sigmas: f64, min_count: u32) -> f64 {
     let n = left + right;
     if n < min_count.max(1) {
         return 0.0;

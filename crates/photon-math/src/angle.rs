@@ -7,8 +7,8 @@
 //! that plane. The paper's argument for `r_sq`: splitting the squared radius
 //! in half splits the projected disc *area* in half, and a Lambertian
 //! (cosine-weighted) distribution lands uniformly on that disc, so an even
-//! `r_sq` split is an even photon split for diffuse surfaces. This module
-//! provides the conversions plus the equal-measure checks used by tests.
+//! `r_sq` split is an even photon split for diffuse surfaces (its tests
+//! check that argument against the elevation angle's).
 
 use crate::{Onb, Vec3};
 use std::f64::consts::TAU;
@@ -21,13 +21,6 @@ pub struct CylDir {
     /// Squared projected radius in `[0, 1]`; `0` = along the normal,
     /// `1` = grazing.
     pub r_sq: f64,
-}
-
-/// A hemisphere direction in local coordinates (`z >= 0`, unit length).
-#[derive(Clone, Copy, Debug)]
-pub struct HemiDir {
-    /// Local direction with `z` along the surface normal.
-    pub local: Vec3,
 }
 
 impl CylDir {
@@ -60,61 +53,29 @@ impl CylDir {
         let z = (1.0 - self.r_sq).max(0.0).sqrt();
         Vec3::new(r * self.theta.cos(), r * self.theta.sin(), z)
     }
-
-    /// True when the coordinates lie in the valid hemisphere ranges.
-    #[inline]
-    pub fn is_valid(self) -> bool {
-        (0.0..TAU).contains(&self.theta) && (0.0..=1.0).contains(&self.r_sq)
-    }
-}
-
-impl HemiDir {
-    /// Wraps a local direction, clamping tiny negative `z` from rounding.
-    #[inline]
-    pub fn new(mut local: Vec3) -> Self {
-        if local.z < 0.0 && local.z > -1e-12 {
-            local.z = 0.0;
-        }
-        debug_assert!(local.z >= 0.0, "direction below hemisphere: {local:?}");
-        HemiDir { local }
-    }
-
-    /// Cosine of the angle to the surface normal.
-    #[inline]
-    pub fn cos_elevation(&self) -> f64 {
-        self.local.z
-    }
-
-    /// Bin coordinates of this direction.
-    #[inline]
-    pub fn cyl(&self) -> CylDir {
-        CylDir::from_local(self.local)
-    }
-}
-
-/// Fraction of a *Lambertian* (cosine-weighted) distribution falling inside
-/// `r_sq <= x`. Equal to `x` itself — the projected-disc-area argument the
-/// paper uses to justify splitting on squared radius.
-#[inline]
-pub fn lambertian_cdf_r_sq(x: f64) -> f64 {
-    x.clamp(0.0, 1.0)
-}
-
-/// Fraction of a Lambertian distribution inside elevation angle `<= e`
-/// (measured from the normal). Provided for the comparison test showing that
-/// splitting the *elevation angle* in half does **not** split the
-/// distribution in half (the paper's argument against spherical coordinates).
-#[inline]
-pub fn lambertian_cdf_elevation(e: f64) -> f64 {
-    let s = e.sin();
-    (s * s).clamp(0.0, 1.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, EPS};
+    use crate::tests::{approx_eq, EPS};
     use std::f64::consts::{FRAC_PI_2, FRAC_PI_4, PI};
+
+    /// Fraction of a *Lambertian* (cosine-weighted) distribution falling
+    /// inside `r_sq <= x`. Equal to `x` itself — the projected-disc-area
+    /// argument the paper uses to justify splitting on squared radius.
+    fn lambertian_cdf_r_sq(x: f64) -> f64 {
+        x.clamp(0.0, 1.0)
+    }
+
+    /// Fraction of a Lambertian distribution inside elevation angle `<= e`
+    /// (measured from the normal): splitting the *elevation angle* in half
+    /// does **not** split the distribution in half (the paper's argument
+    /// against spherical coordinates).
+    fn lambertian_cdf_elevation(e: f64) -> f64 {
+        let s = e.sin();
+        (s * s).clamp(0.0, 1.0)
+    }
 
     #[test]
     fn round_trip_local_cyl_local() {
@@ -127,7 +88,8 @@ mod tests {
         ] {
             let d = Vec3::new(x, y, z).normalized();
             let c = CylDir::from_local(d);
-            assert!(c.is_valid(), "{c:?}");
+            assert!((0.0..TAU).contains(&c.theta), "{c:?}");
+            assert!((0.0..=1.0).contains(&c.r_sq), "{c:?}");
             let back = c.to_local();
             assert!(approx_eq(back.x, d.x, 1e-9), "{d:?} -> {back:?}");
             assert!(approx_eq(back.y, d.y, 1e-9));
@@ -173,11 +135,5 @@ mod tests {
         let d = Vec3::new(0.0, 1.0, 0.0); // straight up
         let c = CylDir::from_world(d, &onb);
         assert!(approx_eq(c.r_sq, 0.0, EPS));
-    }
-
-    #[test]
-    fn hemidir_clamps_rounding_noise() {
-        let h = HemiDir::new(Vec3::new(1.0, 0.0, -1e-15));
-        assert_eq!(h.cos_elevation(), 0.0);
     }
 }

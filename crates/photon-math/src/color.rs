@@ -68,16 +68,6 @@ impl Rgb {
         Rgb::new(self.r * o.r, self.g * o.g, self.b * o.b)
     }
 
-    /// Channels clamped to `[0, 1]`.
-    #[inline]
-    pub fn clamped(self) -> Rgb {
-        Rgb::new(
-            self.r.clamp(0.0, 1.0),
-            self.g.clamp(0.0, 1.0),
-            self.b.clamp(0.0, 1.0),
-        )
-    }
-
     /// Gamma-encodes (1/2.2) and quantizes to 8-bit for image output.
     pub fn to_srgb8(self) -> [u8; 3] {
         let enc = |v: f64| -> u8 {
@@ -85,12 +75,6 @@ impl Rgb {
             (c * 255.0 + 0.5) as u8
         };
         [enc(self.r), enc(self.g), enc(self.b)]
-    }
-
-    /// True when any channel is NaN.
-    #[inline]
-    pub fn has_nan(self) -> bool {
-        self.r.is_nan() || self.g.is_nan() || self.b.is_nan()
     }
 }
 
@@ -135,7 +119,7 @@ impl Div<f64> for Rgb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, EPS};
+    use crate::tests::{approx_eq, EPS};
 
     #[test]
     fn filter_is_componentwise() {

@@ -19,31 +19,27 @@ pub mod ray;
 pub mod vec3;
 
 pub use aabb::Aabb;
-pub use angle::{CylDir, HemiDir};
+pub use angle::CylDir;
 pub use color::Rgb;
 pub use onb::Onb;
 pub use patch::{Patch, PatchIsect};
 pub use ray::Ray;
 pub use vec3::Vec3;
 
-/// Tolerance used by the approximate comparisons in this workspace.
-pub const EPS: f64 = 1e-9;
-
-/// Looser tolerance for quantities that accumulate rounding (areas, form
-/// factors, Monte-Carlo tallies).
-pub const EPS_LOOSE: f64 = 1e-6;
-
-/// Returns true when `a` and `b` differ by at most `tol` absolutely or
-/// relatively (whichever is larger).
-#[inline]
-pub fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
-    let diff = (a - b).abs();
-    diff <= tol || diff <= tol * a.abs().max(b.abs())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    /// Tolerance of the approximate comparisons in this crate's tests.
+    pub(crate) const EPS: f64 = 1e-9;
+
+    /// Looser tolerance for quantities that accumulate rounding.
+    const EPS_LOOSE: f64 = 1e-6;
+
+    /// True when `a` and `b` differ by at most `tol` absolutely or
+    /// relatively (whichever is larger).
+    pub(crate) fn approx_eq(a: f64, b: f64, tol: f64) -> bool {
+        let diff = (a - b).abs();
+        diff <= tol || diff <= tol * a.abs().max(b.abs())
+    }
 
     #[test]
     fn approx_eq_absolute_and_relative() {

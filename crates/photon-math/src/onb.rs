@@ -74,12 +74,15 @@ impl Onb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, EPS};
+    use crate::tests::{approx_eq, EPS};
 
     fn assert_orthonormal(b: &Onb) {
-        assert!(b.u.is_unit(EPS), "u not unit: {:?}", b.u);
-        assert!(b.v.is_unit(EPS), "v not unit: {:?}", b.v);
-        assert!(b.w.is_unit(EPS), "w not unit: {:?}", b.w);
+        for (name, axis) in [("u", b.u), ("v", b.v), ("w", b.w)] {
+            assert!(
+                approx_eq(axis.length_sq(), 1.0, EPS),
+                "{name} not unit: {axis:?}"
+            );
+        }
         assert!(approx_eq(b.u.dot(b.v), 0.0, EPS));
         assert!(approx_eq(b.v.dot(b.w), 0.0, EPS));
         assert!(approx_eq(b.w.dot(b.u), 0.0, EPS));

@@ -338,7 +338,7 @@ impl PatchIsect {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, EPS};
+    use crate::tests::{approx_eq, EPS};
 
     fn unit_floor() -> Patch {
         // Floor in the xz plane, normal +y.

@@ -52,7 +52,7 @@ impl Ray {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, EPS};
+    use crate::tests::{approx_eq, EPS};
 
     #[test]
     fn at_walks_along_direction() {

@@ -21,12 +21,6 @@ impl Vec3 {
         y: 0.0,
         z: 0.0,
     };
-    /// The all-ones vector.
-    pub const ONE: Vec3 = Vec3 {
-        x: 1.0,
-        y: 1.0,
-        z: 1.0,
-    };
     /// Unit x axis.
     pub const X: Vec3 = Vec3 {
         x: 1.0,
@@ -99,12 +93,6 @@ impl Vec3 {
         }
     }
 
-    /// True when the length is within `tol` of one.
-    #[inline]
-    pub fn is_unit(self, tol: f64) -> bool {
-        (self.length_sq() - 1.0).abs() <= tol
-    }
-
     /// Reflects `self` about the unit normal `n` (mirror direction).
     ///
     /// `self` points *toward* the surface; the result points away, following
@@ -130,18 +118,6 @@ impl Vec3 {
     #[inline]
     pub fn lerp(self, o: Vec3, t: f64) -> Vec3 {
         self * (1.0 - t) + o * t
-    }
-
-    /// Distance to another point.
-    #[inline]
-    pub fn distance(self, o: Vec3) -> f64 {
-        (self - o).length()
-    }
-
-    /// True when any component is NaN.
-    #[inline]
-    pub fn has_nan(self) -> bool {
-        self.x.is_nan() || self.y.is_nan() || self.z.is_nan()
     }
 }
 
@@ -243,7 +219,7 @@ impl fmt::Debug for Vec3 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{approx_eq, EPS};
+    use crate::tests::{approx_eq, EPS};
 
     #[test]
     fn arithmetic_identities() {
@@ -274,7 +250,7 @@ mod tests {
     #[test]
     fn normalize_produces_unit() {
         let v = Vec3::new(3.0, -4.0, 12.0);
-        assert!(v.normalized().is_unit(EPS));
+        assert!(approx_eq(v.normalized().length_sq(), 1.0, EPS));
         // Degenerate input gets a deterministic fallback, never NaN.
         assert_eq!(Vec3::ZERO.normalized(), Vec3::Z);
     }

@@ -148,7 +148,8 @@ proptest! {
         let up = Vec3::new(d.x, d.y, d.z.abs().max(1e-6));
         let up = up.normalized();
         let c = CylDir::from_local(up);
-        prop_assert!(c.is_valid());
+        prop_assert!((0.0..std::f64::consts::TAU).contains(&c.theta), "{:?}", c);
+        prop_assert!((0.0..=1.0).contains(&c.r_sq), "{:?}", c);
         let back = c.to_local();
         prop_assert!((back - up).length() < 1e-6, "{:?} -> {:?} -> {:?}", up, c, back);
     }

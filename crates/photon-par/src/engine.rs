@@ -2,15 +2,14 @@
 //!
 //! [`ParEngine`] is `photon_par`'s implementation of
 //! [`photon_core::SolverEngine`]: a serial [`Simulator`] (scene, stream
-//! cursor, counters and the [`BinForest`]) plus the step buffers of its
-//! workers, so the solve advances batch by batch across
+//! cursor, counters and the [`photon_core::BinForest`]) plus the step
+//! buffers of its workers, so the solve advances batch by batch across
 //! [`step`](photon_core::SolverEngine::step) calls instead of running once
 //! and exiting. It owns no thread and no lock: each parallel phase of a
 //! step is one [`parallel_map`] over the workers, which borrows `T − 1`
 //! threads beside the calling one for that phase alone and hands each job
 //! `&mut` to the one item it writes, so nothing is parked between steps
-//! and nothing is shared while a phase runs. `photon_par::run` is a thin
-//! driver over this engine.
+//! and nothing is shared while a phase runs.
 //!
 //! **Photon assignment.** Step `k` covers global photon indices
 //! `[cursor, cursor + batch)`; worker `t` of `T` leapfrogs through them,
@@ -55,8 +54,8 @@ use crate::{parallel_map, ParConfig};
 use photon_core::batch::{PartitionScratch, PatchRun, RecordSink, TallyRecord};
 use photon_core::sim::SimStats;
 use photon_core::{
-    trace_span, Answer, BatchReport, BinForest, EngineCheckpoint, RestoreError, SimConfig,
-    Simulator, SolverEngine, Span, SpeedTrace,
+    trace_span, Answer, BatchReport, EngineCheckpoint, RestoreError, SimConfig, Simulator,
+    SolverEngine, Span, SpeedTrace,
 };
 use photon_geom::Scene;
 use photon_hist::BinTree;
@@ -157,19 +156,9 @@ impl ParEngine {
         }
     }
 
-    /// The bin forest accumulated so far.
-    pub fn forest(&self) -> &BinForest {
-        self.sim.forest()
-    }
-
     /// Speed-vs-time trace, one sample per step.
     pub fn speed_trace(&self) -> &SpeedTrace {
         self.sim.speed_trace()
-    }
-
-    /// Finishes the run, producing the answer.
-    pub fn into_answer(self) -> Answer {
-        self.sim.into_answer()
     }
 }
 
@@ -367,7 +356,7 @@ mod tests {
                 let mut e = engine_on(scene.clone(), threads);
                 e.step(3000);
                 let runs = e.partition.runs.clone();
-                let mut forest = e.forest().clone();
+                let mut forest = e.sim.forest().clone();
                 let patches = forest.len();
                 let total: usize = runs.iter().map(|r| r.len).sum();
                 let share = total.div_ceil(4 * threads);

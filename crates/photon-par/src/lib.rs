@@ -26,9 +26,8 @@
 //! at any thread count. (The paper's original loop — a write lock per
 //! tally, answers that depend on thread interleaving — survives only as
 //! the Fig 5.6 contention experiment in `photon-bench`'s `ablation_locks`.)
-//!
-//! [`run`] drives the engine for a fixed photon budget, recording a speed
-//! sample per batch — the traces of Figs 5.6–5.8.
+//! Each step pushes one sample onto the engine's speed trace
+//! ([`ParEngine::speed_trace`]): the traces of Figs 5.6–5.8.
 
 #![deny(missing_docs)]
 
@@ -38,9 +37,6 @@ pub mod pool;
 pub use engine::ParEngine;
 pub use pool::parallel_map;
 
-use photon_core::sim::SimStats;
-use photon_core::{Answer, SolverEngine, SpeedTrace};
-use photon_geom::Scene;
 use photon_hist::SplitConfig;
 
 /// Configuration of a shared-memory run.
@@ -54,7 +50,8 @@ pub struct ParConfig {
     /// on this many threads, the caller's included. The answer does not
     /// depend on it.
     pub threads: usize,
-    /// Photons per batch (across all threads).
+    /// Photons per batch (across all threads). [`ParEngine`] does not read
+    /// it: the caller sizes each step.
     pub batch_size: u64,
 }
 
@@ -69,80 +66,48 @@ impl Default for ParConfig {
     }
 }
 
-/// Result of a shared-memory run.
-pub struct ParRunResult {
-    /// Aggregate photon counters.
-    pub stats: SimStats,
-    /// Speed-vs-time trace (one sample per batch).
-    pub speed: SpeedTrace,
-    /// The answer snapshot.
-    pub answer: Answer,
-    /// Leaf bins at the end (Table 5.1's view-dependent polygons).
-    pub leaf_bins: u64,
-}
-
-/// Runs `total_photons` through a [`ParEngine`] batch by batch (Fig 5.2's
-/// `forall` loop with per-batch speed samples).
-pub fn run(scene: &Scene, config: &ParConfig, total_photons: u64) -> ParRunResult {
-    assert!(config.batch_size >= 1);
-    let mut engine = ParEngine::new(scene.clone(), *config);
-    let mut remaining = total_photons;
-    while remaining > 0 {
-        let n = remaining.min(config.batch_size);
-        engine.step(n);
-        remaining -= n;
-    }
-    let leaf_bins = engine.forest().total_leaf_bins();
-    let stats = engine.stats();
-    let speed = engine.speed_trace().clone();
-    ParRunResult {
-        stats,
-        speed,
-        answer: engine.into_answer(),
-        leaf_bins,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use photon_core::SolverEngine;
     use photon_scenes::cornell_box;
 
-    fn small_run(threads: usize) -> ParRunResult {
-        let scene = cornell_box();
+    /// An engine stepped `steps` batches of `batch` photons.
+    fn stepped(seed: u64, threads: usize, steps: usize, batch: u64) -> ParEngine {
         let config = ParConfig {
-            seed: 99,
+            seed,
             threads,
-            batch_size: 2000,
             ..Default::default()
         };
-        run(&scene, &config, 10_000)
+        let mut engine = ParEngine::new(cornell_box(), config);
+        for _ in 0..steps {
+            engine.step(batch);
+        }
+        engine
+    }
+
+    fn small_run(threads: usize) -> ParEngine {
+        stepped(99, threads, 5, 2000)
     }
 
     #[test]
     fn photons_are_conserved_across_threads() {
         for threads in [1, 2, 4] {
-            let r = small_run(threads);
-            assert_eq!(r.stats.emitted, 10_000, "threads={threads}");
-            assert!(r.stats.is_conserved(), "threads={threads}: {:?}", r.stats);
+            let stats = small_run(threads).stats();
+            assert_eq!(stats.emitted, 10_000, "threads={threads}");
+            assert!(stats.is_conserved(), "threads={threads}: {stats:?}");
         }
     }
 
     #[test]
     fn tallies_equal_emissions_plus_reflections() {
-        let scene = cornell_box();
-        let config = ParConfig {
-            seed: 7,
-            threads: 4,
-            batch_size: 1000,
-            ..Default::default()
-        };
-        let r = run(&scene, &config, 5_000);
+        let engine = stepped(7, 4, 5, 1000);
+        let (answer, stats) = (engine.snapshot(), engine.stats());
         // answer trees tally exactly emissions + reflections.
-        let total: u64 = (0..r.answer.patch_count() as u32)
-            .map(|pid| r.answer.tree(pid).tallies())
+        let total: u64 = (0..answer.patch_count() as u32)
+            .map(|pid| answer.tree(pid).tallies())
             .sum();
-        assert_eq!(total, r.stats.emitted + r.stats.reflections);
+        assert_eq!(total, stats.emitted + stats.reflections);
     }
 
     #[test]
@@ -151,21 +116,22 @@ mod tests {
         // *same* photons, so every counter agrees exactly.
         let serial = small_run(1);
         let par = small_run(4);
-        assert_eq!(serial.stats, par.stats);
+        assert_eq!(serial.stats(), par.stats());
     }
 
     #[test]
     fn speed_trace_has_one_sample_per_batch() {
-        let r = small_run(2);
-        assert_eq!(r.speed.samples().len(), 5);
-        let photons: u64 = r.speed.samples().iter().map(|s| s.photons).sum();
+        let engine = small_run(2);
+        let speed = engine.speed_trace();
+        assert_eq!(speed.samples().len(), 5);
+        let photons: u64 = speed.samples().iter().map(|s| s.photons).sum();
         assert_eq!(photons, 10_000);
-        assert!(r.speed.total_elapsed() > 0.0);
+        assert!(speed.total_elapsed() > 0.0);
     }
 
     #[test]
     fn forest_refines_in_parallel() {
-        let r = small_run(4);
-        assert!(r.leaf_bins > 30, "leaf bins {}", r.leaf_bins);
+        let leaf_bins = small_run(4).snapshot().total_leaf_bins();
+        assert!(leaf_bins > 30, "leaf bins {leaf_bins}");
     }
 }

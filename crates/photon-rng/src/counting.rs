@@ -26,11 +26,6 @@ impl<R: PhotonRng> CountingRng<R> {
         self.draws
     }
 
-    /// Resets the counter.
-    pub fn reset(&mut self) {
-        self.draws = 0;
-    }
-
     /// Unwraps the inner generator.
     pub fn into_inner(self) -> R {
         self.inner
@@ -57,8 +52,6 @@ mod tests {
             c.next_f64();
         }
         assert_eq!(c.draws(), 17);
-        c.reset();
-        assert_eq!(c.draws(), 0);
     }
 
     #[test]

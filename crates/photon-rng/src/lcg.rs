@@ -37,11 +37,6 @@ impl Lcg48 {
         }
     }
 
-    /// Raw `(state, a, c)` parameters, for tests and checkpointing.
-    pub fn params(&self) -> (u64, u64, u64) {
-        (self.state, self.a, self.c)
-    }
-
     /// Current raw state (the last value produced, or the seed state).
     pub fn state(&self) -> u64 {
         self.state

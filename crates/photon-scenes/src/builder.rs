@@ -164,7 +164,12 @@ mod tests {
     fn room_shell_faces_point_to_interior() {
         let m = Material::matte(Rgb::gray(0.5));
         let mut p = Vec::new();
-        room_shell(&mut p, Vec3::ZERO, Vec3::ONE, [m, m, m, m, m, m]);
+        room_shell(
+            &mut p,
+            Vec3::ZERO,
+            Vec3::new(1.0, 1.0, 1.0),
+            [m, m, m, m, m, m],
+        );
         assert_eq!(p.len(), 6);
         let center = Vec3::splat(0.5);
         for (i, sp) in p.iter().enumerate() {
@@ -177,7 +182,7 @@ mod tests {
     fn outward_box_faces_point_away_from_center() {
         let m = Material::matte(Rgb::gray(0.5));
         let mut p = Vec::new();
-        outward_box(&mut p, Vec3::ZERO, Vec3::ONE, &m, false);
+        outward_box(&mut p, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &m, false);
         assert_eq!(p.len(), 6);
         let center = Vec3::splat(0.5);
         for sp in &p {
@@ -190,7 +195,7 @@ mod tests {
     fn skip_bottom_emits_five() {
         let m = Material::matte(Rgb::gray(0.5));
         let mut p = Vec::new();
-        outward_box(&mut p, Vec3::ZERO, Vec3::ONE, &m, true);
+        outward_box(&mut p, Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0), &m, true);
         assert_eq!(p.len(), 5);
         // None of them faces down.
         assert!(p.iter().all(|sp| sp.frame.w.y > -0.5));

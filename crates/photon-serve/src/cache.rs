@@ -137,8 +137,6 @@ pub struct LruCache<K: Eq + Hash + Clone, V> {
     order: BTreeMap<u64, K>,
     tick: u64,
     capacity: usize,
-    hits: u64,
-    misses: u64,
 }
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
@@ -154,8 +152,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             order: BTreeMap::new(),
             tick: 0,
             capacity,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -168,13 +164,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
                 self.order.remove(stamp);
                 self.order.insert(tick, key.clone());
                 *stamp = tick;
-                self.hits += 1;
                 self.map.get(key).map(|(v, _)| v)
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            None => None,
         }
     }
 
@@ -232,16 +224,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Lookups that found an entry.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that found nothing.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -356,14 +338,5 @@ mod tests {
         let k = ViewKey::quantize(SceneId(7), 3, &cam(1.0), 256.0);
         assert_eq!(k.scene(), SceneId(7));
         assert_eq!(k.epoch(), 3);
-    }
-
-    #[test]
-    fn hit_miss_accounting() {
-        let mut c: LruCache<u32, u32> = LruCache::new(4);
-        assert_eq!(c.get(&1), None);
-        c.insert(1, 1);
-        assert_eq!(c.get(&1), Some(&1));
-        assert_eq!((c.hits(), c.misses()), (1, 1));
     }
 }

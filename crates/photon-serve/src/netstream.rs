@@ -148,7 +148,6 @@ fn serve_connection(
 /// within the quantization error bound in [`WireMode::Quantized`].
 pub struct StreamClient {
     sock: TcpStream,
-    mode: WireMode,
     wire_bytes: u64,
 }
 
@@ -171,7 +170,6 @@ impl StreamClient {
         wire::write_frame(&mut sock, &subscribe)?;
         Ok(StreamClient {
             sock,
-            mode,
             wire_bytes: 0,
         })
     }
@@ -190,11 +188,6 @@ impl StreamClient {
                 "unexpected subscribe frame from server",
             )),
         }
-    }
-
-    /// The payload mode this subscription asked for.
-    pub fn mode(&self) -> WireMode {
-        self.mode
     }
 
     /// Applies a read timeout to the underlying socket (`None` blocks

@@ -267,11 +267,6 @@ impl AnswerStore {
         self.entries.read().unwrap().get(id.0 as usize).cloned()
     }
 
-    /// Ids of every stored solution, in insertion order.
-    pub fn ids(&self) -> Vec<SceneId> {
-        (0..self.len() as u32).map(SceneId).collect()
-    }
-
     /// Number of stored solutions.
     pub fn len(&self) -> usize {
         self.entries.read().unwrap().len()
@@ -342,7 +337,7 @@ mod tests {
         assert_eq!(entry.name, "cornell");
         assert_eq!(entry.answer.total_leaf_bins(), leaf_bins);
         assert!(entry.exposure > 0.0);
-        assert_eq!(store.ids(), vec![id]);
+        assert_eq!(store.len(), 1);
     }
 
     #[test]

@@ -1,13 +1,27 @@
 //! Cross-crate integration: photon conservation across all three
 //! parallelization modes on the same scene.
 
-use photon_gi::core::{SimConfig, Simulator};
+use photon_gi::core::{SimConfig, Simulator, SolverEngine};
 use photon_gi::dist::{run_distributed, BalanceMode, BatchMode, DistConfig, StopRule};
 use photon_gi::mpi::Platform;
-use photon_gi::par::{run, ParConfig};
+use photon_gi::par::{ParConfig, ParEngine};
 use photon_gi::scenes::TestScene;
 
 const PHOTONS: u64 = 8_000;
+
+/// A four-worker shared-memory solve of `PHOTONS` in batches of 2 000.
+fn shared_memory_solve(seed: u64) -> ParEngine {
+    let config = ParConfig {
+        seed,
+        threads: 4,
+        ..Default::default()
+    };
+    let mut engine = ParEngine::new(TestScene::CornellBox.build(), config);
+    for _ in 0..PHOTONS / 2_000 {
+        engine.step(2_000);
+    }
+    engine
+}
 
 #[test]
 fn serial_conserves_photons_and_tallies() {
@@ -26,19 +40,13 @@ fn serial_conserves_photons_and_tallies() {
 
 #[test]
 fn shared_memory_conserves_photons_and_tallies() {
-    let scene = TestScene::CornellBox.build();
-    let config = ParConfig {
-        seed: 11,
-        threads: 4,
-        batch_size: 2000,
-        ..Default::default()
-    };
-    let r = run(&scene, &config, PHOTONS);
-    assert!(r.stats.is_conserved(), "{:?}", r.stats);
-    let tallies: u64 = (0..r.answer.patch_count() as u32)
-        .map(|p| r.answer.tree(p).tallies())
+    let engine = shared_memory_solve(11);
+    let (stats, answer) = (engine.stats(), engine.snapshot());
+    assert!(stats.is_conserved(), "{stats:?}");
+    let tallies: u64 = (0..answer.patch_count() as u32)
+        .map(|p| answer.tree(p).tallies())
         .sum();
-    assert_eq!(tallies, r.stats.emitted + r.stats.reflections);
+    assert_eq!(tallies, stats.emitted + stats.reflections);
 }
 
 #[test]
@@ -77,18 +85,10 @@ fn all_three_modes_agree_statistically() {
     sim.run_photons(PHOTONS);
     let serial = mean_bounces(sim.stats().emitted, sim.stats().reflections);
 
+    let par = shared_memory_solve(22).stats();
+    let shared = mean_bounces(par.emitted, par.reflections);
+
     let scene = TestScene::CornellBox.build();
-    let par = run(
-        &scene,
-        &ParConfig {
-            seed: 22,
-            threads: 4,
-            batch_size: 2000,
-            ..Default::default()
-        },
-        PHOTONS,
-    );
-    let shared = mean_bounces(par.stats.emitted, par.stats.reflections);
 
     let dist = run_distributed(
         &scene,
