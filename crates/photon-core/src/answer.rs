@@ -71,19 +71,15 @@ impl Answer {
     }
 
     /// Radiance leaving patch `patch_id` at bilinear `(s, t)` in the world
-    /// direction `dir` (which must point away from the surface).
+    /// direction `dir` (which must point away from the surface), remembering
+    /// the leaf it read in `last`, so a run of lookups that stays in one
+    /// leaf pays for it once; a fresh [`LastLeaf`] makes it a plain lookup.
     ///
     /// Estimator: a leaf bin holding tallied energy `E` over area fraction
     /// `f_A` of a patch with area `A`, and Lambertian solid-angle fraction
     /// `f_Ω`, estimates
     /// `L = (E / N) / (A · f_A · π · f_Ω)`
     /// (the `π` is the full hemisphere's cosine-weighted measure).
-    pub fn radiance(&self, scene: &Scene, patch_id: u32, s: f64, t: f64, dir: Vec3) -> Rgb {
-        self.radiance_with(scene, patch_id, s, t, dir, &mut LastLeaf::default())
-    }
-
-    /// [`Answer::radiance`] remembering the leaf it read in `last`, so a
-    /// run of lookups that stays in one leaf pays for it once.
     ///
     /// A lookup the remembered leaf admits returns the remembered radiance:
     /// [`Answer::leaf_radiance`] reads the leaf, the patch area and
@@ -139,7 +135,7 @@ impl Answer {
     /// Every leaf's radiance on patch `patch_id`, indexed by leaf slot: for
     /// a point whose descent ends at slot `k` of this tree — or at a leaf
     /// of an older tree that [`BinTree::leaf_remap`] maps to `k` — entry
-    /// `k` is what [`Answer::radiance`] returns, bit for bit. The walk
+    /// `k` is what [`Answer::radiance_with`] returns, bit for bit. The walk
     /// builds each range by the same [`photon_hist::BinRange::split`]s the
     /// descent does, and [`Answer::leaf_radiance`] reads nothing else of
     /// the point.

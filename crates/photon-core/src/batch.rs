@@ -6,15 +6,16 @@
 //! makes coordination *per batch* instead of *per interaction*, in three
 //! phases:
 //!
-//! 1. **Trace** — each worker runs the one photon loop
-//!    ([`crate::trace::trace_span`]) over its leapfrogged share of the batch
-//!    with a [`RecordSink`], completely lock-free, appending
-//!    [`TallyRecord`]s (`patch_id`, `photon`, `bounce`, bin point, energy)
-//!    to a reusable scratch buffer instead of tallying.
+//! 1. **Trace** — each job runs the one photon loop
+//!    ([`crate::trace::trace_span`]) over a contiguous chunk of the batch
+//!    into its own `Vec<TallyRecord>`, completely lock-free, appending
+//!    [`TallyRecord`]s (`patch_id`, bin point, energy) instead of tallying.
+//!    The chunks are consecutive and in order, so their lists, concatenated,
+//!    are the serial tally stream.
 //! 2. **Partition** ([`PartitionScratch::partition`]) — records are grouped
-//!    by `patch_id` with a counting sort that scatters in global
-//!    `(photon, bounce)` order, so each patch's run is *exactly* the
-//!    subsequence of the serial tally stream that touches that patch.
+//!    by `patch_id` with a stable counting sort that scatters the lists in
+//!    order, so each patch's run is *exactly* the subsequence of the serial
+//!    tally stream that touches that patch.
 //! 3. **Apply** — each patch's run is folded into its [`photon_hist::BinTree`]
 //!    as one uninterrupted sequence ([`crate::BinForest::tally_run`]).
 //!    Per-tree tally order equals serial order *by construction*, so threaded
@@ -31,15 +32,10 @@ use photon_geom::Scene;
 use photon_hist::BinPoint;
 use photon_math::Rgb;
 
-/// One buffered photon interaction, tagged with its position in the global
-/// photon stream so partitioned runs can reproduce the serial tally order.
+/// One buffered photon interaction. A trace list holds its records in
+/// tally order, which is all the partition needs to keep serial order.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TallyRecord {
-    /// Global photon index in the stream (see [`crate::photon_stream`]).
-    pub photon: u64,
-    /// Interaction index within the photon: 0 is the emission tally, `k > 0`
-    /// is the `k`-th reflection.
-    pub bounce: u32,
     /// Patch whose bin tree receives the tally.
     pub patch_id: u32,
     /// 4-D bin coordinates of the interaction.
@@ -48,49 +44,23 @@ pub struct TallyRecord {
     pub energy: Rgb,
 }
 
-/// A [`TallySink`] that appends [`TallyRecord`]s instead of tallying,
-/// tracking the interaction index within the current photon.
-pub struct RecordSink<'a> {
-    out: &'a mut Vec<TallyRecord>,
-    photon: u64,
-    bounce: u32,
-}
-
-impl<'a> RecordSink<'a> {
-    /// A sink appending to `out` (which is *not* cleared; callers clear it
-    /// once per batch to reuse its capacity).
-    pub fn new(out: &'a mut Vec<TallyRecord>) -> Self {
-        RecordSink {
-            out,
-            photon: 0,
-            bounce: 0,
-        }
-    }
-}
-
-impl TallySink for RecordSink<'_> {
-    #[inline]
-    fn begin_photon(&mut self, index: u64) {
-        self.photon = index;
-        self.bounce = 0;
-    }
-
+/// A record list is a sink: tracing into it appends each interaction
+/// instead of tallying it. Callers clear it once per batch to reuse its
+/// capacity.
+impl TallySink for Vec<TallyRecord> {
     #[inline]
     fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb) {
-        self.out.push(TallyRecord {
-            photon: self.photon,
-            bounce: self.bounce,
+        self.push(TallyRecord {
             patch_id,
             point: *point,
             energy,
         });
-        self.bounce += 1;
     }
 }
 
-/// [`trace_span`] into a [`RecordSink`] over `out`, folding the counters
-/// into `stats`: worker `offset`'s share of the batch
-/// `[start, start + count)`, with `out` left sorted by `(photon, bounce)`.
+/// [`trace_span`] into `out`, folding the counters into `stats`: worker
+/// `offset`'s share of the batch `[start, start + count)`, its photons'
+/// records appended in ascending photon order.
 #[allow(clippy::too_many_arguments)] // a worker's complete trace contract
 pub fn trace_strided(
     scene: &Scene,
@@ -109,18 +79,11 @@ pub fn trace_strided(
         offset,
         stride,
     };
-    stats.merge(&trace_span(
-        scene,
-        generator,
-        seed,
-        span,
-        &mut RecordSink::new(out),
-    ));
+    stats.merge(&trace_span(scene, generator, seed, span, out));
 }
 
 /// A contiguous span of one patch's records inside a [`PartitionScratch`]'s
-/// sorted buffer ([`PartitionScratch::run_records`]), in serial
-/// `(photon, bounce)` order.
+/// sorted buffer ([`PartitionScratch::run_records`]), in serial order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PatchRun {
     /// Patch whose tree the run applies to.
@@ -138,10 +101,8 @@ pub struct PatchRun {
 pub struct PartitionScratch {
     /// Per-patch counters, reused as scatter write cursors.
     counts: Vec<usize>,
-    /// Per-worker read cursors into the trace lists.
-    cursors: Vec<usize>,
     /// All records of the batch, grouped by patch, each group in serial
-    /// `(photon, bounce)` order.
+    /// order.
     sorted: Vec<TallyRecord>,
     /// One entry per patch that received records this batch, ascending by
     /// `patch_id`.
@@ -153,31 +114,27 @@ impl PartitionScratch {
     pub fn new(patch_count: usize) -> Self {
         PartitionScratch {
             counts: vec![0; patch_count],
-            cursors: Vec::new(),
             sorted: Vec::new(),
             runs: Vec::new(),
         }
     }
 
-    /// Groups the workers' trace lists by patch into the sorted buffer and
+    /// Groups the trace lists by patch into the sorted buffer and
     /// [`PartitionScratch::runs`].
     ///
-    /// `lists[t]` must hold the records of photons `start + t`,
-    /// `start + t + T`, … (with `T = lists.len()`) of the batch
-    /// `[start, start + count)`, sorted by `(photon, bounce)` — exactly what
-    /// a [`RecordSink`] collects for worker `t`.
+    /// `lists`, concatenated in order, must be the batch's serial tally
+    /// stream — what [`trace_span`] collects over consecutive chunks of it.
+    /// The sort is stable (count, prefix-sum, scatter each list in order),
+    /// so each patch run is the serial tally subsequence for that patch.
+    /// O(records + patches), no comparisons.
     ///
-    /// The scatter walks photons in global order, so within each patch run
-    /// records sit in ascending `(photon, bounce)` order: the serial tally
-    /// subsequence for that patch. This is a counting sort — O(records +
-    /// patches), no comparisons.
-    pub fn partition<L: AsRef<[TallyRecord]>>(&mut self, lists: &[L], start: u64, count: u64) {
-        let total: usize = lists.iter().map(|l| l.as_ref().len()).sum();
+    /// `_start` and `_count` are not read. They stay only because the
+    /// photon ledger's batch probe calls `partition(&[&records], 0, n)`.
+    pub fn partition<L: AsRef<[TallyRecord]>>(&mut self, lists: &[L], _start: u64, _count: u64) {
+        let records = || lists.iter().flat_map(|l| l.as_ref());
         self.counts.fill(0);
-        for list in lists {
-            for rec in list.as_ref() {
-                self.counts[rec.patch_id as usize] += 1;
-            }
+        for rec in records() {
+            self.counts[rec.patch_id as usize] += 1;
         }
         // Prefix-sum the counts into run offsets; each count cell becomes
         // its patch's scatter cursor.
@@ -195,41 +152,22 @@ impl PartitionScratch {
                 offset = next;
             }
         }
-        // Scatter in global (photon, bounce) order. The dummy fill is
-        // overwritten entirely; `resize` (not `clear` + push) keeps this a
-        // plain memset-and-scatter with no reallocation at steady state.
+        // Scatter in list order. The dummy fill is overwritten entirely;
+        // `resize` (not `clear` + push) keeps this a plain memset-and-scatter
+        // with no reallocation at steady state.
         self.sorted.resize(
-            total,
+            offset,
             TallyRecord {
-                photon: 0,
-                bounce: 0,
                 patch_id: 0,
                 point: BinPoint::new(0.0, 0.0, 0.0, 0.0),
                 energy: Rgb::BLACK,
             },
         );
-        self.cursors.clear();
-        self.cursors.resize(lists.len(), 0);
-        let stride = lists.len() as u64;
-        for j in start..start + count {
-            let t = ((j - start) % stride) as usize;
-            let list = lists[t].as_ref();
-            let cur = &mut self.cursors[t];
-            while *cur < list.len() && list[*cur].photon == j {
-                let rec = list[*cur];
-                let slot = &mut self.counts[rec.patch_id as usize];
-                self.sorted[*slot] = rec;
-                *slot += 1;
-                *cur += 1;
-            }
+        for rec in records() {
+            let slot = &mut self.counts[rec.patch_id as usize];
+            self.sorted[*slot] = *rec;
+            *slot += 1;
         }
-        debug_assert!(
-            self.cursors
-                .iter()
-                .zip(lists)
-                .all(|(c, l)| *c == l.as_ref().len()),
-            "partition consumed every record"
-        );
     }
 
     /// The records of `run`, in serial order.
@@ -318,66 +256,83 @@ mod tests {
         out
     }
 
+    /// The batch traced as `chunks` contiguous chunks of ⌈count / chunks⌉
+    /// photons each, one list per chunk (those past the end empty).
+    fn chunk_lists(
+        scene: &Scene,
+        seed: u64,
+        start: u64,
+        count: u64,
+        chunks: u64,
+    ) -> Vec<Vec<TallyRecord>> {
+        let generator = PhotonGenerator::new(scene);
+        let len = count.div_ceil(chunks);
+        let mut stats = SimStats::default();
+        let lists = (0..chunks)
+            .map(|c| {
+                let from = (c * len).min(count);
+                let mut out = Vec::new();
+                trace_strided(
+                    scene,
+                    &generator,
+                    seed,
+                    start + from,
+                    len.min(count - from),
+                    0,
+                    1,
+                    &mut out,
+                    &mut stats,
+                );
+                out
+            })
+            .collect();
+        assert_eq!(stats.emitted, count);
+        lists
+    }
+
+    #[test]
+    fn records_are_one_cache_line() {
+        assert_eq!(std::mem::size_of::<TallyRecord>(), 64);
+    }
+
     #[test]
     fn strided_traces_cover_the_batch_exactly() {
         let scene = tiny_box();
         let generator = PhotonGenerator::new(&scene);
         let serial = serial_records(&scene, 7, 100, 64);
-        for threads in [1usize, 2, 3, 8] {
-            let mut merged = Vec::new();
+        for threads in [1u64, 2, 3, 8] {
             let mut stats = SimStats::default();
+            let mut records = 0;
             for t in 0..threads {
                 let mut out = Vec::new();
                 trace_strided(
-                    &scene,
-                    &generator,
-                    7,
-                    100,
-                    64,
-                    t as u64,
-                    threads as u64,
-                    &mut out,
-                    &mut stats,
+                    &scene, &generator, 7, 100, 64, t, threads, &mut out, &mut stats,
                 );
-                // Each worker's list is sorted by (photon, bounce).
-                for w in out.windows(2) {
-                    assert!((w[0].photon, w[0].bounce) < (w[1].photon, w[1].bounce));
-                }
-                merged.extend(out);
+                // Each stripe is the serial traces of its photons, in order.
+                let want: Vec<TallyRecord> = (100 + t..164)
+                    .step_by(threads as usize)
+                    .flat_map(|j| serial_records(&scene, 7, j, 1))
+                    .collect();
+                assert_eq!(out, want, "threads={threads} stripe={t}");
+                records += out.len();
             }
             assert_eq!(stats.emitted, 64);
-            merged.sort_by_key(|r| (r.photon, r.bounce));
-            assert_eq!(merged, serial, "threads={threads}");
+            assert_eq!(records, serial.len(), "threads={threads}");
         }
     }
 
     #[test]
     fn partition_reproduces_serial_per_patch_order() {
         let scene = tiny_box();
-        let generator = PhotonGenerator::new(&scene);
         let (start, count) = (5u64, 200u64);
         let serial = serial_records(&scene, 11, start, count);
-        for threads in [1usize, 2, 5] {
-            let mut lists = Vec::new();
-            for t in 0..threads {
-                let mut out = Vec::new();
-                let mut stats = SimStats::default();
-                trace_strided(
-                    &scene,
-                    &generator,
-                    11,
-                    start,
-                    count,
-                    t as u64,
-                    threads as u64,
-                    &mut out,
-                    &mut stats,
-                );
-                lists.push(out);
-            }
-            let refs: Vec<&[TallyRecord]> = lists.iter().map(|l| l.as_slice()).collect();
+        for chunks in [1u64, 2, 5, 12, 300] {
+            let lists = chunk_lists(&scene, 11, start, count, chunks);
+            // The chunks, in order, are the serial stream (past the 200th
+            // of 300, each chunk is empty).
+            assert_eq!(lists.concat(), serial, "chunks={chunks}");
             let mut scratch = PartitionScratch::new(scene.polygon_count());
-            scratch.partition(&refs, start, count);
+            scratch.partition(&lists, start, count);
             assert_eq!(scratch.sorted.len(), serial.len());
             // Runs are disjoint, ascending, and cover the sorted buffer.
             let mut covered = 0usize;
@@ -395,7 +350,7 @@ mod tests {
                     .collect();
                 assert_eq!(records.len(), expect.len());
                 for (got, want) in records.iter().zip(expect) {
-                    assert_eq!(got, want, "threads={threads} patch={}", run.patch_id);
+                    assert_eq!(got, want, "chunks={chunks} patch={}", run.patch_id);
                 }
             }
             assert_eq!(covered, serial.len());
@@ -405,7 +360,6 @@ mod tests {
     #[test]
     fn applying_runs_matches_the_inline_serial_forest() {
         let scene = tiny_box();
-        let generator = PhotonGenerator::new(&scene);
         let count = 3000u64;
         // Inline serial reference.
         let mut sim = Simulator::new(
@@ -416,28 +370,10 @@ mod tests {
             },
         );
         sim.run_photons(count);
-        // Batched: trace on 4 strides, partition, apply run-by-run.
-        let threads = 4usize;
-        let mut lists = Vec::new();
-        for t in 0..threads {
-            let mut out = Vec::new();
-            let mut stats = SimStats::default();
-            trace_strided(
-                &scene,
-                &generator,
-                3,
-                0,
-                count,
-                t as u64,
-                threads as u64,
-                &mut out,
-                &mut stats,
-            );
-            lists.push(out);
-        }
-        let refs: Vec<&[TallyRecord]> = lists.iter().map(|l| l.as_slice()).collect();
+        // Batched: trace in 4 chunks, partition, apply run-by-run.
+        let lists = chunk_lists(&scene, 3, 0, count, 4);
         let mut scratch = PartitionScratch::new(scene.polygon_count());
-        scratch.partition(&refs, 0, count);
+        scratch.partition(&lists, 0, count);
         let mut forest = BinForest::new(scene.polygon_count(), Default::default());
         for run in &scratch.runs {
             forest.tally_run(run.patch_id, scratch.run_records(run));
@@ -455,8 +391,6 @@ mod tests {
         assert!(scratch.sorted.is_empty());
         // A single record lands in a single run.
         let rec = TallyRecord {
-            photon: 9,
-            bounce: 0,
             patch_id: 2,
             point: BinPoint::new(0.5, 0.5, 1.0, 0.5),
             energy: Rgb::WHITE,
@@ -478,34 +412,23 @@ mod tests {
         // Feeding the same batch shape twice must not grow the buffers.
         let mut rng = Lcg48::new(99);
         let mk_lists = |rng: &mut Lcg48| -> Vec<Vec<TallyRecord>> {
-            let threads = 2u64;
-            (0..threads)
-                .map(|t| {
-                    let mut v = Vec::new();
-                    for j in (t..40).step_by(threads as usize) {
-                        for b in 0..2u32 {
-                            v.push(TallyRecord {
-                                photon: j,
-                                bounce: b,
-                                patch_id: (rng.next_f64() * 4.0) as u32,
-                                point: BinPoint::new(0.1, 0.2, 0.3, 0.4),
-                                energy: Rgb::WHITE,
-                            });
-                        }
-                    }
-                    v
+            (0..2)
+                .map(|_| {
+                    (0..40)
+                        .map(|_| TallyRecord {
+                            patch_id: (rng.next_f64() * 4.0) as u32,
+                            point: BinPoint::new(0.1, 0.2, 0.3, 0.4),
+                            energy: Rgb::WHITE,
+                        })
+                        .collect()
                 })
                 .collect()
         };
         let mut scratch = PartitionScratch::new(4);
-        let lists = mk_lists(&mut rng);
-        let refs: Vec<&[TallyRecord]> = lists.iter().map(|l| l.as_slice()).collect();
-        scratch.partition(&refs, 0, 40);
+        scratch.partition(&mk_lists(&mut rng), 0, 40);
         let cap_sorted = scratch.sorted.capacity();
         let cap_runs = scratch.runs.capacity();
-        let lists = mk_lists(&mut rng);
-        let refs: Vec<&[TallyRecord]> = lists.iter().map(|l| l.as_slice()).collect();
-        scratch.partition(&refs, 0, 40);
+        scratch.partition(&mk_lists(&mut rng), 0, 40);
         assert_eq!(scratch.sorted.capacity(), cap_sorted);
         assert_eq!(scratch.runs.capacity(), cap_runs);
     }

@@ -101,9 +101,9 @@ impl BinForest {
     /// Applies one patch's batch of records as a single uninterrupted run
     /// (the apply phase of [`crate::batch`]), reusing the leaf descent for
     /// consecutive same-leaf records. Records must already be in serial
-    /// `(photon, bounce)` order — [`crate::batch::PartitionScratch`]
-    /// guarantees this — and the result is bit-identical to tallying them
-    /// one at a time. Returns the number of leaf splits triggered.
+    /// order — [`crate::batch::PartitionScratch`] guarantees this — and
+    /// the result is bit-identical to tallying them one at a time. Returns
+    /// the number of leaf splits triggered.
     ///
     /// # Panics
     ///

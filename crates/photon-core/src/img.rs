@@ -57,14 +57,6 @@ impl Image {
         self.pixels.iter().map(|p| p.luminance()).sum::<f64>() / self.pixels.len() as f64
     }
 
-    /// Multiplies every pixel by `k` (exposure).
-    pub fn scaled(mut self, k: f64) -> Image {
-        for p in &mut self.pixels {
-            *p *= k;
-        }
-        self
-    }
-
     /// Root-mean-square luminance error against another image of the same
     /// size — the quality metric of the visual-speedup experiment
     /// (Fig 5.16).
@@ -150,15 +142,5 @@ mod tests {
         assert_eq!(a.rms_error(&a.clone()), 0.0);
         let b = Image::new(3, 3);
         assert!(a.rms_error(&b) > 0.0);
-    }
-
-    #[test]
-    fn scaling_scales_luminance() {
-        let mut a = Image::new(2, 1);
-        a.set(0, 0, Rgb::gray(0.5));
-        a.set(1, 0, Rgb::gray(0.5));
-        let before = a.mean_luminance();
-        let after = a.scaled(2.0).mean_luminance();
-        assert!((after - 2.0 * before).abs() < 1e-12);
     }
 }

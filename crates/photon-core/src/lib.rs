@@ -47,7 +47,7 @@ pub mod view;
 pub mod wire;
 
 pub use answer::Answer;
-pub use batch::{trace_strided, PartitionScratch, PatchRun, RecordSink, TallyRecord};
+pub use batch::{trace_strided, PartitionScratch, PatchRun, TallyRecord};
 pub use checkpoint::{EngineCheckpoint, RestoreError};
 pub use engine::{
     photon_stream, BatchReport, CompactionWatermark, SolverEngine, PHOTON_DRAW_STRIDE,

@@ -9,10 +9,10 @@
 //! differ *only* in span and sink:
 //!
 //! * serial — stride 1, tallying straight into a [`crate::BinForest`];
-//! * shared memory — worker `t` of `T` takes offset `t`, stride `T`, and
-//!   appends [`crate::batch::TallyRecord`]s to its own buffer, lock-free;
-//!   the records reach the trees later, partitioned by patch in serial
-//!   order ([`crate::batch`]);
+//! * shared memory — each job takes one contiguous chunk of the batch at
+//!   stride 1 and appends [`crate::batch::TallyRecord`]s to its own buffer,
+//!   lock-free; the chunks' buffers, in order, are the serial tally stream,
+//!   and reach the trees later, partitioned by patch ([`crate::batch`]);
 //! * distributed — rank `r` of `R` takes offset `r`, stride `R`, tallying
 //!   locally when it owns the patch and otherwise queueing the record for
 //!   the all-to-all exchange (Fig 5.3).
@@ -29,11 +29,6 @@ use photon_rng::{Lcg48, PhotonRng};
 
 /// Receives photon interaction tallies.
 pub trait TallySink {
-    /// Told the global index of each photon before [`trace_span`] traces
-    /// it. Sinks that tag their tallies with it override this.
-    #[inline]
-    fn begin_photon(&mut self, _index: u64) {}
-
     /// Records one interaction of energy `energy` at `point` on `patch_id`.
     fn tally(&mut self, patch_id: u32, point: &BinPoint, energy: Rgb);
 }
@@ -111,28 +106,27 @@ pub fn trace_span<S: TallySink>(
     sink: &mut S,
 ) -> SimStats {
     let mut stats = SimStats::default();
-    for (j, mut rng) in span_streams(seed, span) {
-        sink.begin_photon(j);
+    for mut rng in span_streams(seed, span) {
         stats.record(&trace_photon(scene, generator, &mut rng, sink));
     }
     stats
 }
 
-/// Each photon index of `span` in ascending order, with its generator
-/// [`photon_stream`]`(seed, j)`. Only the first is derived that way; each
+/// The generator [`photon_stream`]`(seed, j)` of each photon index `j` of
+/// `span`, in ascending order. Only the first is derived that way; each
 /// later one leaps from its predecessor's starting state by one jump of
 /// `stride` blocks, made once per span — exact mod 2^48, so every draw is
 /// the same.
-fn span_streams(seed: u64, span: Span) -> impl Iterator<Item = (u64, Lcg48)> {
+fn span_streams(seed: u64, span: Span) -> impl Iterator<Item = Lcg48> {
     let first = span.start + span.offset;
     let jump = Lcg48::new(seed).jump(span.stride.wrapping_mul(PHOTON_DRAW_STRIDE));
     let mut next = photon_stream(seed, first);
     (first..span.start + span.count)
         .step_by(span.stride as usize)
-        .map(move |j| {
+        .map(move |_| {
             let rng = next.clone();
             next.leap(jump);
-            (j, rng)
+            rng
         })
 }
 
@@ -409,10 +403,9 @@ mod tests {
                     let indices: Vec<u64> = (start + offset..start + 20)
                         .step_by(stride as usize)
                         .collect();
-                    let streams: Vec<(u64, Lcg48)> = span_streams(seed, span).collect();
+                    let streams: Vec<Lcg48> = span_streams(seed, span).collect();
                     assert_eq!(streams.len(), indices.len(), "{span:?}");
-                    for ((j, rng), want) in streams.into_iter().zip(indices) {
-                        assert_eq!(j, want, "{span:?}");
+                    for (rng, j) in streams.into_iter().zip(indices) {
                         assert_eq!(rng, photon_stream(seed, j), "{span:?} photon {j}");
                     }
                 }

@@ -12,23 +12,26 @@
 //! and nothing is shared while a phase runs.
 //!
 //! **Photon assignment.** Step `k` covers global photon indices
-//! `[cursor, cursor + batch)`; worker `t` of `T` leapfrogs through them,
-//! taking every `T`-th index. Each photon draws from its own block
-//! substream ([`photon_core::photon_stream`]), so the photon *set* is
-//! independent of the worker count.
+//! `[cursor, cursor + batch)`, cut into `4T` contiguous chunks of
+//! ⌈batch / 4T⌉ photons (those past the end empty) that the workers claim
+//! one at a time, so a slow or pre-empted worker holds up one chunk, not a
+//! fixed share. Each photon draws from its own block substream
+//! ([`photon_core::photon_stream`]), so which worker traces a chunk
+//! changes no draw, and the chunks' record lists, in order, are the serial
+//! tally stream.
 //!
 //! **The step** is [`Simulator::step_with`] with the tally phases of
 //! [`ParEngine::step`] inside it, reading generate → trace → partition →
 //! apply → compact → report:
 //!
-//! 1. *Trace* — every worker runs the workspace's one photon loop
-//!    ([`photon_core::trace_span`]) over its stride, its item of the map
-//!    its own scratch buffer (reused across steps) behind a
-//!    [`RecordSink`], and returns its photon counters only.
+//! 1. *Trace* — each chunk runs the workspace's one photon loop
+//!    ([`photon_core::trace_span`]) at stride 1, its item of the map its
+//!    own record buffer (reused across steps), and returns its photon
+//!    counters only.
 //! 2. *Partition* — the calling thread counting-sorts all records by patch,
-//!    reading the trace buffers in place and scattering in global
-//!    `(photon, bounce)` order into one reused buffer: each patch's run is
-//!    exactly the serial tally subsequence for that tree.
+//!    reading the trace buffers in place and in chunk order into one
+//!    reused buffer: each patch's run is exactly the serial tally
+//!    subsequence for that tree.
 //! 3. *Apply* — the forest's trees are cut into blocks of consecutive
 //!    patches, each holding about a `4T`-th of the batch's records, a run
 //!    that long alone in its block, and the blocks go to the workers
@@ -51,7 +54,7 @@
 //! (`tests/steady_state_alloc.rs`).
 
 use crate::{parallel_map, ParConfig};
-use photon_core::batch::{PartitionScratch, PatchRun, RecordSink, TallyRecord};
+use photon_core::batch::{PartitionScratch, PatchRun, TallyRecord};
 use photon_core::sim::SimStats;
 use photon_core::{
     trace_span, Answer, BatchReport, EngineCheckpoint, RestoreError, SimConfig, Simulator,
@@ -68,8 +71,8 @@ pub struct ParEngine {
     threads: usize,
     /// The solve state: scene, stream cursor, counters and forest.
     sim: Simulator,
-    /// Per-worker trace records, reused across steps; slot `t` holds the
-    /// records of worker `t`'s stride and is trace job `t`'s item.
+    /// Per-chunk trace records, reused across steps; slot `c` holds the
+    /// records of the batch's `c`-th chunk and is trace job `c`'s item.
     traces: Vec<Vec<TallyRecord>>,
     /// The partition output the apply phase consumes.
     partition: PartitionScratch,
@@ -86,16 +89,17 @@ struct Block<'a> {
     records: usize,
 }
 
-/// Apply blocks per worker. One block per worker balanced badly: on
-/// `cornell` at two workers the block holding the light's 10 000-record
-/// run also took six more patches, 20 069 records against 3 622 (2.5 ms
-/// against 0.45 ms), so apply ran only 1.15× faster than on one thread.
-/// At four per worker, longest first, apply on a 1 M-photon forest fell
-/// from 2.82–3.18 ms to 1.91–2.36 ms a 10 000-photon step on `cornell`
-/// and from 1.72–1.97 ms to 1.47–1.63 ms on `lab`; one job per run (≈1 000
-/// jobs on `lab`) read 1.75–2.05 ms, its tiny jobs costing more than they
-/// balance.
-const BLOCKS_PER_WORKER: usize = 4;
+/// Jobs per worker in both maps of a step: the trace phase's photon
+/// chunks and the apply phase's tree blocks. One apply block per worker
+/// balanced badly: on `cornell` at two workers the block holding the
+/// light's 10 000-record run also took six more patches, 20 069 records
+/// against 3 622 (2.5 ms against 0.45 ms), so apply ran only 1.15× faster
+/// than on one thread. At four per worker, longest first, apply on a
+/// 1 M-photon forest fell from 2.82–3.18 ms to 1.91–2.36 ms a 10 000-photon
+/// step on `cornell` and from 1.72–1.97 ms to 1.47–1.63 ms on `lab`; one
+/// job per run (≈1 000 jobs on `lab`) read 1.75–2.05 ms, its tiny jobs
+/// costing more than they balance.
+const JOBS_PER_WORKER: usize = 4;
 
 /// Cuts `trees` into blocks of consecutive patches holding about
 /// `share` = ⌈records / 4`threads`⌉ of `runs`' records each, sorted by
@@ -114,7 +118,7 @@ fn blocks<'a>(
     runs: &'a [PatchRun],
     threads: usize,
 ) -> Vec<Block<'a>> {
-    let jobs = BLOCKS_PER_WORKER * threads;
+    let jobs = JOBS_PER_WORKER * threads;
     let share = runs.iter().map(|r| r.len).sum::<usize>().div_ceil(jobs);
     let mut blocks = Vec::with_capacity(2 * jobs + 1);
     let (mut first, mut from, mut records) = (0, 0, 0);
@@ -144,7 +148,7 @@ impl ParEngine {
         assert!(config.threads >= 1);
         ParEngine {
             threads: config.threads,
-            traces: vec![Vec::new(); config.threads],
+            traces: vec![Vec::new(); JOBS_PER_WORKER * config.threads],
             partition: PartitionScratch::new(scene.polygon_count()),
             sim: Simulator::new(
                 scene,
@@ -174,9 +178,10 @@ impl SolverEngine for ParEngine {
         sim.step_with(batch, |scene, generator, seed, span, forest| {
             let trace_start = Instant::now();
 
-            // Generate + trace: each worker into its own buffer.
+            // Generate + trace: chunk `c` of the batch into buffer `c`.
+            let chunk = span.count.div_ceil(traces.len() as u64);
             let mut traced = SimStats::default();
-            for stats in parallel_map(threads, traces, |t, slot| {
+            for stats in parallel_map(threads, traces, |c, slot| {
                 // Trace into the buffer from this worker's own stack, not
                 // in its slot: a `Vec`'s length is stored at every push, the
                 // slots are 24 bytes apart, and whether two of them share a
@@ -184,13 +189,13 @@ impl SolverEngine for ParEngine {
                 // cost 0–15 % of the trace phase, differently every run.
                 let mut out = std::mem::take(slot);
                 out.clear(); // keep capacity: steady state reallocates nothing
+                let from = (c as u64 * chunk).min(span.count);
                 let span = Span {
-                    offset: t as u64,
-                    stride: threads as u64,
+                    start: span.start + from,
+                    count: chunk.min(span.count - from),
                     ..span
                 };
-                let mut sink = RecordSink::new(&mut out);
-                let stats = trace_span(scene, generator, seed, span, &mut sink);
+                let stats = trace_span(scene, generator, seed, span, &mut out);
                 *slot = out;
                 stats
             }) {
@@ -437,7 +442,9 @@ mod tests {
         // Uneven batches, 19 600 photons in all: `cornell`'s forest grows
         // 30 → 144 nodes and compacts after the second, third and fifth
         // step; `lab`'s 1 931 trees split too little to compact at all.
-        let batches = [700, 1_900, 3_000, 5_000, 9_000];
+        // Then 0, 1 and 7 photons, which leave most of the 4T trace chunks
+        // empty (at three workers, 12, 11 and 5 of them).
+        let batches = [700, 1_900, 3_000, 5_000, 9_000, 0, 1, 7];
         for (name, scene) in [("cornell", cornell_box()), ("lab", computer_lab())] {
             for threads in [1, 2, 3] {
                 let at = format!("{name}, threads={threads}");

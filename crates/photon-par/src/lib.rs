@@ -13,11 +13,12 @@
 //! The paper's semaphores have nothing left to guard: between two joins
 //! every tree has exactly one writer, the job whose `&mut` item of the map
 //! is the block of consecutive trees holding it (the apply phase hands out
-//! about four blocks per worker, longest first). Every worker runs the one photon loop,
-//! [`photon_core::trace_span`], over its leapfrogged share of each batch
-//! (worker `t` of `T` takes every `T`-th photon), and each photon draws
-//! from its own block substream of the seeded base stream, so the photon
-//! set is exactly the serial simulator's regardless of thread count.
+//! about four blocks per worker, longest first). The trace phase cuts each
+//! batch into four contiguous chunks per worker, claimed one at a time,
+//! and runs the one photon loop, [`photon_core::trace_span`], over each.
+//! Every photon draws from its own block substream of the seeded base
+//! stream, so the photon set and its draws are exactly the serial
+//! simulator's, whichever worker traces which chunk.
 //!
 //! **The pipeline.** Each step is trace → partition → apply (the kernel of
 //! [`photon_core::batch`]; [`engine`] walks through it): per-tree tally

@@ -17,15 +17,14 @@
 //! slot's mutex; the one worker that claims an index is the only one to
 //! take it, so the lock is never contended.
 //!
-//! The shared-memory engine's trace maps over one item per worker, each
-//! a static leapfrog stripe of the photon batch. The stripes are a
-//! choice, not a need of the RNG: every photon draws from its own block
-//! substream, so any split of a batch traces the serial photon set. A map
-//! hands out indices dynamically from a shared counter: fast workers keep
-//! pulling while a slow tile (deep octree region, refined bin trees)
-//! occupies one thread. Results come back in job order regardless of
-//! completion order, which is what makes the tile-parallel viewer in
-//! `photon-serve` bit-identical to the serial one.
+//! The shared-memory engine's trace maps over four contiguous chunks of
+//! the photon batch per worker. Any split of a batch traces the serial
+//! photon set, because every photon draws from its own block substream.
+//! A map hands out indices dynamically from a shared counter: fast workers
+//! keep pulling while a slow chunk or tile (deep octree region, refined
+//! bin trees, a pre-empted thread) occupies one thread. Results come back
+//! in job order regardless of completion order, which is what makes the
+//! tile-parallel viewer in `photon-serve` bit-identical to the serial one.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};

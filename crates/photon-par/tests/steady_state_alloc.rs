@@ -1,17 +1,19 @@
 //! Steady-state allocation regression test for the batched engine.
 //!
-//! The trace→partition→apply pipeline reuses all of its buffers: per-worker
-//! record scratch, the partition's counts/cursors/sorted/runs vectors, and
-//! the trees themselves once splitting has converged. After warm-up, what
-//! the pipeline allocates per `step()` is what its two `parallel_map`
-//! phases cost: one thread spawn per extra worker per phase (about 300
-//! bytes each), the per-job slots each map carries its items and results
-//! in, the T-entry vector the trace phase's counters come back in, and
-//! the list of at most 8T + 1 apply blocks — about 1 560 bytes a step at
-//! two workers, 470 at one. Measured on Linux x86-64, the whole window of
-//! two steps allocates 4 844 bytes at two workers and 2 668 at one on
-//! `cornell`, and 5 801 at two workers on `lab`; the rest is the bin
-//! trees' own small allocations (a few splits still land in the window).
+//! The trace→partition→apply pipeline reuses all of its buffers: per-chunk
+//! record scratch, the partition's counts/sorted/runs vectors, and the
+//! trees themselves once splitting has converged. After warm-up, what the
+//! pipeline allocates per `step()` is what its two `parallel_map` phases
+//! cost: one thread spawn per extra worker per phase (about 300 bytes
+//! each), the per-job slots each map carries its items and results in,
+//! the 4T-entry vector the trace phase's counters come back in, and the
+//! list of at most 8T + 1 apply blocks — about 2 300 bytes a step at two
+//! workers, 590 at one. Measured on Linux x86-64, the whole window of two
+//! steps allocates 6 332 bytes at two workers and 2 908 at one on
+//! `cornell`, and 7 289 at two workers on `lab` (4 844, 2 668 and 5 801
+//! when the trace map had one job per worker, not four); the rest is the
+//! bin trees' own small allocations (a few splits still land in the
+//! window).
 //! So the test asserts a small constant byte bound per measured window —
 //! not literal zero — independent of batch size and patch count. The old
 //! per-tally path allocated fresh batch bookkeeping every step, and one
