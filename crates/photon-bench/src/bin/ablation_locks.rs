@@ -97,22 +97,23 @@ fn inline_rate(scene: &Scene, threads: u64) -> f64 {
 }
 
 /// Reference descend over the AoS enum arena — the pre-SoA hot loop: each
-/// hop loads a full [`ExportNode`] (leaf stats and all), not 8 bytes.
+/// hop loads a full [`ExportNode`] (leaf stats and all), not 8 bytes. Each
+/// step is the SoA descent's branch-free one, so only the layout differs.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x < mid)` sends NaN upper, as the tree does
 fn aos_lookup(nodes: &[ExportNode], p: &BinPoint) -> u64 {
+    let x = [p.s, p.t, p.theta, p.r_sq];
     let mut idx = 0usize;
     let mut range = BinRange::full();
     loop {
         match &nodes[idx] {
             ExportNode::Leaf(stats) => return stats.n_total,
             ExportNode::Internal { axis, children } => {
-                let (lo, hi) = range.split(*axis);
-                if p.coord(*axis) < range.mid(*axis) {
-                    idx = children[0] as usize;
-                    range = lo;
-                } else {
-                    idx = children[1] as usize;
-                    range = hi;
-                }
+                let a = *axis as usize;
+                let mid = 0.5 * (range.lo[a] + range.hi[a]);
+                let upper = !(x[a] < mid);
+                let bound = if upper { &mut range.lo } else { &mut range.hi };
+                bound[a] = mid;
+                idx = children[upper as usize] as usize;
             }
         }
     }

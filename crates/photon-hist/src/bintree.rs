@@ -34,6 +34,25 @@
 //! rebuilds both arenas into the canonical subtree-clustered order (the
 //! order [`BinTree::export_nodes`] serializes), so steady-state traversal
 //! after a snapshot or checkpoint walks memory nearly sequentially.
+//!
+//! **The tally kernel has no data-dependent branch but the loop exit.** On a
+//! mature forest, random 4-D points make every `if x < mid` a coin flip the
+//! branch predictor loses half the time, and the 3σ test costs a `sqrt` and
+//! two divisions per axis per tally. So:
+//! - the descent computes [`BinRange::mid`]'s expression, goes upper on
+//!   `!(x < mid)` — a NaN goes upper, as it always has — writes `mid` into
+//!   the bound that side replaces, and steps to `first_child + upper`;
+//! - the cursor's containment test and the per-axis lower-half counts use
+//!   non-short-circuit `&`/`|` and `u32::from(x < mid)`;
+//! - before the exact `excess` loop, a conservative test with no `sqrt` or
+//!   division (`SplitRule::clearly_uniform`) settles the common case: no
+//!   axis anywhere near 3σ, so no split.
+//!
+//! Every float and every decision is the one the branchy kernel made: the
+//! same leaf, the same counts, and where the shortcut does not settle it,
+//! the unchanged `excess` loop picks the same axis. The `prop.rs` test
+//! `tally_matches_a_naive_reference_tally` holds the trees bit-equal to a
+//! branchy reference.
 
 use crate::stats::SplitRule;
 use photon_math::Rgb;
@@ -97,6 +116,12 @@ impl BinPoint {
             Axis::Theta => self.theta,
             Axis::RSq => self.r_sq,
         }
+    }
+
+    /// The four coordinates, indexed by `Axis`.
+    #[inline]
+    fn coords(&self) -> [f64; 4] {
+        [self.s, self.t, self.theta, self.r_sq]
     }
 }
 
@@ -254,7 +279,13 @@ impl PackedNode {
 
     #[inline]
     fn axis(self) -> Axis {
-        Axis::from_index(((self.0 >> Self::AXIS_SHIFT) & 0b11) as usize)
+        Axis::from_index(self.axis_index())
+    }
+
+    /// The split axis as an index into a `[_; 4]` (internal only).
+    #[inline]
+    fn axis_index(self) -> usize {
+        ((self.0 >> Self::AXIS_SHIFT) & 0b11) as usize
     }
 }
 
@@ -319,7 +350,15 @@ impl BinTree {
 
     /// Descends to the leaf containing `p`; returns `(arena index, range,
     /// depth)`.
+    ///
+    /// Branch-free but for the loop exit: each level computes
+    /// [`BinRange::mid`]'s expression, goes upper on `!(x < mid)` (so a NaN
+    /// coordinate goes upper, as it always has), writes `mid` into the
+    /// bound that side replaces — exactly the half [`BinRange::split`]
+    /// returns — and steps to `first_child + upper`.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x < mid)` sends NaN upper
     fn descend(&self, p: &BinPoint) -> (usize, BinRange, u16) {
+        let x = p.coords();
         let mut idx = 0usize;
         let mut range = BinRange::full();
         let mut depth = 0u16;
@@ -328,15 +367,12 @@ impl BinTree {
             if node.is_leaf() {
                 return (idx, range, depth);
             }
-            let axis = node.axis();
-            let (lo_half, hi_half) = range.split(axis);
-            if p.coord(axis) < range.mid(axis) {
-                idx = node.payload() as usize;
-                range = lo_half;
-            } else {
-                idx = node.payload() as usize + 1;
-                range = hi_half;
-            }
+            let a = node.axis_index();
+            let mid = 0.5 * (range.lo[a] + range.hi[a]);
+            let upper = !(x[a] < mid);
+            let bound = if upper { &mut range.lo } else { &mut range.hi };
+            bound[a] = mid;
+            idx = node.payload() as usize + upper as usize;
             depth += 1;
         }
     }
@@ -359,10 +395,11 @@ impl BinTree {
     #[inline]
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x < lo)` is `descend`'s own test, NaN included
     fn leaf_admits(range: &BinRange, p: &BinPoint) -> bool {
-        Axis::ALL.iter().all(|&a| {
-            let i = a as usize;
-            let x = p.coord(a);
-            !(x < range.lo[i]) && (x < range.hi[i] || range.hi[i] >= FULL_HI[i])
+        // Non-short-circuit `&` and `|`: the same boolean as `&&` and `||`,
+        // without a data-dependent branch per axis.
+        let x = p.coords();
+        (0..4).fold(true, |admits, i| {
+            admits & !(x[i] < range.lo[i]) & ((x[i] < range.hi[i]) | (range.hi[i] >= FULL_HI[i]))
         })
     }
 
@@ -435,12 +472,20 @@ impl BinTree {
         stats.n_total += 1;
         stats.rgb += rgb;
         stats.stat_n += 1;
-        for (i, &axis) in Axis::ALL.iter().enumerate() {
-            if p.coord(axis) < range.mid(axis) {
-                stats.left[i] += 1;
-            }
+        // `BinRange::mid`'s expression, counted without a branch.
+        let x = p.coords();
+        for (i, left) in stats.left.iter_mut().enumerate() {
+            *left += u32::from(x[i] < 0.5 * (range.lo[i] + range.hi[i]));
         }
         if depth >= self.config.max_depth {
+            return false;
+        }
+        // Most tallies land in a leaf whose halves are nowhere near 3σ apart
+        // on any axis: a conservative test without `sqrt` or division says
+        // so, and only the rest pay for the exact `excess` below.
+        let (rule, n) = (self.config.rule, stats.stat_n);
+        let uniform = |all, &l| all & rule.clearly_uniform(l, n - l);
+        if stats.left.iter().fold(true, uniform) {
             return false;
         }
         // NeedsSplit: most decisive axis beyond 3σ.

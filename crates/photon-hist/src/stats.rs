@@ -53,6 +53,33 @@ impl SplitRule {
     pub fn should_split(&self, left: u32, right: u32) -> bool {
         self.excess(left, right) > 1.0
     }
+
+    /// True only when `excess(left, right) ≤ 1` is certain, decided
+    /// without `sqrt` or division; false says nothing. The caller must
+    /// keep `left + right` within `u32`, as `excess` does.
+    ///
+    /// With `d = |l − r|`, `n = l + r`, `m = max(l, r)` and `o = min(l, r)`,
+    /// `σ² = n·(m/n)·(o/n) = m·o/n`, so `excess ≤ 1` is `d²·n ≤ 4k²·m·o`.
+    /// The test asks for `d²·n < 4k²·m·o·(1 − 1e-9)` in `f64`: its own
+    /// rounding is a few ulps, and `excess`'s is a few ulps plus the
+    /// cancellation in `q = 1 − p`, at most `(m/o)·2⁻⁵³`. Wherever the test
+    /// holds, `m/o < max(2, 4k)`, so for `0 < k ≤ 2¹⁶` that stays below
+    /// 2⁻³⁵, far inside the margin. Any other `k` — zero, negative, NaN or
+    /// larger — and an empty half make the right side 0, which no `d²·n`
+    /// is below, so the caller falls through to the exact `excess`.
+    #[inline]
+    pub(crate) fn clearly_uniform(&self, left: u32, right: u32) -> bool {
+        let k = self.sigmas;
+        let bound = if k > 0.0 && k <= 65_536.0 {
+            4.0 * k * k * (1.0 - 1e-9)
+        } else {
+            0.0
+        };
+        let d = f64::from(left.abs_diff(right));
+        let (m, o) = (f64::from(left.max(right)), f64::from(left.min(right)));
+        let n = left + right;
+        (n < self.min_count) | (d * d * f64::from(n) < bound * m * o)
+    }
 }
 
 /// Core of the criterion; see [`SplitRule::excess`].
@@ -150,6 +177,75 @@ mod tests {
             let e = rule.excess(l, 100 - l);
             assert!(e >= last, "excess should grow with imbalance");
             last = e;
+        }
+    }
+
+    /// `clearly_uniform` must imply `excess ≤ 1`, and must decide every
+    /// pair whose `excess` sits clearly below 1 — else it is no shortcut.
+    fn check_clearly_uniform(rule: &SplitRule, l: u32, r: u32) -> bool {
+        let (clear, e) = (rule.clearly_uniform(l, r), rule.excess(l, r));
+        assert!(!clear || e <= 1.0, "{rule:?} ({l}, {r}): excess {e}");
+        if rule.sigmas > 0.0 && l.min(r) > 0 && e <= 1.0 - 1e-6 {
+            assert!(clear, "{rule:?} ({l}, {r}) undecided at excess {e}");
+        }
+        clear
+    }
+
+    #[test]
+    fn clearly_uniform_never_hides_a_split() {
+        const SIGMAS: [f64; 7] = [0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 4.0];
+        for sigmas in SIGMAS {
+            for min_count in [1, 32] {
+                let rule = SplitRule { sigmas, min_count };
+                let mut decided = 0u64;
+                for n in 0..=4096u32 {
+                    for l in 0..=n {
+                        decided += u64::from(check_clearly_uniform(&rule, l, n - l));
+                    }
+                    // Balanced halves are the common case the shortcut is for.
+                    if sigmas > 0.0 && n % 2 == 0 {
+                        assert!(rule.clearly_uniform(n / 2, n / 2), "{rule:?} n = {n}");
+                    }
+                }
+                // k = 0 splits every imbalance; only `n < min_count` is clear.
+                if sigmas == 0.0 {
+                    assert_eq!(decided, u64::from(min_count) * u64::from(min_count + 1) / 2);
+                } else {
+                    // About Σ k·√n pairs lie within k·σ of balance.
+                    assert!(
+                        decided as f64 > 0.9 * sigmas * 174_000.0,
+                        "{rule:?}: {decided}"
+                    );
+                }
+            }
+        }
+        // Around each threshold with `n` near `u32::MAX`, where `d²·n` is
+        // ~2⁹⁵: every `d` from well inside to well outside `k·√n`. Then
+        // one-sided pairs of that size, where `q = 1 − p` cancels most.
+        for sigmas in SIGMAS {
+            let rule = SplitRule {
+                sigmas,
+                min_count: 32,
+            };
+            for n in [u32::MAX - 1, u32::MAX] {
+                let threshold = (sigmas * f64::from(n).sqrt()) as u32;
+                let (mut clear, mut unclear) = (0, 0);
+                for d in
+                    (threshold.saturating_sub(3000)..threshold + 3000).filter(|d| d % 2 == n % 2)
+                {
+                    let (l, r) = ((n - d) / 2 + d, (n - d) / 2);
+                    if check_clearly_uniform(&rule, l, r) {
+                        clear += 1;
+                    } else {
+                        unclear += 1;
+                    }
+                }
+                assert!(unclear > 0, "{rule:?} n = {n}");
+                assert!(sigmas == 0.0 || clear > 0, "{rule:?} n = {n}");
+            }
+            for (l, r) in [(u32::MAX, 0), (u32::MAX - 1, 1), (1, u32::MAX - 1)] {
+                assert!(!check_clearly_uniform(&rule, l, r));
+            }
         }
     }
 

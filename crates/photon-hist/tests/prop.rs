@@ -1,7 +1,7 @@
 //! Property tests on the 4-D bin tree invariants.
 
 use photon_hist::{
-    Axis, BinPoint, BinRange, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig,
+    Axis, BinPoint, BinRange, BinTree, ExportNode, LeafCursor, LeafStats, SplitConfig, SplitRule,
 };
 use photon_math::Rgb;
 use proptest::prelude::*;
@@ -111,6 +111,129 @@ fn naive_lookup(nodes: &[ExportNode], p: &BinPoint) -> (LeafStats, BinRange) {
                 }
             }
         }
+    }
+}
+
+/// A reference bin tree over a plain [`ExportNode`] arena, independent of
+/// the packed arenas and their branch-free kernel: it descends with
+/// [`BinRange::split`] and a branch, counts lower halves with a branch,
+/// splits on the most decisive axis by [`SplitRule::excess`] on all four,
+/// and shares a split leaf's counts and energy out with `split_leaf`'s
+/// arithmetic. Children go at the end of the arena, so its order is growth
+/// order; [`ReferenceTree::export`] writes the canonical one.
+struct ReferenceTree {
+    nodes: Vec<ExportNode>,
+    config: SplitConfig,
+}
+
+impl ReferenceTree {
+    fn new(config: SplitConfig) -> Self {
+        ReferenceTree {
+            nodes: vec![ExportNode::Leaf(LeafStats::default())],
+            config,
+        }
+    }
+
+    fn tally(&mut self, p: &BinPoint, rgb: Rgb) -> bool {
+        let (mut idx, mut range, mut depth) = (0, BinRange::full(), 0u16);
+        while let ExportNode::Internal { axis, children } = self.nodes[idx] {
+            let (lo, hi) = range.split(axis);
+            if p.coord(axis) < range.mid(axis) {
+                (idx, range) = (children[0] as usize, lo);
+            } else {
+                (idx, range) = (children[1] as usize, hi);
+            }
+            depth += 1;
+        }
+        let ExportNode::Leaf(stats) = &mut self.nodes[idx] else {
+            unreachable!("the descent ends on a leaf")
+        };
+        stats.n_total += 1;
+        stats.rgb += rgb;
+        stats.stat_n += 1;
+        for axis in Axis::ALL {
+            if p.coord(axis) < range.mid(axis) {
+                stats.left[axis as usize] += 1;
+            }
+        }
+        let stats = *stats;
+        if depth >= self.config.max_depth {
+            return false;
+        }
+        let (mut best, mut best_excess) = (None, 1.0);
+        for axis in Axis::ALL {
+            let l = stats.left[axis as usize];
+            let e = self.config.rule.excess(l, stats.stat_n - l);
+            if e > best_excess {
+                (best, best_excess) = (Some(axis), e);
+            }
+        }
+        let Some(axis) = best else { return false };
+        let l = stats.left[axis as usize] as u64;
+        let r = stats.stat_n as u64 - l;
+        let inherited = stats.n_total - stats.stat_n as u64;
+        let frac_l = if stats.stat_n > 0 {
+            l as f64 / stats.stat_n as f64
+        } else {
+            0.5
+        };
+        let inh_l = (inherited as f64 * frac_l).round() as u64;
+        let lower = LeafStats {
+            n_total: l + inh_l,
+            rgb: stats.rgb * frac_l,
+            ..LeafStats::default()
+        };
+        let upper = LeafStats {
+            n_total: r + (inherited - inh_l.min(inherited)),
+            rgb: stats.rgb * (1.0 - frac_l),
+            ..LeafStats::default()
+        };
+        let first = self.nodes.len() as u32;
+        self.nodes
+            .extend([ExportNode::Leaf(lower), ExportNode::Leaf(upper)]);
+        self.nodes[idx] = ExportNode::Internal {
+            axis,
+            children: [first, first + 1],
+        };
+        true
+    }
+
+    /// The nodes in [`BinTree::export_nodes`]'s order: depth first, lower
+    /// daughter first, each child pair numbered when its parent is reached.
+    fn export(&self) -> Vec<ExportNode> {
+        fn place(nodes: &[ExportNode], src: usize, dst: usize, out: &mut Vec<ExportNode>) {
+            out[dst] = nodes[src];
+            if let ExportNode::Internal { axis, children } = nodes[src] {
+                let pair = out.len();
+                out.extend([nodes[src]; 2]);
+                out[dst] = ExportNode::Internal {
+                    axis,
+                    children: [pair as u32, pair as u32 + 1],
+                };
+                place(nodes, children[0] as usize, pair, out);
+                place(nodes, children[1] as usize, pair + 1, out);
+            }
+        }
+        let mut out = vec![self.nodes[0]];
+        place(&self.nodes, 0, 0, &mut out);
+        out
+    }
+}
+
+/// A node's every bit: axis and children, or the leaf's counts and the
+/// `f64` bits of its energy (`==` would let `-0.0` pass for `0.0`).
+type NodeBits = (Option<(Axis, [u32; 2])>, u64, [u64; 3], u32, [u32; 4]);
+
+fn node_bits(node: &ExportNode) -> NodeBits {
+    match *node {
+        ExportNode::Internal { axis, children } => (Some((axis, children)), 0, [0; 3], 0, [0; 4]),
+        ExportNode::Leaf(s) => (
+            None,
+            s.n_total,
+            [s.rgb.r.to_bits(), s.rgb.g.to_bits(), s.rgb.b.to_bits()],
+            s.stat_n,
+            s.left,
+        ),
     }
 }
 
@@ -514,6 +637,48 @@ proptest! {
             prop_assert_eq!(*stats, want_stats);
             prop_assert_eq!(range, want_range);
         }
+    }
+
+    /// The tree's branch-free kernel — descent, lower-half counts, the
+    /// clearly-uniform shortcut before the split test — builds exactly the
+    /// reference tree: the same split decision at every tally, and the same
+    /// nodes and leaf bits, over warped streams, every leaf's edge walk and
+    /// points with NaN coordinates, under rules from 0.5σ to 4σ, a
+    /// `min_count` of 1 or 32, and a depth cap that bites or does not.
+    #[test]
+    fn tally_matches_a_naive_reference_tally(
+        stream in arb_stream(),
+        nans in proptest::collection::vec((1usize..16, arb_point()), 0..24),
+        rule in (0usize..6, 0usize..2, 0usize..2),
+    ) {
+        let config = SplitConfig {
+            rule: SplitRule {
+                sigmas: [0.5, 1.0, 2.0, 3.0, 3.5, 4.0][rule.0],
+                min_count: [1, 32][rule.1],
+            },
+            max_depth: [4, 24][rule.2],
+        };
+        let mut tree = BinTree::new(config);
+        let mut reference = ReferenceTree::new(config);
+        let tint = |i: usize| Rgb::new(0.25 + i as f64 * 1e-3, 0.5, 1.0 / (1.0 + i as f64));
+        let with_nans = nans.iter().map(|&(mask, p)| {
+            let mut x = [p.s, p.t, p.theta, p.r_sq];
+            for (i, x) in x.iter_mut().enumerate() {
+                if mask >> i & 1 == 1 {
+                    *x = f64::NAN;
+                }
+            }
+            BinPoint::new(x[0], x[1], x[2], x[3])
+        });
+        for (i, p) in stream.iter().copied().chain(with_nans).enumerate() {
+            prop_assert_eq!(tree.tally(&p, tint(i)), reference.tally(&p, tint(i)), "{:?}", p);
+        }
+        for (i, p) in edge_walk(&tree).iter().enumerate() {
+            prop_assert_eq!(tree.tally(p, tint(i)), reference.tally(p, tint(i)), "{:?}", p);
+        }
+        let got: Vec<_> = tree.export_nodes().iter().map(node_bits).collect();
+        let want: Vec<_> = reference.export().iter().map(node_bits).collect();
+        prop_assert_eq!(got, want);
     }
 
     /// Ranges produced by splitting always nest inside their parent.

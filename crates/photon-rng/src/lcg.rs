@@ -12,11 +12,12 @@ const DRAND48_C: u64 = 0xB;
 /// 48-bit LCG: `x <- (a*x + c) mod 2^48`.
 ///
 /// With the default (`drand48`) parameters the state sequence has full period
-/// 2^48. Subsequence splitting for `P` processors keeps the *same* global
-/// stream and hands processor `i` every `P`-th element — the leapfrog scheme
-/// of the paper (ch. 5) — so parallel runs consume exactly the deviates a
-/// serial run would, partitioned among ranks and never duplicated. Each
-/// rank's substream has period `2^48 / P`.
+/// 2^48. It splits into disjoint subsequences of that one stream two ways:
+/// [`Lcg48::substream`] gives work item `i` the block of draws
+/// `[i·stride, (i+1)·stride)` — what every solve uses, one block per photon,
+/// whatever the worker count — and [`Lcg48::leapfrog`] gives processor `i`
+/// of `P` every `P`-th element, with period `2^48 / P`: the paper's scheme
+/// (ch. 5), kept with its tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Lcg48 {
     state: u64,

@@ -5,14 +5,23 @@
 //! single global pseudo-random stream**, so no work is duplicated and a
 //! `P`-processor run is exactly reproducible. It uses the *leapfrog* method:
 //! the base sequence `x_0, x_1, x_2, ...` is dealt out like cards, processor
-//! `i` of `P` receiving `x_i, x_{i+P}, x_{i+2P}, ...`. The generator's period
-//! (2^48 here) divides into `P` per-processor periods of `2^48 / P`.
+//! `i` of `P` receiving `x_i, x_{i+P}, x_{i+2P}, ...`.
+//!
+//! **What every backend uses instead: per-photon block substreams.** Photon
+//! `i` draws from [`Lcg48::substream`]`(i, stride)` — the base stream advanced
+//! by `i · stride`, through `photon_core::photon_stream` with its
+//! `PHOTON_DRAW_STRIDE` of 2¹³ draws. The blocks are disjoint subsequences
+//! of the one global stream, as the paper asks, but a photon's deviates no
+//! longer depend on how many workers there are: the serial, threaded and
+//! distributed engines trace photon `i` with the same numbers, which is what
+//! makes their answers byte-identical. [`Lcg48::leapfrog`] — the `P`-stride
+//! subsequence, itself an LCG with multiplier `a^P mod m` and an adjusted
+//! increment — is kept, with its tests, as the paper's scheme; no solve
+//! calls it.
 //!
 //! [`Lcg48`] is a 48-bit linear congruential generator (the classic `drand48`
-//! multiplier). Leapfrogging an LCG is exact and cheap: the `P`-stride
-//! subsequence of an LCG is itself an LCG with multiplier `a^P mod m` and an
-//! adjusted increment, both computed in `O(log P)` by modular doubling
-//! ([`Lcg48::leapfrog`]); arbitrary jump-ahead works the same way
+//! multiplier). Both splits are exact and cheap: any jump-ahead of an LCG is
+//! an affine map computed in `O(log n)` by modular doubling
 //! ([`Lcg48::jump_ahead`]), and a jump made once ([`Jump`]) advances any
 //! substream of the base stream by the same distance in one multiply.
 //!
