@@ -47,7 +47,7 @@
 //!    comparing that entry parameter with each internal node's three
 //!    mid-plane parameters `(center - origin) * inv_dir`.
 //! 2. Test the leaf's patches (the mailbox, `limit` and the patch test are
-//!    the traversal's).
+//!    the traversal's: the *Leaf sweep* below).
 //! 3. Leave through the one face whose far-plane parameter is strictly
 //!    smallest.
 //! 4. Follow that face's rope, and find the leaf that holds the exit
@@ -95,11 +95,40 @@
 //! them meets the same patch again and again. A query keeps the ids it has
 //! tested for this ray in a direct-mapped table of 64 slots on its stack
 //! (`MAILBOX`) and skips an entry it finds there. Skipping is exact
-//! because `limit` only ever shrinks: a test that returned `None` — ray
-//! parallel to the plane, `t <= t_min`, point outside the quad, or
-//! `t >= limit` — returns `None` again under a smaller limit, and a test
-//! that hit set `limit = t` and now fails `t >= limit`. Two ids that share
-//! a slot evict each other, which costs a repeated test, never a missed one.
+//! because `limit` only ever shrinks: a patch whose test came to nothing —
+//! the sweep dropped it (ray parallel to the plane, `t <= t_min`,
+//! `t >= limit`, or point outside the guard box), the second pass found
+//! `t >= limit`, or the inversion put the point outside the quad — comes to
+//! nothing again under a smaller limit, and a test that hit set `limit = t`
+//! and now fails `t >= limit`. Two ids that share a slot evict each other,
+//! which costs a repeated test, never a missed one.
+//!
+//! # Leaf sweep
+//!
+//! A leaf's patches are tested in two passes, over chunks of at most
+//! [`LEAF_CAPACITY`] ids (a leaf of the shipped scenes is one chunk):
+//!
+//! 1. *The sweep.* For each id in order, the mailbox check, then the
+//!    patch's plane parameter `t` and its guard-box test, computed without
+//!    a branch ([`PatchIsect::plane_t`](photon_math::PatchIsect::plane_t),
+//!    six comparisons joined by `&`) under the `limit` the chunk was
+//!    entered with. Each `(id, t)` is written to a stack buffer, and the
+//!    count advances only for a survivor.
+//! 2. *The survivors, in order.* One whose `t >= limit` under the current
+//!    limit is skipped; the rest are inverted (their point recomputed bit
+//!    for bit), and a hit lowers `limit` as before.
+//!
+//! *Why no bit moves.* Of the whole stage only its last comparison,
+//! `t >= limit`, reads `limit`. The sweep filters with the chunk's entry
+//! limit, which is never below the limit a one-pass loop would test a
+//! patch under, so it keeps every patch that loop would invert; the second
+//! pass repeats the comparison under the current limit, which is that
+//! loop's. So the same patches are inverted, in the same order, under the
+//! same limit. A NaN `t` passes the comparisons and fails the guard box,
+//! in both. The patch tests and inversions [`OctreeWork`] counts are
+//! unchanged; only the two unpredictable branches of each test leave the
+//! loop, for a pass over the survivors (1.1 per `lab` photon-path ray,
+//! of 17.5 tests).
 //!
 //! **Bit-identity rule.** Answers are pinned across commits
 //! (`tests/golden_answers.rs`), and which bin a photon lands in depends on
@@ -201,7 +230,7 @@ pub struct OctreeStats {
 /// What a query reports about its own work. The production query runs
 /// with [`NoProbe`], whose empty methods monomorphise away;
 /// [`Octree::intersect_counted`] runs with an [`OctreeWork`].
-pub(crate) trait Probe {
+trait Probe {
     /// An internal node is about to be stepped through.
     fn internal_node(&mut self) {}
     /// Patch `patch_id` is about to be tested.
@@ -212,7 +241,7 @@ pub(crate) trait Probe {
     fn fallback(&mut self) {}
 }
 
-pub(crate) struct NoProbe;
+struct NoProbe;
 impl Probe for NoProbe {}
 
 /// The work one query did, counted by the query itself.
@@ -285,21 +314,37 @@ impl<'a> Search<'a> {
     }
 
     /// Tests the patches `ids` of one leaf that this ray has not met yet,
-    /// each hit lowering `limit`.
+    /// each hit lowering `limit`: the module doc's *Leaf sweep*, a chunk of
+    /// at most [`LEAF_CAPACITY`] ids at a time.
     #[inline(always)]
     fn leaf<P: Probe>(&mut self, ids: &[u32], probe: &mut P) {
-        for &pi in ids {
-            let slot = &mut self.tested[pi as usize % MAILBOX];
-            if *slot == pi {
-                continue;
+        for chunk in ids.chunks(LEAF_CAPACITY) {
+            // Pass 1: every untested patch's candidate under the limit the
+            // chunk was entered with, the survivors kept in order.
+            let mut survivors = [(0u32, 0.0f64); LEAF_CAPACITY];
+            let mut n = 0;
+            for &pi in chunk {
+                let slot = &mut self.tested[pi as usize % MAILBOX];
+                if *slot == pi {
+                    continue;
+                }
+                *slot = pi;
+                probe.patch_test(pi);
+                let (t, survives) =
+                    self.patches[pi as usize].candidate(self.ray, self.t_min, self.limit);
+                survivors[n] = (pi, t);
+                n += usize::from(survives);
             }
-            *slot = pi;
-            probe.patch_test(pi);
-            let hit =
-                self.patches[pi as usize].scene_hit(pi, self.ray, self.t_min, self.limit, probe);
-            if let Some(h) = hit {
-                self.limit = h.t;
-                self.best = Some(h);
+            // Pass 2: the survivors in order, under the current limit.
+            for &(pi, t) in &survivors[..n] {
+                if t >= self.limit {
+                    continue;
+                }
+                probe.inversion();
+                if let Some(h) = self.patches[pi as usize].invert(pi, self.ray, t) {
+                    self.limit = h.t;
+                    self.best = Some(h);
+                }
             }
         }
     }
@@ -1139,6 +1184,125 @@ pub(crate) mod tests {
                 vfov_deg: 60.0,
             },
             stats,
+        );
+    }
+
+    /// Quads through one point at random tilts, every box straddling the
+    /// centre of the whole on each axis, so the build keeps a single leaf
+    /// of `n` ids, several sweep chunks long. Patches 7 and 8, either side
+    /// of the first chunk boundary, are one larger quad twice over, and so
+    /// are patches 20 and 21, inside the third chunk.
+    fn one_long_leaf(n: usize) -> Vec<SurfacePatch> {
+        let mut rng = Lcg48::new(5);
+        let mut unit = || rng.next_f64() * 2.0 - 1.0;
+        let mut quads: Vec<Patch> = (0..n)
+            .map(|i| {
+                let normal = loop {
+                    let d = Vec3::new(unit(), unit(), unit());
+                    let len = d.length();
+                    if len > 0.1 && len < 1.0 && [d.x, d.y, d.z].iter().all(|c| c.abs() < 0.9 * len)
+                    {
+                        break d / len;
+                    }
+                };
+                let f = photon_math::Onb::from_w(normal);
+                let half = if i == 7 || i == 20 { 2.5 } else { 1.0 };
+                let (u, v) = (f.u * half, f.v * half);
+                let center = Vec3::new(unit(), unit(), unit()) * 0.05;
+                Patch::from_origin_edges(center - u - v, u * 2.0, v * 2.0)
+            })
+            .collect();
+        quads[8] = quads[7];
+        quads[21] = quads[20];
+        quads
+            .into_iter()
+            .map(|p| SurfacePatch::new(p, Material::matte(Rgb::gray(0.5))))
+            .collect()
+    }
+
+    #[test]
+    fn a_leaf_longer_than_the_sweep_buffer_is_bit_identical() {
+        use crate::scene::RAY_EPS;
+        let n = 5 * LEAF_CAPACITY + 3;
+        let patches = one_long_leaf(n);
+        let scene = crate::Scene::new(patches.clone(), Vec::new());
+        let (tree, patches) = (scene.octree(), scene.patches());
+        let stats = OctreeStats {
+            nodes: 1,
+            leaves: 1,
+            max_depth: 0,
+            item_refs: n,
+        };
+        assert_eq!(tree.stats(), stats);
+
+        // Random rays through the middle of the leaf, and rays along each
+        // coincident pair's normal onto its rim, which no small quad reaches.
+        let mut rng = Lcg48::new(9);
+        let mut unit = || rng.next_f64() * 2.0 - 1.0;
+        let mut rays: Vec<Ray> = (0..3000)
+            .map(|_| {
+                let origin = Vec3::new(unit(), unit(), unit()) * 4.0;
+                let target = Vec3::new(unit(), unit(), unit());
+                Ray::new(origin, (target - origin).normalized())
+            })
+            .collect();
+        for first in [7, 20] {
+            let (pair, w) = (&patches[first].patch, patches[first].frame.w);
+            for i in 0..8 {
+                for j in 0..8 {
+                    let (s, t) = (0.02 + 0.12 * f64::from(i), 0.02 + 0.12 * f64::from(j));
+                    if (0.15..0.85).contains(&s) && (0.15..0.85).contains(&t) {
+                        continue;
+                    }
+                    let p = pair.point_at(s, t);
+                    rays.push(Ray::new(p + w * 3.0, -w));
+                    rays.push(Ray::new(p - w * 3.0, w));
+                }
+            }
+        }
+
+        let bounds = scene.bounds();
+        let work = assert_scene_identical(
+            "one long leaf",
+            patches.iter().map(|sp| sp.patch),
+            bounds,
+            &rays,
+            ViewSpec {
+                eye: Vec3::new(3.0, 2.0, -4.0),
+                target: Vec3::ZERO,
+                up: Vec3::Y,
+                vfov_deg: 60.0,
+            },
+            stats,
+        );
+        assert_eq!(work.path_fallbacks, 0);
+
+        let every_id: Vec<u32> = (0..n as u32).collect();
+        let (mut pair_wins, mut hits) = ([0; 2], 0);
+        for ray in &rays {
+            let (hit, work) = tree.intersect_counted(patches, ray, RAY_EPS, f64::INFINITY);
+            assert_eq!(
+                bits(hit),
+                bits(scene.intersect_brute_force(ray, f64::INFINITY)),
+                "{ray:?}"
+            );
+            let mut ids = Ids(Vec::new());
+            tree.query(patches, ray, RAY_EPS, f64::INFINITY, &mut ids);
+            if bounds.hit(ray, RAY_EPS, f64::INFINITY).is_some() {
+                assert_eq!(ids.0, every_id, "{ray:?}");
+                assert_eq!(work.patch_tests, n as u64, "{ray:?}");
+            }
+            let Some(hit) = hit else { continue };
+            hits += 1;
+            // A tie goes to the earlier id, across a chunk boundary or not.
+            assert!(hit.patch_id != 8 && hit.patch_id != 21, "{ray:?}");
+            pair_wins[0] += usize::from(hit.patch_id == 7);
+            pair_wins[1] += usize::from(hit.patch_id == 20);
+        }
+        assert!(hits * 2 > rays.len(), "{hits} of {} rays hit", rays.len());
+        assert!(
+            pair_wins.iter().all(|&w| w >= 30),
+            "the pairs won {pair_wins:?}"
         );
     }
 

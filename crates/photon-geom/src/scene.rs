@@ -1,7 +1,7 @@
 //! Scenes: patches, luminaires, and nearest-hit queries.
 
 use crate::material::Material;
-use crate::octree::{NoProbe, Octree, OctreeWork, Probe};
+use crate::octree::{Octree, OctreeWork};
 use photon_math::{Aabb, Onb, Patch, PatchIsect, Ray, Rgb, Vec3};
 use std::sync::Arc;
 
@@ -55,23 +55,39 @@ impl SurfacePatch {
     /// scene) with `t` in `(t_min, t_max)`: `self.patch.intersect`, bit for
     /// bit, without recomputing the normal, frame and projected corners —
     /// and without inverting a plane point outside the guard box, which the
-    /// inversion could only reject. `probe` sees each inversion.
+    /// inversion could only reject. [`SurfacePatch::candidate`], then
+    /// [`SurfacePatch::invert`].
     #[inline]
-    pub(crate) fn scene_hit<P: Probe>(
+    pub(crate) fn scene_hit(
         &self,
         patch_id: u32,
         ray: &Ray,
         t_min: f64,
         t_max: f64,
-        probe: &mut P,
     ) -> Option<SceneHit> {
-        let p00 = self.patch.p00;
-        let (t, point) = self.isect.plane_point(p00, ray, t_min, t_max)?;
-        if !self.guard.contains(point) {
+        let (t, survives) = self.candidate(ray, t_min, t_max);
+        if !survives {
             return None;
         }
-        probe.inversion();
-        let (s, v) = self.isect.st_of_point(p00, &self.frame, point)?;
+        self.invert(patch_id, ray, t)
+    }
+
+    /// The first stage of the test, without a branch: the parameter `t` at
+    /// which `ray` meets the patch plane, and whether it survives — the
+    /// plane stage keeps it in `(t_min, t_max)` ([`PatchIsect::plane_t`])
+    /// and the guard box holds its point. Only a survivor can hit.
+    #[inline(always)]
+    pub(crate) fn candidate(&self, ray: &Ray, t_min: f64, t_max: f64) -> (f64, bool) {
+        let (t, in_window) = self.isect.plane_t(self.patch.p00, ray, t_min, t_max);
+        (t, in_window & self.guard.contains(ray.at(t)))
+    }
+
+    /// The second stage: the inversion of the plane point at a surviving
+    /// [`SurfacePatch::candidate`]'s `t`, recomputed bit for bit.
+    #[inline]
+    pub(crate) fn invert(&self, patch_id: u32, ray: &Ray, t: f64) -> Option<SceneHit> {
+        let point = ray.at(t);
+        let (s, v) = self.isect.st_of_point(self.patch.p00, &self.frame, point)?;
         Some(SceneHit {
             patch_id,
             t,
@@ -245,12 +261,12 @@ impl Scene {
     /// the scene does not have is a miss, not a panic.
     pub fn intersect_patch(&self, patch_id: u32, ray: &Ray) -> Option<SceneHit> {
         let sp = self.geom.patches.get(patch_id as usize)?;
-        sp.scene_hit(patch_id, ray, RAY_EPS, f64::INFINITY, &mut NoProbe)
+        sp.scene_hit(patch_id, ray, RAY_EPS, f64::INFINITY)
     }
 
     /// Nearest hit by exhaustive scan — the correctness oracle for the
-    /// octree, and the baseline of the `intersect` bench. Every patch gets
-    /// the whole unfiltered test: no mailbox, no guard box.
+    /// octree. Every patch gets the whole unfiltered test, one patch at a
+    /// time: no mailbox, no guard box, no sweep.
     pub fn intersect_brute_force(&self, ray: &Ray, t_max: f64) -> Option<SceneHit> {
         let mut best: Option<SceneHit> = None;
         let mut limit = t_max;

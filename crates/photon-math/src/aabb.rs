@@ -76,15 +76,16 @@ impl Aabb {
         self.max - self.min
     }
 
-    /// True when the point lies inside or on the boundary.
+    /// True when the point lies inside or on the boundary (false for a NaN
+    /// coordinate). All six comparisons are made, joined without a branch.
     #[inline]
     pub fn contains(&self, p: Vec3) -> bool {
-        p.x >= self.min.x
-            && p.x <= self.max.x
-            && p.y >= self.min.y
-            && p.y <= self.max.y
-            && p.z >= self.min.z
-            && p.z <= self.max.z
+        (p.x >= self.min.x)
+            & (p.x <= self.max.x)
+            & (p.y >= self.min.y)
+            & (p.y <= self.max.y)
+            & (p.z >= self.min.z)
+            & (p.z <= self.max.z)
     }
 
     /// True when the boxes overlap (closed intervals).

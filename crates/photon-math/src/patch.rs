@@ -266,18 +266,27 @@ impl PatchIsect {
 
     /// The plane stage of [`PatchIsect::intersect`]: the parameter in
     /// `(t_min, t_max)` at which `ray` meets the patch plane, and the point
-    /// there — which may lie anywhere on the plane.
+    /// there — which may lie anywhere on the plane. [`PatchIsect::plane_t`]
+    /// wrapped in an `Option`.
     #[inline]
     pub fn plane_point(&self, p00: Vec3, ray: &Ray, t_min: f64, t_max: f64) -> Option<(f64, Vec3)> {
+        let (t, ok) = self.plane_t(p00, ray, t_min, t_max);
+        ok.then(|| (t, ray.at(t)))
+    }
+
+    /// The arithmetic of [`PatchIsect::plane_point`], without a branch: the
+    /// parameter `t` at which `ray` meets the patch plane, and whether the
+    /// stage keeps it — the ray is not parallel to the plane
+    /// (`|dir · n| >= 1e-14`) and `t` is in `(t_min, t_max)`. The quotient
+    /// is formed whatever the divisor, and the three tests are joined by
+    /// `&`. A NaN `t` is kept: its point is NaN, which no box contains and
+    /// the inversion rejects.
+    #[inline(always)]
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(t <= t_min)` keeps a NaN `t`
+    pub fn plane_t(&self, p00: Vec3, ray: &Ray, t_min: f64, t_max: f64) -> (f64, bool) {
         let denom = ray.dir.dot(self.n);
-        if denom.abs() < 1e-14 {
-            return None; // Parallel to the plane.
-        }
         let t = (p00 - ray.origin).dot(self.n) / denom;
-        if t <= t_min || t >= t_max {
-            return None;
-        }
-        Some((t, ray.at(t)))
+        (t, !(denom.abs() < 1e-14) & !(t <= t_min) & !(t >= t_max))
     }
 
     /// [`Patch::st_of_point`] for the patch these constants were built
@@ -441,6 +450,89 @@ mod tests {
         let r = Ray::new(Vec3::new(0.5, 1.0, -0.5), Vec3::new(0.0, -1.0, 0.0));
         assert!(p.intersect(&r, 1e-9, 0.5).is_none());
         assert!(p.intersect(&r, 1.5, 2.0).is_none());
+    }
+
+    /// The plane stage as it was written before it lost its branches.
+    fn branchy_plane_point(
+        isect: &PatchIsect,
+        p00: Vec3,
+        ray: &Ray,
+        t_min: f64,
+        t_max: f64,
+    ) -> Option<(f64, Vec3)> {
+        let denom = ray.dir.dot(isect.n);
+        if denom.abs() < 1e-14 {
+            return None;
+        }
+        let t = (p00 - ray.origin).dot(isect.n) / denom;
+        if t <= t_min || t >= t_max {
+            return None;
+        }
+        Some((t, ray.at(t)))
+    }
+
+    #[test]
+    fn branch_free_plane_stage_is_the_branchy_one_at_its_edges() {
+        let p = unit_floor();
+        let isect = PatchIsect::new(&p, &p.frame());
+        assert_eq!(isect.n, Vec3::Y);
+        let bits = |r: Option<(f64, Vec3)>| r.map(|(t, q)| [t, q.x, q.y, q.z].map(f64::to_bits));
+        let check = |ray: Ray, t_min: f64, t_max: f64| {
+            let want = branchy_plane_point(&isect, p.p00, &ray, t_min, t_max);
+            let got = isect.plane_point(p.p00, &ray, t_min, t_max);
+            assert_eq!(bits(got), bits(want), "{ray:?} in ({t_min}, {t_max})");
+            want.is_some()
+        };
+        let open = (1e-9, f64::INFINITY);
+
+        // `|dir · n|` exactly at the parallel cutoff, and one ulp below it.
+        let cutoff = 1e-14f64;
+        let above = Vec3::new(0.5, 1e-20, -0.5);
+        for (dy, kept) in [(cutoff, true), (cutoff.next_down(), false)] {
+            for sign in [1.0, -1.0] {
+                let ray = Ray::new(above, Vec3::new(1.0, -sign * dy, 0.0));
+                assert_eq!(ray.dir.dot(isect.n).abs(), dy);
+                let (t_min, t_max) = if sign > 0.0 { open } else { (-1.0, 0.0) };
+                assert_eq!(check(ray, t_min, t_max), kept, "dy {dy:e}, sign {sign}");
+            }
+        }
+
+        // `t` exactly 1, against windows that end at it and an ulp either
+        // side of it.
+        let down = Ray::new(Vec3::new(0.5, 1.0, -0.5), -Vec3::Y);
+        assert_eq!(isect.plane_t(p.p00, &down, 0.0, 2.0).0, 1.0);
+        for (bound, kept) in [
+            (1.0f64.next_down(), true),
+            (1.0, false),
+            (1.0f64.next_up(), false),
+        ] {
+            assert_eq!(check(down, bound, 2.0), kept, "t_min {bound}");
+        }
+        for (bound, kept) in [
+            (1.0f64.next_down(), false),
+            (1.0, false),
+            (1.0f64.next_up(), true),
+        ] {
+            assert_eq!(check(down, 0.0, bound), kept, "t_max {bound}");
+        }
+
+        // 0 / 0: an origin in the plane, the ray running inside it.
+        let inside = Ray::new(Vec3::new(0.5, 0.0, -0.5), Vec3::X);
+        assert!(isect.plane_t(p.p00, &inside, open.0, open.1).0.is_nan());
+        assert!(!check(inside, open.0, open.1));
+
+        // A NaN `t` through a divisor the stage accepts: both keep it.
+        let nan = Ray::new(Vec3::new(0.5, f64::NAN, -0.5), -Vec3::Y);
+        assert!(check(nan, open.0, open.1));
+
+        // `±inf` `t`: an origin so far out the quotient overflows.
+        for (y, t_inf) in [(1e300, f64::INFINITY), (-1e300, f64::NEG_INFINITY)] {
+            let far = Ray::new(Vec3::new(0.5, y, -0.5), Vec3::new(1.0, -1e-10, 0.0));
+            assert_eq!(isect.plane_t(p.p00, &far, 0.0, 1.0).0, t_inf);
+            for (t_min, t_max) in [open, (f64::NEG_INFINITY, f64::INFINITY), (-1.0, f64::MAX)] {
+                assert!(!check(far, t_min, t_max));
+            }
+        }
     }
 
     #[test]

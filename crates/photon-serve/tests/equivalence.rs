@@ -1,8 +1,8 @@
 //! Backend equivalence: every engine solves the *same* simulation.
 //!
-//! The unified photon stream (block substream per photon, leapfrogged
-//! assignment across workers/ranks) makes strong cross-backend claims
-//! testable:
+//! The unified photon stream (block substream per photon; threads trace
+//! contiguous chunks of a batch, ranks leapfrog over it) makes strong
+//! cross-backend claims testable:
 //!
 //! * serial `Simulator` and the threaded `ParEngine` (deterministic tally
 //!   replay) produce **bit-identical** `Answer`s for the same seed and
