@@ -95,8 +95,10 @@ pub struct PatchRun {
 }
 
 /// Reusable buffers for the partition phase. Construct once per engine and
-/// feed every batch through it; at steady state [`PartitionScratch::partition`]
-/// allocates nothing (buffers only ever grow to the largest batch seen).
+/// feed every round through it; at steady state
+/// [`PartitionScratch::partition`] allocates nothing (buffers only ever grow
+/// to the largest round seen: `photon_par::ParEngine` cuts a step into
+/// rounds of at most 4T × 2 048 photons).
 #[derive(Debug)]
 pub struct PartitionScratch {
     /// Per-patch counters, reused as scatter write cursors.

@@ -37,6 +37,14 @@
 //! each batch window, and each photon draws from its own block substream
 //! ([`photon_core::photon_stream`]) — so a 1-rank world traces exactly the
 //! serial simulator's photons, and builds its bytes.
+//!
+//! Unlike `photon_par::ParEngine`, which runs a large step in rounds of at
+//! most 4T × 2 048 photons, a step here is one round whatever its batch, so
+//! the exchange queues grow with the batch: a rank's queues hold every
+//! record of its stride that another rank owns. Cutting the step into
+//! local rounds would apply an owner's remote records between its own
+//! rounds, not after all of them, which moves the pinned multi-rank answer
+//! bits and the virtual clocks the figures read.
 
 use crate::balance::{self, Ownership};
 use crate::batch::{BatchController, BatchMode};

@@ -12,46 +12,50 @@
 //! and nothing is shared while a phase runs.
 //!
 //! **Photon assignment.** Step `k` covers global photon indices
-//! `[cursor, cursor + batch)`, cut into `4T` contiguous chunks of
-//! ⌈batch / 4T⌉ photons (those past the end empty) that the workers claim
-//! one at a time, so a slow or pre-empted worker holds up one chunk, not a
-//! fixed share. Each photon draws from its own block substream
+//! `[cursor, cursor + batch)`, cut into ⌈batch / (4T × 2 048)⌉ contiguous
+//! *rounds* of equal size, run one after another in photon order. Each
+//! round is cut into `4T` contiguous chunks of ⌈round / 4T⌉ photons (those
+//! past the end empty), at most 2 048 each, that the workers claim one at a
+//! time, so a slow or pre-empted worker holds up one chunk, not a fixed
+//! share. Each photon draws from its own block substream
 //! ([`photon_core::photon_stream`]), so which worker traces a chunk
-//! changes no draw, and the chunks' record lists, in order, are the serial
-//! tally stream.
+//! changes no draw, and the rounds' chunks' record lists, in order, are the
+//! serial tally stream.
 //!
 //! **The step** is [`Simulator::step_with`] with the tally phases of
-//! [`ParEngine::step`] inside it, reading generate → trace → partition →
-//! apply → compact → report:
+//! [`ParEngine::step`] inside it, reading generate → (trace → partition →
+//! apply) per round → compact → report:
 //!
-//! 1. *Trace* — each chunk runs the workspace's one photon loop
-//!    ([`photon_core::trace_span`]) at stride 1, its item of the map its
-//!    own record buffer (reused across steps), and returns its photon
-//!    counters only.
-//! 2. *Partition* — the calling thread counting-sorts all records by patch,
-//!    reading the trace buffers in place and in chunk order into one
-//!    reused buffer: each patch's run is exactly the serial tally
+//! 1. *Trace* — each chunk of the round runs the workspace's one photon
+//!    loop ([`photon_core::trace_span`]) at stride 1, its item of the map
+//!    its own record buffer (reused across rounds and steps), and returns
+//!    its photon counters only.
+//! 2. *Partition* — the calling thread counting-sorts the round's records
+//!    by patch, reading the trace buffers in place and in chunk order into
+//!    one reused buffer: each patch's run is exactly the serial tally
 //!    subsequence for that tree.
 //! 3. *Apply* — the forest's trees are cut into blocks of consecutive
-//!    patches, each holding about a `4T`-th of the batch's records, a run
+//!    patches, each holding about a `4T`-th of the round's records, a run
 //!    that long alone in its block, and the blocks go to the workers
 //!    longest first, each claimed by whichever worker is free. A worker
 //!    owns its block outright and folds its runs into its trees, with the
 //!    leaf-descent cache skipping root re-descents inside a run.
-//! 4. *Compact, report* — `step_with`'s own, the same lines a serial step
-//!    runs.
+//! 4. *Compact, report* — `step_with`'s own, once per step, the same lines
+//!    a serial step runs. The report's trace time is the sum of the
+//!    rounds' trace phases.
 //!
-//! Because every tree sees exactly the serial tally order and each run is
-//! applied by exactly one worker, the resulting [`Answer`] is
-//! **bit-identical** to `Simulator`'s for the same seed and photon count,
-//! at any thread count — one worker included, which runs the same three
-//! phases — while blocks of distinct trees apply concurrently. Between
-//! steps the engine *is* the serial simulator, so snapshot, checkpoint and
-//! restore are `Simulator`'s. Steady-state steps reuse every buffer: trace
-//! buffers, the sorted buffer, the run list, and the per-patch counters.
-//! What a step still allocates is its two phases' spawns and slots and the
-//! block list, at most 8T + 1 entries whatever the patch count
-//! (`tests/steady_state_alloc.rs`).
+//! Because the rounds apply in photon order, every tree sees exactly the
+//! serial tally order and each run is applied by exactly one worker, the
+//! resulting [`Answer`] is **bit-identical** to `Simulator`'s for the same
+//! seed and photon count, at any thread count — one worker included, which
+//! runs the same three phases — while blocks of distinct trees apply
+//! concurrently. Between steps the engine *is* the serial simulator, so
+//! snapshot, checkpoint and restore are `Simulator`'s. The buffers — trace
+//! buffers, the sorted buffer, the run list and the per-patch counters —
+//! are sized by one round whatever the batch (`tests/step_memory.rs`), and
+//! steady-state steps reuse them. What a step still allocates is each
+//! round's two phases' spawns and slots and the block list, at most 8T + 1
+//! entries whatever the patch count (`tests/steady_state_alloc.rs`).
 
 use crate::{parallel_map, ParConfig};
 use photon_core::batch::{PartitionScratch, PatchRun, TallyRecord};
@@ -71,8 +75,9 @@ pub struct ParEngine {
     threads: usize,
     /// The solve state: scene, stream cursor, counters and forest.
     sim: Simulator,
-    /// Per-chunk trace records, reused across steps; slot `c` holds the
-    /// records of the batch's `c`-th chunk and is trace job `c`'s item.
+    /// Per-chunk trace records, reused across rounds and steps; slot `c`
+    /// holds the records of the round's `c`-th chunk and is trace job `c`'s
+    /// item.
     traces: Vec<Vec<TallyRecord>>,
     /// The partition output the apply phase consumes.
     partition: PartitionScratch,
@@ -100,6 +105,19 @@ struct Block<'a> {
 /// job per run (≈1 000 jobs on `lab`) read 1.75–2.05 ms, its tiny jobs
 /// costing more than they balance.
 const JOBS_PER_WORKER: usize = 4;
+
+/// Most photons in one trace chunk: a step runs in rounds of at most
+/// `JOBS_PER_WORKER × T × MAX_CHUNK` photons, so its buffers hold one
+/// round's records (128 B a tally: the record and its partitioned copy)
+/// whatever the batch. A bound per chunk, not per round, keeps the work
+/// between two joins growing with T, as each map's T − 1 spawns do. At
+/// 2 048 and two workers, the ledger's 10 000-photon solve steps and
+/// 5 000-photon cold slices stay one round, its 20 000-photon slices take
+/// two, and its 80 000-photon set-up step five of 16 000: that step's RSS
+/// growth fell from 23.3 to 5.3 MiB on `cornell` and from 19.8 to 4.7 MiB
+/// on `lab`, and `cornell`'s `peak_rss_mb` from a median 92.8 to 67.6 MiB
+/// (seeds 21–25, 2-core host), every timing row inside the host's noise.
+const MAX_CHUNK: u64 = 2_048;
 
 /// Cuts `trees` into blocks of consecutive patches holding about
 /// `share` = ⌈records / 4`threads`⌉ of `runs`' records each, sorted by
@@ -141,6 +159,17 @@ fn blocks<'a>(
     blocks
 }
 
+/// The `i`-th of `span`'s contiguous pieces of `size` photons, cut short
+/// at its end (empty past it).
+fn piece(span: Span, size: u64, i: u64) -> Span {
+    let from = (i * size).min(span.count);
+    Span {
+        start: span.start + from,
+        count: size.min(span.count - from),
+        ..span
+    }
+}
+
 impl ParEngine {
     /// An engine over `scene` and an empty forest, tracing on
     /// `config.threads` workers.
@@ -176,47 +205,52 @@ impl SolverEngine for ParEngine {
         } = self;
         let threads = *threads;
         sim.step_with(batch, |scene, generator, seed, span, forest| {
-            let trace_start = Instant::now();
-
-            // Generate + trace: chunk `c` of the batch into buffer `c`.
-            let chunk = span.count.div_ceil(traces.len() as u64);
+            // Cut the step into equal contiguous rounds of at most
+            // `MAX_CHUNK` photons a chunk; each round traces, partitions and
+            // applies before the next, so the buffers hold one round.
+            let rounds = span.count.div_ceil(traces.len() as u64 * MAX_CHUNK).max(1);
+            let round = span.count.div_ceil(rounds);
             let mut traced = SimStats::default();
-            for stats in parallel_map(threads, traces, |c, slot| {
-                // Trace into the buffer from this worker's own stack, not
-                // in its slot: a `Vec`'s length is stored at every push, the
-                // slots are 24 bytes apart, and whether two of them share a
-                // cache line is the allocator's whim — so pushing in place
-                // cost 0–15 % of the trace phase, differently every run.
-                let mut out = std::mem::take(slot);
-                out.clear(); // keep capacity: steady state reallocates nothing
-                let from = (c as u64 * chunk).min(span.count);
-                let span = Span {
-                    start: span.start + from,
-                    count: chunk.min(span.count - from),
-                    ..span
-                };
-                let stats = trace_span(scene, generator, seed, span, &mut out);
-                *slot = out;
-                stats
-            }) {
-                traced.merge(&stats);
-            }
-            let trace_seconds = trace_start.elapsed().as_secs_f64();
+            let mut trace_seconds = 0.0;
+            for r in 0..rounds {
+                let span = piece(span, round, r);
+                let trace_start = Instant::now();
 
-            // Partition, on the calling thread.
-            partition.partition(traces, span.start, span.count);
-
-            // Apply: workers claim blocks of trees, longest first, and fold
-            // each block's runs into its trees.
-            let partition = &*partition;
-            let mut blocks = blocks(forest.trees_mut(), &partition.runs, threads);
-            parallel_map(threads, &mut blocks, |_, block| {
-                for run in block.runs {
-                    let records = partition.run_records(run).iter();
-                    block.trees[run.patch_id as usize - block.first]
-                        .tally_run(records.map(|r| (&r.point, r.energy)));
+                // Generate + trace: chunk `c` of the round into buffer `c`.
+                let chunk = span.count.div_ceil(traces.len() as u64);
+                for stats in parallel_map(threads, traces, |c, slot| {
+                    // Trace into the buffer from this worker's own stack,
+                    // not in its slot: a `Vec`'s length is stored at every
+                    // push, the slots are 24 bytes apart, and whether two of
+                    // them share a cache line is the allocator's whim — so
+                    // pushing in place cost 0–15 % of the trace phase,
+                    // differently every run.
+                    let mut out = std::mem::take(slot);
+                    out.clear(); // keep capacity: steady state reallocates nothing
+                    let span = piece(span, chunk, c as u64);
+                    let stats = trace_span(scene, generator, seed, span, &mut out);
+                    *slot = out;
+                    stats
+                }) {
+                    traced.merge(&stats);
                 }
-            });
+                trace_seconds += trace_start.elapsed().as_secs_f64();
+
+                // Partition, on the calling thread.
+                partition.partition(traces, span.start, span.count);
+
+                // Apply: workers claim blocks of trees, longest first, and
+                // fold each block's runs into its trees.
+                let partition = &*partition;
+                let mut blocks = blocks(forest.trees_mut(), &partition.runs, threads);
+                parallel_map(threads, &mut blocks, |_, block| {
+                    for run in block.runs {
+                        let records = partition.run_records(run).iter();
+                        block.trees[run.patch_id as usize - block.first]
+                            .tally_run(records.map(|r| (&r.point, r.energy)));
+                    }
+                });
+            }
             (traced, Some(trace_seconds))
         })
     }

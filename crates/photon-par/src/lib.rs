@@ -14,15 +14,18 @@
 //! every tree has exactly one writer, the job whose `&mut` item of the map
 //! is the block of consecutive trees holding it (the apply phase hands out
 //! about four blocks per worker, longest first). The trace phase cuts each
-//! batch into four contiguous chunks per worker, claimed one at a time,
-//! and runs the one photon loop, [`photon_core::trace_span`], over each.
+//! round of a step into four contiguous chunks per worker, claimed one at a
+//! time, and runs the one photon loop, [`photon_core::trace_span`], over
+//! each.
 //! Every photon draws from its own block substream of the seeded base
 //! stream, so the photon set and its draws are exactly the serial
 //! simulator's, whichever worker traces which chunk.
 //!
-//! **The pipeline.** Each step is trace → partition → apply (the kernel of
-//! [`photon_core::batch`]; [`engine`] walks through it): per-tree tally
-//! order equals serial order *by construction*, so the engine is
+//! **The pipeline.** Each step runs in contiguous rounds of at most
+//! 4T × 2 048 photons, in photon order, so its record buffers hold one
+//! round whatever the batch. Each round is trace → partition → apply (the
+//! kernel of [`photon_core::batch`]; [`engine`] walks through it): per-tree
+//! tally order equals serial order *by construction*, so the engine is
 //! simultaneously concurrent **and** bit-identical to the serial simulator
 //! at any thread count. (The paper's original loop — a write lock per
 //! tally, answers that depend on thread interleaving — survives only as

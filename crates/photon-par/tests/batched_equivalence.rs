@@ -57,3 +57,53 @@ fn every_batch_size_and_thread_count_matches_serial_byte_for_byte() {
         }
     }
 }
+
+/// Photons in one round of a threaded step per worker: four chunks of at
+/// most 2 048 photons each.
+const ROUND_PER_WORKER: u64 = 4 * 2_048;
+
+/// Steps `batches` on a serial simulator and a `threads`-worker engine over
+/// `scene` side by side, comparing answer and checkpoint bytes after each.
+fn matches_serial_at_every_step(scene: TestScene, threads: usize, batches: &[u64]) {
+    let config = SimConfig {
+        seed: SEED,
+        ..Default::default()
+    };
+    let mut serial = Simulator::new(scene.build(), config);
+    let mut engine = ParEngine::new(
+        scene.build(),
+        ParConfig {
+            seed: SEED,
+            threads,
+            ..Default::default()
+        },
+    );
+    for &batch in batches {
+        serial.step(batch);
+        engine.step(batch);
+        let at = format!("{scene:?}, threads={threads}, after {batch}");
+        assert_eq!(
+            answer_bytes(&engine.snapshot()),
+            answer_bytes(&serial.answer_snapshot()),
+            "{at}: answer"
+        );
+        assert_eq!(
+            engine.checkpoint().to_bytes(),
+            serial.checkpoint().to_bytes(),
+            "{at}: checkpoint"
+        );
+    }
+}
+
+#[test]
+fn steps_cut_at_round_edges_match_serial_byte_for_byte() {
+    // Exactly one round, one round and a photon (two rounds, the cursor
+    // now off any round edge), then two and a half rounds (three).
+    for threads in [1, 2, 3] {
+        let round = ROUND_PER_WORKER * threads as u64;
+        let batches = [round, round + 1, 5 * round / 2];
+        matches_serial_at_every_step(TestScene::CornellBox, threads, &batches);
+    }
+    let lab_round = ROUND_PER_WORKER * 2;
+    matches_serial_at_every_step(TestScene::ComputerLab, 2, &[5 * lab_round / 2]);
+}

@@ -129,7 +129,10 @@ pub struct SolveRequest {
     /// Seed of the photon stream.
     pub seed: u64,
     /// Photons per engine step — also the scheduler's slice size, so it
-    /// bounds how long this job can hold a worker before others run.
+    /// bounds how long this job can hold a worker before others run. A
+    /// threaded step holds at most one round's records, 4T × 2 048 photons'
+    /// worth, however large the batch; a distributed step's exchange
+    /// queues grow with it.
     pub batch_size: u64,
     /// Convergence target: the job completes once this many photons have
     /// been emitted.
